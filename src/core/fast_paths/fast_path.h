@@ -38,13 +38,14 @@
 #include <array>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/types.h"
 #include "core/enumerate_core.h"
 #include "core/packed_table.h"
+#include "graph/event.h"
 
 namespace tmotif {
 namespace internal {
@@ -64,19 +65,46 @@ bool FastPathSupported(const EnumerationOptions& options);
 /// exporters can attribute work to the engine that actually served it.
 void NoteDispatch(bool fastpath);
 
-/// Signed per-code accumulator for window differences.
-using CodeDeltas = std::unordered_map<std::uint64_t, std::int64_t>;
+/// Signed per-code accumulator for window differences. The counters below
+/// produce at most 36 distinct codes (k == 3: 4 two-node + 32 three-node;
+/// k == 2: 6; k == 1: 1), so a flat array with a linear lookup does the
+/// job of a hash map without allocating; Clear() makes it reusable.
+class CodeDeltas {
+ public:
+  static constexpr std::size_t kCapacity = 36;
+  using Entry = std::pair<std::uint64_t, std::int64_t>;
+
+  void Add(std::uint64_t code, std::int64_t delta) {
+    for (std::size_t i = 0; i < size_; ++i) {
+      if (entries_[i].first == code) {
+        entries_[i].second += delta;
+        return;
+      }
+    }
+    TMOTIF_CHECK(size_ < kCapacity);
+    entries_[size_++] = Entry(code, delta);
+  }
+  void Clear() { size_ = 0; }
+  const Entry* begin() const { return entries_.data(); }
+  const Entry* end() const { return entries_.data() + size_; }
+
+ private:
+  std::array<Entry, kCapacity> entries_{};
+  std::size_t size_ = 0;
+};
 
 namespace detail {
 
-inline std::size_t LowerIdx(const std::vector<Timestamp>& times, Timestamp t) {
-  return static_cast<std::size_t>(
-      std::lower_bound(times.begin(), times.end(), t) - times.begin());
+inline std::size_t LowerIdx(const Timestamp* times, std::size_t n,
+                            Timestamp t) {
+  return static_cast<std::size_t>(std::lower_bound(times, times + n, t) -
+                                  times);
 }
 
-inline std::size_t UpperIdx(const std::vector<Timestamp>& times, Timestamp t) {
-  return static_cast<std::size_t>(
-      std::upper_bound(times.begin(), times.end(), t) - times.begin());
+inline std::size_t UpperIdx(const Timestamp* times, std::size_t n,
+                            Timestamp t) {
+  return static_cast<std::size_t>(std::upper_bound(times, times + n, t) -
+                                  times);
 }
 
 inline Timestamp SatAdd(Timestamp t, Timestamp d) {
@@ -107,6 +135,33 @@ inline std::uint64_t PackAbstract(const int (&srcs)[3], const int (&dsts)[3],
   return packed;
 }
 
+/// 3-event sequences over the symbols {0, 1, 2}, before canonicalization:
+/// each event is one of the 6 ordered pairs of distinct symbols, so 6^3
+/// slots index every star and triangle sequence in a flat array.
+constexpr std::size_t kRawSequences = 216;
+
+inline std::size_t RawEvent(int src, int dst) {
+  return static_cast<std::size_t>(2 * src + (dst > src ? dst - 1 : dst));
+}
+
+inline std::size_t RawSequence(const int (&srcs)[3], const int (&dsts)[3]) {
+  return 36 * RawEvent(srcs[0], dsts[0]) + 6 * RawEvent(srcs[1], dsts[1]) +
+         RawEvent(srcs[2], dsts[2]);
+}
+
+/// Canonical code of a RawSequence slot.
+inline std::uint64_t RawSequenceCode(std::size_t raw) {
+  int srcs[3];
+  int dsts[3];
+  for (int i = 2; i >= 0; --i) {
+    const int event = static_cast<int>(raw % 6);
+    raw /= 6;
+    srcs[i] = event / 2;
+    dsts[i] = event % 2 >= srcs[i] ? event % 2 + 1 : event % 2;
+  }
+  return PackAbstract(srcs, dsts, 3);
+}
+
 /// 2-node codes by relative direction: all directions are measured against
 /// the first event's, so only the equality pattern matters.
 inline std::uint64_t PairCode2(int d1, int de) {
@@ -128,35 +183,16 @@ inline std::uint64_t WedgeCode(int d1, int d2) {
   return 0x01ULL | (byte1 << 8);
 }
 
-/// Filtered event timeline of one undirected node pair (times ascending;
-/// dir 0 = lo -> hi with lo < hi).
-struct PairTimeline {
-  NodeId lo = 0;
-  NodeId hi = 0;
-  std::vector<Timestamp> times;
-  std::vector<std::uint8_t> dirs;
-  /// dir_prefix[i] = number of dir-1 events among the first i (rank-query
-  /// support; built only when stars/triangles run).
-  std::vector<std::uint32_t> dir_prefix;
-};
-
-/// Filtered timeline of one node's incident events (dir 1 = node is src).
-struct NodeTimeline {
-  std::vector<Timestamp> times;
-  std::vector<std::uint8_t> dirs;
-  std::vector<std::uint32_t> pair_ids;
-  std::vector<std::uint32_t> dir_prefix;
-};
-
 /// Events in timeline index range [i0, i1) whose dir equals `d`, given the
 /// timeline's dir-1 prefix sums.
-inline std::uint64_t RangeDirCount(const std::vector<std::uint32_t>& prefix,
-                                   std::size_t i0, std::size_t i1, int d) {
+inline std::uint64_t RangeDirCount(const std::uint32_t* prefix, std::size_t i0,
+                                   std::size_t i1, int d) {
   if (i1 <= i0) return 0;
   const std::uint64_t ones = prefix[i1] - prefix[i0];
   return d == 1 ? ones : (i1 - i0) - ones;
 }
 
+/// prefix[i] = number of dir-1 entries among dirs[0, i).
 inline void BuildDirPrefix(const std::vector<std::uint8_t>& dirs,
                            std::vector<std::uint32_t>* prefix) {
   prefix->resize(dirs.size() + 1);
@@ -166,8 +202,91 @@ inline void BuildDirPrefix(const std::vector<std::uint8_t>& dirs,
   }
 }
 
-/// One-shot counter over the filtered events of an index window. Build one,
-/// call Count once.
+/// Open-addressed map from 64-bit keys to dense indices 0, 1, 2, ... in
+/// first-insert order. Reset() is O(1): every slot carries the generation
+/// that wrote it, and bumping the generation empties the table. Capacity
+/// doubles at load 0.5 and never shrinks, so a reused index stops
+/// allocating once it has seen its largest key set.
+class FlatIndex {
+ public:
+  void Reset() {
+    size_ = 0;
+    if (++generation_ == 0) {  // Wrapped: old stamps would alias.
+      for (Slot& slot : slots_) slot.stamp = 0;
+      generation_ = 1;
+    }
+  }
+
+  std::uint32_t size() const { return size_; }
+
+  /// Index of `key`; a new key gets index size() and sets `*inserted`.
+  std::uint32_t Insert(std::uint64_t key, bool* inserted) {
+    if (2 * (static_cast<std::size_t>(size_) + 1) > slots_.size()) Grow();
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = Hash(key) & mask;; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.stamp != generation_) {
+        slot = Slot{key, size_, generation_};
+        *inserted = true;
+        return size_++;
+      }
+      if (slot.key == key) {
+        *inserted = false;
+        return slot.value;
+      }
+    }
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t key = 0;
+    std::uint32_t value = 0;
+    /// Generation that wrote the slot (0 = never written).
+    std::uint32_t stamp = 0;
+  };
+
+  static std::size_t Hash(std::uint64_t x) {
+    // SplitMix64 finalizer.
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebULL;
+    x ^= x >> 31;
+    return static_cast<std::size_t>(x);
+  }
+
+  void Grow() {
+    std::vector<Slot> old;
+    old.swap(slots_);
+    slots_.assign(std::max<std::size_t>(16, 2 * old.size()), Slot{});
+    const std::size_t mask = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.stamp != generation_) continue;
+      std::size_t i = Hash(slot.key) & mask;
+      while (slots_[i].stamp == generation_) i = (i + 1) & mask;
+      slots_[i] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::uint32_t generation_ = 1;
+  std::uint32_t size_ = 0;
+};
+
+}  // namespace detail
+
+/// Counter over the filtered events of an index window, reusable across
+/// calls: every Count resets the scratch it reads (pair and node indexes by
+/// generation stamp, timelines by overwriting), and the buffers keep their
+/// capacity, so a counter that is called again on windows of similar size
+/// allocates nothing. The counter holds references to `graph` and `opt`,
+/// which must outlive it; calls reflect the graph's state at call time.
+///
+/// Ownership: the caller owns the counter and with it the scratch. Batch
+/// and sharded counting build one per call (sharded workers each their
+/// own; a counter is not thread-safe), and each streaming counter keeps
+/// one for its whole life (stream/streaming_counter.cc). Never share one
+/// through a static or thread_local.
 template <typename Graph>
 class WindowCounter {
  public:
@@ -186,6 +305,9 @@ class WindowCounter {
   template <typename Include, typename Emit>
   void Count(EventIndex lo, EventIndex hi, const Include& include,
              const Emit& emit) {
+    using detail::PairCode2;
+    using detail::PairCode3;
+    using detail::WedgeCode;
     const int k = opt_.num_events;
     lo = std::max<EventIndex>(lo, 0);
     hi = std::min<EventIndex>(hi, static_cast<EventIndex>(graph_.num_events()));
@@ -196,11 +318,12 @@ class WindowCounter {
     }
     const bool shapes3 =
         opt_.inducedness == Inducedness::kNone && opt_.max_nodes >= 3;
-    BuildTimelines(lo, hi, include, /*need_nodes=*/shapes3);
+    BuildTimelines(lo, hi, include, /*need_nodes=*/shapes3,
+                   /*need_node_pairs=*/shapes3 && k == 2);
 
     std::uint64_t g2[2][2] = {};
     std::uint64_t g3[2][2][2] = {};
-    for (const PairTimeline& pair : pairs_) PairDp(pair, g2, g3);
+    for (const Pair& pair : pairs_) PairDp(pair, g2, g3);
     if (k == 2) {
       for (int d1 = 0; d1 < 2; ++d1) {
         for (int de = 0; de < 2; ++de) {
@@ -230,19 +353,86 @@ class WindowCounter {
     }
     // k == 3, max_nodes == 3: stars (two distinct pairs) and triangles
     // (three distinct pairs) complete the partition of instances by their
-    // distinct-pair count; rank queries need the prefix sums.
-    for (PairTimeline& pair : pairs_) BuildDirPrefix(pair.dirs, &pair.dir_prefix);
-    for (NodeTimeline& node : nodes_) BuildDirPrefix(node.dirs, &node.dir_prefix);
-    std::unordered_map<std::uint64_t, std::uint64_t> acc;
-    CountStars(&acc);
-    CountTriangles(&acc);
-    for (const auto& [code, n] : acc) {
-      if (n) emit(code, n);
+    // distinct-pair count; rank queries need the prefix sums. Both count
+    // into one flat array of raw symbol sequences, merged per canonical
+    // code at the end.
+    detail::BuildDirPrefix(pair_dirs_, &pair_prefix_);
+    detail::BuildDirPrefix(node_dirs_, &node_prefix_);
+    std::array<std::uint64_t, detail::kRawSequences> raw{};
+    CountStars(raw.data());
+    CountTriangles(raw.data());
+    CodeDeltas merged;
+    for (std::size_t r = 0; r < raw.size(); ++r) {
+      if (raw[r]) {
+        merged.Add(detail::RawSequenceCode(r),
+                   static_cast<std::int64_t>(raw[r]));
+      }
     }
+    for (const auto& [code, n] : merged) {
+      emit(code, static_cast<std::uint64_t>(n));
+    }
+  }
+
+  /// Adds `sign` times the per-code counts of Count(lo, hi, include) into
+  /// `deltas` — the building block of the range differences below and of
+  /// the streaming delta path.
+  template <typename Include>
+  void Accumulate(EventIndex lo, EventIndex hi, const Include& include,
+                  std::int64_t sign, CodeDeltas* deltas) {
+    Count(lo, hi, include, [&](std::uint64_t code, std::uint64_t count) {
+      deltas->Add(code, sign * static_cast<std::int64_t>(count));
+    });
   }
 
  private:
   using EdgeHandle = typename Graph::EdgeHandle;
+
+  /// One undirected node pair of the filtered window (dir 0 = lo -> hi,
+  /// lo < hi). Its timeline is pair_times_ / pair_dirs_ [begin, end),
+  /// ascending in time; lo_node / hi_node are the endpoints' node slots
+  /// (set only when node timelines are built).
+  struct Pair {
+    NodeId lo;
+    NodeId hi;
+    std::uint32_t lo_node;
+    std::uint32_t hi_node;
+    std::uint32_t begin;
+    std::uint32_t end;
+  };
+
+  /// One node's incident filtered events: node_times_ / node_dirs_ /
+  /// node_pairs_ [begin, end) (dir 1 = the node is the src), plus its
+  /// row [adj_begin, adj_end) of the triangle adjacency.
+  struct Node {
+    std::uint32_t begin;
+    std::uint32_t end;
+    std::uint32_t adj_begin;
+    std::uint32_t adj_end;
+  };
+
+  /// A timestamp tie group of one pair timeline (CountStars).
+  struct TieGroup {
+    std::size_t begin;
+    std::size_t end;
+    Timestamp t;
+    std::uint64_t ndir[2];
+    /// Pair-timeline bounds: first index with time >= t - dw, first index
+    /// with time > t + dw.
+    std::size_t lo_tm;
+    std::size_t hi_tp;
+  };
+
+  /// Node-timeline bounds of one (group, center): first index with time
+  /// >= t - dw / >= t / > t / > t + dw.
+  struct CenterBounds {
+    std::size_t lo_m;
+    std::size_t lo_t;
+    std::size_t up_t;
+    std::size_t up_p;
+  };
+
+  static constexpr std::uint32_t kExcluded =
+      std::numeric_limits<std::uint32_t>::max();
 
   template <typename Include, typename Emit>
   void CountSingles(EventIndex lo, EventIndex hi, const Include& include,
@@ -282,50 +472,101 @@ class WindowCounter {
     if (n > 0) emit(0x01ULL, n);
   }
 
+  /// Groups the filtered events of [lo, hi) into pair (and, for the
+  /// 3-node shapes, node) timelines laid out as CSR arrays. Pass 1 assigns
+  /// pair and node slots and counts timeline lengths; pass 2 scatters the
+  /// events in index order, so every timeline is ascending in time.
   template <typename Include>
   void BuildTimelines(EventIndex lo, EventIndex hi, const Include& include,
-                      bool need_nodes) {
+                      bool need_nodes, bool need_node_pairs) {
+    pair_index_.Reset();
+    node_index_.Reset();
     pairs_.clear();
-    pair_index_.clear();
     nodes_.clear();
-    node_index_.clear();
+    event_pair_.resize(static_cast<std::size_t>(hi - lo));
     for (EventIndex i = lo; i < hi; ++i) {
-      if (!include(i)) continue;
+      std::uint32_t& slot = event_pair_[static_cast<std::size_t>(i - lo)];
+      if (!include(i)) {
+        slot = kExcluded;
+        continue;
+      }
       const NodeId s = graph_.event_src(i);
       const NodeId d = graph_.event_dst(i);
-      const Timestamp t = graph_.event_time(i);
       const NodeId a = std::min(s, d);
       const NodeId b = std::max(s, d);
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 32) |
-          static_cast<std::uint32_t>(b);
-      auto [it, inserted] =
-          pair_index_.emplace(key, static_cast<std::uint32_t>(pairs_.size()));
+      bool inserted = false;
+      slot = pair_index_.Insert(NodePairKey(a, b), &inserted);
       if (inserted) {
-        pairs_.emplace_back();
-        pairs_.back().lo = a;
-        pairs_.back().hi = b;
+        Pair pair{a, b, 0, 0, 0, 0};
+        if (need_nodes) {
+          pair.lo_node = NodeSlot(a);
+          pair.hi_node = NodeSlot(b);
+        }
+        pairs_.push_back(pair);
       }
-      const std::uint32_t pi = it->second;
-      PairTimeline& pair = pairs_[pi];
-      pair.times.push_back(t);
-      pair.dirs.push_back(s == a ? 0 : 1);
+      Pair& pair = pairs_[slot];
+      ++pair.end;  // A length until the offsets below.
       if (need_nodes) {
-        AppendNodeEvent(s, t, 1, pi);
-        AppendNodeEvent(d, t, 0, pi);
+        ++nodes_[pair.lo_node].end;
+        ++nodes_[pair.hi_node].end;
+      }
+    }
+    // Lengths become offsets; `end` restarts at `begin` as the fill cursor.
+    std::uint32_t total = 0;
+    for (Pair& pair : pairs_) {
+      const std::uint32_t length = pair.end;
+      pair.begin = total;
+      pair.end = total;
+      total += length;
+    }
+    pair_times_.resize(total);
+    pair_dirs_.resize(total);
+    if (need_nodes) {
+      total = 0;
+      for (Node& node : nodes_) {
+        const std::uint32_t length = node.end;
+        node.begin = total;
+        node.end = total;
+        total += length;
+      }
+      node_times_.resize(total);
+      node_dirs_.resize(total);
+      if (need_node_pairs) node_pairs_.resize(total);
+    }
+    for (EventIndex i = lo; i < hi; ++i) {
+      const std::uint32_t p = event_pair_[static_cast<std::size_t>(i - lo)];
+      if (p == kExcluded) continue;
+      Pair& pair = pairs_[p];
+      const Timestamp t = graph_.event_time(i);
+      const std::uint8_t dir = graph_.event_src(i) == pair.lo ? 0 : 1;
+      pair_times_[pair.end] = t;
+      pair_dirs_[pair.end] = dir;
+      ++pair.end;
+      if (need_nodes) {
+        const std::uint32_t src = dir == 0 ? pair.lo_node : pair.hi_node;
+        const std::uint32_t dst = dir == 0 ? pair.hi_node : pair.lo_node;
+        AppendNodeEvent(src, t, 1, p, need_node_pairs);
+        AppendNodeEvent(dst, t, 0, p, need_node_pairs);
       }
     }
   }
 
-  void AppendNodeEvent(NodeId node, Timestamp t, std::uint8_t is_src,
-                       std::uint32_t pair_id) {
-    auto [it, inserted] = node_index_.emplace(
-        node, static_cast<std::uint32_t>(nodes_.size()));
-    if (inserted) nodes_.emplace_back();
-    NodeTimeline& timeline = nodes_[it->second];
-    timeline.times.push_back(t);
-    timeline.dirs.push_back(is_src);
-    timeline.pair_ids.push_back(pair_id);
+  std::uint32_t NodeSlot(NodeId node) {
+    bool inserted = false;
+    const std::uint32_t slot =
+        node_index_.Insert(static_cast<std::uint32_t>(node), &inserted);
+    if (inserted) nodes_.push_back(Node{0, 0, 0, 0});
+    return slot;
+  }
+
+  void AppendNodeEvent(std::uint32_t node_slot, Timestamp t,
+                       std::uint8_t is_src, std::uint32_t pair_slot,
+                       bool need_node_pairs) {
+    Node& node = nodes_[node_slot];
+    node_times_[node.end] = t;
+    node_dirs_[node.end] = is_src;
+    if (need_node_pairs) node_pairs_[node.end] = pair_slot;
+    ++node.end;
   }
 
   /// Sliding-window sequence DP over one pair's timeline. Timestamp tie
@@ -335,11 +576,11 @@ class WindowCounter {
   /// events by direction; c2[d1][d2] counts ordered in-window event pairs
   /// (only k == 3 maintains it). The dW window applies to the would-be
   /// *first* event: older ones are evicted before completing.
-  void PairDp(const PairTimeline& pair, std::uint64_t g2[2][2],
+  void PairDp(const Pair& pair, std::uint64_t g2[2][2],
               std::uint64_t g3[2][2][2]) {
-    const std::vector<Timestamp>& T = pair.times;
-    const std::vector<std::uint8_t>& D = pair.dirs;
-    const std::size_t n = T.size();
+    const Timestamp* T = pair_times_.data() + pair.begin;
+    const std::uint8_t* D = pair_dirs_.data() + pair.begin;
+    const std::size_t n = pair.end - pair.begin;
     const int k = opt_.num_events;
     std::uint64_t p2[2][2] = {};
     std::uint64_t p3[2][2][2] = {};
@@ -432,13 +673,14 @@ class WindowCounter {
   /// predecessors (2-node instances) are excluded by per-pair window
   /// counts. Each wedge has exactly one shared node, so no double count.
   void CountWedges(std::uint64_t w[2][2]) {
-    std::unordered_map<std::uint32_t, std::array<std::uint64_t, 2>> cpair;
-    for (const NodeTimeline& node : nodes_) {
-      const std::vector<Timestamp>& T = node.times;
-      const std::vector<std::uint8_t>& D = node.dirs;
-      const std::vector<std::uint32_t>& P = node.pair_ids;
-      const std::size_t n = T.size();
-      cpair.clear();
+    // In-window events per (pair slot, dir) of the current center; each
+    // center zeroes the entries it touched before the next one starts.
+    wedge_pair_counts_.assign(pairs_.size(), {0, 0});
+    for (const Node& node : nodes_) {
+      const Timestamp* T = node_times_.data() + node.begin;
+      const std::uint8_t* D = node_dirs_.data() + node.begin;
+      const std::uint32_t* P = node_pairs_.data() + node.begin;
+      const std::size_t n = node.end - node.begin;
       std::uint64_t ctot[2] = {};
       std::size_t wbegin = 0;
       std::size_t i = 0;
@@ -449,25 +691,24 @@ class WindowCounter {
         if (use_dw_) {
           while (wbegin < i && t - T[wbegin] > dw_) {
             --ctot[D[wbegin]];
-            --cpair[P[wbegin]][D[wbegin]];
+            --wedge_pair_counts_[P[wbegin]][D[wbegin]];
             ++wbegin;
           }
         }
         for (std::size_t x = i; x < j; ++x) {
-          const auto it = cpair.find(P[x]);
+          const std::array<std::uint64_t, 2>& same = wedge_pair_counts_[P[x]];
           for (int d1 = 0; d1 < 2; ++d1) {
-            const std::uint64_t same =
-                it != cpair.end() ? (*it).second[d1] : 0;
-            const std::uint64_t cnt = ctot[d1] - same;
+            const std::uint64_t cnt = ctot[d1] - same[d1];
             if (cnt) w[d1][D[x]] += cnt;
           }
         }
         for (std::size_t x = i; x < j; ++x) {
           ++ctot[D[x]];
-          ++cpair[P[x]][D[x]];
+          ++wedge_pair_counts_[P[x]][D[x]];
         }
         i = j;
       }
+      for (std::size_t x = 0; x < n; ++x) wedge_pair_counts_[P[x]] = {0, 0};
     }
   }
 
@@ -486,39 +727,25 @@ class WindowCounter {
   /// (one pass of binary searches) and the double loop over group pairs is
   /// pure prefix-sum arithmetic. The canonical code depends only on
   /// (d1, d2, center, pos, gdir), so counts accumulate into a flat
-  /// 48-entry array and are packed once at the end — no hashing on the hot
-  /// path.
-  void CountStars(std::unordered_map<std::uint64_t, std::uint64_t>* acc) {
+  /// 48-entry array and are added to `raw` (RawSequence slots) once at the
+  /// end — no hashing on the hot path.
+  void CountStars(std::uint64_t* raw) {
+    using detail::LowerIdx;
+    using detail::RangeDirCount;
+    using detail::SatAdd;
+    using detail::SatSub;
+    using detail::UpperIdx;
     // [d1][d2][center][pos][gdir].
     std::uint64_t counts[2][2][2][3][2] = {};
-    struct TieGroup {
-      std::size_t begin;
-      std::size_t end;
-      Timestamp t;
-      std::uint64_t ndir[2];
-      /// Pair-timeline bounds: first index with time >= t - dw, first index
-      /// with time > t + dw.
-      std::size_t lo_tm;
-      std::size_t hi_tp;
-    };
-    /// Node-timeline bounds of one (group, center): first index with time
-    /// >= t - dw / >= t / > t / > t + dw.
-    struct CenterBounds {
-      std::size_t lo_m;
-      std::size_t lo_t;
-      std::size_t up_t;
-      std::size_t up_p;
-    };
-    std::vector<TieGroup> groups;
-    std::vector<CenterBounds> bounds;  // groups.size() * 2, center-minor.
-    for (const PairTimeline& pair : pairs_) {
-      const std::vector<Timestamp>& T = pair.times;
-      const std::size_t n = T.size();
+    for (const Pair& pair : pairs_) {
+      const Timestamp* T = pair_times_.data() + pair.begin;
+      const std::uint8_t* D = pair_dirs_.data() + pair.begin;
+      const std::uint32_t* pair_prefix = pair_prefix_.data() + pair.begin;
+      const std::size_t n = pair.end - pair.begin;
       if (n < 2) continue;
-      const NodeTimeline* nts[2] = {&nodes_[node_index_.at(pair.lo)],
-                                    &nodes_[node_index_.at(pair.hi)]};
-      groups.clear();
-      bounds.clear();
+      const Node* centers[2] = {&nodes_[pair.lo_node], &nodes_[pair.hi_node]};
+      star_groups_.clear();
+      star_bounds_.clear();  // star_groups_.size() * 2, center-minor.
       for (std::size_t i = 0; i < n;) {
         std::size_t j = i + 1;
         while (j < n && T[j] == T[i]) ++j;
@@ -528,33 +755,37 @@ class WindowCounter {
         g.t = T[i];
         g.ndir[0] = 0;
         g.ndir[1] = 0;
-        for (std::size_t x = i; x < j; ++x) ++g.ndir[pair.dirs[x]];
-        g.lo_tm = use_dw_ ? LowerIdx(T, SatSub(g.t, dw_)) : 0;
-        g.hi_tp = use_dw_ ? UpperIdx(T, SatAdd(g.t, dw_)) : n;
-        groups.push_back(g);
+        for (std::size_t x = i; x < j; ++x) ++g.ndir[D[x]];
+        g.lo_tm = use_dw_ ? LowerIdx(T, n, SatSub(g.t, dw_)) : 0;
+        g.hi_tp = use_dw_ ? UpperIdx(T, n, SatAdd(g.t, dw_)) : n;
+        star_groups_.push_back(g);
         for (int c = 0; c < 2; ++c) {
-          const std::vector<Timestamp>& NT = nts[c]->times;
+          const Timestamp* NT = node_times_.data() + centers[c]->begin;
+          const std::size_t nn = centers[c]->end - centers[c]->begin;
           CenterBounds b;
-          b.lo_m = use_dw_ ? LowerIdx(NT, SatSub(g.t, dw_)) : 0;
-          b.lo_t = LowerIdx(NT, g.t);
-          b.up_t = UpperIdx(NT, g.t);
-          b.up_p = use_dw_ ? UpperIdx(NT, SatAdd(g.t, dw_)) : NT.size();
-          bounds.push_back(b);
+          b.lo_m = use_dw_ ? LowerIdx(NT, nn, SatSub(g.t, dw_)) : 0;
+          b.lo_t = LowerIdx(NT, nn, g.t);
+          b.up_t = UpperIdx(NT, nn, g.t);
+          b.up_p = use_dw_ ? UpperIdx(NT, nn, SatAdd(g.t, dw_)) : nn;
+          star_bounds_.push_back(b);
         }
         i = j;
       }
-      const std::size_t num_groups = groups.size();
+      const std::uint32_t* node_prefix[2] = {
+          node_prefix_.data() + centers[0]->begin,
+          node_prefix_.data() + centers[1]->begin};
+      const std::size_t num_groups = star_groups_.size();
       for (std::size_t gp = 0; gp + 1 < num_groups; ++gp) {
-        const TieGroup& P = groups[gp];
+        const TieGroup& P = star_groups_[gp];
         for (std::size_t gq = gp + 1; gq < num_groups; ++gq) {
-          const TieGroup& Q = groups[gq];
+          const TieGroup& Q = star_groups_[gq];
           if (use_dw_ && Q.t - P.t > dw_) break;
           const std::uint64_t m[2][2] = {
               {P.ndir[0] * Q.ndir[0], P.ndir[0] * Q.ndir[1]},
               {P.ndir[1] * Q.ndir[0], P.ndir[1] * Q.ndir[1]}};
           for (int c = 0; c < 2; ++c) {
-            const CenterBounds& bp = bounds[gp * 2 + c];
-            const CenterBounds& bq = bounds[gq * 2 + c];
+            const CenterBounds& bp = star_bounds_[gp * 2 + c];
+            const CenterBounds& bq = star_bounds_[gq * 2 + c];
             // g strictly before f1 (within f2's window) / strictly between
             // / strictly after f2 (within f1's window).
             const std::size_t ni[3][2] = {{bq.lo_m, bp.lo_t},
@@ -568,9 +799,9 @@ class WindowCounter {
                 // A pair event has the center as src iff its dir == c.
                 const int pair_dir_wanted = gdir == 1 ? c : 1 - c;
                 const std::uint64_t cnt =
-                    RangeDirCount(nts[c]->dir_prefix, ni[pos][0], ni[pos][1],
+                    RangeDirCount(node_prefix[c], ni[pos][0], ni[pos][1],
                                   gdir) -
-                    RangeDirCount(pair.dir_prefix, pi[pos][0], pi[pos][1],
+                    RangeDirCount(pair_prefix, pi[pos][0], pi[pos][1],
                                   pair_dir_wanted);
                 if (!cnt) continue;
                 for (int d1 = 0; d1 < 2; ++d1) {
@@ -610,7 +841,7 @@ class WindowCounter {
                   dsts[slot] = fd2;
                 }
               }
-              (*acc)[PackAbstract(srcs, dsts, 3)] += cnt;
+              raw[detail::RawSequence(srcs, dsts)] += cnt;
             }
           }
         }
@@ -623,33 +854,45 @@ class WindowCounter {
   /// then for each windowed cross-pair event pair (x, y) rank-count the
   /// third pair's events in the before / between / after ranges. The
   /// largest of the three timelines takes the rank-query role.
-  void CountTriangles(std::unordered_map<std::uint64_t, std::uint64_t>* acc) {
-    // Undirected adjacency over the filtered pairs, sorted by neighbor.
-    std::unordered_map<NodeId, std::vector<std::pair<NodeId, std::uint32_t>>>
-        adj;
-    for (std::uint32_t pi = 0; pi < pairs_.size(); ++pi) {
-      adj[pairs_[pi].lo].emplace_back(pairs_[pi].hi, pi);
-      adj[pairs_[pi].hi].emplace_back(pairs_[pi].lo, pi);
+  void CountTriangles(std::uint64_t* raw) {
+    // Undirected adjacency over the filtered pairs: a CSR over node slots
+    // (each node's row of (neighbor, pair slot)), rows sorted by neighbor.
+    for (const Pair& pair : pairs_) {
+      ++nodes_[pair.lo_node].adj_end;
+      ++nodes_[pair.hi_node].adj_end;
     }
-    for (auto& [node, neighbors] : adj) {
-      (void)node;
-      std::sort(neighbors.begin(), neighbors.end());
+    std::uint32_t total = 0;
+    for (Node& node : nodes_) {
+      const std::uint32_t degree = node.adj_end;
+      node.adj_begin = total;
+      node.adj_end = total;
+      total += degree;
+    }
+    adjacency_.resize(total);
+    for (std::uint32_t p = 0; p < pairs_.size(); ++p) {
+      const Pair& pair = pairs_[p];
+      adjacency_[nodes_[pair.lo_node].adj_end++] = {pair.hi, p};
+      adjacency_[nodes_[pair.hi_node].adj_end++] = {pair.lo, p};
+    }
+    for (const Node& node : nodes_) {
+      std::sort(adjacency_.begin() + node.adj_begin,
+                adjacency_.begin() + node.adj_end);
     }
     for (std::uint32_t pab = 0; pab < pairs_.size(); ++pab) {
-      const NodeId a = pairs_[pab].lo;
+      const Node& na = nodes_[pairs_[pab].lo_node];
+      const Node& nb = nodes_[pairs_[pab].hi_node];
       const NodeId b = pairs_[pab].hi;
-      const auto& na = adj[a];
-      const auto& nb = adj[b];
-      std::size_t ia = 0, ib = 0;
-      while (ia < na.size() && ib < nb.size()) {
-        if (na[ia].first < nb[ib].first) {
+      std::uint32_t ia = na.adj_begin;
+      std::uint32_t ib = nb.adj_begin;
+      while (ia < na.adj_end && ib < nb.adj_end) {
+        if (adjacency_[ia].first < adjacency_[ib].first) {
           ++ia;
-        } else if (nb[ib].first < na[ia].first) {
+        } else if (adjacency_[ib].first < adjacency_[ia].first) {
           ++ib;
         } else {
-          const NodeId c = na[ia].first;
-          if (c > b) {
-            CountOneTriangle(a, b, c, pab, na[ia].second, nb[ib].second, acc);
+          if (adjacency_[ia].first > b) {
+            CountOneTriangle(pab, adjacency_[ia].second,
+                             adjacency_[ib].second, raw);
           }
           ++ia;
           ++ib;
@@ -658,64 +901,71 @@ class WindowCounter {
     }
   }
 
-  void CountOneTriangle(NodeId a, NodeId b, NodeId c, std::uint32_t pab,
-                        std::uint32_t pac, std::uint32_t pbc,
-                        std::unordered_map<std::uint64_t, std::uint64_t>* acc) {
-    // Symbols: a = 0, b = 1, c = 2 (PackAbstract canonicalizes anyway).
+  void CountOneTriangle(std::uint32_t pab, std::uint32_t pac,
+                        std::uint32_t pbc, std::uint64_t* raw) {
+    using detail::LowerIdx;
+    using detail::RangeDirCount;
+    using detail::SatAdd;
+    using detail::SatSub;
+    using detail::UpperIdx;
+    // Symbols: a = 0, b = 1, c = 2 (the raw sequences are canonicalized
+    // when merged).
     struct Role {
-      const PairTimeline* pair;
+      const Pair* pair;
       int lo_sym;
       int hi_sym;
     };
     Role roles[3] = {{&pairs_[pab], 0, 1},
                      {&pairs_[pac], 0, 2},
                      {&pairs_[pbc], 1, 2}};
-    (void)a;
-    (void)b;
-    (void)c;
+    const auto size = [](const Role& r) { return r.pair->end - r.pair->begin; };
     // The biggest timeline answers rank queries; the other two enumerate.
     int zi = 0;
     for (int r = 1; r < 3; ++r) {
-      if (roles[r].pair->times.size() > roles[zi].pair->times.size()) zi = r;
+      if (size(roles[r]) > size(roles[zi])) zi = r;
     }
     std::swap(roles[zi], roles[2]);
     const Role& rx = roles[0];
     const Role& ry = roles[1];
     const Role& rz = roles[2];
-    const std::vector<Timestamp>& TX = rx.pair->times;
-    const std::vector<Timestamp>& TY = ry.pair->times;
-    const std::vector<Timestamp>& TZ = rz.pair->times;
-    for (std::size_t xi = 0; xi < TX.size(); ++xi) {
+    const Timestamp* TX = pair_times_.data() + rx.pair->begin;
+    const Timestamp* TY = pair_times_.data() + ry.pair->begin;
+    const Timestamp* TZ = pair_times_.data() + rz.pair->begin;
+    const std::uint8_t* DX = pair_dirs_.data() + rx.pair->begin;
+    const std::uint8_t* DY = pair_dirs_.data() + ry.pair->begin;
+    const std::uint32_t* PZ = pair_prefix_.data() + rz.pair->begin;
+    const std::size_t nx = size(rx);
+    const std::size_t ny = size(ry);
+    const std::size_t nz = size(rz);
+    for (std::size_t xi = 0; xi < nx; ++xi) {
       const Timestamp tx = TX[xi];
-      const std::size_t y0 = use_dw_ ? LowerIdx(TY, SatSub(tx, dw_)) : 0;
-      const std::size_t y1 =
-          use_dw_ ? UpperIdx(TY, SatAdd(tx, dw_)) : TY.size();
+      const std::size_t y0 = use_dw_ ? LowerIdx(TY, ny, SatSub(tx, dw_)) : 0;
+      const std::size_t y1 = use_dw_ ? UpperIdx(TY, ny, SatAdd(tx, dw_)) : ny;
       for (std::size_t yi = y0; yi < y1; ++yi) {
         const Timestamp ty = TY[yi];
         if (ty == tx) continue;
         const Timestamp tmin = std::min(tx, ty);
         const Timestamp tmax = std::max(tx, ty);
         const bool x_first = tx < ty;
-        const int xs = rx.pair->dirs[xi] == 0 ? rx.lo_sym : rx.hi_sym;
-        const int xd = rx.pair->dirs[xi] == 0 ? rx.hi_sym : rx.lo_sym;
-        const int ys = ry.pair->dirs[yi] == 0 ? ry.lo_sym : ry.hi_sym;
-        const int yd = ry.pair->dirs[yi] == 0 ? ry.hi_sym : ry.lo_sym;
+        const int xs = DX[xi] == 0 ? rx.lo_sym : rx.hi_sym;
+        const int xd = DX[xi] == 0 ? rx.hi_sym : rx.lo_sym;
+        const int ys = DY[yi] == 0 ? ry.lo_sym : ry.hi_sym;
+        const int yd = DY[yi] == 0 ? ry.hi_sym : ry.lo_sym;
         for (int pos = 0; pos < 3; ++pos) {
           std::size_t z0, z1;
           if (pos == 0) {  // z strictly before both, within tmax's window.
-            z0 = use_dw_ ? LowerIdx(TZ, SatSub(tmax, dw_)) : 0;
-            z1 = LowerIdx(TZ, tmin);
+            z0 = use_dw_ ? LowerIdx(TZ, nz, SatSub(tmax, dw_)) : 0;
+            z1 = LowerIdx(TZ, nz, tmin);
           } else if (pos == 1) {  // z strictly between.
-            z0 = UpperIdx(TZ, tmin);
-            z1 = LowerIdx(TZ, tmax);
+            z0 = UpperIdx(TZ, nz, tmin);
+            z1 = LowerIdx(TZ, nz, tmax);
           } else {  // z strictly after both, within tmin's window.
-            z0 = UpperIdx(TZ, tmax);
-            z1 = use_dw_ ? UpperIdx(TZ, SatAdd(tmin, dw_)) : TZ.size();
+            z0 = UpperIdx(TZ, nz, tmax);
+            z1 = use_dw_ ? UpperIdx(TZ, nz, SatAdd(tmin, dw_)) : nz;
           }
           if (z1 <= z0) continue;
           for (int zd = 0; zd < 2; ++zd) {
-            const std::uint64_t cnt =
-                RangeDirCount(rz.pair->dir_prefix, z0, z1, zd);
+            const std::uint64_t cnt = RangeDirCount(PZ, z0, z1, zd);
             if (!cnt) continue;
             const int zs = zd == 0 ? rz.lo_sym : rz.hi_sym;
             const int zdd = zd == 0 ? rz.hi_sym : rz.lo_sym;
@@ -734,7 +984,7 @@ class WindowCounter {
                 dsts[slot] = x_first ? yd : xd;
               }
             }
-            (*acc)[PackAbstract(srcs, dsts, 3)] += cnt;
+            raw[detail::RawSequence(srcs, dsts)] += cnt;
           }
         }
       }
@@ -747,28 +997,28 @@ class WindowCounter {
   const Timestamp dw_;
   const bool static_induced_;
 
-  std::unordered_map<std::uint64_t, std::uint32_t> pair_index_;
-  std::vector<PairTimeline> pairs_;
-  std::unordered_map<NodeId, std::uint32_t> node_index_;
-  std::vector<NodeTimeline> nodes_;
+  // Per-call scratch, reset by each Count (see the class comment).
+  detail::FlatIndex pair_index_;
+  detail::FlatIndex node_index_;
+  std::vector<Pair> pairs_;
+  std::vector<Node> nodes_;
+  /// Pair slot of each event of [lo, hi), kExcluded when filtered out.
+  std::vector<std::uint32_t> event_pair_;
+  std::vector<Timestamp> pair_times_;
+  std::vector<std::uint8_t> pair_dirs_;
+  /// Dir-1 prefix sums over the whole pair (node) CSR array: a timeline's
+  /// sums are the slice starting at its `begin` (k == 3 shapes only).
+  std::vector<std::uint32_t> pair_prefix_;
+  std::vector<Timestamp> node_times_;
+  std::vector<std::uint8_t> node_dirs_;
+  std::vector<std::uint32_t> node_prefix_;
+  /// Pair slot of each node-timeline event (wedges only).
+  std::vector<std::uint32_t> node_pairs_;
+  std::vector<std::array<std::uint64_t, 2>> wedge_pair_counts_;
+  std::vector<TieGroup> star_groups_;
+  std::vector<CenterBounds> star_bounds_;
+  std::vector<std::pair<NodeId, std::uint32_t>> adjacency_;
 };
-
-}  // namespace detail
-
-/// Accumulates `sign` times the per-code counts of instances whose events
-/// all lie in [lo, hi) and pass `include(index)` into `deltas`. The
-/// building block of both range differences below and the streaming delta
-/// path.
-template <typename Graph, typename Include>
-void AccumulateWindow(const Graph& graph, const EnumerationOptions& options,
-                      EventIndex lo, EventIndex hi, const Include& include,
-                      std::int64_t sign, CodeDeltas* deltas) {
-  detail::WindowCounter<Graph> counter(graph, options);
-  counter.Count(lo, hi, include,
-                [&](std::uint64_t code, std::uint64_t count) {
-                  (*deltas)[code] += sign * static_cast<std::int64_t>(count);
-                });
-}
 
 /// Adds counts of instances with first event in [first_begin, first_end)
 /// into `table` — the fast-path drop-in for EnumerateCore +
@@ -782,8 +1032,8 @@ void CountRangeInto(const Graph& graph, const EnumerationOptions& options,
                     PackedMotifTable* table) {
   const EventIndex n = static_cast<EventIndex>(graph.num_events());
   const auto all = [](EventIndex) { return true; };
+  WindowCounter<Graph> counter(graph, options);
   if (first_end >= n) {
-    detail::WindowCounter<Graph> counter(graph, options);
     counter.Count(first_begin, n, all,
                   [&](std::uint64_t code, std::uint64_t count) {
                     table->Add(code, count);
@@ -791,8 +1041,8 @@ void CountRangeInto(const Graph& graph, const EnumerationOptions& options,
     return;
   }
   CodeDeltas deltas;
-  AccumulateWindow(graph, options, first_begin, n, all, +1, &deltas);
-  AccumulateWindow(graph, options, first_end, n, all, -1, &deltas);
+  counter.Accumulate(first_begin, n, all, +1, &deltas);
+  counter.Accumulate(first_end, n, all, -1, &deltas);
   for (const auto& [code, delta] : deltas) {
     TMOTIF_CHECK(delta >= 0);
     if (delta > 0) table->Add(code, static_cast<std::uint64_t>(delta));
@@ -806,15 +1056,12 @@ std::uint64_t CountRange(const Graph& graph, const EnumerationOptions& options,
                          EventIndex first_begin, EventIndex first_end) {
   const EventIndex n = static_cast<EventIndex>(graph.num_events());
   const auto all = [](EventIndex) { return true; };
+  WindowCounter<Graph> counter(graph, options);
   std::uint64_t with = 0;
   std::uint64_t without = 0;
-  {
-    detail::WindowCounter<Graph> counter(graph, options);
-    counter.Count(first_begin, n, all,
-                  [&](std::uint64_t, std::uint64_t count) { with += count; });
-  }
+  counter.Count(first_begin, n, all,
+                [&](std::uint64_t, std::uint64_t count) { with += count; });
   if (first_end < n) {
-    detail::WindowCounter<Graph> counter(graph, options);
     counter.Count(first_end, n, all, [&](std::uint64_t, std::uint64_t count) {
       without += count;
     });

@@ -1,5 +1,8 @@
 #include "stream/instance_store.h"
 
+#include <algorithm>
+#include <iterator>
+
 namespace tmotif {
 
 void LiveInstanceStore::Reset(std::uint64_t first_id_base) {
@@ -106,16 +109,21 @@ void LiveInstanceStore::Free(Entry* entry, std::uint32_t index) {
 void LiveInstanceStore::CompactIfNeeded() {
   if (dead_bucket_slots_ <= live_ + compaction_slack_) return;
   ++compactions_;
-  buckets_.clear();
-  dead_bucket_slots_ = 0;
-  for (std::uint32_t index = 0; index < pool_.size(); ++index) {
-    const Entry& entry = pool_[index];
-    if (!entry.alive) continue;
-    const std::uint64_t tagged = Tagged(index, entry.generation);
-    ForEachPairKey(entry, [&](std::uint64_t key) {
-      buckets_[key].push_back(tagged);
-    });
+  // Filters every bucket in place and erases the ones left empty, so the
+  // surviving buckets keep their storage; the bucket set afterwards is
+  // exactly the scope pairs of the live entries.
+  for (auto it = buckets_.begin(); it != buckets_.end();) {
+    std::vector<std::uint64_t>& bucket = it->second;
+    bucket.erase(std::remove_if(bucket.begin(), bucket.end(),
+                                [&](std::uint64_t tagged) {
+                                  const Entry& entry = pool_[SlotIndex(tagged)];
+                                  return !entry.alive ||
+                                         entry.generation != SlotTag(tagged);
+                                }),
+                 bucket.end());
+    it = bucket.empty() ? buckets_.erase(it) : std::next(it);
   }
+  dead_bucket_slots_ = 0;
 }
 
 std::size_t LiveInstanceStore::ApproxBytes() const {

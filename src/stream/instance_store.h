@@ -52,9 +52,10 @@ namespace tmotif {
 /// re-syncs it from the tail slot during the boundary sweep).
 ///
 /// Bucket slots referencing evicted entries are dropped lazily when their
-/// bucket is next scanned; a global rebuild runs when the dead-slot debt
-/// exceeds the live population, so memory stays O(live candidates). Tail
-/// slots clean up the same way (lazily on sweep, wholesale on eviction).
+/// bucket is next scanned; a compaction pass filters every bucket in place
+/// when the dead-slot debt exceeds the live population, so memory stays
+/// O(live candidates). Tail slots clean up the same way (lazily on sweep,
+/// wholesale on eviction).
 class LiveInstanceStore {
  public:
   struct Entry {
@@ -88,10 +89,10 @@ class LiveInstanceStore {
   void SetTrackTails(bool track) { track_tails_ = track; }
 
   /// Dead-bucket-slot debt tolerated beyond the live population before a
-  /// global bucket rebuild runs (default 64). The knob survives Reset; it
+  /// compaction pass runs (default 64). The knob survives Reset; it
   /// is a test seam for forcing compaction deterministically.
   void SetCompactionSlack(std::size_t slack) { compaction_slack_ = slack; }
-  /// Global bucket rebuilds performed so far (stream.store_compactions).
+  /// Compaction passes performed so far (stream.store_compactions).
   std::uint64_t compactions() const { return compactions_; }
 
   /// Drops everything and restarts the anchor id space at `first_id_base`
@@ -275,7 +276,7 @@ class LiveInstanceStore {
   std::size_t dead_bucket_slots_ = 0;
   /// See SetCompactionSlack.
   std::size_t compaction_slack_ = 64;
-  /// Monotone count of global bucket rebuilds (survives Reset).
+  /// Monotone count of compaction passes (survives Reset).
   std::uint64_t compactions_ = 0;
   std::uint64_t visit_counter_ = 0;
 };

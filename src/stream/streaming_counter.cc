@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <limits>
-#include <map>
 #include <thread>
 #include <unordered_set>
 
@@ -325,6 +324,23 @@ bool AppendScopedRoots(const WindowGraph& graph, NodeId u, NodeId v,
 
 }  // namespace
 
+struct StreamingMotifCounter::DeltaScratch {
+  DeltaScratch(const WindowGraph& live, const EnumerationOptions& options) {
+    if (internal::fast_paths::FastPathSupported(options)) {
+      fast.emplace(live, options);
+    }
+  }
+
+  /// The fast-path counter over the live window (engaged iff the options
+  /// dispatch to the fast paths) and its window-difference accumulator.
+  std::optional<internal::fast_paths::WindowCounter<WindowGraph>> fast;
+  internal::fast_paths::CodeDeltas deltas;
+  /// (directed node-pair key, +1 entering / -1 leaving) per event of a
+  /// batch's edge delta, and the resulting flip list.
+  std::vector<std::pair<std::uint64_t, int>> edge_deltas;
+  std::vector<std::pair<NodeId, NodeId>> flips;
+};
+
 StreamingMotifCounter::StreamingMotifCounter(const StreamConfig& config)
     : config_(config), window_(config.window), live_(&window_) {
   TMOTIF_CHECK_MSG(config_.options.max_instances == 0,
@@ -354,7 +370,10 @@ StreamingMotifCounter::StreamingMotifCounter(const StreamConfig& config)
     candidate_options_.cdg_restriction = false;
     store_.SetTrackTails(track_tails_);
   }
+  scratch_ = std::make_unique<DeltaScratch>(live_, config_.options);
 }
+
+StreamingMotifCounter::~StreamingMotifCounter() = default;
 
 std::vector<std::pair<MotifCode, std::uint64_t>>
 StreamingMotifCounter::TopMotifs(std::size_t limit) const {
@@ -409,38 +428,37 @@ std::optional<Timestamp> StreamingMotifCounter::SpanBound() const {
   return bound;
 }
 
-std::vector<std::pair<NodeId, NodeId>>
-StreamingMotifCounter::CollectStaticEdgeFlips(
-    std::size_t num_evict, const std::vector<Event>& added,
-    std::size_t added_begin) const {
-  struct EdgeDelta {
-    NodeId src;
-    NodeId dst;
-    int delta = 0;
-  };
-  // An ordered map keeps the flip list deterministic (sorted by pair key).
-  std::map<std::uint64_t, EdgeDelta> deltas;
+const std::vector<std::pair<NodeId, NodeId>>&
+StreamingMotifCounter::CollectStaticEdgeFlips(std::size_t num_evict,
+                                              const std::vector<Event>& added,
+                                              std::size_t added_begin) {
+  std::vector<std::pair<std::uint64_t, int>>& records = scratch_->edge_deltas;
+  std::vector<std::pair<NodeId, NodeId>>& flips = scratch_->flips;
+  records.clear();
+  flips.clear();
+  if (!uses_static_inducedness_) return flips;
   for (std::size_t i = 0; i < num_evict; ++i) {
     const Event& e = window_.event(i);
-    auto& d = deltas[NodePairKey(e.src, e.dst)];
-    d.src = e.src;
-    d.dst = e.dst;
-    --d.delta;
+    records.emplace_back(NodePairKey(e.src, e.dst), -1);
   }
   for (std::size_t i = added_begin; i < added.size(); ++i) {
     const Event& e = added[i];
-    auto& d = deltas[NodePairKey(e.src, e.dst)];
-    d.src = e.src;
-    d.dst = e.dst;
-    ++d.delta;
+    records.emplace_back(NodePairKey(e.src, e.dst), +1);
   }
-  std::vector<std::pair<NodeId, NodeId>> flips;
-  for (const auto& [key, d] : deltas) {
-    (void)key;
+  // Sorting by pair key keeps the flip list deterministic.
+  std::sort(records.begin(), records.end());
+  for (std::size_t i = 0; i < records.size();) {
+    const std::uint64_t key = records[i].first;
+    std::int64_t delta = 0;
+    for (; i < records.size() && records[i].first == key; ++i) {
+      delta += records[i].second;
+    }
+    const NodeId src = static_cast<NodeId>(key >> 32);
+    const NodeId dst = static_cast<NodeId>(static_cast<std::uint32_t>(key));
     const std::int64_t before =
-        static_cast<std::int64_t>(live_.NumEdgeEvents(d.src, d.dst));
-    const std::int64_t after = before + d.delta;
-    if ((before > 0) != (after > 0)) flips.emplace_back(d.src, d.dst);
+        static_cast<std::int64_t>(live_.NumEdgeEvents(src, dst));
+    const std::int64_t after = before + delta;
+    if ((before > 0) != (after > 0)) flips.emplace_back(src, dst);
   }
   return flips;
 }
@@ -514,11 +532,12 @@ void StreamingMotifCounter::RecountWindow() {
   ++stats_.full_recounts;
   if (store_active()) {
     RebuildStore();
-  } else if (internal::fast_paths::FastPathSupported(config_.options)) {
+  } else if (scratch_->fast) {
     internal::fast_paths::NoteDispatch(true);
     internal::PackedMotifTable table;
-    internal::fast_paths::CountRangeInto(live_, config_.options, 0,
-                                         live_.num_events(), &table);
+    scratch_->fast->Count(
+        0, live_.num_events(), [](EventIndex) { return true; },
+        [&](std::uint64_t code, std::uint64_t n) { table.Add(code, n); });
     AddTable(table, &counts_);
   } else {
     AddTable(internal::CountPackedSharded(live_, config_.options, 0,
@@ -539,7 +558,7 @@ void StreamingMotifCounter::ApplyAndRecount(const IngestPlan& plan,
 
 void StreamingMotifCounter::AddNewInstances(EventIndex begin) {
   internal::PackedMotifTable added;
-  if (internal::fast_paths::FastPathSupported(config_.options)) {
+  if (scratch_->fast) {
     internal::fast_paths::NoteDispatch(true);
     // Suffix difference with an exclude-new filter: every instance that
     // contains a new event ends in one (no old event follows a new one in
@@ -550,11 +569,10 @@ void StreamingMotifCounter::AddNewInstances(EventIndex begin) {
     const auto old_only = [this](EventIndex i) {
       return is_new_[static_cast<std::size_t>(i)] == 0;
     };
-    internal::fast_paths::CodeDeltas deltas;
-    internal::fast_paths::AccumulateWindow(live_, config_.options, begin, n,
-                                           all, +1, &deltas);
-    internal::fast_paths::AccumulateWindow(live_, config_.options, begin, n,
-                                           old_only, -1, &deltas);
+    internal::fast_paths::CodeDeltas& deltas = scratch_->deltas;
+    deltas.Clear();
+    scratch_->fast->Accumulate(begin, n, all, +1, &deltas);
+    scratch_->fast->Accumulate(begin, n, old_only, -1, &deltas);
     for (const auto& [code, delta] : deltas) {
       TMOTIF_CHECK(delta >= 0);
       if (delta > 0) added.Add(code, static_cast<std::uint64_t>(delta));
@@ -945,7 +963,7 @@ void StreamingMotifCounter::IngestOrdered(const std::vector<Event>& batch) {
     // two boundary sweeps over the tie groups keep every flag exact. The
     // only enumerations left are the same retract/add deltas every model
     // pays.
-    const std::vector<std::pair<NodeId, NodeId>> flips =
+    const std::vector<std::pair<NodeId, NodeId>>& flips =
         CollectStaticEdgeFlips(plan.num_evict, batch, plan.batch_begin);
     const bool evict_tie =
         n_evict > 0 &&
@@ -1024,10 +1042,8 @@ void StreamingMotifCounter::IngestOrdered(const std::vector<Event>& batch) {
   // set is too large to localize cheaply, or where the collected root set
   // approaches the window itself (the scoped passes would cost more than
   // one recount).
-  std::vector<std::pair<NodeId, NodeId>> flips;
-  if (uses_static_inducedness_) {
-    flips = CollectStaticEdgeFlips(plan.num_evict, batch, plan.batch_begin);
-  }
+  const std::vector<std::pair<NodeId, NodeId>>& flips =
+      CollectStaticEdgeFlips(plan.num_evict, batch, plan.batch_begin);
   if (!flips.empty()) {
     constexpr std::size_t kMaxScopedFlips = 32;
     std::vector<EventIndex> flip_roots;
@@ -1055,7 +1071,7 @@ void StreamingMotifCounter::IngestOrdered(const std::vector<Event>& batch) {
     obs::PhaseTimer phase_span(metrics.phase1_retract,
                                "stream.phase1_retract");
     internal::PackedMotifTable retracted;
-    if (internal::fast_paths::FastPathSupported(config_.options)) {
+    if (scratch_->fast) {
       internal::fast_paths::NoteDispatch(true);
       // Prefix-window difference: every instance anchored in [0, n_evict)
       // fits inside [0, hi1) (the span bound caps how far its last event
@@ -1067,11 +1083,10 @@ void StreamingMotifCounter::IngestOrdered(const std::vector<Event>& batch) {
                     live_.event_time(n_evict - 1), *span))
               : live_.num_events();
       const auto all = [](EventIndex) { return true; };
-      internal::fast_paths::CodeDeltas deltas;
-      internal::fast_paths::AccumulateWindow(live_, config_.options, 0, hi1,
-                                             all, +1, &deltas);
-      internal::fast_paths::AccumulateWindow(live_, config_.options, n_evict,
-                                             hi1, all, -1, &deltas);
+      internal::fast_paths::CodeDeltas& deltas = scratch_->deltas;
+      deltas.Clear();
+      scratch_->fast->Accumulate(0, hi1, all, +1, &deltas);
+      scratch_->fast->Accumulate(n_evict, hi1, all, -1, &deltas);
       for (const auto& [code, delta] : deltas) {
         TMOTIF_CHECK(delta >= 0);
         if (delta > 0) {
@@ -1269,7 +1284,7 @@ void StreamingMotifCounter::IngestLate(const std::vector<Event>& late) {
     // flips through the store, then add the candidates that contain a
     // spliced event (the only new ones — existing candidates are immune to
     // the splice, their validity being instance-local).
-    const std::vector<std::pair<NodeId, NodeId>> flips =
+    const std::vector<std::pair<NodeId, NodeId>>& flips =
         CollectStaticEdgeFlips(plan.num_evict, late, plan.batch_begin);
     if (plan.num_evict > 0) StoreEvict(plan.num_evict);
     ApplySplice(plan.num_evict, late, plan.batch_begin);
@@ -1299,10 +1314,8 @@ void StreamingMotifCounter::IngestLate(const std::vector<Event>& late) {
   // anywhere in the window), and an eviction under a non-local predicate
   // would need the full boundary-tie machinery. Both take the windowed
   // recount; everything else is a bounded subtract/add around the splice.
-  std::vector<std::pair<NodeId, NodeId>> flips;
-  if (uses_static_inducedness_) {
-    flips = CollectStaticEdgeFlips(plan.num_evict, late, plan.batch_begin);
-  }
+  const std::vector<std::pair<NodeId, NodeId>>& flips =
+      CollectStaticEdgeFlips(plan.num_evict, late, plan.batch_begin);
   if (!flips.empty() || (plan.num_evict > 0 && has_nonlocal_)) {
     ApplySplice(plan.num_evict, late, plan.batch_begin);
     RecountWindow();

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -163,6 +164,7 @@ struct StreamCheckpointState {
 class StreamingMotifCounter {
  public:
   explicit StreamingMotifCounter(const StreamConfig& config);
+  ~StreamingMotifCounter();
 
   /// Ingests one batch (any internal order; it is sorted canonically).
   void Ingest(std::vector<Event> batch);
@@ -234,11 +236,12 @@ class StreamingMotifCounter {
 
   /// Directed static edges of the window whose existence flips (appears or
   /// disappears) when the `num_evict`-event canonical prefix leaves and
-  /// `added[added_begin:]` enters (only consulted under static
-  /// inducedness). Deterministic order (sorted by node-pair key).
-  std::vector<std::pair<NodeId, NodeId>> CollectStaticEdgeFlips(
+  /// `added[added_begin:]` enters; always empty without static inducedness.
+  /// Deterministic order (sorted by node-pair key). The list lives in the
+  /// delta scratch and stays valid until the next call.
+  const std::vector<std::pair<NodeId, NodeId>>& CollectStaticEdgeFlips(
       std::size_t num_evict, const std::vector<Event>& added,
-      std::size_t added_begin) const;
+      std::size_t added_begin);
 
   /// In-order ingestion (every time at or above the stream clock). The
   /// shared tail of Ingest.
@@ -355,6 +358,10 @@ class StreamingMotifCounter {
 
   const EnumerationOptions& options() const { return config_.options; }
 
+  /// Per-batch buffers of the delta path, reused by every batch (defined in
+  /// the .cc, which keeps core/fast_paths out of this header).
+  struct DeltaScratch;
+
   StreamConfig config_;
   bool has_nonlocal_ = false;
   /// Static inducedness: the store handles flips whenever the memory budget
@@ -412,6 +419,9 @@ class StreamingMotifCounter {
   /// Scratch: window position -> spliced in by the current late batch.
   std::vector<char> is_late_;
   std::vector<std::size_t> spliced_positions_;
+  /// Holds references to live_ and config_.options; they stay valid because
+  /// the class is neither copyable nor movable (snapshot_mutex_).
+  std::unique_ptr<DeltaScratch> scratch_;
 };
 
 }  // namespace tmotif

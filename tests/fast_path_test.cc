@@ -4,12 +4,16 @@
 // agree code-for-code with BOTH the brute-force reference oracle and the
 // generic DFS engine forced through internal::EnumerateCore — three
 // independent implementations, one answer. Range counting is checked the
-// same way on sub-ranges (the window-difference identity), and a dispatch
-// guard pins FastPathSupported itself so the grid cannot silently stop
-// exercising the specialized code.
+// same way on sub-ranges (the window-difference identity), a reused
+// WindowCounter must answer every call of a random window sequence exactly
+// like a fresh one, and a dispatch guard pins FastPathSupported itself so
+// the grid cannot silently stop exercising the specialized code.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -188,6 +192,118 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<FastPathCase>& info) {
       return std::string(info.param.name);
     });
+
+/// Per-code totals of one WindowCounter::Count call.
+template <typename Include>
+std::map<std::uint64_t, std::uint64_t> WindowTotals(
+    internal::fast_paths::WindowCounter<TemporalGraph>* counter,
+    EventIndex lo, EventIndex hi, const Include& include) {
+  std::map<std::uint64_t, std::uint64_t> totals;
+  counter->Count(lo, hi, include, [&](std::uint64_t code, std::uint64_t n) {
+    totals[code] += n;
+  });
+  return totals;
+}
+
+/// The generic engine's answer to the same question: instances with every
+/// event in [lo, hi) and accepted by `include` (inducedness still reads the
+/// full graph, exactly like the fast paths).
+template <typename Include>
+std::map<std::uint64_t, std::uint64_t> GenericWindowTotals(
+    const TemporalGraph& graph, const EnumerationOptions& options,
+    EventIndex lo, EventIndex hi, const Include& include) {
+  std::map<std::uint64_t, std::uint64_t> totals;
+  auto sink = internal::MakeFnSink(
+      [&](const EventIndex* chosen, int k, std::uint64_t packed) {
+        for (int i = 0; i < k; ++i) {
+          if (chosen[i] >= hi || !include(chosen[i])) return;
+        }
+        ++totals[packed];
+      });
+  internal::EnumerateCore(graph, options, lo, hi, sink);
+  return totals;
+}
+
+// Reuse differential: one counter per (graph, options), driven through a
+// seeded sequence of windows that grow and shrink, with and without an
+// exclude filter. Every call must equal a freshly built counter and the
+// forced-generic DFS, code for code — a per-call reset the reused scratch
+// misses (index generation, timeline offsets, wedge counts) shows up as a
+// count carried over from an earlier window.
+TEST(FastPathReuse, ReusedCounterMatchesFreshCounterAndGenericEngine) {
+  RandomGraphSpec ties = TinySpec();
+  ties.num_events = 24;
+  ties.max_time = 12;
+  ties.prob_duplicate_time = 0.6;
+  RandomGraphSpec larger = WideSpec();
+  larger.num_nodes = 9;
+  larger.num_events = 40;
+  larger.max_time = 60;
+  std::vector<EnumerationOptions> combos;
+  for (int k = 1; k <= 3; ++k) {
+    for (int max_nodes = 2; max_nodes <= 3; ++max_nodes) {
+      for (const Inducedness induced :
+           {Inducedness::kNone, Inducedness::kStatic}) {
+        for (const bool dw : {false, true}) {
+          if (max_nodes > k + 1) continue;
+          const EnumerationOptions o = Opts(
+              k, max_nodes,
+              dw ? TimingConstraints::OnlyDeltaW(7) : TimingConstraints{},
+              induced);
+          if (internal::fast_paths::FastPathSupported(o)) combos.push_back(o);
+        }
+      }
+    }
+  }
+  ASSERT_EQ(combos.size(), 16u);  // All but static inducedness on 3 nodes.
+
+  int calls = 0;
+  int nonzero = 0;
+  for (const RandomGraphSpec& spec : {TinySpec(), ties, larger}) {
+    ForEachRandomGraph(
+        0x7e05e + static_cast<std::uint64_t>(spec.num_events), 4, spec,
+        [&](std::uint64_t seed, const TemporalGraph& g) {
+          const EventIndex n = g.num_events();
+          for (const EnumerationOptions& o : combos) {
+            internal::fast_paths::WindowCounter<TemporalGraph> reused(g, o);
+            std::mt19937_64 rng(seed * 31 + static_cast<std::uint64_t>(
+                                                o.num_events * 4 +
+                                                o.max_nodes));
+            for (int step = 0; step < 12; ++step) {
+              EventIndex lo = static_cast<EventIndex>(rng() % (n + 1));
+              EventIndex hi = static_cast<EventIndex>(rng() % (n + 1));
+              if (lo > hi) std::swap(lo, hi);
+              if (step % 4 == 0) {  // Whole graph: the largest scratch.
+                lo = 0;
+                hi = n;
+              }
+              const std::uint64_t mask = rng();
+              const bool filtered = step % 2 == 1;
+              const auto include = [&](EventIndex i) {
+                return !filtered || ((mask >> (i % 64)) & 1) != 0;
+              };
+              const std::string label =
+                  "seed=" + std::to_string(seed) + " " + spec.ToString() +
+                  " k=" + std::to_string(o.num_events) +
+                  " n=" + std::to_string(o.max_nodes) + " static=" +
+                  std::to_string(o.inducedness == Inducedness::kStatic) +
+                  " dw=" + std::to_string(o.timing.delta_w.has_value()) +
+                  " step=" + std::to_string(step) + " [" +
+                  std::to_string(lo) + "," + std::to_string(hi) +
+                  ") filtered=" + std::to_string(filtered);
+              internal::fast_paths::WindowCounter<TemporalGraph> fresh(g, o);
+              const auto got = WindowTotals(&reused, lo, hi, include);
+              ASSERT_EQ(got, WindowTotals(&fresh, lo, hi, include)) << label;
+              ASSERT_EQ(got, GenericWindowTotals(g, o, lo, hi, include))
+                  << label;
+              ++calls;
+              if (!got.empty()) ++nonzero;
+            }
+          }
+        });
+  }
+  EXPECT_GT(nonzero, calls / 2);  // The sequence must count something.
+}
 
 // Dispatch-coverage guard: the grid above is only meaningful while these
 // combinations actually route to the fast paths, and the generic engine

@@ -1,0 +1,153 @@
+// Allocation guard of the streaming delta path: in steady state a Song
+// counter (k = 3, dW = 1800, 2048-event count window, fast-path deltas)
+// must stay under a fixed number of heap allocations per 64-event batch.
+// A timing gate cannot see a 30% loss on a shared CI runner; an exact
+// allocation count can, and it moves as soon as a per-call rebuild of the
+// fast-path scratch (indexes, timelines, accumulators) comes back.
+//
+// The binary replaces every replaceable global operator new and delete
+// (sanitizer runtimes define the forms a program leaves out, and mixing
+// theirs with these would pair allocation and release across allocators)
+// and counts allocations only inside the measured loop.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <utility>
+#include <vector>
+
+#include "core/models/model_info.h"
+#include "gen/presets.h"
+#include "stream/streaming_counter.h"
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* TryAlloc(std::size_t size, std::size_t align) noexcept {
+  if (size == 0) size = 1;
+  void* p = nullptr;
+  if (align <= alignof(std::max_align_t)) {
+    p = std::malloc(size);
+  } else if (posix_memalign(&p, align, size) != 0) {
+    p = nullptr;
+  }
+  if (p != nullptr) g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return p;
+}
+
+void* Alloc(std::size_t size, std::size_t align) {
+  void* p = TryAlloc(size, align);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+std::size_t Align(std::align_val_t align) {
+  return static_cast<std::size_t>(align);
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return Alloc(n, 0); }
+void* operator new[](std::size_t n) { return Alloc(n, 0); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  return Alloc(n, Align(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return Alloc(n, Align(a));
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return TryAlloc(n, 0);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return TryAlloc(n, 0);
+}
+void* operator new(std::size_t n, std::align_val_t a,
+                   const std::nothrow_t&) noexcept {
+  return TryAlloc(n, Align(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a,
+                     const std::nothrow_t&) noexcept {
+  return TryAlloc(n, Align(a));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
+namespace tmotif {
+namespace {
+
+constexpr std::size_t kBatch = 64;
+constexpr std::size_t kWarmupBatches = 128;
+// Steady state measures about 160 allocations per batch (window and index
+// bookkeeping, the per-batch packed tables, the batch's stable sort); the
+// ceiling leaves headroom for standard-library differences. Rebuilding the
+// fast-path scratch on every call costs about 2,800 per batch.
+constexpr double kMaxAllocationsPerBatch = 250;
+
+TEST(StreamAlloc, SongDeltaBatchesStayUnderAllocationCeiling) {
+  const std::vector<Event> events =
+      GenerateDataset(DatasetId::kCollegeMsg, 1.0, /*seed=*/1).events();
+  std::vector<std::vector<Event>> batches;
+  for (std::size_t begin = 0; begin < events.size(); begin += kBatch) {
+    const std::size_t end = std::min(begin + kBatch, events.size());
+    batches.emplace_back(events.begin() + static_cast<std::ptrdiff_t>(begin),
+                         events.begin() + static_cast<std::ptrdiff_t>(end));
+  }
+  ASSERT_GT(batches.size(), 4 * kWarmupBatches);
+
+  StreamConfig config;
+  config.options = OptionsForModel(ModelId::kSong, 3, 3, /*delta_c=*/0,
+                                   /*delta_w=*/1800);
+  config.window = WindowPolicy::CountBased(2048);
+  StreamingMotifCounter counter(config);
+
+  for (std::size_t b = 0; b < kWarmupBatches; ++b) {
+    counter.Ingest(std::move(batches[b]));
+  }
+  const std::uint64_t recounts_before = counter.stats().full_recounts;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (std::size_t b = kWarmupBatches; b < batches.size(); ++b) {
+    counter.Ingest(std::move(batches[b]));
+  }
+  const std::uint64_t allocations =
+      g_allocations.load(std::memory_order_relaxed) - before;
+
+  // The measured batches must have taken the delta path, not recounts.
+  EXPECT_EQ(counter.stats().full_recounts, recounts_before);
+  EXPECT_GT(counter.stats().instances_added, 0u);
+  const double measured = static_cast<double>(batches.size() - kWarmupBatches);
+  const double per_batch = static_cast<double>(allocations) / measured;
+  RecordProperty("allocations_per_batch", static_cast<int>(per_batch));
+  EXPECT_LE(per_batch, kMaxAllocationsPerBatch)
+      << allocations << " allocations over " << measured << " batches";
+}
+
+}  // namespace
+}  // namespace tmotif

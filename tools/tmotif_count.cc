@@ -20,6 +20,7 @@
 #include "algorithms/sharded.h"
 #include "analysis/report.h"
 #include "common/csv.h"
+#include "common/parse_int.h"
 #include "core/models/model_info.h"
 #include "core/simd/dispatch.h"
 #include "graph/graph_io.h"
@@ -79,18 +80,19 @@ bool Parse(int argc, char** argv, CliArgs* args) {
       const std::size_t n = std::strlen(prefix);
       return std::strncmp(a, prefix, n) == 0 ? a + n : nullptr;
     };
+    bool valid = true;  // False when a numeric flag's value does not parse.
     if (const char* v = value("--input=")) args->input = v;
     else if (const char* v = value("--model=")) args->model = v;
-    else if (const char* v = value("--k=")) args->k = std::atoi(v);
-    else if (const char* v = value("--max-nodes=")) args->max_nodes = std::atoi(v);
-    else if (const char* v = value("--dc=")) args->dc = std::atoll(v);
-    else if (const char* v = value("--dw=")) args->dw = std::atoll(v);
+    else if (const char* v = value("--k=")) valid = ParseInt(v, &args->k);
+    else if (const char* v = value("--max-nodes=")) valid = ParseInt(v, &args->max_nodes);
+    else if (const char* v = value("--dc=")) valid = ParseInt(v, &args->dc);
+    else if (const char* v = value("--dw=")) valid = ParseInt(v, &args->dw);
     else if (const char* v = value("--induced=")) args->induced = v;
     else if (std::strcmp(a, "--cdg") == 0) args->cdg = true;
     else if (std::strcmp(a, "--consecutive") == 0) args->consecutive = true;
-    else if (const char* v = value("--top=")) args->top = std::atoi(v);
-    else if (const char* v = value("--threads=")) args->threads = std::atoi(v);
-    else if (const char* v = value("--shards=")) args->shards = std::atoi(v);
+    else if (const char* v = value("--top=")) valid = ParseInt(v, &args->top);
+    else if (const char* v = value("--threads=")) valid = ParseInt(v, &args->threads);
+    else if (const char* v = value("--shards=")) valid = ParseInt(v, &args->shards);
     else if (const char* v = value("--csv=")) args->csv_out = v;
     else if (std::strcmp(a, "--raw-ids") == 0) args->compact_ids = false;
     else if (const char* v = value("--metrics-out=")) args->metrics_out = v;
@@ -100,6 +102,11 @@ bool Parse(int argc, char** argv, CliArgs* args) {
     }
     else {
       std::fprintf(stderr, "unknown flag: %s\n", a);
+      return false;
+    }
+    if (!valid) {
+      std::fprintf(stderr, "invalid value for %.*s\n",
+                   static_cast<int>(std::strcspn(a, "=")), a);
       return false;
     }
   }
@@ -114,6 +121,18 @@ bool Parse(int argc, char** argv, CliArgs* args) {
   if (args->max_nodes != 0 &&
       (args->max_nodes < 2 || args->max_nodes > args->k + 1)) {
     std::fprintf(stderr, "--max-nodes must be in [2, k+1]\n");
+    return false;
+  }
+  if (args->top < 0) {
+    std::fprintf(stderr, "--top must be >= 0\n");
+    return false;
+  }
+  if (args->threads < 1) {
+    std::fprintf(stderr, "--threads must be >= 1\n");
+    return false;
+  }
+  if (args->shards < 1) {
+    std::fprintf(stderr, "--shards must be >= 1\n");
     return false;
   }
   return true;

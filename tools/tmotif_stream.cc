@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "analysis/report.h"
+#include "common/parse_int.h"
 #include "core/models/model_info.h"
 #include "graph/graph_io.h"
 #include "obs/export.h"
@@ -109,43 +110,49 @@ bool Parse(int argc, char** argv, CliArgs* args) {
       const std::size_t n = std::strlen(prefix);
       return std::strncmp(a, prefix, n) == 0 ? a + n : nullptr;
     };
+    bool valid = true;  // False when a numeric flag's value does not parse.
     if (const char* v = value("--input=")) args->input = v;
     else if (const char* v = value("--model=")) args->model = v;
-    else if (const char* v = value("--k=")) args->k = std::atoi(v);
-    else if (const char* v = value("--max-nodes=")) args->max_nodes = std::atoi(v);
-    else if (const char* v = value("--dc=")) args->dc = std::atoll(v);
-    else if (const char* v = value("--dw=")) args->dw = std::atoll(v);
+    else if (const char* v = value("--k=")) valid = ParseInt(v, &args->k);
+    else if (const char* v = value("--max-nodes=")) valid = ParseInt(v, &args->max_nodes);
+    else if (const char* v = value("--dc=")) valid = ParseInt(v, &args->dc);
+    else if (const char* v = value("--dw=")) valid = ParseInt(v, &args->dw);
     else if (const char* v = value("--induced=")) args->induced = v;
     else if (std::strcmp(a, "--cdg") == 0) args->cdg = true;
     else if (std::strcmp(a, "--consecutive") == 0) args->consecutive = true;
     else if (const char* v = value("--window-events=")) {
-      args->window_events = std::atoll(v);
+      valid = ParseInt(v, &args->window_events);
       args->window_events_set = true;
     }
     else if (const char* v = value("--window-seconds=")) {
-      args->window_seconds = std::atoll(v);
+      valid = ParseInt(v, &args->window_seconds);
       args->window_seconds_set = true;
     }
-    else if (const char* v = value("--lateness=")) args->lateness = std::atoll(v);
-    else if (const char* v = value("--batch=")) args->batch = std::atoi(v);
-    else if (const char* v = value("--report-every=")) args->report_every = std::atoi(v);
-    else if (const char* v = value("--top=")) args->top = std::atoi(v);
-    else if (const char* v = value("--threads=")) args->threads = std::atoi(v);
+    else if (const char* v = value("--lateness=")) valid = ParseInt(v, &args->lateness);
+    else if (const char* v = value("--batch=")) valid = ParseInt(v, &args->batch);
+    else if (const char* v = value("--report-every=")) valid = ParseInt(v, &args->report_every);
+    else if (const char* v = value("--top=")) valid = ParseInt(v, &args->top);
+    else if (const char* v = value("--threads=")) valid = ParseInt(v, &args->threads);
     else if (std::strcmp(a, "--raw-ids") == 0) args->compact_ids = false;
     else if (const char* v = value("--metrics-out=")) args->metrics_out = v;
     else if (const char* v = value("--metrics-format=")) args->metrics_format = v;
-    else if (const char* v = value("--metrics-interval=")) args->metrics_interval = std::atoi(v);
+    else if (const char* v = value("--metrics-interval=")) valid = ParseInt(v, &args->metrics_interval);
     else if (const char* v = value("--trace-out=")) args->trace_out = v;
     else if (const char* v = value("--checkpoint-out=")) args->checkpoint_out = v;
-    else if (const char* v = value("--checkpoint-interval=")) args->checkpoint_interval = std::atoi(v);
+    else if (const char* v = value("--checkpoint-interval=")) valid = ParseInt(v, &args->checkpoint_interval);
     else if (const char* v = value("--restore=")) args->restore = v;
-    else if (const char* v = value("--store-budget=")) args->store_budget = std::atoll(v);
+    else if (const char* v = value("--store-budget=")) valid = ParseInt(v, &args->store_budget);
     else if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {
       Usage(argv[0], stdout);
       std::exit(0);
     }
     else {
       std::fprintf(stderr, "unknown flag: %s\n", a);
+      return false;
+    }
+    if (!valid) {
+      std::fprintf(stderr, "invalid value for %.*s\n",
+                   static_cast<int>(std::strcspn(a, "=")), a);
       return false;
     }
   }
@@ -181,6 +188,18 @@ bool Parse(int argc, char** argv, CliArgs* args) {
   }
   if (args->batch < 1) {
     std::fprintf(stderr, "--batch must be >= 1\n");
+    return false;
+  }
+  if (args->report_every < 0) {
+    std::fprintf(stderr, "--report-every must be >= 0\n");
+    return false;
+  }
+  if (args->top < 0) {
+    std::fprintf(stderr, "--top must be >= 0\n");
+    return false;
+  }
+  if (args->threads < 1) {
+    std::fprintf(stderr, "--threads must be >= 1\n");
     return false;
   }
   if (args->metrics_format != "prom" && args->metrics_format != "jsonl") {
