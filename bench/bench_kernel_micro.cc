@@ -1,16 +1,17 @@
 // bench_kernel_micro: per-kernel microbenchmarks of the vectorized
-// counting core (src/core/simd/). Each of the four kernels — the k-way
-// merge-union candidate gather, the swiss-table probe-group matcher, the
-// packed-code distinct-pair scan, and the run-level code pre-filter — is
-// timed on the scalar reference table and on the best table the host CPU
-// can dispatch, over workloads shaped like the enumerator's real traffic
-// (overlapping incident runs, half-hit probe groups, 8-event codes).
+// counting core (src/core/simd/). Each of the three kernels — the
+// swiss-table probe-group matcher, the packed-code distinct-pair scan, and
+// the run-level code pre-filter — is timed on the scalar reference table
+// and on the best table the host CPU can dispatch, over workloads shaped
+// like the enumerator's real traffic (half-hit probe groups, 8-event
+// codes). These are isolated-kernel numbers: a micro speedup does not
+// predict the end-to-end effect of a table (see PERFORMANCE.md).
 //
 // Rows go to stdout; BENCH_kernel_micro.json records
 // <kernel>_scalar_ns / <kernel>_best_ns (ns per op, informational) and
 // <kernel>_speedup (best-ISA over scalar, gated higher-is-better by
 // tools/bench_diff so a change that quietly devectorizes a kernel fails
-// CI on AVX2 hardware), plus the numeric dispatch level of the timed
+// CI on SSE4.2 hardware), plus the numeric dispatch level of the timed
 // "best" table.
 
 #include <algorithm>
@@ -65,60 +66,6 @@ constexpr int kReps = 7;
 // vector timings measure the same work (the kernel diff test already pins
 // that the *outputs* agree).
 // ---------------------------------------------------------------------------
-
-/// Overlapping sorted-unique incident runs: one dominant run plus shorter
-/// ones, the shape a 4-node frontier produces (the dominant run exercises
-/// the exclusive-leader bulk copy, the overlap exercises dedup ties).
-struct MergeWorkload {
-  std::vector<std::vector<EventIndex>> runs;
-  std::uint64_t union_size = 0;
-};
-
-MergeWorkload BuildMergeWorkload(std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  MergeWorkload w;
-  const int universe = 120000;
-  const int lens[4] = {60000, 20000, 20000, 8000};
-  std::uniform_int_distribution<int> val(0, universe - 1);
-  for (const int len : lens) {
-    std::vector<EventIndex> run(static_cast<std::size_t>(len));
-    for (EventIndex& v : run) v = static_cast<EventIndex>(val(rng));
-    std::sort(run.begin(), run.end());
-    run.erase(std::unique(run.begin(), run.end()), run.end());
-    w.runs.push_back(std::move(run));
-  }
-  // Union size for the ns/op denominator (any table computes the same).
-  std::vector<EventIndex> all;
-  for (const auto& run : w.runs) all.insert(all.end(), run.begin(), run.end());
-  std::sort(all.begin(), all.end());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
-  w.union_size = all.size();
-  return w;
-}
-
-std::uint64_t DrainMerge(const simd::KernelOps* ops, const MergeWorkload& w) {
-  const EventIndex* runs[simd::kMaxMergeRuns];
-  int lens[simd::kMaxMergeRuns];
-  int curs[simd::kMaxMergeRuns];
-  const int num_runs = static_cast<int>(w.runs.size());
-  for (int r = 0; r < num_runs; ++r) {
-    runs[r] = w.runs[static_cast<std::size_t>(r)].data();
-    lens[r] = static_cast<int>(w.runs[static_cast<std::size_t>(r)].size());
-    curs[r] = 0;
-  }
-  constexpr int kChunk = 128;
-  EventIndex buf[kChunk];
-  std::uint64_t checksum = 0;
-  for (;;) {
-    const int got =
-        ops->merge_union_gather(runs, lens, curs, num_runs, buf, kChunk);
-    for (int i = 0; i < got; ++i) {
-      checksum += static_cast<std::uint64_t>(buf[i]);
-    }
-    if (got < kChunk) break;
-  }
-  return checksum;
-}
 
 /// Control-byte groups with ~2 tag hits and ~2 empties per 16-slot group:
 /// the steady state of a 3/4-full swiss table.
@@ -240,24 +187,6 @@ int Main(int argc, char** argv) {
   WallTimer timer;
   std::vector<KernelRow> rows;
 
-  {
-    const MergeWorkload w = BuildMergeWorkload(args.seed);
-    const int passes = 40;
-    auto time_table = [&](const simd::KernelOps* ops) {
-      return BestSeconds(kReps, [&] {
-        std::uint64_t checksum = 0;
-        for (int p = 0; p < passes; ++p) checksum += DrainMerge(ops, w);
-        DoNotOptimize(checksum);
-      });
-    };
-    const double ops_done =
-        static_cast<double>(w.union_size) * passes;
-    KernelRow row{"merge", 0, 0, 0};
-    row.scalar_ns = time_table(scalar) / ops_done * 1e9;
-    row.best_ns = time_table(best) / ops_done * 1e9;
-    row.speedup = row.best_ns > 0 ? row.scalar_ns / row.best_ns : 0.0;
-    rows.push_back(row);
-  }
   {
     const ProbeWorkload w = BuildProbeWorkload(args.seed + 1);
     const int passes = 300;

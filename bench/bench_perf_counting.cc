@@ -322,47 +322,28 @@ void WriteThroughputRecord(const BenchArgs& args) {
         std::string("fastpath_") + w.key + "_speedup_vs_generic", speedup);
   }
 
-  // Scope-saturated temporal-window final path: same workload measured
-  // with the edge-run lift disabled (the generic final merge + per-emit
-  // pair scan) and enabled, an apples-to-apples same-run ratio. k = 4 at
+  // Scope-saturated temporal-window final path (SaturatedFinal): k = 4 at
   // max_nodes = 3 saturates the scope on most final depths, the shape the
-  // lift targets.
+  // edge-run path targets.
   {
     EnumerationOptions wo;
     wo.num_events = 4;
     wo.max_nodes = 3;
     wo.timing = TimingConstraints::OnlyDeltaW(3000);
     wo.inducedness = Inducedness::kTemporalWindow;
-    auto measure = [&](bool lifted, std::uint64_t* instances) {
-      internal::SetSaturatedWindowRunsForTesting(lifted);
-      double best = 0.0;
-      for (int rep = 0; rep < 5; ++rep) {
-        WallTimer timer;
-        *instances = CountInstances(graph, wo);
-        const double seconds = timer.Seconds();
-        if (rep == 0 || seconds < best) best = seconds;
-      }
-      return best;
-    };
-    std::uint64_t generic_instances = 0;
-    std::uint64_t lifted_instances = 0;
-    const double generic_best = measure(false, &generic_instances);
-    const double lifted_best = measure(true, &lifted_instances);
-    internal::SetSaturatedWindowRunsForTesting(true);
-    TMOTIF_CHECK(lifted_instances == generic_instances);
-    const double lifted_ips =
-        lifted_best > 0 ? static_cast<double>(lifted_instances) / lifted_best
-                        : 0.0;
-    const double generic_ips =
-        generic_best > 0
-            ? static_cast<double>(generic_instances) / generic_best
-            : 0.0;
-    const double speedup = generic_ips > 0 ? lifted_ips / generic_ips : 0.0;
-    std::printf("window-induced saturated: %.4fs vs generic %.4fs, "
-                "%.0f instances/s, %.2fx vs generic final loop\n",
-                lifted_best, generic_best, lifted_ips, speedup);
-    fields.emplace_back("window_induced_instances_per_sec", lifted_ips);
-    fields.emplace_back("window_induced_speedup_vs_generic", speedup);
+    double best = 0.0;
+    std::uint64_t instances = 0;
+    for (int rep = 0; rep < 5; ++rep) {
+      WallTimer timer;
+      instances = CountInstances(graph, wo);
+      const double seconds = timer.Seconds();
+      if (rep == 0 || seconds < best) best = seconds;
+    }
+    const double ips =
+        best > 0 ? static_cast<double>(instances) / best : 0.0;
+    std::printf("window-induced saturated: %.4fs, %.0f instances/s\n", best,
+                ips);
+    fields.emplace_back("window_induced_instances_per_sec", ips);
   }
   WriteBenchResult(record_args, "counting_throughput", best_seconds, fields);
 }

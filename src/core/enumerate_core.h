@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <type_traits>
@@ -34,33 +33,6 @@
 
 namespace tmotif {
 namespace internal {
-
-/// Detects graphs exposing the flat SoA incident mirror
-/// (`incident_indices(node)` -> contiguous int32 run). The vectorized
-/// candidate gather needs raw pointers into the runs, so only flat
-/// graphs (TemporalGraph) take that path; deque-backed graphs (the
-/// streaming WindowGraph) keep the iterator-based merge.
-template <typename G, typename = void>
-struct GraphHasFlatIncident : std::false_type {};
-
-template <typename G>
-struct GraphHasFlatIncident<
-    G, std::void_t<decltype(std::declval<const G&>().incident_indices(
-           NodeId{0}))>> : std::true_type {};
-
-/// Kill switch for the scope-saturated edge-run final path under
-/// temporal-window inducedness: bench_perf_counting measures the lift
-/// against the generic final loop, and the differential tests assert
-/// both routes agree. On by default; engines read it once at
-/// construction.
-inline std::atomic<bool>& SaturatedWindowRunsFlag() {
-  static std::atomic<bool> flag{true};
-  return flag;
-}
-
-inline void SetSaturatedWindowRunsForTesting(bool enabled) {
-  SaturatedWindowRunsFlag().store(enabled, std::memory_order_relaxed);
-}
 
 /// Detects the optional batch half of the sink contract:
 /// `EmitBatch(packed_code, count)` accepts a whole saturated edge run of
@@ -196,9 +168,7 @@ class DfsEngine {
         use_dc_(opt.timing.delta_c.has_value()),
         use_dw_(opt.timing.delta_w.has_value()),
         static_induced_(opt.inducedness == Inducedness::kStatic),
-        window_saturated_runs_(
-            opt.inducedness == Inducedness::kTemporalWindow &&
-            SaturatedWindowRunsFlag().load(std::memory_order_relaxed)),
+        saturated_final_(opt.inducedness != Inducedness::kNone),
         batch_saturated_(!opt.cdg_restriction &&
                          !opt.consecutive_events_restriction &&
                          opt.max_instances == 0),
@@ -212,19 +182,13 @@ class DfsEngine {
   /// the run.
   void PublishKernelTelemetry() {
 #ifndef TMOTIF_NO_TELEMETRY
-    if (merge_gathers_ == 0 && distinct_scans_ == 0 && prefilters_ == 0) {
-      return;
-    }
-    static obs::Counter* const gathers =
-        obs::GlobalMetrics().GetCounter("counting.kernel_merge_gathers");
+    if (distinct_scans_ == 0 && prefilters_ == 0) return;
     static obs::Counter* const scans =
         obs::GlobalMetrics().GetCounter("counting.kernel_distinct_scans");
     static obs::Counter* const filters =
         obs::GlobalMetrics().GetCounter("counting.kernel_prefilters");
-    gathers->Add(merge_gathers_);
     scans->Add(distinct_scans_);
     filters->Add(prefilters_);
-    merge_gathers_ = 0;
     distinct_scans_ = 0;
     prefilters_ = 0;
 #endif
@@ -620,22 +584,9 @@ class DfsEngine {
     // pre-filter, temporal-window mode replaces the generic per-emit pair
     // scan with memo'd ranks and a monotone early exit. For other option
     // sets the incident merge below is cheaper (no per-pair setup).
-    if ((static_induced_ || window_saturated_runs_) &&
-        num_nodes_ == opt_.max_nodes) {
+    if (saturated_final_ && num_nodes_ == opt_.max_nodes) {
       SaturatedFinal(depth, prev_src, prev_dst, t_prev, upper);
       return;
-    }
-
-    // Flat graphs expose raw incident runs, so the merge-union can gather
-    // candidates through the vectorized kernel in chunks. The consecutive
-    // restriction needs the per-round cursor positions the gather does not
-    // keep (its O(1) predecessor read), so it stays on the scalar merge.
-    if constexpr (GraphHasFlatIncident<Graph>::value) {
-      if (!opt_.consecutive_events_restriction) {
-        ExtendFinalGather(depth, inherited, prev_idx, prev_src, prev_dst,
-                          t_prev, upper);
-        return;
-      }
     }
 
     const int frontier = num_nodes_;
@@ -780,134 +731,6 @@ class DfsEngine {
       chosen_[static_cast<std::size_t>(depth)] = c;
       Emit(packed_ | PackPair(src_digit, dst_digit, depth), effective_nodes);
       if (stopped_) return;
-    }
-  }
-
-  /// Chunked vectorized variant of the final-depth loop for flat graphs
-  /// (no consecutive restriction — see the dispatch in ExtendFinal): the
-  /// merge-union gather kernel fills a candidate buffer from the raw SoA
-  /// incident runs, and the scalar tail applies the per-candidate
-  /// predicates. The kernel's output and cursor contract matches the
-  /// iterator merge exactly, so emission order is unchanged.
-  void ExtendFinalGather(int depth, int inherited, EventIndex prev_idx,
-                         NodeId prev_src, NodeId prev_dst, Timestamp t_prev,
-                         Timestamp upper) {
-    const int frontier = num_nodes_;
-    const EventIndex* runs[kMaxCoreNodes];
-    int lens[kMaxCoreNodes];
-    int curs[kMaxCoreNodes];
-    bool may_tie = false;
-    for (int d = 0; d < frontier; ++d) {
-      const std::size_t s = static_cast<std::size_t>(d);
-      const auto span = graph_.incident_indices(nodes_[s]);
-      runs[d] = span.begin();
-      lens[d] = static_cast<int>(span.size());
-      if (d < inherited) {
-        // The flat run mirrors the fat incident entries position for
-        // position, so the inherited iterator's offset is the cursor.
-        curs[d] = static_cast<int>(
-            cursors_[static_cast<std::size_t>(depth - 1)][s] -
-            graph_.incident(nodes_[s]).begin());
-      } else {
-        curs[d] = static_cast<int>(
-            graph_.IncidentUpperBound(nodes_[s], prev_idx) -
-            graph_.incident(nodes_[s]).begin());
-      }
-      if (curs[d] < lens[d] &&
-          graph_.event_time(runs[d][curs[d]]) <= t_prev) {
-        may_tie = true;
-      }
-    }
-    if (may_tie) {
-      // Global index order is time order, so one jump past the previous
-      // event's timestamp-tie group clears every run for good: everything
-      // at or beyond the new cursors is strictly after t_prev, and the
-      // candidate loop needs no per-candidate tie check.
-      const EventIndex lo = graph_.UpperBoundTime(t_prev);
-      for (int d = 0; d < frontier; ++d) {
-        curs[d] = static_cast<int>(
-            std::lower_bound(runs[d] + curs[d], runs[d] + lens[d], lo) -
-            runs[d]);
-      }
-    }
-
-    // Per-call cache of the last new node's static-edge count to the
-    // scope (same rationale as the iterator merge).
-    NodeId cached_new_node = kInvalidNode;
-    int cached_new_delta = 0;
-
-    constexpr int kGatherChunk = 128;
-    EventIndex buf[kGatherChunk];
-    for (;;) {
-      const int got = ops_->merge_union_gather(runs, lens, curs, frontier,
-                                               buf, kGatherChunk);
-#ifndef TMOTIF_NO_TELEMETRY
-      ++merge_gathers_;
-#endif
-      for (int i = 0; i < got; ++i) {
-        const EventIndex c = buf[i];
-        const Timestamp tc = graph_.event_time(c);
-        if (tc > upper) return;  // Sorted by time: no more candidates.
-        const NodeId c_src = graph_.event_src(c);
-        const NodeId c_dst = graph_.event_dst(c);
-        int src_digit = DigitOf(c_src);
-        int dst_digit = DigitOf(c_dst);
-        const int new_nodes =
-            (src_digit < 0 ? 1 : 0) + (dst_digit < 0 ? 1 : 0);
-        if (num_nodes_ + new_nodes > opt_.max_nodes) continue;
-
-        if (opt_.cdg_restriction &&
-            (prev_src != c_src || prev_dst != c_dst) &&
-            graph_.HasAdjacentEdgeEventInRange(c, t_prev, tc)) {
-          continue;  // Another event on (c_src, c_dst) inside [t1, t2].
-        }
-
-        if (static_induced_) {
-          // Same static-inducedness fast path as the iterator merge.
-          const int nd = src_digit < 0 ? num_nodes_
-                                       : (dst_digit < 0 ? num_nodes_ : -1);
-          const int sd = src_digit < 0 ? nd : src_digit;
-          const int dd = dst_digit < 0 ? nd : dst_digit;
-          const std::uint64_t code = packed_ | PackPair(sd, dd, depth);
-          const int distinct = DistinctPairs(code, opt_.num_events);
-          if (new_nodes == 0) {
-            if (distinct != scope_static_edges_) continue;
-          } else {
-            const int needed = distinct - scope_static_edges_;
-            if (needed < 1 || needed > 2 * num_nodes_) continue;
-            const NodeId w = src_digit < 0 ? c_src : c_dst;
-            if (w != cached_new_node) {
-              cached_new_node = w;
-              cached_new_delta = StaticEdgesToScope(w, num_nodes_);
-            }
-            if (needed != cached_new_delta) continue;
-            nodes_[static_cast<std::size_t>(nd)] = w;
-          }
-          chosen_[static_cast<std::size_t>(depth)] = c;
-          EmitUnchecked(code, num_nodes_ + new_nodes);
-          if (stopped_) return;
-          continue;
-        }
-
-        int effective_nodes = num_nodes_;
-        if (src_digit < 0) {
-          src_digit = effective_nodes;
-          nodes_[static_cast<std::size_t>(effective_nodes)] = c_src;
-          digit_gen_[static_cast<std::size_t>(effective_nodes++)] =
-              ++gen_counter_;
-        }
-        if (dst_digit < 0) {
-          dst_digit = effective_nodes;
-          nodes_[static_cast<std::size_t>(effective_nodes)] = c_dst;
-          digit_gen_[static_cast<std::size_t>(effective_nodes++)] =
-              ++gen_counter_;
-        }
-        chosen_[static_cast<std::size_t>(depth)] = c;
-        Emit(packed_ | PackPair(src_digit, dst_digit, depth),
-             effective_nodes);
-        if (stopped_) return;
-      }
-      if (got < kGatherChunk) return;
     }
   }
 
@@ -1087,9 +910,9 @@ class DfsEngine {
   const bool use_dc_;
   const bool use_dw_;
   const bool static_induced_;
-  /// Temporal-window inducedness also takes the scope-saturated edge-run
-  /// final path (SaturatedFinal) unless the kill switch disabled it.
-  const bool window_saturated_runs_;
+  /// Both inducedness predicates take the scope-saturated edge-run final
+  /// path (SaturatedFinal).
+  const bool saturated_final_;
   /// Saturated-final runs may be absorbed whole (see SaturatedFinal): no
   /// per-candidate order predicate and no instance cap to respect.
   const bool batch_saturated_;
@@ -1122,7 +945,6 @@ class DfsEngine {
   /// Per-kernel invocation tallies since the last PublishKernelTelemetry.
   /// Deterministic and dispatch-level-independent: the scalar and vector
   /// kernels are bit-identical, so call counts never depend on the ISA.
-  std::uint64_t merge_gathers_ = 0;
   std::uint64_t distinct_scans_ = 0;
   std::uint64_t prefilters_ = 0;
 #endif

@@ -22,11 +22,8 @@ bool CpuSupports(DispatchLevel level) {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
     case DispatchLevel::kSse42:
       return __builtin_cpu_supports("sse4.2") != 0;
-    case DispatchLevel::kAvx2:
-      return __builtin_cpu_supports("avx2") != 0;
 #else
     case DispatchLevel::kSse42:
-    case DispatchLevel::kAvx2:
       return false;
 #endif
   }
@@ -39,8 +36,6 @@ const KernelOps* CompiledKernels(DispatchLevel level) {
       return ScalarKernels();
     case DispatchLevel::kSse42:
       return Sse42Kernels();
-    case DispatchLevel::kAvx2:
-      return Avx2Kernels();
   }
   return nullptr;
 }
@@ -65,15 +60,9 @@ struct Resolved {
 const Resolved& Detected() {
   static const Resolved resolved = [] {
     Resolved r{ScalarKernels(), DispatchLevel::kScalar};
-    if (!ForceScalarFromEnv()) {
-      for (const DispatchLevel level :
-           {DispatchLevel::kAvx2, DispatchLevel::kSse42}) {
-        const KernelOps* ops = CompiledKernels(level);
-        if (ops != nullptr && CpuSupports(level)) {
-          r = Resolved{ops, level};
-          break;
-        }
-      }
+    const KernelOps* sse42 = KernelsFor(DispatchLevel::kSse42);
+    if (!ForceScalarFromEnv() && sse42 != nullptr) {
+      r = Resolved{sse42, DispatchLevel::kSse42};
     }
     PublishLevelGauge(r.level);
     return r;
@@ -86,10 +75,9 @@ std::atomic<const Resolved*> g_override{nullptr};
 
 // Pre-sized override slots, one per level; SetDispatchLevelForTesting
 // fills in the ops pointer before publishing the slot.
-Resolved g_override_slots[3] = {
+Resolved g_override_slots[2] = {
     {nullptr, DispatchLevel::kScalar},
     {nullptr, DispatchLevel::kSse42},
-    {nullptr, DispatchLevel::kAvx2},
 };
 
 }  // namespace
@@ -100,8 +88,6 @@ const char* DispatchLevelName(DispatchLevel level) {
       return "scalar";
     case DispatchLevel::kSse42:
       return "sse4.2";
-    case DispatchLevel::kAvx2:
-      return "avx2";
   }
   return "unknown";
 }
@@ -124,8 +110,7 @@ const KernelOps* KernelsFor(DispatchLevel level) {
 std::vector<DispatchLevel> AvailableLevels() {
   std::vector<DispatchLevel> levels;
   for (const DispatchLevel level :
-       {DispatchLevel::kScalar, DispatchLevel::kSse42,
-        DispatchLevel::kAvx2}) {
+       {DispatchLevel::kScalar, DispatchLevel::kSse42}) {
     if (KernelsFor(level) != nullptr) levels.push_back(level);
   }
   return levels;

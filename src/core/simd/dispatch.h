@@ -1,15 +1,16 @@
 #ifndef TMOTIF_CORE_SIMD_DISPATCH_H_
 #define TMOTIF_CORE_SIMD_DISPATCH_H_
 
-// Runtime CPU-feature dispatch for the counting kernels. The best
-// available kernel table is resolved exactly once per process (CPUID
-// probe, overridable by the TMOTIF_FORCE_SCALAR=1 environment knob) and
-// every consumer caches the resolved table — the per-call cost of
-// dispatch is one function-pointer indirection, nothing else.
+// Runtime CPU-feature dispatch for the counting kernels. The ladder is
+// scalar -> SSE4.2: the SSE4.2 table is resolved exactly once per process
+// when it is compiled in and the CPU supports it (CPUID probe,
+// overridable by the TMOTIF_FORCE_SCALAR=1 environment knob), and every
+// consumer caches the resolved table — the per-call cost of dispatch is
+// one function-pointer indirection, nothing else.
 //
 // The resolved level is exported as the `counting.simd_dispatch_level`
-// gauge (0 = scalar, 1 = SSE4.2, 2 = AVX2) so deployments can tell from
-// a metrics snapshot which ISA actually serves their counts.
+// gauge (0 = scalar, 1 = SSE4.2) so deployments can tell from a metrics
+// snapshot which ISA actually serves their counts.
 
 #include <vector>
 
@@ -21,10 +22,9 @@ namespace simd {
 enum class DispatchLevel : int {
   kScalar = 0,
   kSse42 = 1,
-  kAvx2 = 2,
 };
 
-/// Short lowercase name ("scalar" / "sse4.2" / "avx2").
+/// Short lowercase name ("scalar" / "sse4.2").
 const char* DispatchLevelName(DispatchLevel level);
 
 /// The active kernel table. First call detects the CPU (honouring

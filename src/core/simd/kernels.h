@@ -2,23 +2,21 @@
 #define TMOTIF_CORE_SIMD_KERNELS_H_
 
 // The narrow contract of the vectorized counting kernels. The counting
-// core (core/enumerate_core.h), the packed accumulation table
-// (core/packed_table.h) and the WindowGraph-backed streaming delta path
-// all reach SIMD exclusively through the function-pointer table below —
-// resolved once per process by core/simd/dispatch.h — so every call site
-// is oblivious to which ISA variant actually runs, and the scalar
-// variant (always compiled, forced via TMOTIF_FORCE_SCALAR=1) is
-// bit-identical to the vector ones by contract:
+// core (core/enumerate_core.h, over both graph types) and the packed
+// accumulation table (core/packed_table.h) reach SIMD exclusively
+// through the function-pointer table below — resolved once per process
+// by core/simd/dispatch.h — so every call site is oblivious to which ISA
+// variant actually runs, and the scalar variant (always compiled, forced
+// via TMOTIF_FORCE_SCALAR=1) is bit-identical to the SSE4.2 one by
+// contract:
 //
-//   * MergeUnionGather fills the output with the SAME ascending deduped
-//     union and leaves cursors in the SAME positions at every level,
 //   * MatchTags / MatchEmpty return the SAME 16-bit masks, so the
 //     table's probe sequence — and therefore its layout and telemetry —
 //     does not depend on the dispatch level,
 //   * DistinctPairCount / PrefilterCodes return the SAME verdicts.
 //
-// tests/kernel_diff_test.cc pins all four equivalences on seeded inputs
-// and re-runs the counting grids at every available level.
+// tests/kernel_diff_test.cc pins these equivalences on seeded inputs and
+// re-runs the counting grids at every available level.
 
 #include <cstdint>
 
@@ -26,11 +24,6 @@
 
 namespace tmotif {
 namespace simd {
-
-/// Hard cap on the number of runs MergeUnionGather merges: one incident
-/// run per scope node, and the core caps scopes at 9 nodes
-/// (core/enumerate_core.h kMaxCoreNodes).
-constexpr int kMaxMergeRuns = 9;
 
 /// Control-group width of the packed table's swiss-style probe (16 tag
 /// bytes compared per step — one SSE register).
@@ -41,31 +34,19 @@ constexpr int kGroupSize = 16;
 constexpr std::uint8_t kEmptyCtrl = 0x80;
 
 struct KernelOps {
-  /// (a) Resumable k-way merge-union gather over sorted ascending runs
-  /// of unique event indices (the SoA incident mirrors). Appends up to
-  /// `cap` strictly ascending union values to `out`, advancing
-  /// `cursors[r]` (a position into `runs[r]`, < `lens[r]` while the run
-  /// is live) past every value consumed — duplicates across runs
-  /// collapse to one output and advance every matching cursor. Returns
-  /// the number of values written; a short return means the union is
-  /// exhausted. `num_runs` <= kMaxMergeRuns.
-  int (*merge_union_gather)(const EventIndex* const* runs, const int* lens,
-                            int* cursors, int num_runs, EventIndex* out,
-                            int cap);
-
-  /// (b) Probe-group matchers over `kGroupSize` control bytes: bit i of
+  /// (a) Probe-group matchers over `kGroupSize` control bytes: bit i of
   /// the returned mask is set iff group[i] == tag (resp. == kEmptyCtrl).
   std::uint32_t (*match_tags)(const std::uint8_t* group, std::uint8_t tag);
   std::uint32_t (*match_empty)(const std::uint8_t* group);
 
-  /// (c) Number of distinct bytes among the low `k` bytes of a packed
+  /// (b) Number of distinct bytes among the low `k` bytes of a packed
   /// motif code (1 <= k <= 8; every code byte is non-zero). The
   /// instance-side half of the static-inducedness coverage check.
   int (*distinct_pair_count)(std::uint64_t packed, int k);
 
-  /// (d) Run-level pre-filter for the scope-saturated final path:
+  /// (c) Run-level pre-filter for the scope-saturated final path:
   /// out_pass[i] = 1 iff distinct_pair_count(codes[i], k) == want, for
-  /// i < n. Codes follow the same non-zero-byte packing as (c).
+  /// i < n. Codes follow the same non-zero-byte packing as (b).
   void (*prefilter_codes)(const std::uint64_t* codes, int n, int k,
                           int want, std::uint8_t* out_pass);
 };
@@ -87,10 +68,9 @@ inline int TrailingZeros(std::uint32_t x) {
 
 /// Per-ISA kernel tables, exported by their translation units. A variant
 /// that was not compiled for the target architecture returns nullptr and
-/// the dispatcher falls through to the next level down.
+/// the dispatcher falls back to scalar.
 const KernelOps* ScalarKernels();
 const KernelOps* Sse42Kernels();  // nullptr unless built with SSE4.2.
-const KernelOps* Avx2Kernels();   // nullptr unless built with AVX2.
 
 }  // namespace simd
 }  // namespace tmotif

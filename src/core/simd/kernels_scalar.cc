@@ -1,39 +1,14 @@
 // Scalar reference implementations of the counting kernels — always
-// compiled, selected on machines without SSE4.2/AVX2 or when
-// TMOTIF_FORCE_SCALAR=1. The vector variants must match these
-// bit-for-bit (outputs, cursor positions, masks, verdicts); the
-// differential grid in tests/kernel_diff_test.cc enforces it.
-
-#include <cstring>
-#include <limits>
+// compiled, selected on machines without SSE4.2 or when
+// TMOTIF_FORCE_SCALAR=1. The SSE4.2 variants must match these
+// bit-for-bit (masks, verdicts); the differential grid in
+// tests/kernel_diff_test.cc enforces it.
 
 #include "core/simd/kernels.h"
 
 namespace tmotif {
 namespace simd {
 namespace {
-
-constexpr EventIndex kDone = std::numeric_limits<EventIndex>::max();
-
-int MergeUnionGatherScalar(const EventIndex* const* runs, const int* lens,
-                           int* cursors, int num_runs, EventIndex* out,
-                           int cap) {
-  int m = 0;
-  while (m < cap) {
-    EventIndex best = kDone;
-    for (int r = 0; r < num_runs; ++r) {
-      if (cursors[r] >= lens[r]) continue;
-      const EventIndex v = runs[r][cursors[r]];
-      if (v < best) best = v;
-    }
-    if (best == kDone) break;
-    for (int r = 0; r < num_runs; ++r) {
-      if (cursors[r] < lens[r] && runs[r][cursors[r]] == best) ++cursors[r];
-    }
-    out[m++] = best;
-  }
-  return m;
-}
 
 std::uint32_t MatchTagsScalar(const std::uint8_t* group, std::uint8_t tag) {
   std::uint32_t mask = 0;
@@ -71,8 +46,10 @@ void PrefilterCodesScalar(const std::uint64_t* codes, int n, int k, int want,
 }
 
 constexpr KernelOps kScalarOps = {
-    &MergeUnionGatherScalar, &MatchTagsScalar,      &MatchEmptyScalar,
-    &DistinctPairCountScalar, &PrefilterCodesScalar,
+    &MatchTagsScalar,
+    &MatchEmptyScalar,
+    &DistinctPairCountScalar,
+    &PrefilterCodesScalar,
 };
 
 }  // namespace

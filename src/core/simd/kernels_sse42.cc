@@ -13,85 +13,9 @@
 #include <nmmintrin.h>
 #include <smmintrin.h>
 
-#include <cstring>
-#include <limits>
-
 namespace tmotif {
 namespace simd {
 namespace {
-
-constexpr EventIndex kDone = std::numeric_limits<EventIndex>::max();
-
-/// Number of leading elements of `p[0..n)` strictly below `bound`
-/// (ascending run, `p[0] < bound` guaranteed by the caller).
-int PrefixBelow(const EventIndex* p, int n, EventIndex bound) {
-  const __m128i b = _mm_set1_epi32(bound);
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i));
-    const unsigned lt = static_cast<unsigned>(
-        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmplt_epi32(v, b))));
-    if (lt != 0xFu) return i + __builtin_ctz(~lt);
-  }
-  while (i < n && p[i] < bound) ++i;
-  return i;
-}
-
-int MergeUnionGatherSse42(const EventIndex* const* runs, const int* lens,
-                          int* cursors, int num_runs, EventIndex* out,
-                          int cap) {
-  int m = 0;
-  while (m < cap) {
-    // Min and second-min of the live run fronts (num_runs <= 9: a scalar
-    // scan beats any gather here).
-    EventIndex best = kDone;
-    EventIndex second = kDone;
-    int win = -1;
-    for (int r = 0; r < num_runs; ++r) {
-      if (cursors[r] >= lens[r]) continue;
-      const EventIndex v = runs[r][cursors[r]];
-      if (v < best) {
-        second = best;
-        best = v;
-        win = r;
-      } else if (v < second) {
-        second = v;
-      }
-    }
-    if (win < 0) break;
-    if (best < second) {
-      // The winning run leads exclusively up to `second`: every one of
-      // its values below that bound belongs to the union as-is (no other
-      // run can contain them), so the whole prefix bulk-copies after one
-      // vector scan for the boundary. With `second == kDone` (a single
-      // live run) the scan never finds a boundary and the copy drains
-      // the run.
-      const EventIndex* p = runs[win] + cursors[win];
-      const int avail = lens[win] - cursors[win];
-      const int room = cap - m;
-      const int take =
-          PrefixBelow(p, avail < room ? avail : room, second);
-      if (take >= 8) {
-        std::memcpy(out + m, p,
-                    static_cast<std::size_t>(take) * sizeof(EventIndex));
-      } else {
-        // Interleaved runs yield short bursts; an inline copy beats the
-        // libc memcpy call for these.
-        for (int j = 0; j < take; ++j) out[m + j] = p[j];
-      }
-      cursors[win] += take;
-      m += take;
-      continue;
-    }
-    // Tie across runs: emit once, advance every matching cursor.
-    out[m++] = best;
-    for (int r = 0; r < num_runs; ++r) {
-      if (cursors[r] < lens[r] && runs[r][cursors[r]] == best) ++cursors[r];
-    }
-  }
-  return m;
-}
 
 std::uint32_t MatchTagsSse42(const std::uint8_t* group, std::uint8_t tag) {
   const __m128i g = _mm_loadu_si128(reinterpret_cast<const __m128i*>(group));
@@ -169,8 +93,10 @@ void PrefilterCodesSse42(const std::uint64_t* codes, int n, int k, int want,
 }
 
 constexpr KernelOps kSse42Ops = {
-    &MergeUnionGatherSse42, &MatchTagsSse42,      &MatchEmptySse42,
-    &DistinctPairCountSse42, &PrefilterCodesSse42,
+    &MatchTagsSse42,
+    &MatchEmptySse42,
+    &DistinctPairCountSse42,
+    &PrefilterCodesSse42,
 };
 
 }  // namespace

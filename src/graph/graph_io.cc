@@ -95,9 +95,11 @@ std::optional<EdgeListResult> LoadEdgeList(const std::string& path,
       record_error("negative node id");
       return;
     }
+    // Raw ids index a dense node table of max id + 1 entries, and that
+    // count must itself fit the 32-bit id type.
     if (!options.compact_node_ids &&
-        (fields[0] > static_cast<long long>(INT32_MAX) ||
-         fields[1] > static_cast<long long>(INT32_MAX))) {
+        (fields[0] >= static_cast<long long>(INT32_MAX) ||
+         fields[1] >= static_cast<long long>(INT32_MAX))) {
       record_error("node id exceeds the 32-bit id space "
                    "(enable compact_node_ids to remap)");
       return;

@@ -14,14 +14,6 @@ IncidentSpan TemporalGraph::incident(NodeId node) const {
                       base + incident_offsets_[n + 1]);
 }
 
-EventIndexSpan TemporalGraph::incident_indices(NodeId node) const {
-  TMOTIF_CHECK(node >= 0 && node < num_nodes_);
-  const std::size_t n = static_cast<std::size_t>(node);
-  const EventIndex* base = incident_events_.data();
-  return EventIndexSpan(base + incident_offsets_[n],
-                        base + incident_offsets_[n + 1]);
-}
-
 IncidentIterator TemporalGraph::IncidentUpperBound(NodeId node,
                                                    EventIndex after) const {
   TMOTIF_CHECK(node >= 0 && node < num_nodes_);

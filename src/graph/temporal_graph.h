@@ -284,14 +284,6 @@ class TemporalGraph {
   /// the cache lines.
   IncidentIterator IncidentUpperBound(NodeId node, EventIndex after) const;
 
-  /// The slim 4-byte mirror of `incident(node)`: the same ascending event
-  /// indices as one flat contiguous int32 run (positions coincide with the
-  /// fat entries'). This is the SoA surface the vectorized candidate
-  /// gather (core/simd/) streams — graphs without a flat mirror (the
-  /// streaming WindowGraph) simply don't expose it and the enumeration
-  /// core keeps its iterator-based merge there.
-  EventIndexSpan incident_indices(NodeId node) const;
-
   /// Resolves the directed static edge (src, dst) to its slot via the
   /// per-node neighbor CSR; `kNoEdgeHandle` when the edge never occurs.
   /// Out-of-range node ids resolve to `kNoEdgeHandle`.
@@ -410,8 +402,10 @@ class TemporalGraph {
   /// CSR incident index: events touching node n (either endpoint) are
   /// incident_entries_[incident_offsets_[n] .. incident_offsets_[n + 1]),
   /// each entry carrying the event's hot fields inline. incident_events_
-  /// is a slim 4-byte mirror of the entry indices (same offsets) for the
-  /// binary-searched predicates.
+  /// is a slim 4-byte mirror of the entry indices (same offsets); it is
+  /// never iterated, only binary-searched by IncidentUpperBound and
+  /// HasIncidentInIndexRange, which would touch 6x the cache lines on the
+  /// fat entries.
   std::vector<std::size_t> incident_offsets_;
   std::vector<IncidentEntry> incident_entries_;
   std::vector<EventIndex> incident_events_;

@@ -1,12 +1,12 @@
 // Differential tests for the vectorized counting kernels (core/simd/):
 // every ISA variant this machine can run must be bit-identical to the
-// always-compiled scalar kernels — same gather outputs and cursor
-// positions, same probe masks (hence the same table layout), same
-// distinct-count verdicts and pre-filter masks — on seeded adversarial
-// inputs, and the full counting stack must produce identical counts at
-// every dispatch level across the predicate grid. The scope-saturated
-// temporal-window final path is pinned the same way against both its own
-// kill switch and the brute-force oracle.
+// always-compiled scalar kernels — same probe masks (hence the same table
+// layout), same distinct-count verdicts and pre-filter masks — on seeded
+// adversarial inputs, and the full counting stack must emit the identical
+// instance stream at every dispatch level and over both graph types
+// (TemporalGraph and the streaming WindowGraph) across the predicate
+// grid. The scope-saturated temporal-window final path is pinned against
+// the brute-force oracle.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +24,8 @@
 #include "core/packed_table.h"
 #include "core/simd/dispatch.h"
 #include "core/simd/kernels.h"
+#include "stream/stream_window.h"
+#include "stream/window_graph.h"
 #include "testing/differential.h"
 #include "testing/random_graphs.h"
 #include "testing/reference_oracle.h"
@@ -59,7 +61,6 @@ TEST_F(KernelDiffTest, ScalarKernelsAlwaysAvailable) {
     SCOPED_TRACE(simd::DispatchLevelName(level));
     const simd::KernelOps* ops = simd::KernelsFor(level);
     ASSERT_NE(ops, nullptr);
-    EXPECT_NE(ops->merge_union_gather, nullptr);
     EXPECT_NE(ops->match_tags, nullptr);
     EXPECT_NE(ops->match_empty, nullptr);
     EXPECT_NE(ops->distinct_pair_count, nullptr);
@@ -87,80 +88,6 @@ TEST_F(KernelDiffTest, ForceScalarTestHookPinsTheTable) {
 // ---------------------------------------------------------------------------
 // Kernel-level contracts: each vector variant vs the scalar reference.
 // ---------------------------------------------------------------------------
-
-/// Sorted-unique ascending run drawn from a small universe so runs overlap
-/// heavily (duplicates across runs are the interesting case).
-std::vector<EventIndex> RandomRun(std::mt19937_64& rng, int max_len,
-                                  int universe) {
-  std::uniform_int_distribution<int> len_dist(0, max_len);
-  std::uniform_int_distribution<int> val_dist(0, universe - 1);
-  std::vector<EventIndex> run(static_cast<std::size_t>(len_dist(rng)));
-  for (EventIndex& v : run) v = static_cast<EventIndex>(val_dist(rng));
-  std::sort(run.begin(), run.end());
-  run.erase(std::unique(run.begin(), run.end()), run.end());
-  return run;
-}
-
-/// Drains merge_union_gather with chunk size `cap`, recording the output
-/// stream and the cursor positions observed after every kernel call.
-struct MergeTrace {
-  std::vector<EventIndex> out;
-  std::vector<int> cursor_history;
-};
-
-MergeTrace DrainMerge(const simd::KernelOps* ops,
-                      const std::vector<std::vector<EventIndex>>& runs,
-                      int cap) {
-  const int num_runs = static_cast<int>(runs.size());
-  const EventIndex* ptrs[simd::kMaxMergeRuns];
-  int lens[simd::kMaxMergeRuns];
-  int curs[simd::kMaxMergeRuns];
-  for (int r = 0; r < num_runs; ++r) {
-    ptrs[r] = runs[static_cast<std::size_t>(r)].data();
-    lens[r] = static_cast<int>(runs[static_cast<std::size_t>(r)].size());
-    curs[r] = 0;
-  }
-  MergeTrace trace;
-  std::vector<EventIndex> buf(static_cast<std::size_t>(cap));
-  for (;;) {
-    const int got =
-        ops->merge_union_gather(ptrs, lens, curs, num_runs, buf.data(), cap);
-    trace.out.insert(trace.out.end(), buf.begin(), buf.begin() + got);
-    trace.cursor_history.insert(trace.cursor_history.end(), curs,
-                                curs + num_runs);
-    if (got < cap) break;
-  }
-  return trace;
-}
-
-TEST_F(KernelDiffTest, MergeUnionGatherMatchesScalar) {
-  const simd::KernelOps* scalar = simd::ScalarKernels();
-  std::mt19937_64 rng(0x6a7436);
-  for (int round = 0; round < 200; ++round) {
-    std::uniform_int_distribution<int> nruns_dist(1, simd::kMaxMergeRuns);
-    const int num_runs = nruns_dist(rng);
-    std::vector<std::vector<EventIndex>> runs;
-    for (int r = 0; r < num_runs; ++r) {
-      runs.push_back(RandomRun(rng, /*max_len=*/40, /*universe=*/64));
-    }
-    for (const int cap : {1, 3, 16, 128}) {
-      const MergeTrace want = DrainMerge(scalar, runs, cap);
-      // Sanity on the reference itself: strictly ascending union.
-      ASSERT_TRUE(std::is_sorted(want.out.begin(), want.out.end()));
-      ASSERT_EQ(std::adjacent_find(want.out.begin(), want.out.end()),
-                want.out.end());
-      for (const simd::DispatchLevel level : VectorLevels()) {
-        const MergeTrace got = DrainMerge(simd::KernelsFor(level), runs, cap);
-        ASSERT_EQ(got.out, want.out)
-            << simd::DispatchLevelName(level) << " round=" << round
-            << " cap=" << cap;
-        ASSERT_EQ(got.cursor_history, want.cursor_history)
-            << simd::DispatchLevelName(level) << " round=" << round
-            << " cap=" << cap;
-      }
-    }
-  }
-}
 
 TEST_F(KernelDiffTest, ProbeGroupMatchersMatchScalar) {
   const simd::KernelOps* scalar = simd::ScalarKernels();
@@ -256,7 +183,7 @@ TEST_F(KernelDiffTest, PrefilterCodesMatchesScalar) {
 
 // ---------------------------------------------------------------------------
 // Stack-level: counts, emission order, and table layout must not depend on
-// the dispatch level.
+// the dispatch level or the graph type.
 // ---------------------------------------------------------------------------
 
 EnumerationOptions Opts(int k, int max_nodes, TimingConstraints timing = {},
@@ -308,23 +235,25 @@ const std::vector<GridCase>& PredicateGrid() {
   return grid;
 }
 
-/// Full chosen-index emission stream plus the packed-table iteration order
-/// (layout-sensitive): everything the dispatch level could possibly leak
-/// into.
+/// Full (chosen indices, packed code) emission stream plus the
+/// packed-table iteration order (layout-sensitive): everything the dispatch
+/// level or the graph type could possibly leak into.
 struct StackTrace {
-  std::vector<std::vector<EventIndex>> instances;
+  std::vector<std::pair<std::vector<EventIndex>, std::uint64_t>> instances;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> table_order;
   std::uint64_t total = 0;
 };
 
-StackTrace RunStack(const TemporalGraph& g, const EnumerationOptions& opt) {
+template <typename Graph>
+StackTrace RunStack(const Graph& g, const EnumerationOptions& opt) {
   StackTrace trace;
   struct RecordingSink {
     StackTrace* trace;
     internal::PackedMotifTable table;
     void Emit(const EventIndex* chosen, int num_events, std::uint64_t packed,
               const NodeId*, int) {
-      trace->instances.emplace_back(chosen, chosen + num_events);
+      trace->instances.emplace_back(
+          std::vector<EventIndex>(chosen, chosen + num_events), packed);
       table.Add(packed);
     }
   };
@@ -336,23 +265,63 @@ StackTrace RunStack(const TemporalGraph& g, const EnumerationOptions& opt) {
   return trace;
 }
 
-TEST_F(KernelDiffTest, CountingStackIdenticalAtEveryDispatchLevel) {
+/// The streaming WindowGraph holding `g`'s canonically sorted events,
+/// filled batch by batch the way the streaming counter maintains it. The
+/// window never evicts, so window positions equal `g`'s event indices.
+struct LiveWindow {
+  explicit LiveWindow(const TemporalGraph& g)
+      : window(WindowPolicy::CountBased(g.num_events() + 1)), graph(&window) {
+    const std::vector<Event>& all = g.events();
+    constexpr std::size_t kBatch = 3;
+    for (std::size_t begin = 0; begin < all.size(); begin += kBatch) {
+      const std::size_t end = std::min(all.size(), begin + kBatch);
+      const std::vector<Event> batch(
+          all.begin() + static_cast<std::ptrdiff_t>(begin),
+          all.begin() + static_cast<std::ptrdiff_t>(end));
+      const IngestPlan plan = window.PlanIngest(batch);
+      graph.BeginUpdate(plan, batch);
+      window.Apply(plan, batch);
+      graph.FinishUpdate();
+    }
+  }
+
+  // `graph` points at `window`.
+  LiveWindow(const LiveWindow&) = delete;
+  LiveWindow& operator=(const LiveWindow&) = delete;
+
+  StreamWindow window;
+  WindowGraph graph;
+};
+
+TEST_F(KernelDiffTest, CountingStackIdenticalAtEveryLevelAndGraphType) {
   for (const GridCase& c : PredicateGrid()) {
     SCOPED_TRACE(c.name);
     ForEachRandomGraph(
         0x51d, 10, GridSpec(),
         [&](std::uint64_t seed, const TemporalGraph& g) {
+          const LiveWindow live(g);
+          ASSERT_TRUE(std::equal(g.events().begin(), g.events().end(),
+                                 live.window.events().begin(),
+                                 live.window.events().end()))
+              << "seed=" << seed;
           simd::SetDispatchLevelForTesting(simd::DispatchLevel::kScalar);
           const StackTrace want = RunStack(g, c.options);
-          for (const simd::DispatchLevel level : VectorLevels()) {
+          for (const simd::DispatchLevel level : simd::AvailableLevels()) {
             simd::SetDispatchLevelForTesting(level);
-            const StackTrace got = RunStack(g, c.options);
-            ASSERT_EQ(got.total, want.total)
-                << simd::DispatchLevelName(level) << " seed=" << seed;
-            ASSERT_EQ(got.instances, want.instances)
-                << simd::DispatchLevelName(level) << " seed=" << seed;
-            ASSERT_EQ(got.table_order, want.table_order)
-                << simd::DispatchLevelName(level) << " seed=" << seed;
+            const std::pair<const char*, StackTrace> runs[] = {
+                {"TemporalGraph", RunStack(g, c.options)},
+                {"WindowGraph", RunStack(live.graph, c.options)}};
+            for (const auto& [graph_type, got] : runs) {
+              ASSERT_EQ(got.total, want.total)
+                  << simd::DispatchLevelName(level) << " " << graph_type
+                  << " seed=" << seed;
+              ASSERT_EQ(got.instances, want.instances)
+                  << simd::DispatchLevelName(level) << " " << graph_type
+                  << " seed=" << seed;
+              ASSERT_EQ(got.table_order, want.table_order)
+                  << simd::DispatchLevelName(level) << " " << graph_type
+                  << " seed=" << seed;
+            }
           }
           simd::ResetDispatchLevelForTesting();
         });
@@ -375,11 +344,11 @@ TEST_F(KernelDiffTest, ForcedScalarStackMatchesOracle) {
 }
 
 // ---------------------------------------------------------------------------
-// Scope-saturated temporal-window final path (the edge-run lift): both
-// routes agree with each other and with the oracle.
+// Scope-saturated temporal-window final path (the edge-run lift) under the
+// order predicates the predicate grid does not combine with it.
 // ---------------------------------------------------------------------------
 
-TEST_F(KernelDiffTest, WindowSaturatedRunsMatchGenericAndOracle) {
+TEST_F(KernelDiffTest, WindowSaturatedRunsMatchOracle) {
   const std::vector<GridCase> cases = {
       {"k3_window_saturated", Opts(3, 3, {}, false, false,
                                    Inducedness::kTemporalWindow)},
@@ -398,18 +367,11 @@ TEST_F(KernelDiffTest, WindowSaturatedRunsMatchGenericAndOracle) {
     ForEachRandomGraph(
         0x3a7d0, 12, GridSpec(),
         [&](std::uint64_t seed, const TemporalGraph& g) {
-          internal::SetSaturatedWindowRunsForTesting(false);
-          const StackTrace generic = RunStack(g, c.options);
-          internal::SetSaturatedWindowRunsForTesting(true);
-          const StackTrace lifted = RunStack(g, c.options);
-          ASSERT_EQ(lifted.total, generic.total) << "seed=" << seed;
-          ASSERT_EQ(lifted.instances, generic.instances) << "seed=" << seed;
           const auto report = DiffAgainstOracle(g, c.options);
           EXPECT_TRUE(report.ok())
               << c.name << " seed=" << seed << "\n" << report.Summary();
         });
   }
-  internal::SetSaturatedWindowRunsForTesting(true);
 }
 
 }  // namespace

@@ -159,7 +159,6 @@ constexpr GatedField kGatedFields[] = {
     // Vectorized-kernel microbench: best-ISA over scalar per kernel. A
     // change that quietly devectorizes a kernel shows up as a speedup
     // collapse, a regression even though wall seconds barely move.
-    {"kernel_micro", "merge_speedup", true},
     {"kernel_micro", "probe_speedup", true},
     {"kernel_micro", "distinct_speedup", true},
     {"kernel_micro", "prefilter_speedup", true},

@@ -67,7 +67,9 @@ void Usage(const char* argv0, std::FILE* out = stderr) {
       "                   hash, count per-shard sub-graphs with a boundary\n"
       "                   halo, merge (exact; default 1 = off)\n"
       "  --csv=FILE       also write full counts as CSV\n"
-      "  --raw-ids        node ids are already dense (skip remapping)\n"
+      "  --raw-ids        node ids are already dense (skip remapping); ids\n"
+      "                   must be < 2147483647 and memory grows with the\n"
+      "                   largest id\n"
       "  --metrics-out=FILE  dump a Prometheus-text metrics snapshot at "
       "exit ('-' = stdout)\n",
       argv0);

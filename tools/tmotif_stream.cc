@@ -84,7 +84,9 @@ void Usage(const char* argv0, std::FILE* out = stderr) {
       "only)\n"
       "  --top=N             motif rows per report (default 10, 0 = all)\n"
       "  --threads=N         delta-ingestion shards (default 1)\n"
-      "  --raw-ids           node ids are already dense (skip remapping)\n"
+      "  --raw-ids           node ids are already dense (skip remapping);\n"
+      "                      ids must be < 2147483647 and memory grows\n"
+      "                      with the largest id\n"
       "  --metrics-out=FILE  dump a registry snapshot at exit "
       "('-' = stdout)\n"
       "  --metrics-format=F  prom|jsonl exporter format (default prom)\n"
