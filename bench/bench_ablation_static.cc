@@ -33,7 +33,7 @@ std::map<std::string, double> TemporalDistribution(
   const MotifCounts counts = CountMotifs(graph, o);
   std::map<std::string, double> dist;
   if (counts.total() == 0) return dist;
-  for (const auto& [code, count] : counts.raw()) {
+  for (const auto& [code, count] : counts.SortedByCode()) {
     dist[code] = static_cast<double>(count) /
                  static_cast<double>(counts.total());
   }

@@ -44,14 +44,12 @@ MotifCounts CountMotifsParallel(const TemporalGraph& graph,
     return CountMotifs(graph, options);
   }
   internal::ValidateEnumerationOptions(options);
-  // Shards accumulate packed-code tables (core/packed_table.h); the
-  // string-keyed MotifCounts is materialized once, after the merge.
-  const internal::PackedMotifTable table = internal::CountPackedSharded(
-      graph, options, 0, graph.num_events(), num_threads);
+  // Shards accumulate packed-code tables (core/packed_table.h); the merged
+  // table is folded into the counts once.
   MotifCounts merged;
-  table.ForEach([&](std::uint64_t packed, std::uint64_t count) {
-    merged.Add(internal::PackedCodeToString(packed), count);
-  });
+  merged.AddTable(internal::CountPackedSharded(graph, options, 0,
+                                               graph.num_events(),
+                                               num_threads));
   return merged;
 }
 

@@ -82,7 +82,6 @@ PackedMotifTable CountPackedShardedWith(const Graph& graph,
   for (std::thread& worker : workers) worker.join();
   RecordShardBalance(partials);
   for (const PackedMotifTable& partial : partials) merged.MergeFrom(partial);
-  merged.PublishTelemetry();
   return merged;
 }
 

@@ -246,10 +246,7 @@ ShardedCountResult CountMotifsShardedWithStats(
   PublishShardingTelemetry(result.shards);
   PackedMotifTable merged;
   for (const PackedMotifTable& partial : partials) merged.MergeFrom(partial);
-  merged.PublishTelemetry();
-  merged.ForEach([&](std::uint64_t packed, std::uint64_t count) {
-    result.counts.Add(internal::PackedCodeToString(packed), count);
-  });
+  result.counts.AddTable(merged);
   return result;
 }
 

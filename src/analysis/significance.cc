@@ -50,9 +50,9 @@ std::map<MotifCode, MotifSignificance> ComputeMotifSignificance(
   }
 
   std::set<MotifCode> codes;
-  for (const auto& [code, count] : observed.raw()) codes.insert(code);
+  for (const auto& [code, count] : observed.SortedByCode()) codes.insert(code);
   for (const MotifCounts& sample : ensemble) {
-    for (const auto& [code, count] : sample.raw()) codes.insert(code);
+    for (const auto& [code, count] : sample.SortedByCode()) codes.insert(code);
   }
 
   std::map<MotifCode, MotifSignificance> result;

@@ -11,22 +11,39 @@
 namespace tmotif {
 
 void MotifCounts::Add(std::string_view code, std::uint64_t count) {
-  counts_[std::string(code)] += count;
+  const std::uint64_t packed = internal::PackCode(code);
+  TMOTIF_CHECK_MSG(packed != 0,
+                   "not a canonical motif code of at most 8 events");
+  AddPacked(packed, count);
+}
+
+void MotifCounts::AddPacked(std::uint64_t packed, std::uint64_t count) {
+  if (count == 0) return;
+  counts_[packed] += count;
   total_ += count;
 }
 
-void MotifCounts::Sub(std::string_view code, std::uint64_t count) {
-  if (count == 0) return;
-  const auto it = counts_.find(std::string(code));
-  TMOTIF_CHECK_MSG(it != counts_.end() && it->second >= count,
-                   "motif count retraction exceeds recorded count");
-  it->second -= count;
-  total_ -= count;
-  if (it->second == 0) counts_.erase(it);
+void MotifCounts::AddTable(const internal::PackedMotifTable& table) {
+  table.PublishTelemetry();
+  table.ForEach(
+      [this](std::uint64_t packed, std::uint64_t n) { AddPacked(packed, n); });
+}
+
+void MotifCounts::SubtractTable(const internal::PackedMotifTable& table) {
+  table.PublishTelemetry();
+  table.ForEach([this](std::uint64_t packed, std::uint64_t n) {
+    if (n == 0) return;
+    const auto it = counts_.find(packed);
+    TMOTIF_CHECK_MSG(it != counts_.end() && it->second >= n,
+                     "motif count retraction exceeds recorded count");
+    it->second -= n;
+    total_ -= n;
+    if (it->second == 0) counts_.erase(it);
+  });
 }
 
 std::uint64_t MotifCounts::count(const MotifCode& code) const {
-  const auto it = counts_.find(code);
+  const auto it = counts_.find(internal::PackCode(code));
   return it == counts_.end() ? 0 : it->second;
 }
 
@@ -37,21 +54,20 @@ double MotifCounts::Proportion(const MotifCode& code) const {
 
 std::vector<std::pair<MotifCode, std::uint64_t>> MotifCounts::SortedByCount()
     const {
-  std::vector<std::pair<MotifCode, std::uint64_t>> out(counts_.begin(),
-                                                       counts_.end());
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
+  std::vector<std::pair<MotifCode, std::uint64_t>> out = SortedByCode();
+  std::stable_sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return a.second > b.second;
   });
   return out;
 }
 
 std::vector<std::pair<MotifCode, std::uint64_t>> MotifCounts::SortedByCode()
     const {
-  std::vector<std::pair<MotifCode, std::uint64_t>> out(counts_.begin(),
-                                                       counts_.end());
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<std::pair<MotifCode, std::uint64_t>> out;
+  for (const auto& [packed, n] : counts_) {
+    out.emplace_back(internal::PackedCodeToString(packed), n);
+  }
+  std::sort(out.begin(), out.end());  // Codes are unique.
   return out;
 }
 
@@ -84,10 +100,7 @@ MotifCounts CountMotifsInRange(const TemporalGraph& graph,
     internal::PackedTableSink sink{&table};
     internal::EnumerateCore(graph, options, first_begin, first_end, sink);
   }
-  table.PublishTelemetry();
-  table.ForEach([&](std::uint64_t packed, std::uint64_t count) {
-    counts.Add(internal::PackedCodeToString(packed), count);
-  });
+  counts.AddTable(table);
   return counts;
 }
 

@@ -2,8 +2,9 @@
 #define TMOTIF_CORE_COUNTER_H_
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/enumerator.h"
@@ -11,18 +12,29 @@
 
 namespace tmotif {
 
-/// A table of motif counts keyed by canonical motif code.
+namespace internal {
+class PackedMotifTable;
+}  // namespace internal
+
+/// A table of motif counts keyed by packed motif code (core/enumerate_core.h).
+/// The digit-string notation lives only at the edge: string arguments are
+/// parsed once (internal::PackCode) and only the sorted accessors spell.
 class MotifCounts {
  public:
+  /// Adds `count` occurrences of `code`, which must be a canonical code of
+  /// at most 8 events (aborts otherwise, like ParseCode). Adding 0 is a
+  /// no-op. AddPacked takes the packed code (checkpoint restore).
   void Add(std::string_view code, std::uint64_t count = 1);
+  void AddPacked(std::uint64_t packed, std::uint64_t count);
 
-  /// Removes `count` occurrences of `code`. Aborts when fewer than `count`
-  /// are present (a retraction must never exceed what was added); codes
-  /// whose count reaches zero are erased so num_codes() stays honest.
-  /// Used by the streaming counter (stream/) to retract expired instances.
-  void Sub(std::string_view code, std::uint64_t count = 1);
+  /// The delta funnel every counting engine feeds: adds (or removes) every
+  /// (code, count) of `table` and flushes the table's probe telemetry, so
+  /// each consumed table is flushed exactly once. A retraction exceeding
+  /// the recorded count aborts; codes reaching zero are erased.
+  void AddTable(const internal::PackedMotifTable& table);
+  void SubtractTable(const internal::PackedMotifTable& table);
 
-  /// Count for one code (0 when absent).
+  /// Count for one code (0 when absent or not a packable code).
   std::uint64_t count(const MotifCode& code) const;
 
   /// Sum over all codes.
@@ -41,19 +53,20 @@ class MotifCounts {
   /// (code, count) pairs sorted by code.
   std::vector<std::pair<MotifCode, std::uint64_t>> SortedByCode() const;
 
-  const std::unordered_map<MotifCode, std::uint64_t>& raw() const {
+  /// Packed code -> count (every count non-zero).
+  const std::unordered_map<std::uint64_t, std::uint64_t>& raw() const {
     return counts_;
   }
 
  private:
-  std::unordered_map<MotifCode, std::uint64_t> counts_;
+  std::unordered_map<std::uint64_t, std::uint64_t> counts_;
   std::uint64_t total_ = 0;
 };
 
 /// Enumerates instances under `options` and tallies them by canonical code.
 /// Runs on the devirtualized packed-code fast path: instances are
-/// accumulated into a flat table keyed by packed codes and converted to the
-/// string-keyed MotifCounts once at the end.
+/// accumulated into a flat table keyed by packed codes, which is folded
+/// into the result once at the end (MotifCounts::AddTable).
 MotifCounts CountMotifs(const TemporalGraph& graph,
                         const EnumerationOptions& options);
 
@@ -62,7 +75,7 @@ MotifCounts CountMotifs(const TemporalGraph& graph,
 /// range-restricted sibling of CountMotifs for callers doing their own
 /// partitioning. (CountMotifsParallel itself shards via
 /// internal::CountPackedSharded in algorithms/parallel.h, merging packed
-/// tables before the one string conversion.)
+/// tables before the one AddTable.)
 MotifCounts CountMotifsInRange(const TemporalGraph& graph,
                                const EnumerationOptions& options,
                                EventIndex first_begin, EventIndex first_end);

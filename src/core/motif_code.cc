@@ -53,7 +53,7 @@ std::vector<CodePair> ParseCode(const MotifCode& code) {
   return pairs;
 }
 
-bool IsValidCode(const MotifCode& code) {
+bool IsValidCode(std::string_view code) {
   if (code.empty() || code.size() % 2 != 0) return false;
   for (char c : code) {
     if (c < '0' || c > '9') return false;

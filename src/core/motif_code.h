@@ -2,6 +2,7 @@
 #define TMOTIF_CORE_MOTIF_CODE_H_
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -40,7 +41,7 @@ std::vector<CodePair> ParseCode(const MotifCode& code);
 /// digits only, no self-loops, first pair "01", new nodes introduced in
 /// order, and every event connected to an earlier one (single-component
 /// growth).
-bool IsValidCode(const MotifCode& code);
+bool IsValidCode(std::string_view code);
 
 /// Number of events of a valid code.
 int CodeNumEvents(const MotifCode& code);

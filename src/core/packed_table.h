@@ -9,8 +9,10 @@
 // hits, so a probe step costs one 16-byte compare + movemask instead of
 // up to 16 key loads. The motif spectra are tiny (36 three-event codes,
 // 696 four-event codes), so the whole table stays cache-resident while
-// the enumerator hammers Add() once per instance; conversion to the
-// string-keyed MotifCounts happens once, at the end of a count.
+// the enumerator hammers Add() once per instance; a finished table is
+// folded into the packed-keyed MotifCounts through its AddTable /
+// SubtractTable funnel. Codes are spelled as digit strings only when a
+// reader asks for them (MotifCounts' sorted accessors, printing).
 //
 // The scalar and vector match kernels return identical masks by
 // contract, so the probe sequence — and with it the table layout and
@@ -18,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "common/check.h"
@@ -34,6 +37,31 @@ inline MotifCode PackedCodeToString(std::uint64_t packed) {
   char buf[2 * kMaxCoreEvents];
   const int len = PackedCodeToChars(packed, PackedNumEvents(packed), buf);
   return MotifCode(buf, static_cast<std::size_t>(len));
+}
+
+/// The library's one parser from the digit-string notation: the packed
+/// code of `code`, or 0 (never a packed code) when `code` is not a
+/// canonical code (IsValidCode) of at most kMaxCoreEvents events.
+inline std::uint64_t PackCode(std::string_view code) {
+  if (code.size() > 2 * kMaxCoreEvents || !IsValidCode(code)) return 0;
+  std::uint64_t packed = 0;
+  for (std::size_t i = 0; i < code.size(); i += 2) {
+    packed |= PackPair(code[i] - '0', code[i + 1] - '0',
+                       static_cast<int>(i / 2));
+  }
+  return packed;
+}
+
+/// True when `packed` is a code the enumerator can emit under `options`:
+/// canonical (it spells and parses back to itself), with exactly
+/// options.num_events events over at most options.max_nodes nodes.
+/// Untrusted packed codes (checkpoint entries) must pass this first.
+inline bool IsCountablePacked(std::uint64_t packed,
+                              const EnumerationOptions& options) {
+  const MotifCode code = PackedCodeToString(packed);
+  return packed != 0 && PackCode(code) == packed &&
+         CodeNumEvents(code) == options.num_events &&
+         CodeNumNodes(code) <= options.max_nodes;
 }
 
 class PackedMotifTable {
@@ -106,12 +134,11 @@ class PackedMotifTable {
   /// Flushes the accumulated probe/resize telemetry into the process-wide
   /// core.table_probe_steps / core.table_resizes counters (plus the
   /// counting.kernel_probe_groups invocation counter of the group-match
-  /// kernel) and zeroes the local tally. Called at table-consumption
-  /// funnels (CountMotifsInRange, the sharded merge, the streaming
-  /// Add/SubtractTable helpers) — never per Add, so the hot loop stays
-  /// increment-only. Deliberately NOT destructor-based: tables are moved
-  /// and copied in worker vectors, and a destructor flush would
-  /// double-count.
+  /// kernel) and zeroes the local tally. Called only by the consumption
+  /// funnel (MotifCounts::AddTable / SubtractTable) — never per Add, so the
+  /// hot loop stays increment-only. Deliberately NOT destructor-based:
+  /// tables are moved and copied in worker vectors, and a destructor flush
+  /// would double-count.
   void PublishTelemetry() const {
 #ifndef TMOTIF_NO_TELEMETRY
     if (probe_steps_ == 0 && resizes_ == 0 && group_probes_ == 0) return;

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "common/fault_points.h"
-#include "core/motif_code.h"
+#include "core/packed_table.h"
 
 namespace tmotif {
 namespace {
@@ -125,13 +125,6 @@ class Reader {
     double v;
     std::memcpy(&v, &bits, sizeof(v));
     return v;
-  }
-
-  std::string Bytes(std::size_t n) {
-    if (!Require(n)) return std::string();
-    std::string s(data_ + pos_, n);
-    pos_ += n;
-    return s;
   }
 
   std::size_t remaining() const { return ok_ ? size_ - pos_ : 0; }
@@ -289,9 +282,8 @@ std::string EncodeCheckpoint(const StreamingMotifCounter& counter) {
   }
   SerializeStats(state.stats, &payload);
   PutU32(&payload, static_cast<std::uint32_t>(state.counts.size()));
-  for (const auto& [code, n] : state.counts) {
-    PutU32(&payload, static_cast<std::uint32_t>(code.size()));
-    payload.append(code);
+  for (const auto& [packed, n] : state.counts) {
+    PutU64(&payload, packed);
     PutU64(&payload, n);
   }
   PutU8(&payload, static_cast<std::uint8_t>(state.store_mode));
@@ -407,30 +399,25 @@ CheckpointResult DecodeCheckpoint(const std::string& bytes,
     return Fail(CheckpointStatus::kMalformed, "invalid ingest-stats block");
   }
   const std::uint32_t num_counts = r.U32();
-  if (!r.ok() || num_counts > r.remaining() / 12) {
-    // 12 = smallest serialized entry (u32 length + u64 count); the bound
-    // rejects absurd counts before any allocation.
+  if (!r.ok() || num_counts > r.remaining() / 16) {
+    // 16 = serialized entry (u64 code + u64 count); the bound rejects absurd
+    // counts before any allocation and keeps every entry read in range.
     return Fail(CheckpointStatus::kMalformed, "count entries exceed payload");
   }
+  const EnumerationOptions& options = counter->config().options;
   state.counts.reserve(num_counts);
   for (std::uint32_t i = 0; i < num_counts; ++i) {
-    const std::uint32_t code_len = r.U32();
-    if (!r.ok() || code_len > r.remaining()) {
-      return Fail(CheckpointStatus::kMalformed, "payload ends mid-count");
-    }
-    MotifCode code = r.Bytes(code_len);
+    const std::uint64_t packed = r.U64();
     const std::uint64_t n = r.U64();
-    if (!r.ok()) {
-      return Fail(CheckpointStatus::kMalformed, "payload ends mid-count");
+    if (n == 0 || !internal::IsCountablePacked(packed, options)) {
+      return Fail(CheckpointStatus::kMalformed,
+                  "invalid motif-count entry (not a code this stream counts)");
     }
-    if (!IsValidCode(code) || n == 0) {
-      return Fail(CheckpointStatus::kMalformed, "invalid motif-count entry");
-    }
-    if (!state.counts.empty() && code <= state.counts.back().first) {
+    if (!state.counts.empty() && packed <= state.counts.back().first) {
       return Fail(CheckpointStatus::kMalformed,
                   "motif counts not strictly ascending by code");
     }
-    state.counts.emplace_back(std::move(code), n);
+    state.counts.emplace_back(packed, n);
   }
   const std::uint8_t mode = r.U8();
   if (mode != static_cast<std::uint8_t>(StoreMode::kFull) &&

@@ -126,28 +126,10 @@ struct StreamMetrics {
 
 /// First event position from which an instance whose last event is at or
 /// after `last_time` can start (0 when timing imposes no timespan bound).
-template <typename Graph>
-EventIndex FirstPossibleStart(const Graph& graph, Timestamp last_time,
+EventIndex FirstPossibleStart(const WindowGraph& graph, Timestamp last_time,
                               const std::optional<Timestamp>& span) {
   if (!span.has_value()) return 0;
   return graph.LowerBoundTime(SaturatingSubtract(last_time, *span));
-}
-
-/// Applies a packed table of retracted instances to `counts` (and flushes
-/// the table's probe telemetry — this is a consumption funnel).
-void SubtractTable(const internal::PackedMotifTable& table,
-                   MotifCounts* counts) {
-  table.PublishTelemetry();
-  table.ForEach([&](std::uint64_t packed, std::uint64_t n) {
-    counts->Sub(internal::PackedCodeToString(packed), n);
-  });
-}
-
-void AddTable(const internal::PackedMotifTable& table, MotifCounts* counts) {
-  table.PublishTelemetry();
-  table.ForEach([&](std::uint64_t packed, std::uint64_t n) {
-    counts->Add(internal::PackedCodeToString(packed), n);
-  });
 }
 
 /// Sink forwarding the full instance-identity emit (event indices + digit
@@ -185,20 +167,44 @@ int ScopeStaticEdges(const WindowGraph& graph, const NodeId* nodes,
 }
 
 /// Subtract-half of the append-side boundary correction: removes survivors
-/// whose last event timestamp equals `t_b`, evaluated on the pre-append
-/// graph (either the live WindowGraph or the survivor-only TemporalGraph of
-/// the evict-tie correction, hence the template).
-template <typename Graph>
-void SubtractAppendTies(const Graph& graph, const EnumerationOptions& options,
-                        EventIndex lo, Timestamp t_b, MotifCounts* counts) {
+/// whose last event timestamp equals `t_b`, evaluated on the survivors
+/// (the evicted prefix has already left `graph`, the arrivals not yet
+/// entered it).
+void SubtractAppendTies(const WindowGraph& graph,
+                        const EnumerationOptions& options, EventIndex lo,
+                        Timestamp t_b, MotifCounts* counts) {
   internal::PackedMotifTable table;
   auto sink = internal::MakeFnSink(
       [&](const EventIndex* chosen, int k, std::uint64_t packed) {
         if (graph.event_time(chosen[k - 1]) == t_b) table.Add(packed);
       });
   internal::EnumerateCore(graph, options, lo, graph.num_events(), sink);
-  SubtractTable(table, counts);
+  counts->SubtractTable(table);
 }
+
+/// The counted-set changes of one store pass: entries whose cached verdicts
+/// moved them into or out of the counts.
+struct CountedChanges {
+  internal::PackedMotifTable admitted;
+  internal::PackedMotifTable retired;
+
+  /// Re-derives `entry.counted` from its cached verdicts; records a change.
+  void Update(LiveInstanceStore* store, LiveInstanceStore::Entry& entry) {
+    const bool counted = entry.covered && entry.order_valid;
+    if (counted == entry.counted) return;
+    entry.counted = counted;
+    store->NoteCountedChange(counted);
+    (counted ? admitted : retired).Add(entry.packed);
+  }
+
+  /// Folds the changes into `counts` and the admitted/retired stats.
+  void Apply(MotifCounts* counts, IngestStats* stats) const {
+    stats->store_admitted += admitted.total();
+    stats->store_retired += retired.total();
+    counts->AddTable(admitted);
+    counts->SubtractTable(retired);
+  }
+};
 
 /// Sink of the arrival path: keeps instances whose last event entered with
 /// the current batch.
@@ -431,11 +437,13 @@ std::optional<Timestamp> StreamingMotifCounter::SpanBound() const {
 const std::vector<std::pair<NodeId, NodeId>>&
 StreamingMotifCounter::CollectStaticEdgeFlips(std::size_t num_evict,
                                               const std::vector<Event>& added,
-                                              std::size_t added_begin) {
+                                              std::size_t added_begin,
+                                              bool* evicts_edge) {
   std::vector<std::pair<std::uint64_t, int>>& records = scratch_->edge_deltas;
   std::vector<std::pair<NodeId, NodeId>>& flips = scratch_->flips;
   records.clear();
   flips.clear();
+  if (evicts_edge != nullptr) *evicts_edge = false;
   if (!uses_static_inducedness_) return flips;
   for (std::size_t i = 0; i < num_evict; ++i) {
     const Event& e = window_.event(i);
@@ -450,8 +458,10 @@ StreamingMotifCounter::CollectStaticEdgeFlips(std::size_t num_evict,
   for (std::size_t i = 0; i < records.size();) {
     const std::uint64_t key = records[i].first;
     std::int64_t delta = 0;
+    std::int64_t evicted = 0;
     for (; i < records.size() && records[i].first == key; ++i) {
       delta += records[i].second;
+      if (records[i].second < 0) ++evicted;
     }
     const NodeId src = static_cast<NodeId>(key >> 32);
     const NodeId dst = static_cast<NodeId>(static_cast<std::uint32_t>(key));
@@ -459,6 +469,9 @@ StreamingMotifCounter::CollectStaticEdgeFlips(std::size_t num_evict,
         static_cast<std::int64_t>(live_.NumEdgeEvents(src, dst));
     const std::int64_t after = before + delta;
     if ((before > 0) != (after > 0)) flips.emplace_back(src, dst);
+    if (evicts_edge != nullptr && evicted > 0 && evicted == before) {
+      *evicts_edge = true;
+    }
   }
   return flips;
 }
@@ -492,7 +505,7 @@ void StreamingMotifCounter::SubtractFlipAffected(
         }
       });
   internal::EnumerateCoreAtRoots(live_, config_.options, roots, sink);
-  SubtractTable(removed, &counts_);
+  counts_.SubtractTable(removed);
 }
 
 bool StreamingMotifCounter::AddFlipAffected(
@@ -520,7 +533,7 @@ bool StreamingMotifCounter::AddFlipAffected(
         }
       });
   internal::EnumerateCoreAtRoots(live_, config_.options, roots, sink);
-  AddTable(added, &counts_);
+  counts_.AddTable(added);
   return true;
 }
 
@@ -538,12 +551,11 @@ void StreamingMotifCounter::RecountWindow() {
     scratch_->fast->Count(
         0, live_.num_events(), [](EventIndex) { return true; },
         [&](std::uint64_t code, std::uint64_t n) { table.Add(code, n); });
-    AddTable(table, &counts_);
+    counts_.AddTable(table);
   } else {
-    AddTable(internal::CountPackedSharded(live_, config_.options, 0,
-                                          live_.num_events(),
-                                          config_.num_threads),
-             &counts_);
+    counts_.AddTable(internal::CountPackedSharded(live_, config_.options, 0,
+                                                  live_.num_events(),
+                                                  config_.num_threads));
   }
 }
 
@@ -586,7 +598,7 @@ void StreamingMotifCounter::AddNewInstances(EventIndex begin) {
         });
   }
   stats_.instances_added += added.total();
-  AddTable(added, &counts_);
+  counts_.AddTable(added);
 }
 
 // --- Live-instance store path. ---
@@ -679,7 +691,7 @@ void StreamingMotifCounter::StoreAddCandidates(EventIndex lo, EventIndex hi,
     internal::EnumerateCore(live_, candidate_options_, lo, hi, sink);
   }
   if (count_churn) stats_.instances_added += added.total();
-  AddTable(added, &counts_);
+  counts_.AddTable(added);
 }
 
 void StreamingMotifCounter::StoreEvict(std::size_t num_evict) {
@@ -688,41 +700,27 @@ void StreamingMotifCounter::StoreEvict(std::size_t num_evict) {
     if (entry.counted) retired.Add(entry.packed);
   });
   stats_.instances_retracted += retired.total();
-  SubtractTable(retired, &counts_);
+  counts_.SubtractTable(retired);
 }
 
 void StreamingMotifCounter::StoreProcessFlips(
     const std::vector<std::pair<NodeId, NodeId>>& flips) {
   if (flips.empty()) return;
   const std::uint64_t stamp = store_.NextVisitStamp();
-  internal::PackedMotifTable admitted;
-  internal::PackedMotifTable retired;
+  CountedChanges changes;
   for (const auto& [u, v] : flips) {
     store_.ForEachTouching(u, v, [&](LiveInstanceStore::Entry& entry) {
       if (entry.visit_stamp == stamp) return;  // Touched via another flip.
       entry.visit_stamp = stamp;
       ++stats_.store_entries_touched;
-      const bool covered =
+      entry.covered =
           entry.distinct_pairs ==
           ScopeStaticEdges(live_, entry.nodes.data(), entry.num_nodes);
-      if (covered == entry.covered) return;
-      entry.covered = covered;
-      const bool counted = covered && entry.order_valid;
-      if (counted == entry.counted) return;
-      entry.counted = counted;
-      store_.NoteCountedChange(counted);
-      if (counted) {
-        admitted.Add(entry.packed);
-      } else {
-        retired.Add(entry.packed);
-      }
+      changes.Update(&store_, entry);
     });
   }
-  stats_.store_admitted += admitted.total();
-  stats_.store_retired += retired.total();
   ++stats_.store_flip_batches;
-  AddTable(admitted, &counts_);
-  SubtractTable(retired, &counts_);
+  changes.Apply(&counts_, &stats_);
 }
 
 bool StreamingMotifCounter::OrderValidAt(const EventIndex* pos, int k,
@@ -766,73 +764,35 @@ bool StreamingMotifCounter::OrderValidAt(const EventIndex* pos, int k,
   return true;
 }
 
-void StreamingMotifCounter::ReevaluateTailOrder(std::uint64_t id_begin,
-                                                std::uint64_t id_end) {
-  internal::PackedMotifTable admitted;
-  internal::PackedMotifTable retired;
-  store_.ForEachTailAnchored(
-      id_begin, id_end,
-      [&](LiveInstanceStore::Entry& entry, std::uint64_t tail_id) {
-        // The tail slot is positional truth: interleaved arrivals shifted
-        // this entry's last event in lockstep with the slot.
-        entry.event_ids[static_cast<std::size_t>(entry.num_events - 1)] =
-            tail_id;
-        ++stats_.store_order_rechecks;
-        EventIndex pos[internal::kMaxCoreEvents];
-        for (int i = 0; i < entry.num_events; ++i) {
-          pos[i] = static_cast<EventIndex>(
-              entry.event_ids[static_cast<std::size_t>(i)] - id_offset_);
-        }
-        const bool valid = OrderValidAt(pos, entry.num_events,
-                                        entry.nodes.data(), entry.num_nodes);
-        if (valid == entry.order_valid) return;
-        entry.order_valid = valid;
-        const bool counted = entry.covered && valid;
-        if (counted == entry.counted) return;
-        entry.counted = counted;
-        store_.NoteCountedChange(counted);
-        if (counted) {
-          admitted.Add(entry.packed);
-        } else {
-          retired.Add(entry.packed);
-        }
-      });
-  stats_.store_admitted += admitted.total();
-  stats_.store_retired += retired.total();
-  AddTable(admitted, &counts_);
-  SubtractTable(retired, &counts_);
-}
-
-void StreamingMotifCounter::ReevaluateAnchorOrder(std::uint64_t id_begin,
-                                                  std::uint64_t id_end) {
-  internal::PackedMotifTable admitted;
-  internal::PackedMotifTable retired;
-  store_.ForEachAnchoredInRange(
-      id_begin, id_end, [&](LiveInstanceStore::Entry& entry) {
-        ++stats_.store_order_rechecks;
-        EventIndex pos[internal::kMaxCoreEvents];
-        for (int i = 0; i < entry.num_events; ++i) {
-          pos[i] = static_cast<EventIndex>(
-              entry.event_ids[static_cast<std::size_t>(i)] - id_offset_);
-        }
-        const bool valid = OrderValidAt(pos, entry.num_events,
-                                        entry.nodes.data(), entry.num_nodes);
-        if (valid == entry.order_valid) return;
-        entry.order_valid = valid;
-        const bool counted = entry.covered && valid;
-        if (counted == entry.counted) return;
-        entry.counted = counted;
-        store_.NoteCountedChange(counted);
-        if (counted) {
-          admitted.Add(entry.packed);
-        } else {
-          retired.Add(entry.packed);
-        }
-      });
-  stats_.store_admitted += admitted.total();
-  stats_.store_retired += retired.total();
-  AddTable(admitted, &counts_);
-  SubtractTable(retired, &counts_);
+void StreamingMotifCounter::ReevaluateOrder(std::uint64_t id_begin,
+                                            std::uint64_t id_end,
+                                            bool by_tail) {
+  CountedChanges changes;
+  const auto recheck = [&](LiveInstanceStore::Entry& entry) {
+    ++stats_.store_order_rechecks;
+    EventIndex pos[internal::kMaxCoreEvents];
+    for (int i = 0; i < entry.num_events; ++i) {
+      pos[i] = static_cast<EventIndex>(
+          entry.event_ids[static_cast<std::size_t>(i)] - id_offset_);
+    }
+    entry.order_valid = OrderValidAt(pos, entry.num_events,
+                                     entry.nodes.data(), entry.num_nodes);
+    changes.Update(&store_, entry);
+  };
+  if (by_tail) {
+    store_.ForEachTailAnchored(
+        id_begin, id_end,
+        [&](LiveInstanceStore::Entry& entry, std::uint64_t tail_id) {
+          // The tail slot is positional truth: interleaved arrivals shifted
+          // this entry's last event in lockstep with the slot.
+          entry.event_ids[static_cast<std::size_t>(entry.num_events - 1)] =
+              tail_id;
+          recheck(entry);
+        });
+  } else {
+    store_.ForEachAnchoredInRange(id_begin, id_end, recheck);
+  }
+  changes.Apply(&counts_, &stats_);
 }
 
 // --- Ingestion. ---
@@ -950,6 +910,17 @@ void StreamingMotifCounter::IngestOrdered(const std::vector<Event>& batch) {
 
   const std::optional<Timestamp> span = SpanBound();
   const EventIndex n_evict = static_cast<EventIndex>(plan.num_evict);
+  // Survivors can only flip validity at shared boundary timestamps (or via
+  // static-edge flips): an evicted or arriving event lies inside a
+  // surviving instance's scope only when it ties the instance's first or
+  // last timestamp. See docs/STREAMING.md for the case analysis.
+  const bool evict_tie =
+      n_evict > 0 && live_.event_time(n_evict - 1) == live_.event_time(n_evict);
+  const Timestamp t_ev = n_evict > 0 ? live_.event_time(n_evict - 1) : 0;
+  const Timestamp old_surviving_max =
+      live_.event_time(static_cast<EventIndex>(old_size) - 1);
+  const bool append_tie =
+      num_new > 0 && batch[plan.batch_begin].time == old_surviving_max;
 
   if (store_active()) {
     // Store path: candidate validity is instance-local, so survivors never
@@ -965,14 +936,6 @@ void StreamingMotifCounter::IngestOrdered(const std::vector<Event>& batch) {
     // pays.
     const std::vector<std::pair<NodeId, NodeId>>& flips =
         CollectStaticEdgeFlips(plan.num_evict, batch, plan.batch_begin);
-    const bool evict_tie =
-        n_evict > 0 &&
-        live_.event_time(n_evict - 1) == live_.event_time(n_evict);
-    const Timestamp t_ev = n_evict > 0 ? live_.event_time(n_evict - 1) : 0;
-    const Timestamp old_surviving_max =
-        live_.event_time(static_cast<EventIndex>(old_size) - 1);
-    const bool append_tie =
-        num_new > 0 && batch[plan.batch_begin].time == old_surviving_max;
     if (n_evict > 0) StoreEvict(plan.num_evict);
     {
       obs::PhaseTimer span(metrics.phase4_apply, "stream.phase4_apply");
@@ -996,16 +959,18 @@ void StreamingMotifCounter::IngestOrdered(const std::vector<Event>& batch) {
       StoreProcessFlips(flips);  // Post-apply edge state.
     }
     if (track_tails_ && append_tie) {
-      ReevaluateTailOrder(
+      ReevaluateOrder(
           id_offset_ + static_cast<std::uint64_t>(
                            live_.LowerBoundTime(old_surviving_max)),
           id_offset_ + static_cast<std::uint64_t>(
-                           live_.UpperBoundTime(old_surviving_max)));
+                           live_.UpperBoundTime(old_surviving_max)),
+          /*by_tail=*/true);
     }
     if (track_tails_ && config_.options.cdg_restriction && evict_tie) {
-      ReevaluateAnchorOrder(
+      ReevaluateOrder(
           id_offset_,
-          id_offset_ + static_cast<std::uint64_t>(live_.UpperBoundTime(t_ev)));
+          id_offset_ + static_cast<std::uint64_t>(live_.UpperBoundTime(t_ev)),
+          /*by_tail=*/false);
     }
     if (num_new > 0) {
       obs::PhaseTimer phase_span(metrics.phase6_arrivals,
@@ -1020,17 +985,6 @@ void StreamingMotifCounter::IngestOrdered(const std::vector<Event>& batch) {
     return;
   }
 
-  // Survivors can only flip validity at shared boundary timestamps (or via
-  // static-edge flips, handled below): an evicted or arriving event lies
-  // inside a surviving instance's scope only when it ties the instance's
-  // first or last timestamp. See docs/STREAMING.md for the case analysis.
-  const bool evict_tie =
-      n_evict > 0 && live_.event_time(n_evict - 1) == live_.event_time(n_evict);
-  const Timestamp old_surviving_max =
-      live_.event_time(static_cast<EventIndex>(old_size) - 1);
-  const bool append_tie =
-      num_new > 0 && batch[plan.batch_begin].time == old_surviving_max;
-
   // Static inducedness with the store off (memory budget): when the
   // window's static edge set changes, survivor instances whose node set
   // spans a flipped pair change validity. The scoped correction subtracts
@@ -1041,10 +995,14 @@ void StreamingMotifCounter::IngestOrdered(const std::vector<Event>& batch) {
   // with a boundary tie (the two corrections would overlap), where the flip
   // set is too large to localize cheaply, or where the collected root set
   // approaches the window itself (the scoped passes would cost more than
-  // one recount).
-  const std::vector<std::pair<NodeId, NodeId>>& flips =
-      CollectStaticEdgeFlips(plan.num_evict, batch, plan.batch_begin);
-  if (!flips.empty()) {
+  // one recount). A boundary tie also falls back when the eviction alone
+  // removes an edge, even one the batch re-adds: the tie corrections run
+  // on the survivors, whose edge set is then neither the old nor the new
+  // one.
+  bool evicts_edge = false;
+  const std::vector<std::pair<NodeId, NodeId>>& flips = CollectStaticEdgeFlips(
+      plan.num_evict, batch, plan.batch_begin, &evicts_edge);
+  if (!flips.empty() || (evicts_edge && (evict_tie || append_tie))) {
     constexpr std::size_t kMaxScopedFlips = 32;
     std::vector<EventIndex> flip_roots;
     bool scoped = !evict_tie && !append_tie && flips.size() <= kMaxScopedFlips;
@@ -1064,9 +1022,15 @@ void StreamingMotifCounter::IngestOrdered(const std::vector<Event>& batch) {
     SubtractFlipAffected(flips, flip_roots);
   }
 
-  // Phase 1 — retract instances anchored at evicted events. The evicted
-  // events form a canonical prefix, so an instance loses an event exactly
-  // when its first event is evicted. Runs on the live pre-update indices.
+  // Phase 1 — retire the evicted prefix. The evicted events form a
+  // canonical prefix, so an instance loses an event exactly when its first
+  // event is evicted; those are retracted on the pre-update indices. Under
+  // a non-local predicate, survivors whose first event ties the eviction
+  // boundary are removed too, at the validity they were counted with
+  // (phase 2 re-adds them). Then the prefix leaves the window and the live
+  // indices as an update of its own — an empty batch moves no clock and
+  // pops no tie group — so phases 2 and 3 run on the survivors.
+  const bool evict_correction = has_nonlocal_ && evict_tie;
   if (n_evict > 0) {
     obs::PhaseTimer phase_span(metrics.phase1_retract,
                                "stream.phase1_retract");
@@ -1098,38 +1062,32 @@ void StreamingMotifCounter::IngestOrdered(const std::vector<Event>& batch) {
       internal::EnumerateCore(live_, config_.options, 0, n_evict, sink);
     }
     stats_.instances_retracted += retracted.total();
-    SubtractTable(retracted, &counts_);
+    counts_.SubtractTable(retracted);
+    if (evict_correction) {
+      internal::PackedMotifTable table;
+      internal::PackedTableSink sink{&table};
+      internal::EnumerateCore(live_, config_.options, n_evict,
+                              live_.UpperBoundTime(t_ev), sink);
+      counts_.SubtractTable(table);
+    }
+    const IngestPlan evict{plan.num_evict, 0};
+    live_.BeginUpdate(evict, {});
+    window_.Apply(evict, {});
+    live_.FinishUpdate();
+    id_offset_ += plan.num_evict;
   }
 
-  // Phase 2 — evict-side boundary correction: survivors whose first event
-  // shares the eviction boundary timestamp are re-evaluated without the
-  // evicted tie events.
-  TemporalGraph mid;  // Survivor-only graph, built only when needed (rare).
-  bool use_mid = false;
-  if (has_nonlocal_ && evict_tie) {
+  // Phase 2 — evict-side boundary correction, add-back half: the
+  // tie-group survivors phase 1 removed re-enter at their validity without
+  // the evicted tie events.
+  if (evict_correction) {
     obs::PhaseTimer phase_span(metrics.phase2_evict_tie,
                                "stream.phase2_evict_tie");
-    const Timestamp t_ev = live_.event_time(n_evict - 1);
-    const EventIndex tie_end = live_.UpperBoundTime(t_ev);
-    {
-      internal::PackedMotifTable table;
-      internal::PackedTableSink sink{&table};
-      internal::EnumerateCore(live_, config_.options, n_evict, tie_end, sink);
-      SubtractTable(table, &counts_);
-    }
-    TemporalGraphBuilder builder;
-    for (std::size_t i = plan.num_evict; i < old_size; ++i) {
-      builder.AddEvent(window_.event(i));
-    }
-    mid = builder.Build();
-    use_mid = true;
-    {
-      internal::PackedMotifTable table;
-      internal::PackedTableSink sink{&table};
-      internal::EnumerateCore(mid, config_.options, 0, tie_end - n_evict,
-                              sink);
-      AddTable(table, &counts_);
-    }
+    internal::PackedMotifTable table;
+    internal::PackedTableSink sink{&table};
+    internal::EnumerateCore(live_, config_.options, 0,
+                            live_.UpperBoundTime(t_ev), sink);
+    counts_.AddTable(table);
     ++stats_.tie_corrections;
   }
 
@@ -1141,26 +1099,21 @@ void StreamingMotifCounter::IngestOrdered(const std::vector<Event>& batch) {
     obs::PhaseTimer phase_span(metrics.phase3_append_tie,
                                "stream.phase3_append_tie");
     const Timestamp t_b = old_surviving_max;
-    if (use_mid) {
-      const EventIndex lo = FirstPossibleStart(mid, t_b, span);
-      SubtractAppendTies(mid, config_.options, lo, t_b, &counts_);
-    } else {
-      const EventIndex lo =
-          std::max(n_evict, FirstPossibleStart(live_, t_b, span));
-      SubtractAppendTies(live_, config_.options, lo, t_b, &counts_);
-    }
+    SubtractAppendTies(live_, config_.options,
+                       FirstPossibleStart(live_, t_b, span), t_b, &counts_);
     ++stats_.tie_corrections;
   }
 
-  // Phase 4 — slide the window and update the live indices incrementally
-  // (O(evicted + tie group + entered); no window-graph rebuild).
+  // Phase 4 — enter the arrivals, advance the stream clock, and update the
+  // live indices incrementally (O(tie group + entered); no window-graph
+  // rebuild).
   {
     obs::PhaseTimer phase_span(metrics.phase4_apply, "stream.phase4_apply");
-    live_.BeginUpdate(plan, batch);
-    window_.Apply(plan, batch, &new_positions_);
+    const IngestPlan enter{0, plan.batch_begin};
+    live_.BeginUpdate(enter, batch);
+    window_.Apply(enter, batch, &new_positions_);
     live_.FinishUpdate();
   }
-  id_offset_ += plan.num_evict;
   InvalidateSnapshot();
   is_new_.assign(window_.size(), 0);
   for (const std::size_t p : new_positions_) is_new_[p] = 1;
@@ -1202,7 +1155,7 @@ void StreamingMotifCounter::IngestOrdered(const std::vector<Event>& batch) {
           if (live_.event_time(last) == t_b) table.Add(packed);
         });
     internal::EnumerateCore(live_, config_.options, lo, hi, sink);
-    AddTable(table, &counts_);
+    counts_.AddTable(table);
   }
 
   // Phase 6 — count arriving instances: every instance that includes a new
@@ -1331,7 +1284,7 @@ void StreamingMotifCounter::IngestLate(const std::vector<Event>& late) {
     internal::PackedTableSink sink{&retracted};
     internal::EnumerateCore(live_, config_.options, 0, n_evict, sink);
     stats_.instances_retracted += retracted.total();
-    SubtractTable(retracted, &counts_);
+    counts_.SubtractTable(retracted);
   }
 
   // Non-local predicates (consecutive, CDG, temporal-window inducedness):
@@ -1347,7 +1300,7 @@ void StreamingMotifCounter::IngestLate(const std::vector<Event>& late) {
     internal::EnumerateCore(live_, config_.options,
                             FirstPossibleStart(live_, min_late_time, span),
                             live_.UpperBoundTime(max_late_time), sink);
-    SubtractTable(removed, &counts_);
+    counts_.SubtractTable(removed);
   }
 
   ApplySplice(plan.num_evict, late, plan.batch_begin);
@@ -1359,7 +1312,7 @@ void StreamingMotifCounter::IngestLate(const std::vector<Event>& late) {
     internal::EnumerateCore(live_, config_.options,
                             FirstPossibleStart(live_, min_late_time, span),
                             live_.UpperBoundTime(max_late_time), sink);
-    AddTable(added, &counts_);
+    counts_.AddTable(added);
   } else {
     // Purely local predicate: existing instances are untouched, so only
     // instances containing a spliced event are new.
@@ -1377,7 +1330,7 @@ void StreamingMotifCounter::IngestLate(const std::vector<Event>& late) {
                             FirstPossibleStart(live_, min_late_time, span),
                             max_pos + 1, sink);
     stats_.instances_added += added.total();
-    AddTable(added, &counts_);
+    counts_.AddTable(added);
   }
   ++stats_.late_splices;
 }
@@ -1440,7 +1393,7 @@ void StreamingMotifCounter::PromoteStore() {
   MotifCounts saved = std::move(counts_);
   counts_ = MotifCounts();
   RebuildStore();
-  TMOTIF_CHECK_MSG(counts_.SortedByCode() == saved.SortedByCode(),
+  TMOTIF_CHECK_MSG(counts_.raw() == saved.raw(),
                    "store promotion derived different counts");
 }
 
@@ -1454,7 +1407,8 @@ StreamCheckpointState StreamingMotifCounter::CaptureCheckpointState() const {
   state.saw_any_event = window_.saw_any_event();
   state.max_duration_seen = max_duration_seen_;
   state.stats = stats_;
-  state.counts = counts_.SortedByCode();
+  state.counts.assign(counts_.raw().begin(), counts_.raw().end());
+  std::sort(state.counts.begin(), state.counts.end());
   state.store_mode = store_mode_;
   state.promote_streak = promote_streak_;
   state.full_bytes_per_event = full_bytes_per_event_;
@@ -1476,15 +1430,17 @@ bool StreamingMotifCounter::RestoreCheckpointState(
       uses_static_inducedness_ ? state.store_mode : StoreMode::kFull;
   promote_streak_ = state.promote_streak;
   full_bytes_per_event_ = state.full_bytes_per_event;
-  counts_ = MotifCounts();
-  for (const auto& [code, n] : state.counts) counts_.Add(code, n);
+  MotifCounts restored;
+  for (const auto& [packed, n] : state.counts) restored.AddPacked(packed, n);
   store_.Reset(0);
-  if (store_active()) {
+  if (!store_active()) {
+    counts_ = std::move(restored);
+  } else {
     // The store is not serialized; regenerate it from the window and
     // cross-check the re-derived counted set against the checkpoint.
     counts_ = MotifCounts();
     RebuildStore();
-    if (counts_.SortedByCode() != state.counts) {
+    if (counts_.raw() != restored.raw()) {
       if (error != nullptr) {
         *error =
             "regenerated instance store disagrees with the checkpointed "

@@ -122,8 +122,8 @@ struct StreamCheckpointState {
   bool saw_any_event = false;
   Duration max_duration_seen = 0;
   IngestStats stats;
-  /// counts() as (code, count) pairs sorted by code.
-  std::vector<std::pair<MotifCode, std::uint64_t>> counts;
+  /// counts() as (packed code, count) pairs, ascending by packed code.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> counts;
   /// Store state and promotion hysteresis (meaningful only under static
   /// inducedness; defaults otherwise).
   StoreMode store_mode = StoreMode::kFull;
@@ -149,7 +149,9 @@ struct StreamCheckpointState {
 /// All delta-path enumeration runs on the devirtualized core
 /// (core/enumerate_core.h) directly over incrementally maintained
 /// per-node / per-edge window indices (stream/window_graph.h) — no
-/// per-batch window-graph rebuild. A TemporalGraph snapshot of the window
+/// per-batch window-graph rebuild. Every delta reaches `counts()` as a
+/// packed-code table through MotifCounts::AddTable / SubtractTable; no code
+/// is spelled on the ingest path. A TemporalGraph snapshot of the window
 /// is materialized lazily, only when `window_graph()` / `WindowTimespans()`
 /// are called.
 ///
@@ -238,10 +240,12 @@ class StreamingMotifCounter {
   /// disappears) when the `num_evict`-event canonical prefix leaves and
   /// `added[added_begin:]` enters; always empty without static inducedness.
   /// Deterministic order (sorted by node-pair key). The list lives in the
-  /// delta scratch and stays valid until the next call.
+  /// delta scratch and stays valid until the next call. `evicts_edge`
+  /// (optional) reports whether the prefix alone holds every occurrence of
+  /// some edge, i.e. whether the survivors' edge set lacks one.
   const std::vector<std::pair<NodeId, NodeId>>& CollectStaticEdgeFlips(
       std::size_t num_evict, const std::vector<Event>& added,
-      std::size_t added_begin);
+      std::size_t added_begin, bool* evicts_edge = nullptr);
 
   /// In-order ingestion (every time at or above the stream clock). The
   /// shared tail of Ingest.
@@ -285,14 +289,14 @@ class StreamingMotifCounter {
   bool OrderValidAt(const EventIndex* pos, int k, const NodeId* nodes,
                     int num_nodes) const;
   /// Re-evaluates the order verdict of every store entry whose LAST event
-  /// id lies in [id_begin, id_end), re-syncing the stored last-event id
-  /// from the tail slot first (arrivals interleaving in the trailing tie
-  /// group are the only thing that shifts it). Admits/retires on change.
-  void ReevaluateTailOrder(std::uint64_t id_begin, std::uint64_t id_end);
-  /// Same for entries whose FIRST event id lies in the range (the eviction
-  /// boundary tie group, where an evicted same-time interloper can
-  /// un-violate a CDG gap).
-  void ReevaluateAnchorOrder(std::uint64_t id_begin, std::uint64_t id_end);
+  /// id (`by_tail`) or FIRST event id lies in [id_begin, id_end); admits or
+  /// retires on change. The tail pass covers the arriving batch's tie group
+  /// (arrivals interleaving there are the only thing that shifts a stored
+  /// last-event id, so it re-syncs that id from the tail slot first); the
+  /// anchor pass covers the eviction boundary tie group, where an evicted
+  /// same-time interloper can un-violate a CDG gap.
+  void ReevaluateOrder(std::uint64_t id_begin, std::uint64_t id_end,
+                       bool by_tail);
 
   // --- Memory-budget degradation (docs/RESILIENCE.md). ---
 

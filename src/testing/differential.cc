@@ -155,7 +155,7 @@ DifferentialReport DiffAgainstOracle(const TemporalGraph& graph,
         std::to_string(oracle_table.total()) + " codes=" +
         std::to_string(oracle_table.num_codes()));
   }
-  for (const auto& [code, count] : oracle_table.raw()) {
+  for (const auto& [code, count] : oracle_table.SortedByCode()) {
     if (fast_table.count(code) != count) {
       report.mismatches.push_back(
           "CountMotifs[" + code + "]=" +

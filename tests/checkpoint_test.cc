@@ -330,7 +330,7 @@ TEST(Checkpoint, OperationalKnobsDoNotChangeTheFingerprint) {
 
 // --- Crafted CRC-valid fixtures: structural checks behind the checksum. ---
 
-// Byte layout of a version-3 file (docs/RESILIENCE.md): a 16-byte header
+// Byte layout of a version-4 file (docs/RESILIENCE.md): a 16-byte header
 // (magic, u32 version, u64 payload size), the payload, a u32 CRC trailer.
 constexpr std::size_t kHeaderBytes = 16;
 constexpr std::size_t kCrcBytes = 4;
@@ -350,6 +350,12 @@ std::uint32_t ReferenceCrc32(const std::string& data) {
 
 void PutU32At(std::string* bytes, std::size_t offset, std::uint32_t v) {
   for (std::size_t i = 0; i < 4; ++i) {
+    (*bytes)[offset + i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
+  }
+}
+
+void PutU64At(std::string* bytes, std::size_t offset, std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i) {
     (*bytes)[offset + i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
   }
 }
@@ -381,6 +387,11 @@ std::size_t CountsFieldOffset(std::size_t num_window_events) {
          8 * 22;
 }
 
+/// Offset of count entry `i` (u64 packed code, u64 count; 16 bytes each).
+std::size_t CountEntryOffset(std::size_t num_window_events, std::size_t i) {
+  return CountsFieldOffset(num_window_events) + 4 + 16 * i;
+}
+
 /// Offset of the store-mode byte: it precedes the u32 promote streak, the
 /// f64 bytes-per-event estimate and the CRC trailer.
 std::size_t StoreModeOffset(const std::string& bytes) {
@@ -397,21 +408,69 @@ std::string CraftableEncoding(StreamingMotifCounter* counter) {
   EXPECT_EQ(GetU32At(bytes, CountsFieldOffset(counter->window_size())),
             counter->counts().num_codes())
       << "count-entry field not where the layout says";
+  EXPECT_EQ(CountEntryOffset(counter->window_size(),
+                             counter->counts().num_codes()),
+            StoreModeOffset(bytes))
+      << "count entries are not 16 bytes each";
   EXPECT_EQ(bytes[StoreModeOffset(bytes)], 0) << "store-mode byte misplaced";
   return bytes;
 }
 
-// A CRC-valid count-entry field of 0xFFFFFFFF must be rejected before the
-// decoder reserves for it: reserving first throws std::bad_alloc, which
-// aborts a restore.
+// The count-entry field is bounded by the 16-byte entry size before the
+// decoder reserves for it (reserving first lets a CRC-valid 0xFFFFFFFF
+// throw std::bad_alloc, which aborts a restore). One entry more than the
+// remaining payload can hold is rejected by that bound, not by a later
+// overrun.
 TEST(Checkpoint, CraftedHugeCountEntryFieldIsMalformed) {
   StreamingMotifCounter counter(FixtureConfig());
   std::string bytes = CraftableEncoding(&counter);
-  PutU32At(&bytes, CountsFieldOffset(counter.window_size()), 0xFFFFFFFFu);
-  FixUpCrc(&bytes);
-  StreamingMotifCounter fresh(FixtureConfig());
-  const CheckpointResult r = DecodeCheckpoint(bytes, &fresh);
-  EXPECT_EQ(r.status, CheckpointStatus::kMalformed) << r.message;
+  const std::size_t field = CountsFieldOffset(counter.window_size());
+  const std::size_t remaining = bytes.size() - kCrcBytes - (field + 4);
+  for (const std::uint32_t entries :
+       {static_cast<std::uint32_t>(remaining / 16 + 1), 0xFFFFFFFFu}) {
+    std::string crafted = bytes;
+    PutU32At(&crafted, field, entries);
+    FixUpCrc(&crafted);
+    StreamingMotifCounter fresh(FixtureConfig());
+    const CheckpointResult r = DecodeCheckpoint(crafted, &fresh);
+    EXPECT_EQ(r.status, CheckpointStatus::kMalformed) << r.message;
+    EXPECT_NE(r.message.find("exceed payload"), std::string::npos)
+        << entries << " entries: " << r.message;
+  }
+}
+
+// CRC-valid count entries the stream cannot count are malformed even on
+// the store-free path, which has no recount to cross-check them against.
+// Each crafted code sorts where the entry it replaces sat, so only the
+// shape checks can reject it.
+TEST(Checkpoint, CraftedUncountableCodesAreMalformed) {
+  StreamingMotifCounter counter(FixtureConfig());  // k = 3, max_nodes = 3.
+  const std::string bytes = CraftableEncoding(&counter);
+  ASSERT_GE(counter.counts().num_codes(), 2u);
+  const std::size_t last = counter.counts().num_codes() - 1;
+  struct Crafted {
+    const char* what;
+    std::size_t entry;
+    std::uint64_t packed;
+  };
+  const Crafted kCrafted[] = {
+      // Spells "010001": a self-loop pair, not a canonical code.
+      {"non-canonical", 0, 0x010001},
+      // The canonical one-event code "01" in a three-event stream.
+      {"wrong length", 0, 0x01},
+      // The canonical "011223": four nodes against max_nodes = 3.
+      {"too many nodes", last, 0x231201},
+  };
+  for (const Crafted& c : kCrafted) {
+    std::string crafted = bytes;
+    const std::size_t offset = CountEntryOffset(counter.window_size(), c.entry);
+    PutU64At(&crafted, offset, c.packed);
+    PutU64At(&crafted, offset + 8, 5);
+    FixUpCrc(&crafted);
+    StreamingMotifCounter fresh(FixtureConfig());
+    const CheckpointResult r = DecodeCheckpoint(crafted, &fresh);
+    EXPECT_EQ(r.status, CheckpointStatus::kMalformed) << c.what;
+  }
 }
 
 // Only store-mode bytes 0 (store on) and 2 (store off) decode; 1 (a v2
@@ -426,16 +485,20 @@ TEST(Checkpoint, CraftedCountedOnlyStoreModeIsMalformed) {
   EXPECT_EQ(r.status, CheckpointStatus::kMalformed) << r.message;
 }
 
-// Version-2 files (with the counted-only fields) are rejected outright, not
-// migrated.
+// Version-2 files (with the counted-only fields) and version-3 files (with
+// string-keyed count entries) are rejected outright, not migrated.
 TEST(Checkpoint, VersionTwoFilesAreBadVersion) {
   StreamingMotifCounter counter(FixtureConfig());
-  std::string bytes = CraftableEncoding(&counter);
-  PutU32At(&bytes, 4, 2);  // The version field follows the magic.
-  FixUpCrc(&bytes);
-  StreamingMotifCounter fresh(FixtureConfig());
-  const CheckpointResult r = DecodeCheckpoint(bytes, &fresh);
-  EXPECT_EQ(r.status, CheckpointStatus::kBadVersion) << r.message;
+  const std::string bytes = CraftableEncoding(&counter);
+  for (const std::uint32_t version : {2u, 3u}) {
+    std::string crafted = bytes;
+    PutU32At(&crafted, 4, version);  // The version field follows the magic.
+    FixUpCrc(&crafted);
+    StreamingMotifCounter fresh(FixtureConfig());
+    const CheckpointResult r = DecodeCheckpoint(crafted, &fresh);
+    EXPECT_EQ(r.status, CheckpointStatus::kBadVersion)
+        << "version " << version << ": " << r.message;
+  }
 }
 
 // --- Fault-injected write paths. ---

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/models/vanilla.h"
+#include "core/packed_table.h"
 #include "graph/temporal_graph.h"
 
 namespace tmotif {
@@ -48,6 +49,60 @@ TEST(MotifCounts, SortedByCode) {
   const auto sorted = counts.SortedByCode();
   EXPECT_EQ(sorted[0].first, "0101");
   EXPECT_EQ(sorted[1].first, "0121");
+}
+
+TEST(MotifCounts, AddingZeroCreatesNoEntry) {
+  MotifCounts counts;
+  counts.Add("011202", 0);
+  EXPECT_EQ(counts.num_codes(), 0u);
+  EXPECT_EQ(counts.total(), 0u);
+  EXPECT_TRUE(counts.SortedByCount().empty());
+  counts.Add("011202", 2);
+  counts.Add("011202", 0);
+  counts.Add("010102", 0);
+  EXPECT_EQ(counts.num_codes(), 1u);
+  EXPECT_EQ(counts.count("011202"), 2u);
+}
+
+TEST(MotifCounts, CountOfAnUnpackableCodeIsZero) {
+  MotifCounts counts;
+  counts.Add("01", 3);
+  counts.Add("011202", 4);
+  EXPECT_EQ(counts.count(""), 0u);
+  EXPECT_EQ(counts.count("0a"), 0u);
+  EXPECT_EQ(counts.count("010101010101010101"), 0u);  // Nine events.
+  EXPECT_DOUBLE_EQ(counts.Proportion("0a"), 0.0);
+  EXPECT_EQ(counts.count("01"), 3u);
+}
+
+TEST(MotifCounts, TablesAddAndSubtractByPackedCode) {
+  internal::PackedMotifTable table;
+  table.Add(internal::PackCode("011202"), 3);
+  table.Add(internal::PackCode("0101"));
+  MotifCounts counts;
+  counts.Add("0101", 2);
+  counts.AddTable(table);
+  EXPECT_EQ(counts.count("011202"), 3u);
+  EXPECT_EQ(counts.count("0101"), 3u);
+  EXPECT_EQ(counts.total(), 6u);
+  counts.SubtractTable(table);
+  // Codes whose count reaches zero are erased.
+  EXPECT_EQ(counts.num_codes(), 1u);
+  EXPECT_EQ(counts.count("0101"), 2u);
+  EXPECT_EQ(counts.raw().count(internal::PackCode("011202")), 0u);
+}
+
+TEST(MotifCountsDeathTest, RetractionBeyondTheCountAborts) {
+  internal::PackedMotifTable table;
+  table.Add(internal::PackCode("0101"), 2);
+  MotifCounts counts;
+  counts.Add("0101");
+  EXPECT_DEATH(counts.SubtractTable(table), "retraction exceeds");
+}
+
+TEST(MotifCountsDeathTest, AddingANonCanonicalCodeAborts) {
+  MotifCounts counts;
+  EXPECT_DEATH(counts.Add("0a"), "canonical");
 }
 
 TEST(CountMotifs, TotalsMatchCountInstances) {

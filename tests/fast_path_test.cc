@@ -69,9 +69,7 @@ MotifCounts ForcedGenericCount(const TemporalGraph& graph,
   internal::PackedTableSink sink{&table};
   internal::EnumerateCore(graph, options, first_begin, first_end, sink);
   MotifCounts counts;
-  table.ForEach([&](std::uint64_t packed, std::uint64_t count) {
-    counts.Add(internal::PackedCodeToString(packed), count);
-  });
+  counts.AddTable(table);
   return counts;
 }
 

@@ -51,7 +51,7 @@ TEST_P(ModelPropertyTest, InvariantsHoldOnPreset) {
   EXPECT_LE(first.total(), CountInstances(graph, vanilla));
 
   // 3. Every emitted code is a valid canonical <= 3-node 3-event code.
-  for (const auto& [code, count] : first.raw()) {
+  for (const auto& [code, count] : first.SortedByCode()) {
     EXPECT_TRUE(IsValidCode(code)) << code;
     EXPECT_EQ(CodeNumEvents(code), 3);
     EXPECT_LE(CodeNumNodes(code), 3);

@@ -151,9 +151,13 @@ TEST(NullModelOracle, SignificanceMatchesIndependentEnsemble) {
     }
 
     std::set<MotifCode> codes;
-    for (const auto& [code, count] : observed.raw()) codes.insert(code);
+    for (const auto& [code, count] : observed.SortedByCode()) {
+      codes.insert(code);
+    }
     for (const MotifCounts& sample : ensemble) {
-      for (const auto& [code, count] : sample.raw()) codes.insert(code);
+      for (const auto& [code, count] : sample.SortedByCode()) {
+        codes.insert(code);
+      }
     }
     ASSERT_EQ(result.size(), codes.size());
 

@@ -17,26 +17,54 @@
 namespace tmotif {
 namespace {
 
-/// Packs a digit-string code the way the DFS does (one byte per event).
-std::uint64_t PackFromString(const MotifCode& code) {
-  std::uint64_t packed = 0;
-  for (std::size_t i = 0; i + 1 < code.size(); i += 2) {
-    packed |= internal::PackPair(code[i] - '0', code[i + 1] - '0',
-                                 static_cast<int>(i / 2));
-  }
-  return packed;
-}
+using internal::PackCode;
 
 TEST(PackedCode, RoundTripsEveryCanonicalCode) {
   // 36 three-event codes and 696 four-event codes (the paper's spectra).
-  for (const int k : {1, 2, 3, 4}) {
+  for (const int k : {1, 2, 3, 4, 5}) {
     for (const MotifCode& code : EnumerateCodes(k, k + 1)) {
-      const std::uint64_t packed = PackFromString(code);
+      const std::uint64_t packed = PackCode(code);
       ASSERT_NE(packed, 0u) << code;
       EXPECT_EQ(internal::PackedNumEvents(packed), k) << code;
       EXPECT_EQ(internal::PackedCodeToString(packed), code);
+      EnumerationOptions o;
+      o.num_events = k;
+      o.max_nodes = CodeNumNodes(code);
+      EXPECT_TRUE(internal::IsCountablePacked(packed, o)) << code;
+      o.max_nodes = CodeNumNodes(code) - 1;
+      if (o.max_nodes >= 2) {
+        EXPECT_FALSE(internal::IsCountablePacked(packed, o)) << code;
+      }
     }
   }
+  // The longest packable code: 8 events over 9 nodes.
+  const MotifCode longest = "0112233445566778";
+  ASSERT_NE(PackCode(longest), 0u);
+  EXPECT_EQ(internal::PackedCodeToString(PackCode(longest)), longest);
+}
+
+TEST(PackedCode, ParserRejectsWhatIsNotACanonicalCode) {
+  EXPECT_EQ(PackCode(""), 0u);
+  EXPECT_EQ(PackCode("0"), 0u);
+  EXPECT_EQ(PackCode("0a"), 0u);
+  EXPECT_EQ(PackCode("10"), 0u);       // First event must be 01.
+  EXPECT_EQ(PackCode("0100"), 0u);     // Self-loop.
+  EXPECT_EQ(PackCode("0123"), 0u);     // Disconnected event.
+  EXPECT_EQ(PackCode("011202x"), 0u);  // Trailing garbage.
+  // Nine events exceed the one-byte-per-event packing.
+  EXPECT_EQ(PackCode("010101010101010101"), 0u);
+  // Packed values that are not canonical codes (a zero event byte, a
+  // non-digit nibble, a first event other than 01) or not of the counted
+  // length are not countable.
+  EnumerationOptions o;
+  o.num_events = 3;
+  o.max_nodes = 4;
+  EXPECT_FALSE(internal::IsCountablePacked(0, o));
+  EXPECT_FALSE(internal::IsCountablePacked(0x010001, o));
+  EXPECT_FALSE(internal::IsCountablePacked(0x0A0101, o));
+  EXPECT_FALSE(internal::IsCountablePacked(0x010110, o));
+  EXPECT_FALSE(internal::IsCountablePacked(0x0101, o));  // Two events.
+  EXPECT_TRUE(internal::IsCountablePacked(PackCode("011223"), o));
 }
 
 TEST(PackedTable, AccumulatesAndGrowsBeyondInitialCapacity) {
@@ -48,12 +76,12 @@ TEST(PackedTable, AccumulatesAndGrowsBeyondInitialCapacity) {
   std::uint64_t expected_total = 0;
   for (std::size_t i = 0; i < codes.size(); ++i) {
     const std::uint64_t n = 1 + (i % 7);
-    table.Add(PackFromString(codes[i]), n);
+    table.Add(PackCode(codes[i]), n);
     expected_total += n;
   }
   // Second pass: every key hits the existing-slot path.
   for (const MotifCode& code : codes) {
-    table.Add(PackFromString(code));
+    table.Add(PackCode(code));
     ++expected_total;
   }
   EXPECT_EQ(table.num_codes(), codes.size());
@@ -75,7 +103,7 @@ TEST(PackedTable, MergeMatchesSequentialAdds) {
   internal::PackedMotifTable b;
   internal::PackedMotifTable combined;
   for (std::size_t i = 0; i < codes.size(); ++i) {
-    const std::uint64_t packed = PackFromString(codes[i]);
+    const std::uint64_t packed = PackCode(codes[i]);
     if (i % 2 == 0) a.Add(packed, i + 1);
     if (i % 3 == 0) b.Add(packed, 2 * i + 1);
     if (i % 2 == 0) combined.Add(packed, i + 1);

@@ -54,7 +54,7 @@ TEST_P(ParallelCountTest, MatchesSerialExactly) {
   const MotifCounts parallel = CountMotifsParallel(g, o, c.threads);
   EXPECT_EQ(parallel.total(), serial.total());
   EXPECT_EQ(parallel.num_codes(), serial.num_codes());
-  for (const auto& [code, count] : serial.raw()) {
+  for (const auto& [code, count] : serial.SortedByCode()) {
     EXPECT_EQ(parallel.count(code), count) << code;
   }
   EXPECT_EQ(CountInstancesParallel(g, o, c.threads), serial.total());
@@ -141,7 +141,7 @@ TEST(ParallelCount, AnyThreadCountMatchesSerialProperty) {
             const MotifCounts parallel = CountMotifsParallel(g, o, threads);
             EXPECT_EQ(parallel.total(), serial.total());
             EXPECT_EQ(parallel.num_codes(), serial.num_codes());
-            for (const auto& [code, count] : serial.raw()) {
+            for (const auto& [code, count] : serial.SortedByCode()) {
               EXPECT_EQ(parallel.count(code), count) << code;
             }
             EXPECT_EQ(CountInstancesParallel(g, o, threads), serial.total());
@@ -172,7 +172,7 @@ TEST(ParallelCount, AllModelPresetsMatchSerialOnPresetGraph) {
       const MotifCounts parallel = CountMotifsParallel(g, o, threads);
       EXPECT_EQ(parallel.total(), serial.total());
       EXPECT_EQ(parallel.num_codes(), serial.num_codes());
-      for (const auto& [code, count] : serial.raw()) {
+      for (const auto& [code, count] : serial.SortedByCode()) {
         EXPECT_EQ(parallel.count(code), count) << code;
       }
       EXPECT_EQ(CountInstancesParallel(g, o, threads), serial.total());

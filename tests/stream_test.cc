@@ -424,6 +424,44 @@ TEST(StreamingMotifCounter, ScopedStaticFlipCorrectsAffectedInstances) {
   EXPECT_EQ(stats.static_fallbacks, 0u);
 }
 
+// Store off: the boundary-tie corrections run on the survivors alone, so a
+// batch whose eviction removes an edge must not evaluate them there — even
+// when the batch re-adds the edge and nothing flips. Here (0,1) leaves with
+// the evicted prefix and re-enters with the batch; the survivor instance
+// 0->2, 2->1 is not induced before or after the batch, but would be on the
+// survivors alone.
+TEST(StreamingMotifCounter, StoreOffTieCorrectionsNeverSeeAnEvictedEdgeGone) {
+  struct Scenario {
+    const char* tie;
+    std::vector<Event> events;  // The last one is the second batch.
+  };
+  const Scenario kScenarios[] = {
+      {"evict tie", {{0, 1, 5}, {0, 2, 5}, {2, 1, 6}, {0, 1, 100}}},
+      {"append tie", {{0, 1, 5}, {0, 2, 6}, {2, 1, 7}, {0, 1, 7}}},
+  };
+  for (const Scenario& scenario : kScenarios) {
+    StreamConfig config;
+    config.options.num_events = 2;
+    config.options.max_nodes = 3;
+    config.options.timing = TimingConstraints::OnlyDeltaW(1000);
+    config.options.inducedness = Inducedness::kStatic;
+    config.window = WindowPolicy::CountBased(3);
+    config.store_budget_bytes = 1;
+    StreamingMotifCounter counter(config);
+    const std::vector<Event>& events = scenario.events;
+    counter.Ingest({events.begin(), events.end() - 1});
+    ASSERT_EQ(counter.store_mode(), StoreMode::kRecount) << scenario.tie;
+    counter.Ingest({events.back()});
+    const MotifCounts expected = CountMotifs(
+        GraphFromEvents(ExpectedWindow(
+            GraphFromEvents(events).events(), events.size(), config.window)),
+        config.options);
+    EXPECT_EQ(counter.counts().SortedByCode(), expected.SortedByCode())
+        << scenario.tie << ": streaming=" << DescribeCounts(counter.counts())
+        << " batch=" << DescribeCounts(expected);
+  }
+}
+
 // The same flip sequence through the live-instance store: every snapshot
 // exact, the invalidating flip handled by a store retirement — and no
 // recount of any kind after startup.

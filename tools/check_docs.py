@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Doc-drift check: keeps the markdown tree honest as the code moves.
 
-Two classes of rot are caught:
+Four classes of rot are caught:
 
   1. Broken intra-repo links — every relative markdown link (and image)
      in the repo's *.md files must resolve to an existing file.
@@ -13,6 +13,9 @@ Two classes of rot are caught:
      sink surface, the lifted store gates) must keep existing; a refactor
      that drops one fails here instead of silently orphaning the
      references.
+  4. A stale checkpoint version — docs/RESILIENCE.md must say "The
+     current version is N" for the kCheckpointFormatVersion N declared in
+     src/stream/checkpoint.h.
 
 Usage:
   tools/check_docs.py [--repo-root DIR] [--bin-dir BUILDDIR]
@@ -70,7 +73,7 @@ REQUIRED_SECTIONS = {
     ),
     "docs/RESILIENCE.md": (
         "## Checkpoint format",
-        "Version 2 is rejected",
+        "Versions 2 and 3 are rejected",
         "## Degradation state machine",
         "## Fault-point catalog",
         "stream.store_mode",
@@ -92,6 +95,8 @@ LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 FLAG_RE = re.compile(r"(--[a-z][a-z0-9-]*)")
 FENCE_RE = re.compile(r"^```")
 INLINE_CODE_RE = re.compile(r"`([^`]+)`")
+CHECKPOINT_VERSION_RE = re.compile(
+    r"kCheckpointFormatVersion\s*=\s*(\d+)\s*;")
 
 
 def find_markdown_files(root):
@@ -197,6 +202,23 @@ def check_required_sections(root, errors):
                     f"{marker!r}")
 
 
+def check_checkpoint_version(root, errors):
+    header = os.path.join(root, "src", "stream", "checkpoint.h")
+    with open(header, encoding="utf-8") as f:
+        match = CHECKPOINT_VERSION_RE.search(f.read())
+    if match is None:
+        errors.append("src/stream/checkpoint.h: kCheckpointFormatVersion "
+                      "not found")
+        return
+    marker = f"The current version is {match.group(1)}"
+    with open(os.path.join(root, "docs", "RESILIENCE.md"),
+              encoding="utf-8") as f:
+        if marker not in f.read():
+            errors.append(f"docs/RESILIENCE.md: does not say {marker!r} "
+                          f"(kCheckpointFormatVersion in "
+                          f"src/stream/checkpoint.h)")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repo-root",
@@ -214,6 +236,7 @@ def main():
     errors = []
     check_links(md_files, args.repo_root, errors)
     check_required_sections(args.repo_root, errors)
+    check_checkpoint_version(args.repo_root, errors)
     if args.bin_dir is not None:
         check_flags(md_files, args.repo_root, args.bin_dir, errors)
     if errors:
