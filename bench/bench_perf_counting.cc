@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "algorithms/parallel.h"
 #include "bench_util.h"
 #include "core/counter.h"
 #include "core/enumerate_core.h"
@@ -161,7 +160,7 @@ void BM_ParallelCount(benchmark::State& state) {
   o.timing = TimingConstraints::Both(1500, 3000);
   const int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(CountInstancesParallel(graph, o, threads));
+    benchmark::DoNotOptimize(CountMotifs(graph, o, threads).total());
   }
 }
 BENCHMARK(BM_ParallelCount)->Arg(1)->Arg(2)->Arg(4)->Arg(8);

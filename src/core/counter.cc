@@ -6,6 +6,7 @@
 #include "core/enumerate_core.h"
 #include "core/fast_paths/fast_path.h"
 #include "core/packed_table.h"
+#include "core/parallel.h"
 #include "obs/trace.h"
 
 namespace tmotif {
@@ -72,13 +73,17 @@ std::vector<std::pair<MotifCode, std::uint64_t>> MotifCounts::SortedByCode()
 }
 
 MotifCounts CountMotifs(const TemporalGraph& graph,
-                        const EnumerationOptions& options) {
-  return CountMotifsInRange(graph, options, 0, graph.num_events());
+                        const EnumerationOptions& options, int num_threads) {
+  return CountMotifsInRange(graph, options, 0, graph.num_events(),
+                            num_threads);
 }
 
 MotifCounts CountMotifsInRange(const TemporalGraph& graph,
                                const EnumerationOptions& options,
-                               EventIndex first_begin, EventIndex first_end) {
+                               EventIndex first_begin, EventIndex first_end,
+                               int num_threads) {
+  TMOTIF_CHECK_MSG(num_threads <= 1 || options.max_instances == 0,
+                   "max_instances is not supported in parallel counting");
   internal::ValidateEnumerationOptions(options);
   first_begin = std::max<EventIndex>(first_begin, 0);
   first_end = std::min<EventIndex>(first_end, graph.num_events());
@@ -97,8 +102,8 @@ MotifCounts CountMotifsInRange(const TemporalGraph& graph,
   } else {
     internal::fast_paths::NoteDispatch(false);
     obs::PhaseTimer span(enumerate_latency, "counting.enumerate");
-    internal::PackedTableSink sink{&table};
-    internal::EnumerateCore(graph, options, first_begin, first_end, sink);
+    table = internal::CountPackedSharded(graph, options, first_begin,
+                                         first_end, num_threads);
   }
   counts.AddTable(table);
   return counts;

@@ -64,21 +64,23 @@ class MotifCounts {
 };
 
 /// Enumerates instances under `options` and tallies them by canonical code.
-/// Runs on the devirtualized packed-code fast path: instances are
-/// accumulated into a flat table keyed by packed codes, which is folded
-/// into the result once at the end (MotifCounts::AddTable).
+/// Configs FastPathSupported accepts run the specialized k <= 3 counters
+/// (core/fast_paths/), always serially; every other config runs the DFS,
+/// split over `num_threads` event ranges (internal::CountPackedSharded in
+/// core/parallel.h). Both branches accumulate a packed table that is
+/// folded into the result once (MotifCounts::AddTable). `num_threads > 1`
+/// rejects `options.max_instances` (a cap would make the result depend on
+/// scheduling).
 MotifCounts CountMotifs(const TemporalGraph& graph,
-                        const EnumerationOptions& options);
+                        const EnumerationOptions& options,
+                        int num_threads = 1);
 
 /// Per-code tally restricted to instances whose *first* event index lies in
-/// [first_begin, first_end), on the same packed fast path — the
-/// range-restricted sibling of CountMotifs for callers doing their own
-/// partitioning. (CountMotifsParallel itself shards via
-/// internal::CountPackedSharded in algorithms/parallel.h, merging packed
-/// tables before the one AddTable.)
+/// [first_begin, first_end), through the same dispatch as CountMotifs.
 MotifCounts CountMotifsInRange(const TemporalGraph& graph,
                                const EnumerationOptions& options,
-                               EventIndex first_begin, EventIndex first_end);
+                               EventIndex first_begin, EventIndex first_end,
+                               int num_threads = 1);
 
 }  // namespace tmotif
 

@@ -2,7 +2,7 @@
 #define TMOTIF_CORE_ENUMERATE_CORE_H_
 
 // Internal devirtualized enumeration core shared by the batch counters
-// (core/counter.cc, core/enumerator.cc, algorithms/parallel.cc) and the
+// (core/counter.cc, core/enumerator.cc, core/parallel.h) and the
 // streaming delta path (stream/streaming_counter.cc).
 //
 // The DFS is templated on both the graph type and the emission sink, so
@@ -982,7 +982,7 @@ std::uint64_t EnumerateCoreAtRoots(const Graph& graph,
   return total;
 }
 
-/// Sink that only counts (CountInstances / CountInstancesParallel). The
+/// Sink that only counts (CountInstances, CountInstancesInRange). The
 /// EmitBatch no-op opts it into the saturated-run batch path — the engine
 /// already advances its own instance counter by the run length.
 struct CountOnlySink {

@@ -6,6 +6,7 @@
 #include "common/check.h"
 #include "core/enumerate_core.h"
 #include "core/fast_paths/fast_path.h"
+#include "core/packed_table.h"
 
 namespace tmotif {
 
@@ -80,8 +81,10 @@ std::uint64_t CountInstancesInRange(const TemporalGraph& graph,
   if (first_begin >= first_end) return 0;
   if (internal::fast_paths::FastPathSupported(options)) {
     internal::fast_paths::NoteDispatch(true);
-    return internal::fast_paths::CountRange(graph, options, first_begin,
-                                            first_end);
+    internal::PackedMotifTable table;
+    internal::fast_paths::CountRangeInto(graph, options, first_begin,
+                                         first_end, &table);
+    return table.total();
   }
   internal::fast_paths::NoteDispatch(false);
   internal::CountOnlySink sink;

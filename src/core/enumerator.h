@@ -85,7 +85,7 @@ std::uint64_t CountInstances(const TemporalGraph& graph,
 /// Enumerates only instances whose *first* event index lies in
 /// [first_begin, first_end). Since every instance has exactly one first
 /// event, disjoint ranges partition the instance set exactly — the basis of
-/// the parallel counter (algorithms/parallel.h).
+/// event-range parallelism (core/parallel.h).
 std::uint64_t EnumerateInstancesInRange(const TemporalGraph& graph,
                                         const EnumerationOptions& options,
                                         EventIndex first_begin,
@@ -93,7 +93,7 @@ std::uint64_t EnumerateInstancesInRange(const TemporalGraph& graph,
                                         const InstanceVisitor& visit);
 
 /// Total instance count over a first-event range, on the zero-callback fast
-/// path (the per-shard primitive of CountInstancesParallel).
+/// path (the k <= 3 counters when FastPathSupported, else the DFS).
 std::uint64_t CountInstancesInRange(const TemporalGraph& graph,
                                     const EnumerationOptions& options,
                                     EventIndex first_begin,

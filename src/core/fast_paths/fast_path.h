@@ -283,10 +283,10 @@ class FlatIndex {
 /// which must outlive it; calls reflect the graph's state at call time.
 ///
 /// Ownership: the caller owns the counter and with it the scratch. Batch
-/// and sharded counting build one per call (sharded workers each their
-/// own; a counter is not thread-safe), and each streaming counter keeps
-/// one for its whole life (stream/streaming_counter.cc). Never share one
-/// through a static or thread_local.
+/// counting builds one per call (a counter is not thread-safe), and each
+/// streaming counter keeps one for its whole life
+/// (stream/streaming_counter.cc). Never share one through a static or
+/// thread_local.
 template <typename Graph>
 class WindowCounter {
  public:
@@ -1047,27 +1047,6 @@ void CountRangeInto(const Graph& graph, const EnumerationOptions& options,
     TMOTIF_CHECK(delta >= 0);
     if (delta > 0) table->Add(code, static_cast<std::uint64_t>(delta));
   }
-}
-
-/// Total instance count over a first-event range (CountInstancesInRange's
-/// fast path).
-template <typename Graph>
-std::uint64_t CountRange(const Graph& graph, const EnumerationOptions& options,
-                         EventIndex first_begin, EventIndex first_end) {
-  const EventIndex n = static_cast<EventIndex>(graph.num_events());
-  const auto all = [](EventIndex) { return true; };
-  WindowCounter<Graph> counter(graph, options);
-  std::uint64_t with = 0;
-  std::uint64_t without = 0;
-  counter.Count(first_begin, n, all,
-                [&](std::uint64_t, std::uint64_t count) { with += count; });
-  if (first_end < n) {
-    counter.Count(first_end, n, all, [&](std::uint64_t, std::uint64_t count) {
-      without += count;
-    });
-  }
-  TMOTIF_CHECK(with >= without);
-  return with - without;
 }
 
 }  // namespace fast_paths

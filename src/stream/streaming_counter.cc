@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <array>
 #include <limits>
-#include <thread>
 #include <unordered_set>
 
-#include "algorithms/parallel.h"
 #include "common/check.h"
 #include "common/fault_points.h"
 #include "core/enumerate_core.h"
 #include "core/fast_paths/fast_path.h"
 #include "core/packed_table.h"
+#include "core/parallel.h"
 #include "obs/trace.h"
 
 namespace tmotif {
@@ -591,11 +590,9 @@ void StreamingMotifCounter::AddNewInstances(EventIndex begin) {
     }
   } else {
     internal::fast_paths::NoteDispatch(false);
-    added = internal::CountPackedShardedWith(
-        live_, config_.options, begin, live_.num_events(),
-        config_.num_threads, [this](internal::PackedMotifTable* table) {
-          return NewInstanceSink{&is_new_, table};
-        });
+    NewInstanceSink sink{&is_new_, &added};
+    internal::EnumerateCore(live_, config_.options, begin, live_.num_events(),
+                            sink);
   }
   stats_.instances_added += added.total();
   counts_.AddTable(added);
@@ -617,79 +614,26 @@ void StreamingMotifCounter::RebuildStore() {
 template <typename Keep>
 void StreamingMotifCounter::StoreAddCandidates(EventIndex lo, EventIndex hi,
                                                Keep keep, bool count_churn) {
-  struct Candidate {
-    std::array<std::uint64_t, internal::kMaxCoreEvents> ids;
-    std::array<NodeId, internal::kMaxCoreNodes> nodes;
-    std::uint64_t packed;
-    std::int8_t num_events;
-    std::int8_t num_nodes;
-    std::int8_t distinct_pairs;
-    bool covered;
-    bool order_valid;
-  };
-  // All validity flags are evaluated here, against the quiescent live
-  // indices — read-only, so workers can evaluate concurrently.
-  const auto evaluate = [this](const EventIndex* chosen, int k,
-                               std::uint64_t packed, const NodeId* nodes,
-                               int num_nodes, Candidate* c) {
+  internal::PackedMotifTable added;
+  std::array<std::uint64_t, internal::kMaxCoreEvents> ids{};
+  auto sink = MakeNodeFnSink([&](const EventIndex* chosen, int k,
+                                 std::uint64_t packed, const NodeId* nodes,
+                                 int num_nodes) {
+    if (!keep(chosen, k)) return;
     for (int i = 0; i < k; ++i) {
-      c->ids[static_cast<std::size_t>(i)] =
+      ids[static_cast<std::size_t>(i)] =
           id_offset_ + static_cast<std::uint64_t>(chosen[i]);
     }
-    for (int d = 0; d < num_nodes; ++d) {
-      c->nodes[static_cast<std::size_t>(d)] = nodes[d];
-    }
-    c->packed = packed;
-    c->num_events = static_cast<std::int8_t>(k);
-    c->num_nodes = static_cast<std::int8_t>(num_nodes);
     const int distinct = internal::PackedDistinctPairCount(packed, k);
-    c->distinct_pairs = static_cast<std::int8_t>(distinct);
-    c->covered = distinct == ScopeStaticEdges(live_, nodes, num_nodes);
-    c->order_valid =
+    const bool covered =
+        distinct == ScopeStaticEdges(live_, nodes, num_nodes);
+    const bool order_valid =
         !track_tails_ || OrderValidAt(chosen, k, nodes, num_nodes);
-  };
-  internal::PackedMotifTable added;
-  const auto insert = [&](const Candidate& c) {
-    store_.Insert(c.ids.data(), c.num_events, c.packed, c.nodes.data(),
-                  c.num_nodes, c.distinct_pairs, c.covered, c.order_valid);
-    if (c.covered && c.order_valid) added.Add(c.packed);
-  };
-  if (config_.num_threads > 1 && hi - lo >= 64) {
-    // Sharded population: workers enumerate disjoint first-event ranges and
-    // evaluate candidates; insertion stays serial, in shard order, so ids,
-    // slot order and bucket order are identical to a serial run.
-    const auto shards = MakeEventShards(lo, hi, config_.num_threads);
-    std::vector<std::vector<Candidate>> partials(shards.size());
-    std::vector<std::thread> workers;
-    workers.reserve(shards.size());
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-      workers.emplace_back([&, s] {
-        auto sink = MakeNodeFnSink([&, s](const EventIndex* chosen, int k,
-                                          std::uint64_t packed,
-                                          const NodeId* nodes, int num_nodes) {
-          if (!keep(chosen, k)) return;
-          partials[s].emplace_back();
-          evaluate(chosen, k, packed, nodes, num_nodes, &partials[s].back());
-        });
-        internal::EnumerateCore(live_, candidate_options_, shards[s].first,
-                                shards[s].second, sink);
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-    for (const std::vector<Candidate>& partial : partials) {
-      for (const Candidate& c : partial) insert(c);
-    }
-  } else {
-    auto sink = MakeNodeFnSink([&](const EventIndex* chosen, int k,
-                                   std::uint64_t packed, const NodeId* nodes,
-                                   int num_nodes) {
-      if (!keep(chosen, k)) return;
-      Candidate c;
-      evaluate(chosen, k, packed, nodes, num_nodes, &c);
-      insert(c);
-    });
-    internal::EnumerateCore(live_, candidate_options_, lo, hi, sink);
-  }
+    store_.Insert(ids.data(), k, packed, nodes, num_nodes, distinct, covered,
+                  order_valid);
+    if (covered && order_valid) added.Add(packed);
+  });
+  internal::EnumerateCore(live_, candidate_options_, lo, hi, sink);
   if (count_churn) stats_.instances_added += added.total();
   counts_.AddTable(added);
 }

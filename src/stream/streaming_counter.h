@@ -38,8 +38,9 @@ struct StreamConfig {
   /// cannot be maintained incrementally).
   EnumerationOptions options;
   WindowPolicy window = WindowPolicy::CountBased(4096);
-  /// Worker threads for the delta-ingestion enumeration and the full
-  /// recount fallbacks (sharded exactly like algorithms/parallel.h).
+  /// Worker threads for store-off window recounts of configs without the
+  /// k <= 3 fast path (internal::CountPackedSharded, core/parallel.h).
+  /// Arrivals, corrections and the live-instance store fill run serially.
   int num_threads = 1;
   /// Bounded out-of-order ingestion: events arriving up to `lateness`
   /// seconds behind the stream clock (`max_time_seen`) are spliced into the
@@ -277,9 +278,6 @@ class StreamingMotifCounter {
   /// `keep(chosen, k)`, inserts them, and counts the valid ones.
   /// `count_churn` feeds `instances_added` (false for rebuilds, which are
   /// recounts, matching the non-store recount path's stat semantics).
-  /// Sharded over `StreamConfig::num_threads` (evaluation in workers,
-  /// insertion serial in shard order, so ids and bucket order stay
-  /// deterministic).
   template <typename Keep>
   void StoreAddCandidates(EventIndex lo, EventIndex hi, Keep keep,
                           bool count_churn = true);
@@ -343,11 +341,11 @@ class StreamingMotifCounter {
   void ApplyAndRecount(const IngestPlan& plan, const std::vector<Event>& batch,
                        bool is_static_fallback);
   /// Recounts the already-updated window in place (store rebuild included
-  /// when active).
+  /// when active). The store-off DFS recount is the one streaming path
+  /// split over `StreamConfig::num_threads`.
   void RecountWindow();
   /// Adds instances of the live window whose first event lies in
-  /// [begin, num_events) and whose last event is flagged in `is_new_`,
-  /// sharded over num_threads.
+  /// [begin, num_events) and whose last event is flagged in `is_new_`.
   void AddNewInstances(EventIndex begin);
 
   /// Marks the lazy TemporalGraph snapshot stale (under snapshot_mutex_).

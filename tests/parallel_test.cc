@@ -1,16 +1,20 @@
-#include "algorithms/parallel.h"
+#include "core/parallel.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "core/counter.h"
 #include "core/models/model_info.h"
 #include "gen/generator.h"
 #include "gen/presets.h"
+#include "obs/metrics.h"
 #include "testing/random_graphs.h"
 
 namespace tmotif {
 namespace {
+
+using internal::kMinParallelEvents;
 
 TemporalGraph TestGraph(std::uint64_t seed) {
   GeneratorConfig c;
@@ -22,6 +26,15 @@ TemporalGraph TestGraph(std::uint64_t seed) {
   c.prob_session = 0.2;
   c.seed = seed;
   return GenerateTemporalNetwork(c);
+}
+
+/// Samples recorded so far into a global histogram (0 when compiled out).
+std::uint64_t HistogramCount(const char* name) {
+  return obs::GlobalMetrics().GetHistogram(name)->Snapshot().count;
+}
+
+std::uint64_t CounterValue(const char* name) {
+  return obs::GlobalMetrics().GetCounter(name)->Value();
 }
 
 struct ParallelCase {
@@ -51,13 +64,15 @@ TEST_P(ParallelCountTest, MatchesSerialExactly) {
   o.inducedness = c.inducedness;
 
   const MotifCounts serial = CountMotifs(g, o);
-  const MotifCounts parallel = CountMotifsParallel(g, o, c.threads);
+  const MotifCounts parallel = CountMotifs(g, o, c.threads);
   EXPECT_EQ(parallel.total(), serial.total());
-  EXPECT_EQ(parallel.num_codes(), serial.num_codes());
-  for (const auto& [code, count] : serial.SortedByCode()) {
-    EXPECT_EQ(parallel.count(code), count) << code;
-  }
-  EXPECT_EQ(CountInstancesParallel(g, o, c.threads), serial.total());
+  EXPECT_EQ(parallel.SortedByCode(), serial.SortedByCode());
+
+  // A threaded sub-range starts its shards at `begin`, not at 0.
+  const EventIndex begin = g.num_events() / 5;
+  const EventIndex end = g.num_events() - begin;
+  EXPECT_EQ(CountMotifsInRange(g, o, begin, end, c.threads).SortedByCode(),
+            CountMotifsInRange(g, o, begin, end).SortedByCode());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -77,15 +92,6 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
-TEST(ParallelCount, OneThreadFallsBackToSerial) {
-  const TemporalGraph g = TestGraph(5);
-  EnumerationOptions o;
-  o.num_events = 3;
-  o.max_nodes = 3;
-  o.timing = TimingConstraints::OnlyDeltaW(800);
-  EXPECT_EQ(CountMotifsParallel(g, o, 1).total(), CountMotifs(g, o).total());
-}
-
 TEST(ParallelCount, EmptyGraph) {
   TemporalGraphBuilder builder;
   builder.SetMinNumNodes(4);
@@ -93,7 +99,7 @@ TEST(ParallelCount, EmptyGraph) {
   EnumerationOptions o;
   o.num_events = 3;
   o.max_nodes = 3;
-  EXPECT_EQ(CountInstancesParallel(g, o, 4), 0u);
+  EXPECT_EQ(CountMotifs(g, o, 4).total(), 0u);
 }
 
 TEST(ParallelCount, MoreThreadsThanEvents) {
@@ -102,7 +108,7 @@ TEST(ParallelCount, MoreThreadsThanEvents) {
   o.num_events = 3;
   o.max_nodes = 3;
   o.timing = TimingConstraints::OnlyDeltaW(10);
-  EXPECT_EQ(CountInstancesParallel(g, o, 16), 1u);
+  EXPECT_EQ(CountMotifs(g, o, 16).total(), 1u);
 }
 
 TEST(ParallelCountDeathTest, RejectsMaxInstances) {
@@ -111,16 +117,40 @@ TEST(ParallelCountDeathTest, RejectsMaxInstances) {
   o.num_events = 2;
   o.max_nodes = 3;
   o.max_instances = 5;
-  EXPECT_DEATH(CountMotifsParallel(g, o, 2), "max_instances");
+  EXPECT_DEATH(CountMotifs(g, o, 2), "max_instances");
+}
+
+// MakeEventShards on ranges shorter than the thread count (and around it):
+// every shard non-empty, the shards tile [begin, end) in order, and there
+// are at most min(threads, n) of them.
+TEST(MakeEventShards, ShortRangesYieldNonEmptyExactPartitions) {
+  const EventIndex begin = 7;
+  for (EventIndex n = 1; n <= 20; ++n) {
+    for (int threads = 1; threads <= 24; ++threads) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " threads=" << threads);
+      const auto shards = internal::MakeEventShards(begin, begin + n, threads);
+      ASSERT_FALSE(shards.empty());
+      EXPECT_LE(static_cast<EventIndex>(shards.size()),
+                std::min<EventIndex>(threads, n));
+      EventIndex next = begin;
+      for (const auto& [lo, hi] : shards) {
+        EXPECT_EQ(lo, next);
+        EXPECT_LT(lo, hi);
+        next = hi;
+      }
+      EXPECT_EQ(next, begin + n);
+    }
+  }
 }
 
 // Property test: for every thread count — including counts exceeding the
-// number of events, which makes MakeShards produce single-event shards and
-// fewer shards than threads — the parallel count must equal the serial
-// count exactly, table entry by table entry.
+// number of events, and graphs on both sides of kMinParallelEvents — the
+// threaded count must equal the serial count exactly, table entry by table
+// entry. The options carry a dC bound, so every count runs the DFS.
 TEST(ParallelCount, AnyThreadCountMatchesSerialProperty) {
   const int kThreadCounts[] = {1, 2, 3, 7, 16};
-  const int kEventCounts[] = {0, 1, 2, 5, 11, 60};
+  const int kEventCounts[] = {0,  1,  2,  5,  11, 60, kMinParallelEvents - 1,
+                              kMinParallelEvents, kMinParallelEvents + 1};
   EnumerationOptions o;
   o.num_events = 3;
   o.max_nodes = 3;
@@ -138,21 +168,29 @@ TEST(ParallelCount, AnyThreadCountMatchesSerialProperty) {
             SCOPED_TRACE(::testing::Message()
                          << "events=" << num_events << " threads=" << threads
                          << " seed=" << seed);
-            const MotifCounts parallel = CountMotifsParallel(g, o, threads);
+            const std::uint64_t shards_before =
+                HistogramCount("parallel.shard_instances");
+            const MotifCounts parallel = CountMotifs(g, o, threads);
             EXPECT_EQ(parallel.total(), serial.total());
-            EXPECT_EQ(parallel.num_codes(), serial.num_codes());
-            for (const auto& [code, count] : serial.SortedByCode()) {
-              EXPECT_EQ(parallel.count(code), count) << code;
-            }
-            EXPECT_EQ(CountInstancesParallel(g, o, threads), serial.total());
+            EXPECT_EQ(parallel.SortedByCode(), serial.SortedByCode());
+#ifndef TMOTIF_NO_TELEMETRY
+            // Threads run exactly at and above the threshold.
+            const bool threaded =
+                threads > 1 && num_events >= kMinParallelEvents;
+            EXPECT_EQ(HistogramCount("parallel.shard_instances") >
+                          shards_before,
+                      threaded);
+#else
+            (void)shards_before;
+#endif
           }
         });
   }
 }
 
-// Guard of the devirtualized sharded path: on a larger generated preset
-// dataset, every published model preset must produce byte-identical count
-// tables under every thread count, including more threads than cores.
+// Guard of the threaded DFS on a larger generated preset dataset: every
+// published model preset must produce byte-identical count tables under
+// every thread count, including more threads than cores.
 TEST(ParallelCount, AllModelPresetsMatchSerialOnPresetGraph) {
   const TemporalGraph g =
       GenerateDataset(DatasetId::kCollegeMsg, /*scale=*/0.2, /*seed=*/1234);
@@ -169,16 +207,62 @@ TEST(ParallelCount, AllModelPresetsMatchSerialOnPresetGraph) {
     for (const int threads : kThreadCounts) {
       SCOPED_TRACE(::testing::Message() << GetModelAspects(model).name
                                         << " threads=" << threads);
-      const MotifCounts parallel = CountMotifsParallel(g, o, threads);
+      const MotifCounts parallel = CountMotifs(g, o, threads);
       EXPECT_EQ(parallel.total(), serial.total());
-      EXPECT_EQ(parallel.num_codes(), serial.num_codes());
-      for (const auto& [code, count] : serial.SortedByCode()) {
-        EXPECT_EQ(parallel.count(code), count) << code;
-      }
-      EXPECT_EQ(CountInstancesParallel(g, o, threads), serial.total());
+      EXPECT_EQ(parallel.SortedByCode(), serial.SortedByCode());
     }
   }
 }
+
+#ifndef TMOTIF_NO_TELEMETRY
+// --threads goes through the one dispatch gate: a fast-path config (Song)
+// still dispatches the serial k <= 3 counters, spawns no shard, and is
+// noted as a fast-path dispatch. The registry is process-global, so the
+// dispatch tests assert deltas.
+TEST(ParallelDispatch, ThreadedSongDispatchesFastPath) {
+  const TemporalGraph g = TestGraph(3);
+  ASSERT_GE(g.num_events(), kMinParallelEvents);
+  const EnumerationOptions o = OptionsForModel(
+      ModelId::kSong, /*num_events=*/3, /*max_nodes=*/3, /*delta_c=*/0,
+      /*delta_w=*/1200);
+  const MotifCounts serial = CountMotifs(g, o);
+  const std::uint64_t fast_before = CounterValue("counting.dispatch_fastpath");
+  const std::uint64_t generic_before =
+      CounterValue("counting.dispatch_generic");
+  const std::uint64_t shards_before =
+      HistogramCount("parallel.shard_instances");
+  const MotifCounts threaded = CountMotifs(g, o, 4);
+  EXPECT_EQ(CounterValue("counting.dispatch_fastpath"), fast_before + 1);
+  EXPECT_EQ(CounterValue("counting.dispatch_generic"), generic_before);
+  EXPECT_EQ(HistogramCount("parallel.shard_instances"), shards_before);
+  EXPECT_EQ(threaded.SortedByCode(), serial.SortedByCode());
+}
+
+// A generic config above the threshold is noted once as a generic
+// dispatch, timed by one enumerate-latency sample, and split into one
+// shard per thread.
+TEST(ParallelDispatch, ThreadedGenericConfigDispatchesGenericOnce) {
+  const TemporalGraph g = TestGraph(3);
+  ASSERT_GE(g.num_events(), kMinParallelEvents);
+  const EnumerationOptions o = OptionsForModel(
+      ModelId::kParanjape, /*num_events=*/3, /*max_nodes=*/3, /*delta_c=*/0,
+      /*delta_w=*/1200);
+  const std::uint64_t fast_before = CounterValue("counting.dispatch_fastpath");
+  const std::uint64_t generic_before =
+      CounterValue("counting.dispatch_generic");
+  const std::uint64_t latency_before =
+      HistogramCount("counting.enumerate_latency_ns");
+  const std::uint64_t shards_before =
+      HistogramCount("parallel.shard_instances");
+  const MotifCounts threaded = CountMotifs(g, o, 4);
+  EXPECT_EQ(CounterValue("counting.dispatch_generic"), generic_before + 1);
+  EXPECT_EQ(CounterValue("counting.dispatch_fastpath"), fast_before);
+  EXPECT_EQ(HistogramCount("counting.enumerate_latency_ns"),
+            latency_before + 1);
+  EXPECT_EQ(HistogramCount("parallel.shard_instances"), shards_before + 4);
+  EXPECT_GT(threaded.total(), 0u);
+}
+#endif  // TMOTIF_NO_TELEMETRY
 
 TEST(RangeEnumeration, DisjointRangesPartitionInstances) {
   const TemporalGraph g = TestGraph(21);

@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "core/models/model_info.h"
+#include "core/parallel.h"
+#include "obs/metrics.h"
 #include "stream/streaming_counter.h"
 #include "testing/random_graphs.h"
 
@@ -102,13 +104,12 @@ void AccumulateGridStats(const IngestStats& stats) {
 void ReplayAndCheck(const TemporalGraph& graph,
                     const EnumerationOptions& options,
                     const WindowPolicy& policy, std::size_t batch_size,
-                    const std::string& label, int num_threads = 1,
+                    const std::string& label,
                     int* nonzero_snapshots = nullptr,
                     std::size_t store_budget_bytes = 0) {
   StreamConfig config;
   config.options = options;
   config.window = policy;
-  config.num_threads = num_threads;
   config.store_budget_bytes = store_budget_bytes;
   StreamingMotifCounter counter(config);
 
@@ -197,7 +198,7 @@ TEST_P(StreamDifferentialTest, StreamingMatchesBatchOnEverySnapshot) {
                 std::string(c.name) + " seed=" + std::to_string(seed) +
                     " window=" + policy.ToString() +
                     " batch=" + std::to_string(batch_size),
-                /*num_threads=*/1, &nonzero, c.store_budget_bytes);
+                &nonzero, c.store_budget_bytes);
             if (::testing::Test::HasFatalFailure()) return;
           }
         }
@@ -286,86 +287,81 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
-// Sharded delta ingestion must agree with the serial path bit for bit.
-TEST(StreamingMotifCounter, ParallelIngestionMatchesSerial) {
-  const EnumerationOptions options =
-      Opts(3, 3, TimingConstraints::OnlyDeltaW(20));
-  ForEachRandomGraph(0x7d5eed, 6, SmallSpec(),
-                     [&](std::uint64_t seed, const TemporalGraph& g) {
-                       ReplayAndCheck(g, options, WindowPolicy::CountBased(10),
-                                      4, "threads=3 seed=" + std::to_string(seed),
-                                      /*num_threads=*/3);
-                     });
-}
-
-// The live-instance store population (phase 6 arrivals and rebuilds) is
-// sharded over StreamConfig::num_threads with serial in-shard-order
-// insertion, so the parallel store *state* — not just the counts — must be
-// byte-equivalent to the serial one at every batch boundary. Batches of 96
-// new events keep the candidate ranges above the >= 64-event threshold that
-// engages the worker shards; the single oversized first batch in the second
-// phase routes through the window-reset recount (RebuildStore) instead of
-// incremental arrivals, covering both sharded fill paths.
-TEST(StreamingMotifCounter, ParallelStorePopulationMatchesSerialStoreState) {
+// The store-off window recount of a config without the k <= 3 fast path
+// is the one streaming path split over StreamConfig::num_threads. Full
+// window turnovers recount windows above internal::kMinParallelEvents with
+// 4 threads, both without a store (Kovanen) and with the store turned off
+// by a 1-byte budget (Paranjape); after every batch the counts must equal
+// a serial counter's, and every such recount must have spawned shards.
+TEST(StreamingMotifCounter, ThreadedWindowRecountMatchesSerial) {
+  const std::size_t kWindow =
+      static_cast<std::size_t>(internal::kMinParallelEvents) + 64;
   RandomGraphSpec spec;
-  spec.num_nodes = 12;
-  spec.num_events = 320;
-  spec.max_time = 640;
-  const EnumerationOptions options =
-      Opts(3, 3, TimingConstraints::OnlyDeltaW(48), false, false,
-           Inducedness::kStatic);
-  const auto check_pair = [](StreamingMotifCounter& serial,
-                             StreamingMotifCounter& parallel,
-                             const std::string& label) {
-    ASSERT_EQ(serial.counts().SortedByCode(),
-              parallel.counts().SortedByCode())
-        << label << ": serial=" << DescribeCounts(serial.counts())
-        << " parallel=" << DescribeCounts(parallel.counts());
-    ASSERT_EQ(serial.store_mode(), parallel.store_mode()) << label;
-    ASSERT_EQ(serial.store_size(), parallel.store_size()) << label;
-    ASSERT_EQ(serial.store_approx_bytes(), parallel.store_approx_bytes())
-        << label;
-    ASSERT_EQ(serial.stats().store_admitted, parallel.stats().store_admitted)
-        << label;
-    ASSERT_EQ(serial.stats().store_retired, parallel.stats().store_retired)
-        << label;
+  spec.num_nodes = 16;
+  spec.num_events = static_cast<int>(4 * kWindow);
+  spec.max_time = static_cast<Timestamp>(8 * kWindow);
+  struct Case {
+    const char* name;
+    EnumerationOptions options;
+    std::size_t store_budget_bytes;
   };
-  ForEachRandomGraph(0x5704e, 3, spec, [&](std::uint64_t seed,
-                                           const TemporalGraph& g) {
-    StreamConfig serial_config;
-    serial_config.options = options;
-    serial_config.window = WindowPolicy::CountBased(192);
-    serial_config.num_threads = 1;
-    StreamConfig parallel_config = serial_config;
-    parallel_config.num_threads = 4;
-    const std::vector<Event>& all = g.events();
-
-    // Phase 1: incremental arrivals in >= 64-event batches.
-    StreamingMotifCounter serial(serial_config);
-    StreamingMotifCounter parallel(parallel_config);
-    constexpr std::size_t kBatch = 96;
-    for (std::size_t begin = 0; begin < all.size(); begin += kBatch) {
-      const std::size_t end = std::min(all.size(), begin + kBatch);
-      std::vector<Event> batch(
-          all.begin() + static_cast<std::ptrdiff_t>(begin),
-          all.begin() + static_cast<std::ptrdiff_t>(end));
-      serial.Ingest(batch);
-      parallel.Ingest(std::move(batch));
-      check_pair(serial, parallel,
-                 "seed=" + std::to_string(seed) + " arrivals after " +
-                     std::to_string(end));
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-    EXPECT_GT(serial.store_size(), 0u) << "seed=" << seed;
-
-    // Phase 2: one oversized batch (window reset + store rebuild).
-    StreamingMotifCounter serial_rebuild(serial_config);
-    StreamingMotifCounter parallel_rebuild(parallel_config);
-    serial_rebuild.Ingest(all);
-    parallel_rebuild.Ingest(all);
-    check_pair(serial_rebuild, parallel_rebuild,
-               "seed=" + std::to_string(seed) + " rebuild");
-  });
+  const Case cases[] = {
+      {"kovanen", Opts(3, 3, TimingConstraints::OnlyDeltaC(12), true), 0},
+      {"paranjape_store_off",
+       Opts(3, 3, TimingConstraints::OnlyDeltaW(24), false, false,
+            Inducedness::kStatic),
+       1},
+  };
+  obs::Histogram* const shard_instances =
+      obs::GlobalMetrics().GetHistogram("parallel.shard_instances");
+  for (const Case& c : cases) {
+    ForEachRandomGraph(0x7d5eed, 2, spec, [&](std::uint64_t seed,
+                                              const TemporalGraph& g) {
+      StreamConfig serial_config;
+      serial_config.options = c.options;
+      serial_config.window = WindowPolicy::CountBased(kWindow);
+      serial_config.store_budget_bytes = c.store_budget_bytes;
+      StreamConfig threaded_config = serial_config;
+      threaded_config.num_threads = 4;
+      StreamingMotifCounter serial(serial_config);
+      StreamingMotifCounter threaded(threaded_config);
+      const std::vector<Event>& all = g.events();
+      int threaded_recounts = 0;
+      for (std::size_t begin = 0; begin < all.size(); begin += kWindow) {
+        const std::size_t end = std::min(all.size(), begin + kWindow);
+        const std::vector<Event> batch(
+            all.begin() + static_cast<std::ptrdiff_t>(begin),
+            all.begin() + static_cast<std::ptrdiff_t>(end));
+        const std::string label = std::string(c.name) + " seed=" +
+                                  std::to_string(seed) + " after " +
+                                  std::to_string(end);
+        const bool store_was_on = threaded.store_active();
+        const std::uint64_t recounts_before = threaded.stats().full_recounts;
+        const std::uint64_t shards_before = shard_instances->Snapshot().count;
+        serial.Ingest(batch);
+        threaded.Ingest(batch);
+        ASSERT_EQ(threaded.counts().SortedByCode(),
+                  serial.counts().SortedByCode())
+            << label << ": serial=" << DescribeCounts(serial.counts())
+            << " threaded=" << DescribeCounts(threaded.counts());
+        ASSERT_EQ(threaded.stats().full_recounts,
+                  serial.stats().full_recounts)
+            << label;
+        if (threaded.stats().full_recounts == recounts_before ||
+            store_was_on || threaded.window_size() < kWindow) {
+          continue;
+        }
+        ++threaded_recounts;
+#ifndef TMOTIF_NO_TELEMETRY
+        EXPECT_GT(shard_instances->Snapshot().count, shards_before) << label;
+#else
+        (void)shards_before;
+#endif
+      }
+      EXPECT_GT(serial.total(), 0u) << c.name << " seed=" << seed;
+      EXPECT_GE(threaded_recounts, 2) << c.name << " seed=" << seed;
+    });
+  }
 }
 
 // Static-edge flips that actually change surviving instances' validity,

@@ -162,19 +162,6 @@ constexpr GatedField kGatedFields[] = {
     {"kernel_micro", "probe_speedup", true},
     {"kernel_micro", "distinct_speedup", true},
     {"kernel_micro", "prefilter_speedup", true},
-    // Node-space sharded counting: scaling_efficiency is serial CPU over
-    // aggregate per-shard CPU at 4 shards (work preservation — a halo
-    // blow-up collapses it long before wall seconds move on few-core
-    // runners), plus per-shard-count throughputs.
-    {"sharded_scaling", "scaling_efficiency", true},
-    {"sharded_scaling", "events_per_sec_shards_1", true},
-    {"sharded_scaling", "events_per_sec_shards_2", true},
-    {"sharded_scaling", "events_per_sec_shards_4", true},
-    {"sharded_scaling", "events_per_sec_shards_all", true},
-    {"sharded_scaling", "instances_per_sec_shards_1", true},
-    {"sharded_scaling", "instances_per_sec_shards_2", true},
-    {"sharded_scaling", "instances_per_sec_shards_4", true},
-    {"sharded_scaling", "instances_per_sec_shards_all", true},
 };
 
 /// True when a record name is a gated-field row ("bench.field") rather

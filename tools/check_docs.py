@@ -55,15 +55,11 @@ REQUIRED_SECTIONS = {
         "batch sink surface",
         "window-difference identity",
         "fastpath_<workload>_instances_per_sec",
-        "## Node-space sharded counting (algorithms/sharded.h)",
-        "scaling_efficiency",
+        "## Threads (core/parallel.h)",
     ),
     "docs/ARCHITECTURE.md": (
         "core/fast_paths",
         "EmitBatch",
-        "## Sharded counting (algorithms/sharded.h)",
-        "The boundary halo.",
-        "The ownership rule.",
     ),
     "docs/STREAMING.md": (
         "#### Lifted store gates: order predicates and k = 1",

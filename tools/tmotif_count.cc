@@ -16,11 +16,10 @@
 #include <cstring>
 #include <string>
 
-#include "algorithms/parallel.h"
-#include "algorithms/sharded.h"
 #include "analysis/report.h"
 #include "common/csv.h"
 #include "common/parse_int.h"
+#include "core/counter.h"
 #include "core/models/model_info.h"
 #include "core/simd/dispatch.h"
 #include "graph/graph_io.h"
@@ -42,7 +41,6 @@ struct CliArgs {
   bool consecutive = false;
   int top = 25;
   int threads = 1;
-  int shards = 1;
   std::string csv_out;
   bool compact_ids = true;
   std::string metrics_out;  // Empty = no metrics dump.
@@ -62,10 +60,8 @@ void Usage(const char* argv0, std::FILE* out = stderr) {
       "  --cdg            constrained-dynamic-graphlet restriction\n"
       "  --consecutive    Kovanen consecutive-events restriction\n"
       "  --top=N          rows to print (default 25, 0 = all)\n"
-      "  --threads=N      parallel counting over event ranges (default 1)\n"
-      "  --shards=N       node-space sharded counting: partition nodes by\n"
-      "                   hash, count per-shard sub-graphs with a boundary\n"
-      "                   halo, merge (exact; default 1 = off)\n"
+      "  --threads=N      split DFS counting over event ranges (default 1;\n"
+      "                   k <= 3 fast-path configs count serially)\n"
       "  --csv=FILE       also write full counts as CSV\n"
       "  --raw-ids        node ids are already dense (skip remapping); ids\n"
       "                   must be < 2147483647 and memory grows with the\n"
@@ -94,7 +90,6 @@ bool Parse(int argc, char** argv, CliArgs* args) {
     else if (std::strcmp(a, "--consecutive") == 0) args->consecutive = true;
     else if (const char* v = value("--top=")) valid = ParseInt(v, &args->top);
     else if (const char* v = value("--threads=")) valid = ParseInt(v, &args->threads);
-    else if (const char* v = value("--shards=")) valid = ParseInt(v, &args->shards);
     else if (const char* v = value("--csv=")) args->csv_out = v;
     else if (std::strcmp(a, "--raw-ids") == 0) args->compact_ids = false;
     else if (const char* v = value("--metrics-out=")) args->metrics_out = v;
@@ -131,10 +126,6 @@ bool Parse(int argc, char** argv, CliArgs* args) {
   }
   if (args->threads < 1) {
     std::fprintf(stderr, "--threads must be >= 1\n");
-    return false;
-  }
-  if (args->shards < 1) {
-    std::fprintf(stderr, "--shards must be >= 1\n");
     return false;
   }
   return true;
@@ -234,23 +225,7 @@ int Main(int argc, char** argv) {
                          ? ", static-induced"
                          : ", window-induced"));
 
-  MotifCounts counts;
-  if (args.shards > 1) {
-    // Node-space sharding (algorithms/sharded.h): exact for any plan; the
-    // hash plan spreads hubs without needing a community layout.
-    const ShardedCountResult sharded = CountMotifsShardedWithStats(
-        graph, options, ShardPlan::Hash(graph.num_nodes(), args.shards));
-    std::printf("sharded over %d shards: %llu cross-shard instances, "
-                "aggregate shard cpu %.3fs\n",
-                args.shards,
-                static_cast<unsigned long long>(sharded.CrossShardInstances()),
-                sharded.AggregateCpuSeconds());
-    counts = sharded.counts;
-  } else if (args.threads > 1) {
-    counts = CountMotifsParallel(graph, options, args.threads);
-  } else {
-    counts = CountMotifs(graph, options);
-  }
+  const MotifCounts counts = CountMotifs(graph, options, args.threads);
   std::printf("%llu instances across %zu motif types\n\n",
               static_cast<unsigned long long>(counts.total()),
               counts.num_codes());

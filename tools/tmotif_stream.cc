@@ -83,7 +83,8 @@ void Usage(const char* argv0, std::FILE* out = stderr) {
       "  --report-every=N    print a snapshot every N batches (0 = final "
       "only)\n"
       "  --top=N             motif rows per report (default 10, 0 = all)\n"
-      "  --threads=N         delta-ingestion shards (default 1)\n"
+      "  --threads=N         threads for store-off window recounts\n"
+      "                      (default 1)\n"
       "  --raw-ids           node ids are already dense (skip remapping);\n"
       "                      ids must be < 2147483647 and memory grows\n"
       "                      with the largest id\n"
