@@ -46,8 +46,8 @@ void PrintBenchHeader(const std::string& title, const std::string& paper_ref,
   std::printf("================================================================\n");
   std::printf("%s\n", title.c_str());
   std::printf("Reproduces: %s\n", paper_ref.c_str());
-  std::printf("Datasets: synthetic presets (see DESIGN.md), scale x%.2f, "
-              "seed %llu\n",
+  std::printf("Datasets: synthetic presets (see src/gen/presets.h), "
+              "scale x%.2f, seed %llu\n",
               args.scale_multiplier,
               static_cast<unsigned long long>(args.seed));
   std::printf("================================================================\n\n");
@@ -55,12 +55,6 @@ void PrintBenchHeader(const std::string& title, const std::string& paper_ref,
 
 void WriteBenchResult(const BenchArgs& args, const std::string& name,
                       double seconds) {
-  WriteBenchResult(args, name, seconds, {});
-}
-
-void WriteBenchResult(
-    const BenchArgs& args, const std::string& name, double seconds,
-    const std::vector<std::pair<std::string, double>>& extra) {
   const std::string path =
       BenchOutputPath(args.out_dir, "BENCH_" + name + ".json");
   std::FILE* file = std::fopen(path.c_str(), "w");
@@ -70,13 +64,9 @@ void WriteBenchResult(
   }
   std::fprintf(file,
                "{\"bench\": \"%s\", \"scale\": %.4f, \"seed\": %llu, "
-               "\"seconds\": %.6f",
+               "\"seconds\": %.6f}\n",
                name.c_str(), args.scale_multiplier,
                static_cast<unsigned long long>(args.seed), seconds);
-  for (const auto& [key, value] : extra) {
-    std::fprintf(file, ", \"%s\": %.6f", key.c_str(), value);
-  }
-  std::fprintf(file, "}\n");
   std::fclose(file);
 }
 

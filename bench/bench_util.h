@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "gen/presets.h"
@@ -39,16 +38,11 @@ void PrintBenchHeader(const std::string& title, const std::string& paper_ref,
 std::vector<DatasetId> MessageDatasets();
 
 /// Writes `<out_dir>/BENCH_<name>.json`: one machine-readable record of this
-/// run — bench name, effective scale multiplier, seed, and wall seconds — so
-/// the perf trajectory of every bench can be tracked across PRs (e.g. by
-/// tools/run_benches.sh and tools/bench_diff). Overwrites any previous
-/// record. `extra` appends additional numeric fields (e.g. a speedup ratio
-/// or an events/sec throughput) to the same record.
+/// run — bench name, effective scale multiplier, seed, and wall seconds
+/// (tools/run_benches.sh collects one per bench). Overwrites any previous
+/// record.
 void WriteBenchResult(const BenchArgs& args, const std::string& name,
                       double seconds);
-void WriteBenchResult(
-    const BenchArgs& args, const std::string& name, double seconds,
-    const std::vector<std::pair<std::string, double>>& extra);
 
 /// Wall-clock helper for reporting bench runtimes.
 class WallTimer {

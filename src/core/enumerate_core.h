@@ -181,7 +181,6 @@ class DfsEngine {
   /// increment-only). EnumerateCore/EnumerateCoreAtRoots call it after
   /// the run.
   void PublishKernelTelemetry() {
-#ifndef TMOTIF_NO_TELEMETRY
     if (distinct_scans_ == 0 && prefilters_ == 0) return;
     static obs::Counter* const scans =
         obs::GlobalMetrics().GetCounter("counting.kernel_distinct_scans");
@@ -191,7 +190,6 @@ class DfsEngine {
     filters->Add(prefilters_);
     distinct_scans_ = 0;
     prefilters_ = 0;
-#endif
   }
 
   std::uint64_t Run(EventIndex first_begin, EventIndex first_end) {
@@ -291,9 +289,7 @@ class DfsEngine {
   /// compares) stay inline — the function-pointer hop would cost more
   /// than the scan.
   int DistinctPairs(std::uint64_t code, int k) {
-#ifndef TMOTIF_NO_TELEMETRY
     ++distinct_scans_;
-#endif
     if (k <= 3) {
       const std::uint32_t b0 = code & 0xFF;
       const std::uint32_t b1 = (code >> 8) & 0xFF;
@@ -434,9 +430,7 @@ class DfsEngine {
       // One kernel call filters every run: pass[i] <=> run i's code covers
       // exactly the scope's static edges.
       ops_->prefilter_codes(codes, npairs, k, scope_static_edges_, pass);
-#ifndef TMOTIF_NO_TELEMETRY
       ++prefilters_;
-#endif
     } else {
       // Temporal-window: admission is per-candidate (the rank total
       // depends on the candidate's timestamp), so every run stays live.
@@ -941,13 +935,11 @@ class DfsEngine {
       cursors_{};
   std::array<std::array<IncidentIter, kMaxCoreNodes>, kMaxCoreEvents>
       cursor_ends_{};
-#ifndef TMOTIF_NO_TELEMETRY
   /// Per-kernel invocation tallies since the last PublishKernelTelemetry.
   /// Deterministic and dispatch-level-independent: the scalar and vector
   /// kernels are bit-identical, so call counts never depend on the ISA.
   std::uint64_t distinct_scans_ = 0;
   std::uint64_t prefilters_ = 0;
-#endif
 };
 
 /// Runs the DFS over instances whose first event lies in

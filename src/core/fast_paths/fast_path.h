@@ -59,10 +59,10 @@ namespace fast_paths {
 bool FastPathSupported(const EnumerationOptions& options);
 
 /// Telemetry: records which engine a counting call dispatched to, bumping
-/// counting.dispatch_fastpath or counting.dispatch_generic (obs/metrics.h;
-/// no-op under TMOTIF_NO_TELEMETRY). One call per dispatch decision — the
-/// batch entry points and the streaming delta phases — so benches and the
-/// exporters can attribute work to the engine that actually served it.
+/// counting.dispatch_fastpath or counting.dispatch_generic (obs/metrics.h).
+/// One call per dispatch decision — the batch entry points and the
+/// streaming delta phases — so benches and the exporters can attribute
+/// work to the engine that actually served it.
 void NoteDispatch(bool fastpath);
 
 /// Signed per-code accumulator for window differences. The counters below

@@ -77,9 +77,7 @@ class PackedMotifTable {
     std::size_t group = h & group_mask_;
     for (;;) {
       const std::uint8_t* g = ctrl_.data() + group * simd::kGroupSize;
-#ifndef TMOTIF_NO_TELEMETRY
       ++group_probes_;  // One match-kernel invocation; flushed in bulk.
-#endif
       std::uint32_t match = ops_->match_tags(g, tag);
       while (match != 0) {
         const std::size_t slot =
@@ -90,9 +88,7 @@ class PackedMotifTable {
           total_ += n;
           return;
         }
-#ifndef TMOTIF_NO_TELEMETRY
         ++probe_steps_;  // Tag false positive: a key load was wasted.
-#endif
         match &= match - 1;
       }
       const std::uint32_t empty = ops_->match_empty(g);
@@ -108,9 +104,7 @@ class PackedMotifTable {
         if (4 * size_ > 3 * keys_.size()) Grow();
         return;
       }
-#ifndef TMOTIF_NO_TELEMETRY
       ++probe_steps_;  // Full group: spill to the next one.
-#endif
       group = (group + 1) & group_mask_;
     }
   }
@@ -119,7 +113,6 @@ class PackedMotifTable {
     other.ForEach([this](std::uint64_t packed, std::uint64_t n) {
       Add(packed, n);
     });
-#ifndef TMOTIF_NO_TELEMETRY
     // Absorb the (possibly worker-thread) source's probe telemetry so one
     // flush of the merged table covers the whole sharded count.
     probe_steps_ += other.probe_steps_;
@@ -128,7 +121,6 @@ class PackedMotifTable {
     other.probe_steps_ = 0;
     other.group_probes_ = 0;
     other.resizes_ = 0;
-#endif
   }
 
   /// Flushes the accumulated probe/resize telemetry into the process-wide
@@ -140,7 +132,6 @@ class PackedMotifTable {
   /// tables are moved and copied in worker vectors, and a destructor flush
   /// would double-count.
   void PublishTelemetry() const {
-#ifndef TMOTIF_NO_TELEMETRY
     if (probe_steps_ == 0 && resizes_ == 0 && group_probes_ == 0) return;
     static obs::Counter* const probes =
         obs::GlobalMetrics().GetCounter("core.table_probe_steps");
@@ -154,7 +145,6 @@ class PackedMotifTable {
     probe_steps_ = 0;
     group_probes_ = 0;
     resizes_ = 0;
-#endif
   }
 
   /// Invokes `fn(packed, count)` for every occupied slot (table order,
@@ -201,9 +191,7 @@ class PackedMotifTable {
   }
 
   void Grow() {
-#ifndef TMOTIF_NO_TELEMETRY
     ++resizes_;
-#endif
     std::vector<std::uint8_t> old_ctrl = std::move(ctrl_);
     std::vector<std::uint64_t> old_keys = std::move(keys_);
     std::vector<std::uint64_t> old_values = std::move(values_);
@@ -242,14 +230,12 @@ class PackedMotifTable {
   std::size_t group_mask_ = 0;
   std::size_t size_ = 0;
   std::uint64_t total_ = 0;
-#ifndef TMOTIF_NO_TELEMETRY
   /// Wasted key probes / match-kernel invocations / grows since the last
   /// PublishTelemetry (mutable so the flush can run from the const
   /// consumption helpers).
   mutable std::uint64_t probe_steps_ = 0;
   mutable std::uint64_t group_probes_ = 0;
   mutable std::uint64_t resizes_ = 0;
-#endif
 };
 
 /// Sink accumulating every emitted instance into a PackedMotifTable.

@@ -29,6 +29,12 @@ namespace internal {
 /// docs/PERFORMANCE.md ("Threads").
 inline constexpr EventIndex kMinParallelEvents = 512;
 
+/// Most threads a caller may ask for. MakeEventShards makes one shard, and
+/// so one thread, per event once `num_threads` exceeds the range, and far
+/// above the core count the spawns fail with std::system_error. The CLI
+/// tools reject a larger --threads.
+inline constexpr int kMaxThreads = 256;
+
 /// Splits [begin, end) into one contiguous range per worker. Guarantees:
 /// every shard is non-empty, shards partition [begin, end) exactly, and
 /// there are at most min(num_threads, end - begin) shards — when the range
@@ -39,8 +45,7 @@ std::vector<std::pair<EventIndex, EventIndex>> MakeEventShards(
 /// Telemetry for one sharded count: records every shard's instance total
 /// into the parallel.shard_instances histogram and sets the
 /// parallel.shard_imbalance_pct gauge to (max - mean) / mean of the shard
-/// totals (0 for a perfectly balanced run). No-op under
-/// TMOTIF_NO_TELEMETRY.
+/// totals (0 for a perfectly balanced run).
 void RecordShardBalance(const std::vector<PackedMotifTable>& partials);
 
 /// Packed-code tally of every instance whose first event lies in

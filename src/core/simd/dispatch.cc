@@ -41,13 +41,9 @@ const KernelOps* CompiledKernels(DispatchLevel level) {
 }
 
 void PublishLevelGauge(DispatchLevel level) {
-#ifndef TMOTIF_NO_TELEMETRY
   static obs::Gauge* const gauge =
       obs::GlobalMetrics().GetGauge("counting.simd_dispatch_level");
   gauge->Set(static_cast<std::int64_t>(level));
-#else
-  (void)level;
-#endif
 }
 
 struct Resolved {

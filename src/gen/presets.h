@@ -8,11 +8,11 @@
 namespace tmotif {
 
 /// The nine datasets of the paper's Table 2, reproduced as generator
-/// presets (DESIGN.md documents the substitution). Each preset targets the
-/// published node/event counts (scaled by `scale`), the median inter-event
-/// time, the unique-timestamp fraction, and the dataset's qualitative
-/// character (reply-heavy messages, cc-heavy email, thread-heavy Q/A,
-/// unique-edge ratings).
+/// presets; this catalogue documents the substitution. Each preset targets
+/// the published node/event counts (scaled by `scale`), the median
+/// inter-event time, the unique-timestamp fraction, and the dataset's
+/// qualitative character (reply-heavy messages, cc-heavy email,
+/// thread-heavy Q/A, unique-edge ratings).
 enum class DatasetId {
   kBitcoinOtc,
   kCollegeMsg,

@@ -1,8 +1,7 @@
 #ifndef TMOTIF_OBS_EXPORT_H_
 #define TMOTIF_OBS_EXPORT_H_
 
-// Textual exporters over a MetricsSnapshot. Pure transforms — they work
-// identically in TMOTIF_NO_TELEMETRY builds (where snapshots are empty).
+// Textual exporters over a MetricsSnapshot. Pure transforms.
 
 #include <string>
 

@@ -18,8 +18,6 @@ double HistogramSnapshot::Quantile(double q) const {
   return HistogramQuantile(buckets, edges, q);
 }
 
-#ifndef TMOTIF_NO_TELEMETRY
-
 namespace internal {
 
 int ThisThreadShard() {
@@ -99,15 +97,6 @@ MetricsRegistry& GlobalMetrics() {
   static MetricsRegistry registry;
   return registry;
 }
-
-#else  // TMOTIF_NO_TELEMETRY
-
-MetricsRegistry& GlobalMetrics() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
-#endif  // TMOTIF_NO_TELEMETRY
 
 }  // namespace obs
 }  // namespace tmotif

@@ -10,11 +10,6 @@
 // themselves are relaxed atomic adds on thread-sharded slots, so
 // concurrent writers on different threads rarely contend on a cache
 // line. Snapshot() merges the shards; it is the only reader path.
-//
-// Compiling with -DTMOTIF_NO_TELEMETRY replaces every type below with a
-// no-op stub of identical shape, so instrumented call sites compile away
-// without #ifdefs. bench_obs_overhead builds the library both ways and
-// pins the instrumented/stripped throughput ratio.
 
 #include <atomic>
 #include <cstdint>
@@ -46,8 +41,7 @@ inline int HistogramBucketOf(std::uint64_t value) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot types (shared by the real and the TMOTIF_NO_TELEMETRY builds;
-// exporters only ever see these).
+// Snapshot types (exporters only ever see these).
 
 struct CounterSnapshot {
   std::string name;
@@ -79,8 +73,6 @@ struct MetricsSnapshot {
   std::vector<GaugeSnapshot> gauges;        // Sorted by name.
   std::vector<HistogramSnapshot> histograms;  // Sorted by name.
 };
-
-#ifndef TMOTIF_NO_TELEMETRY
 
 namespace internal {
 
@@ -175,48 +167,6 @@ class MetricsRegistry {
 };
 
 MetricsRegistry& GlobalMetrics();
-
-#else  // TMOTIF_NO_TELEMETRY
-
-// No-op stubs: identical surface, zero code on the hot path. Handles are
-// shared dummies; Snapshot() is empty.
-
-class Counter {
- public:
-  void Add(std::uint64_t) {}
-  void Increment() {}
-  std::uint64_t Value() const { return 0; }
-};
-
-class Gauge {
- public:
-  void Set(std::int64_t) {}
-  void Add(std::int64_t) {}
-  std::int64_t Value() const { return 0; }
-};
-
-class Histogram {
- public:
-  void Record(std::uint64_t) {}
-  HistogramSnapshot Snapshot() const { return {}; }
-};
-
-class MetricsRegistry {
- public:
-  Counter* GetCounter(const std::string&) { return &counter_; }
-  Gauge* GetGauge(const std::string&) { return &gauge_; }
-  Histogram* GetHistogram(const std::string&) { return &histogram_; }
-  MetricsSnapshot Snapshot() const { return {}; }
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Histogram histogram_;
-};
-
-MetricsRegistry& GlobalMetrics();
-
-#endif  // TMOTIF_NO_TELEMETRY
 
 }  // namespace obs
 }  // namespace tmotif

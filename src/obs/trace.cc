@@ -5,8 +5,6 @@
 namespace tmotif {
 namespace obs {
 
-#ifndef TMOTIF_NO_TELEMETRY
-
 namespace {
 
 int ThisThreadTraceId() {
@@ -70,19 +68,6 @@ void TraceRecorder::WriteJson(std::ostream& out) const {
   }
   out << "}\n";
 }
-
-#else  // TMOTIF_NO_TELEMETRY
-
-TraceRecorder& TraceRecorder::Global() {
-  static TraceRecorder recorder;
-  return recorder;
-}
-
-void TraceRecorder::WriteJson(std::ostream& out) const {
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}\n";
-}
-
-#endif  // TMOTIF_NO_TELEMETRY
 
 }  // namespace obs
 }  // namespace tmotif

@@ -7,8 +7,7 @@
 // dumped JSON at chrome://tracing or https://ui.perfetto.dev.
 //
 // Disabled-recorder cost per span: two steady_clock reads, one relaxed
-// atomic load, one histogram Record. Under TMOTIF_NO_TELEMETRY the whole
-// thing compiles to nothing.
+// atomic load, one histogram Record.
 
 #include <chrono>
 #include <cstdint>
@@ -21,8 +20,6 @@
 
 namespace tmotif {
 namespace obs {
-
-#ifndef TMOTIF_NO_TELEMETRY
 
 struct TraceEvent {
   const char* name;         // Static-lifetime phase name.
@@ -94,27 +91,6 @@ class PhaseTimer {
   const char* name_;
   std::chrono::steady_clock::time_point start_;
 };
-
-#else  // TMOTIF_NO_TELEMETRY
-
-class TraceRecorder {
- public:
-  static TraceRecorder& Global();
-  void Enable() {}
-  bool enabled() const { return false; }
-  void RecordSpan(const char*, std::uint64_t, std::uint64_t) {}
-  void WriteJson(std::ostream& out) const;
-  std::uint64_t NowNs() const { return 0; }
-};
-
-class PhaseTimer {
- public:
-  PhaseTimer(Histogram*, const char*) {}
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-};
-
-#endif  // TMOTIF_NO_TELEMETRY
 
 }  // namespace obs
 }  // namespace tmotif

@@ -18,8 +18,7 @@ namespace tmotif {
 namespace {
 
 /// Cached registry handles for the streaming instrumentation. Looked up
-/// once per process; the increments themselves are relaxed atomic adds
-/// (and no-ops entirely under TMOTIF_NO_TELEMETRY).
+/// once per process; the increments themselves are relaxed atomic adds.
 struct StreamMetrics {
   // Whole-batch + per-phase latency histograms (nanoseconds).
   obs::Histogram* ingest_latency;

@@ -353,9 +353,9 @@ class StreamingMotifCounter {
 
   /// Mirrors the IngestStats deltas since the last publish into the
   /// process-wide metrics registry (stream.* counters) and refreshes the
-  /// window/store gauges. Runs once per Ingest; compiles away under
-  /// TMOTIF_NO_TELEMETRY. The struct stays the authoritative per-stream
-  /// snapshot (callers hold references to it across batches).
+  /// window/store gauges. Runs once per Ingest. The struct stays the
+  /// authoritative per-stream snapshot (callers hold references to it
+  /// across batches).
   void PublishTelemetry();
 
   const EnumerationOptions& options() const { return config_.options; }

@@ -173,16 +173,12 @@ TEST(ParallelCount, AnyThreadCountMatchesSerialProperty) {
             const MotifCounts parallel = CountMotifs(g, o, threads);
             EXPECT_EQ(parallel.total(), serial.total());
             EXPECT_EQ(parallel.SortedByCode(), serial.SortedByCode());
-#ifndef TMOTIF_NO_TELEMETRY
             // Threads run exactly at and above the threshold.
             const bool threaded =
                 threads > 1 && num_events >= kMinParallelEvents;
             EXPECT_EQ(HistogramCount("parallel.shard_instances") >
                           shards_before,
                       threaded);
-#else
-            (void)shards_before;
-#endif
           }
         });
   }
@@ -214,7 +210,6 @@ TEST(ParallelCount, AllModelPresetsMatchSerialOnPresetGraph) {
   }
 }
 
-#ifndef TMOTIF_NO_TELEMETRY
 // --threads goes through the one dispatch gate: a fast-path config (Song)
 // still dispatches the serial k <= 3 counters, spawns no shard, and is
 // noted as a fast-path dispatch. The registry is process-global, so the
@@ -262,7 +257,6 @@ TEST(ParallelDispatch, ThreadedGenericConfigDispatchesGenericOnce) {
   EXPECT_EQ(HistogramCount("parallel.shard_instances"), shards_before + 4);
   EXPECT_GT(threaded.total(), 0u);
 }
-#endif  // TMOTIF_NO_TELEMETRY
 
 TEST(RangeEnumeration, DisjointRangesPartitionInstances) {
   const TemporalGraph g = TestGraph(21);

@@ -185,7 +185,6 @@ TEST(StreamBudget, ImpossibleBudgetReachesRecountMode) {
   }
 }
 
-#ifndef TMOTIF_NO_TELEMETRY
 // Every store transition must be visible in the exported metrics. The
 // registry is process-global, so assert growth, not absolute values.
 TEST(StreamBudget, TransitionsAreExportedAsMetrics) {
@@ -210,7 +209,6 @@ TEST(StreamBudget, TransitionsAreExportedAsMetrics) {
   // The mode gauge reports the latest published state (kRecount = 2).
   EXPECT_EQ(registry.GetGauge("stream.store_mode")->Value(), 2);
 }
-#endif  // TMOTIF_NO_TELEMETRY
 
 // --- Compaction threshold (LiveInstanceStore::SetCompactionSlack). ---
 

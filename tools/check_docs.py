@@ -7,7 +7,7 @@ Four classes of rot are caught:
      in the repo's *.md files must resolve to an existing file.
   2. Stale CLI flags — every `--flag` that appears in a code span or
      fenced block mentioning one of the CLI tools (tmotif_count,
-     tmotif_stream, bench_diff) must appear in that tool's --help output.
+     tmotif_stream) must appear in that tool's --help output.
   3. Missing required sections — load-bearing doc sections that code or
      tests reference by topic (the fast-path dispatch table, the batch
      sink surface, the lifted store gates) must keep existing; a refactor
@@ -31,7 +31,7 @@ import re
 import subprocess
 import sys
 
-TOOLS = ("tmotif_count", "tmotif_stream", "bench_diff")
+TOOLS = ("tmotif_count", "tmotif_stream")
 
 # Markdown files at the repo root other than README.md are planning and
 # reference documents: they name flags that do not exist yet (proposals)
@@ -54,7 +54,7 @@ REQUIRED_SECTIONS = {
         "### The dispatch table",
         "batch sink surface",
         "window-difference identity",
-        "fastpath_<workload>_instances_per_sec",
+        "## Performance gate (tools/pipebench_gate.py)",
         "## Threads (core/parallel.h)",
     ),
     "docs/ARCHITECTURE.md": (
@@ -79,7 +79,7 @@ REQUIRED_SECTIONS = {
         "## Metric catalog",
         "## Phase tracing",
         "## Exporters",
-        "## Overhead budget (TMOTIF_NO_TELEMETRY)",
+        "## Telemetry cost",
         "latency_ns",
         "MASK_TIMING",
     ),

@@ -1,22 +1,20 @@
 #!/usr/bin/env bash
-# Builds and runs every bench binary on a small preset dataset so the perf
-# trajectory (BENCH_*.json records) can accumulate across PRs.
+# Builds and runs every bench binary (the paper-reproduction tables,
+# figures and ablations) on a small preset dataset: a smoke run that fails
+# when any bench fails. Performance is gated by tools/pipebench_gate.py.
 #
 # Usage: tools/run_benches.sh [build_dir] [scale] [out_dir]
 #   build_dir  CMake build directory            (default: build)
 #   scale      --scale multiplier per bench     (default: 0.05)
 #   out_dir    where BENCH_*.json + CSVs land   (default: <build_dir>/bench_out)
 #
-# Every paper-artefact bench accepts --scale/--seed/--out (see
-# bench/bench_util.h) and writes one BENCH_<name>.json timing record.
-# bench_perf_counting is a Google Benchmark binary and is driven through
-# --benchmark_* flags instead; it is skipped when it was not built (the
-# system Google Benchmark package is optional).
+# Every bench accepts --scale/--seed/--out (see bench/bench_util.h) and
+# writes one BENCH_<name>.json timing record.
 #
 # TMOTIF_BENCH_DRY_RUN=1 skips the build and prints "would run <name>" for
 # every bench the glob enumerates without executing any of them — the CTest
 # smoke test uses it to pin the enumeration (new bench binaries must show
-# up; helper binaries and stray bench_*.json/csv files must stay excluded).
+# up; stray bench_*.json/csv files must stay excluded).
 
 set -euo pipefail
 
@@ -44,47 +42,20 @@ for bin in "${BUILD_DIR}"/bench_*; do
   name="$(basename "${bin}")"
   case "${name}" in
     *.json | *.csv) continue ;;
-    bench_diff) continue ;;  # The record-comparison tool, not a bench.
-    # The no-telemetry half of bench_obs_overhead: spawned by the
-    # instrumented binary itself, never run standalone.
-    bench_obs_overhead_baseline) continue ;;
-    bench_perf_counting)
-      if [ "${DRY_RUN}" != "0" ]; then
-        echo "would run ${name}"
-        ran=$((ran + 1))
-        continue
-      fi
-      # Runs the Google Benchmark suite AND writes the
-      # BENCH_counting_throughput.json trajectory record (the binary
-      # splits --scale/--seed/--out from the --benchmark_* flags itself).
-      echo "== ${name} (google-benchmark, min_time 0.01s)"
-      if "${bin}" --benchmark_min_time=0.01 \
-          --benchmark_out="${OUT_DIR}/BENCH_perf_counting.json" \
-          --benchmark_out_format=json \
-          "--scale=${SCALE}" "--seed=${SEED}" "--out=${OUT_DIR}" \
-          > "${OUT_DIR}/${name}.log" 2>&1; then
-        ran=$((ran + 1))
-      else
-        echo "   FAILED (see ${OUT_DIR}/${name}.log)"
-        failures=$((failures + 1))
-      fi
-      ;;
-    *)
-      if [ "${DRY_RUN}" != "0" ]; then
-        echo "would run ${name}"
-        ran=$((ran + 1))
-        continue
-      fi
-      echo "== ${name} (scale ${SCALE}, seed ${SEED})"
-      if "${bin}" "--scale=${SCALE}" "--seed=${SEED}" "--out=${OUT_DIR}" \
-          > "${OUT_DIR}/${name}.log" 2>&1; then
-        ran=$((ran + 1))
-      else
-        echo "   FAILED (see ${OUT_DIR}/${name}.log)"
-        failures=$((failures + 1))
-      fi
-      ;;
   esac
+  if [ "${DRY_RUN}" != "0" ]; then
+    echo "would run ${name}"
+    ran=$((ran + 1))
+    continue
+  fi
+  echo "== ${name} (scale ${SCALE}, seed ${SEED})"
+  if "${bin}" "--scale=${SCALE}" "--seed=${SEED}" "--out=${OUT_DIR}" \
+      > "${OUT_DIR}/${name}.log" 2>&1; then
+    ran=$((ran + 1))
+  else
+    echo "   FAILED (see ${OUT_DIR}/${name}.log)"
+    failures=$((failures + 1))
+  fi
 done
 
 echo

@@ -21,6 +21,7 @@
 #include "common/parse_int.h"
 #include "core/counter.h"
 #include "core/models/model_info.h"
+#include "core/parallel.h"
 #include "core/simd/dispatch.h"
 #include "graph/graph_io.h"
 #include "graph/graph_stats.h"
@@ -60,8 +61,9 @@ void Usage(const char* argv0, std::FILE* out = stderr) {
       "  --cdg            constrained-dynamic-graphlet restriction\n"
       "  --consecutive    Kovanen consecutive-events restriction\n"
       "  --top=N          rows to print (default 25, 0 = all)\n"
-      "  --threads=N      split DFS counting over event ranges (default 1;\n"
-      "                   k <= 3 fast-path configs count serially)\n"
+      "  --threads=N      split DFS counting over event ranges (default 1,\n"
+      "                   at most 256; k <= 3 fast-path configs count\n"
+      "                   serially)\n"
       "  --csv=FILE       also write full counts as CSV\n"
       "  --raw-ids        node ids are already dense (skip remapping); ids\n"
       "                   must be < 2147483647 and memory grows with the\n"
@@ -126,6 +128,10 @@ bool Parse(int argc, char** argv, CliArgs* args) {
   }
   if (args->threads < 1) {
     std::fprintf(stderr, "--threads must be >= 1\n");
+    return false;
+  }
+  if (args->threads > internal::kMaxThreads) {
+    std::fprintf(stderr, "--threads must be <= %d\n", internal::kMaxThreads);
     return false;
   }
   return true;

@@ -22,6 +22,7 @@
 #include "analysis/report.h"
 #include "common/parse_int.h"
 #include "core/models/model_info.h"
+#include "core/parallel.h"
 #include "graph/graph_io.h"
 #include "obs/export.h"
 #include "obs/trace.h"
@@ -84,7 +85,7 @@ void Usage(const char* argv0, std::FILE* out = stderr) {
       "only)\n"
       "  --top=N             motif rows per report (default 10, 0 = all)\n"
       "  --threads=N         threads for store-off window recounts\n"
-      "                      (default 1)\n"
+      "                      (default 1, at most 256)\n"
       "  --raw-ids           node ids are already dense (skip remapping);\n"
       "                      ids must be < 2147483647 and memory grows\n"
       "                      with the largest id\n"
@@ -203,6 +204,10 @@ bool Parse(int argc, char** argv, CliArgs* args) {
   }
   if (args->threads < 1) {
     std::fprintf(stderr, "--threads must be >= 1\n");
+    return false;
+  }
+  if (args->threads > internal::kMaxThreads) {
+    std::fprintf(stderr, "--threads must be <= %d\n", internal::kMaxThreads);
     return false;
   }
   if (args->metrics_format != "prom" && args->metrics_format != "jsonl") {
