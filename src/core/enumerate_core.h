@@ -168,6 +168,7 @@ class DfsEngine {
         use_dc_(opt.timing.delta_c.has_value()),
         use_dw_(opt.timing.delta_w.has_value()),
         static_induced_(opt.inducedness == Inducedness::kStatic),
+        window_induced_(opt.inducedness == Inducedness::kTemporalWindow),
         saturated_final_(opt.inducedness != Inducedness::kNone),
         batch_saturated_(!opt.cdg_restriction &&
                          !opt.consecutive_events_restriction &&
@@ -211,13 +212,17 @@ class DfsEngine {
                      ? 1
                      : 0);
       }
+      // Temporal-window prefix prune at d = 1 (see WindowInduced): another
+      // event on the root's node pair at t0 intrudes on every completion.
+      // (The static prefix prune lives in Extend: a root scope has at most
+      // 2 edges and k >= 2 there, so it can never be dead this early.)
+      if (window_induced_ && !WindowInduced(1, 2, graph_.event_time(i))) {
+        continue;
+      }
       packed_ = PackPair(0, 1, 0);
       if (k == 1) {
         Emit(packed_, num_nodes_);
       } else {
-        // (The static-inducedness prefix prune lives in Extend: a root
-        // scope has at most 2 edges and k >= 2 here, so it can never be
-        // dead this early.)
         Extend(1, /*inherited=*/0);
       }
     }
@@ -236,7 +241,7 @@ class DfsEngine {
 
   /// Memoized FindEdge result for one ordered digit pair, plus the cached
   /// lower rank of the root's first-event timestamp (temporal-window
-  /// inducedness re-reads it on every emit under the same root).
+  /// inducedness re-reads it on every prefix check under the same root).
   struct PairMemo {
     std::uint64_t gen_a = 0;
     std::uint64_t gen_b = 0;
@@ -313,14 +318,26 @@ class DfsEngine {
       // serves the k == 1 root path.)
       return DistinctPairs(packed, k) == scope_static_edges_;
     }
-    // Temporal-window inducedness: the events among the instance's node set
-    // within [t_first, t_last] must be exactly the instance's k events.
-    // t_first is fixed per root, so each pair's lower rank is resolved once
-    // and reused across every emit of the root's subtree.
-    (void)packed;
+    // Temporal-window inducedness over the whole instance. (Every proper
+    // prefix already passed in Run / Extend; this last check still has to
+    // see a node the final event brings in and the final event's
+    // timestamp ties.)
+    return WindowInduced(
+        k, num_nodes,
+        graph_.event_time(chosen_[static_cast<std::size_t>(k - 1)]));
+  }
+
+  /// Temporal-window inducedness of the first `num_events` chosen events
+  /// over the first `num_nodes` digits: the events among those nodes within
+  /// [t_first, t_last] must be exactly the chosen ones. The predicate is
+  /// prefix-closed: instance times strictly increase and every chosen event
+  /// lies among the node set, so if an instance passes, each prefix of d
+  /// events passes too, over its own nodes and [t_first, t_d]. Run and
+  /// Extend therefore check it at every depth and skip a failing prefix's
+  /// whole subtree. t_first is fixed per root, so each pair's lower rank is
+  /// resolved once and reused across the root's subtree.
+  bool WindowInduced(int num_events, int num_nodes, Timestamp t_last) {
     const Timestamp t_first = graph_.event_time(chosen_[0]);
-    const Timestamp t_last =
-        graph_.event_time(chosen_[static_cast<std::size_t>(k - 1)]);
     int total = 0;
     for (int a = 0; a < num_nodes; ++a) {
       for (int b = 0; b < num_nodes; ++b) {
@@ -333,10 +350,10 @@ class DfsEngine {
         }
         total += static_cast<int>(graph_.EdgeUpperRank(m.handle, t_last) -
                                   m.lo_rank);
-        if (total > k) return false;
+        if (total > num_events) return false;
       }
     }
-    return total == k;
+    return total == num_events;
   }
 
   void Emit(std::uint64_t packed, int num_nodes) {
@@ -365,16 +382,13 @@ class DfsEngine {
   /// `prev_idx` (kMaxTime when unbounded).
   Timestamp ExtensionUpperBound(EventIndex prev_idx, Timestamp t_prev) const {
     const Timestamp gap_base =
-        opt_.duration_aware_gaps ? t_prev + graph_.event(prev_idx).duration
-                                 : t_prev;
-    constexpr Timestamp kMaxTime = std::numeric_limits<Timestamp>::max();
-    Timestamp upper = kMaxTime;
-    if (use_dc_) {
-      upper = gap_base <= upper - dc_ ? gap_base + dc_ : upper;
-    }
+        opt_.duration_aware_gaps
+            ? SatAdd(t_prev, graph_.event(prev_idx).duration)
+            : t_prev;
+    Timestamp upper = std::numeric_limits<Timestamp>::max();
+    if (use_dc_) upper = SatAdd(gap_base, dc_);
     if (use_dw_) {
-      const Timestamp t0 = graph_.event_time(chosen_[0]);
-      upper = std::min(upper, t0 + dw_);
+      upper = std::min(upper, SatAdd(graph_.event_time(chosen_[0]), dw_));
     }
     return upper;
   }
@@ -390,12 +404,13 @@ class DfsEngine {
   /// Static mode rejects whole runs up front: every candidate on the same
   /// edge yields the same packed code, so one prefilter_codes kernel call
   /// over the collected pair codes replaces all per-candidate inducedness
-  /// checks. Temporal-window mode admits every pair's run and checks each
-  /// candidate with the memo'd rank scan: the windowed event total over
-  /// the scope pairs is at least k (the chosen events are all
-  /// scope-internal here) and nondecreasing in the candidate timestamp,
-  /// so the instance passes iff the total is exactly k — and the first
-  /// total above k ends the whole merge.
+  /// checks. Temporal-window mode needs no rank query at all: the prefix
+  /// already passed over [t_first, t_prev] (Run and Extend check every
+  /// prefix) and no node can join, so an instance passes iff its final
+  /// event is the only scope event in (t_prev, tc]. Only the first scope
+  /// event after t_prev can be that, and only when no other scope event
+  /// shares its timestamp; it intrudes on every later candidate, so the
+  /// merge ends with it either way.
   ///
   /// The runs are disjoint (each event lies on exactly one edge), and the
   /// min-scan merges them in ascending index order, so emission order is
@@ -403,12 +418,11 @@ class DfsEngine {
   void SaturatedFinal(int depth, NodeId prev_src, NodeId prev_dst,
                       Timestamp t_prev, Timestamp upper) {
     const int k = opt_.num_events;
-    // Collect the scope's resolved ordered pairs once; codes and memos
-    // feed the run-level pre-filter (static) or the windowed rank total
-    // (temporal-window).
+    // Collect the scope's resolved ordered pairs once; the codes feed the
+    // run-level pre-filter (static).
     constexpr int kMaxPairs = kMaxCoreNodes * (kMaxCoreNodes - 1);
     std::uint64_t codes[kMaxPairs];
-    PairMemo* memos[kMaxPairs];
+    EdgeHandle handles[kMaxPairs];
     std::int8_t src_digits[kMaxPairs];
     std::int8_t dst_digits[kMaxPairs];
     std::uint8_t pass[kMaxPairs];
@@ -419,7 +433,7 @@ class DfsEngine {
         PairMemo& m = MemoFor(a, b);
         if (m.handle == Graph::kNoEdgeHandle) continue;
         codes[npairs] = packed_ | PackPair(a, b, depth);
-        memos[npairs] = &m;
+        handles[npairs] = m.handle;
         src_digits[npairs] = static_cast<std::int8_t>(a);
         dst_digits[npairs] = static_cast<std::int8_t>(b);
         ++npairs;
@@ -432,24 +446,23 @@ class DfsEngine {
       ops_->prefilter_codes(codes, npairs, k, scope_static_edges_, pass);
       ++prefilters_;
     } else {
-      // Temporal-window: admission is per-candidate (the rank total
-      // depends on the candidate's timestamp), so every run stays live.
+      // Temporal-window: admission depends on the candidate's timestamp,
+      // so every run stays live.
       for (int i = 0; i < npairs; ++i) pass[i] = 1;
     }
 
-    // Batch short-circuit (static only — window totals are per-candidate):
-    // with no per-candidate order predicates (CDG / consecutive) and no
-    // instance cap, every occurrence of an accepted edge in
-    // (t_prev, upper] is an instance with the run's code — two rank
-    // queries per scope edge replace the whole min-merge, and the sink
-    // absorbs each run as one EmitBatch. Only batch-capable sinks take
-    // this branch; identity sinks still get per-instance Emit calls in
-    // deterministic order below.
+    // Batch short-circuit (static only): with no per-candidate order
+    // predicates (CDG / consecutive) and no instance cap, every
+    // occurrence of an accepted edge in (t_prev, upper] is an instance
+    // with the run's code — two rank queries per scope edge replace the
+    // whole min-merge, and the sink absorbs each run as one EmitBatch.
+    // Only batch-capable sinks take this branch; identity sinks still get
+    // per-instance Emit calls in deterministic order below.
     if constexpr (SinkHasEmitBatch<Sink>::value) {
       if (batch_saturated_ && static_induced_) {
         for (int i = 0; i < npairs; ++i) {
           if (!pass[i]) continue;
-          const EdgeHandle handle = memos[i]->handle;
+          const EdgeHandle handle = handles[i];
           const std::size_t lo = graph_.EdgeUpperRank(handle, t_prev);
           const std::size_t hi = graph_.EdgeUpperRank(handle, upper);
           if (hi <= lo) continue;
@@ -473,7 +486,7 @@ class DfsEngine {
     int nruns = 0;
     for (int i = 0; i < npairs; ++i) {
       if (!pass[i]) continue;  // Static: no candidate on this edge passes.
-      const EdgeHandle handle = memos[i]->handle;
+      const EdgeHandle handle = handles[i];
       const auto range = graph_.edge_occurrences(handle);
       const std::size_t lo = graph_.EdgeUpperRank(handle, t_prev);
       if (lo >= range.size()) continue;
@@ -488,21 +501,9 @@ class DfsEngine {
     }
     if (nruns == 0) return;
 
-    if (!static_induced_) {
-      // Resolve each pair's lower rank at the root's first-event timestamp
-      // once; every candidate's windowed total reuses them.
-      const Timestamp t_first = graph_.event_time(chosen_[0]);
-      for (int i = 0; i < npairs; ++i) {
-        PairMemo& m = *memos[i];
-        if (!m.lo_valid) {
-          m.lo_rank = graph_.EdgeLowerRank(m.handle, t_first);
-          m.lo_valid = true;
-        }
-      }
-    }
-
     constexpr EventIndex kDone = std::numeric_limits<EventIndex>::max();
-    for (;;) {
+    bool last_candidate = false;
+    while (!last_candidate) {
       EventIndex c = kDone;
       int win = -1;
       for (int r = 0; r < nruns; ++r) {
@@ -518,6 +519,17 @@ class DfsEngine {
       const Timestamp tc = run.cur.time();
       if (tc > upper) break;  // Ascending across runs: nothing else fits.
       ++run.cur;
+      if (window_induced_) {
+        // c is the first scope event after t_prev: the only candidate (see
+        // above), and admissible only if every run now fronts a later
+        // timestamp.
+        last_candidate = true;
+        bool tied = false;
+        for (int r = 0; r < nruns; ++r) {
+          tied |= runs[r].cur != runs[r].end && runs[r].cur.time() == tc;
+        }
+        if (tied) break;
+      }
 
       if (opt_.cdg_restriction && !run.same_edge_as_prev &&
           graph_.HasAdjacentEdgeEventInRange(c, t_prev, tc)) {
@@ -536,25 +548,8 @@ class DfsEngine {
         if (violated) continue;
       }
 
-      if (!static_induced_) {
-        // Windowed total over the scope pairs in [t_first, tc]. All k
-        // instance events are scope-internal here, so total >= k always;
-        // the instance is window-induced iff nothing else intrudes
-        // (total == k). EdgeUpperRank is nondecreasing in tc and the merge
-        // emits in ascending time, so the first overshoot ends the loop.
-        int total = 0;
-        for (int i = 0; i < npairs; ++i) {
-          const PairMemo& m = *memos[i];
-          total += static_cast<int>(graph_.EdgeUpperRank(m.handle, tc) -
-                                    m.lo_rank);
-          if (total > k) break;
-        }
-        if (total > k) break;
-        if (total < k) continue;  // Unreachable; keeps the check total.
-      }
-
       chosen_[static_cast<std::size_t>(depth)] = c;
-      // The run-level pre-filter / windowed total already passed.
+      // The run-level pre-filter / window tie rule already passed.
       EmitUnchecked(run.code, num_nodes_);
       if (stopped_) return;
     }
@@ -573,11 +568,11 @@ class DfsEngine {
     const Timestamp t_prev = graph_.event_time(prev_idx);
     const Timestamp upper = ExtensionUpperBound(prev_idx, t_prev);
     if (upper <= t_prev) return;
-    // The edge-run path wins exactly when an inducedness predicate makes
-    // run-level work pay: static mode rejects whole runs via the code
-    // pre-filter, temporal-window mode replaces the generic per-emit pair
-    // scan with memo'd ranks and a monotone early exit. For other option
-    // sets the incident merge below is cheaper (no per-pair setup).
+    // The edge-run path serves both inducedness predicates: static mode
+    // rejects whole runs via the code pre-filter, temporal-window mode
+    // admits at most the first scope event after t_prev without a rank
+    // query. For other option sets the incident merge below is cheaper (no
+    // per-pair setup).
     if (saturated_final_ && num_nodes_ == opt_.max_nodes) {
       SaturatedFinal(depth, prev_src, prev_dst, t_prev, upper);
       return;
@@ -604,7 +599,8 @@ class DfsEngine {
     int cached_new_delta = 0;
 
     constexpr EventIndex kDone = std::numeric_limits<EventIndex>::max();
-    for (;;) {
+    bool last_candidate = false;  // Temporal-window early stop (see Extend).
+    while (!last_candidate) {
       EventIndex c = kDone;
       unsigned match = 0;
       IncidentIter best{};
@@ -644,6 +640,7 @@ class DfsEngine {
       int src_digit = DigitOf(c_src);
       int dst_digit = DigitOf(c_dst);
       const int new_nodes = (src_digit < 0 ? 1 : 0) + (dst_digit < 0 ? 1 : 0);
+      last_candidate = window_induced_ && new_nodes == 0;
       if (num_nodes_ + new_nodes > opt_.max_nodes) continue;
 
       if (opt_.cdg_restriction && (prev_src != c_src || prev_dst != c_dst) &&
@@ -766,7 +763,8 @@ class DfsEngine {
     }
 
     constexpr EventIndex kDone = std::numeric_limits<EventIndex>::max();
-    for (;;) {
+    bool last_candidate = false;
+    while (!last_candidate) {
       EventIndex c = kDone;
       unsigned match = 0;
       IncidentIter best{};
@@ -808,6 +806,11 @@ class DfsEngine {
       int src_digit = DigitOf(c_src);
       int dst_digit = DigitOf(c_dst);
       const int new_nodes = (src_digit < 0 ? 1 : 0) + (dst_digit < 0 ? 1 : 0);
+      // Temporal-window early stop: a candidate among the scope nodes lies
+      // in the window of every later candidate (and of its own timestamp
+      // ties) without being chosen there, so whether or not it is admitted
+      // itself, the merge ends with it.
+      last_candidate = window_induced_ && new_nodes == 0;
       // Candidates are incident to the node set, so at most one endpoint is
       // new; the node cap is the only remaining node constraint.
       if (num_nodes_ + new_nodes > opt_.max_nodes) continue;
@@ -870,17 +873,19 @@ class DfsEngine {
       chosen_[static_cast<std::size_t>(depth)] = c;
       packed_ |= PackPair(src_digit, dst_digit, depth);
 
-      // Static-inducedness prefix prune: a passing instance must cover
-      // every scope static edge with a distinct event pair, each remaining
-      // event covers at most one, and introducing a node never shrinks the
-      // deficit (the node brings >= 1 scope edge but its event only one new
-      // pair). A prefix whose uncovered-edge deficit exceeds the remaining
-      // event budget therefore has no passing completion — skip the whole
-      // subtree before recursing.
+      // Inducedness prefix prunes; a prefix that fails has no passing
+      // completion, so the whole subtree is skipped before recursing.
+      // Static: a passing instance must cover every scope static edge with
+      // a distinct event pair, each remaining event covers at most one, and
+      // introducing a node never shrinks the deficit (the node brings >= 1
+      // scope edge but its event only one new pair), so the uncovered-edge
+      // deficit may not exceed the remaining event budget. Temporal-window:
+      // the predicate is prefix-closed (see WindowInduced).
       const bool prefix_viable =
-          !static_induced_ ||
-          scope_static_edges_ - DistinctPairs(packed_, depth + 1) <=
-              opt_.num_events - (depth + 1);
+          static_induced_
+              ? scope_static_edges_ - DistinctPairs(packed_, depth + 1) <=
+                    opt_.num_events - (depth + 1)
+              : !window_induced_ || WindowInduced(depth + 1, num_nodes_, tc);
       if (prefix_viable) {
         Extend(depth + 1, /*inherited=*/frontier);
       }
@@ -904,6 +909,7 @@ class DfsEngine {
   const bool use_dc_;
   const bool use_dw_;
   const bool static_induced_;
+  const bool window_induced_;
   /// Both inducedness predicates take the scope-saturated edge-run final
   /// path (SaturatedFinal).
   const bool saturated_final_;

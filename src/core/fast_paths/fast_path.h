@@ -107,16 +107,6 @@ inline std::size_t UpperIdx(const Timestamp* times, std::size_t n,
                                   times);
 }
 
-inline Timestamp SatAdd(Timestamp t, Timestamp d) {
-  constexpr Timestamp kMax = std::numeric_limits<Timestamp>::max();
-  return t > kMax - d ? kMax : t + d;
-}
-
-inline Timestamp SatSub(Timestamp t, Timestamp d) {
-  constexpr Timestamp kMin = std::numeric_limits<Timestamp>::min();
-  return t < kMin + d ? kMin : t - d;
-}
-
 /// Packs an abstract event sequence (node symbols in time order, symbols
 /// arbitrary small ints) into the canonical code: digits are assigned by
 /// first appearance, exactly like core/motif_code.h.
@@ -732,8 +722,6 @@ class WindowCounter {
   void CountStars(std::uint64_t* raw) {
     using detail::LowerIdx;
     using detail::RangeDirCount;
-    using detail::SatAdd;
-    using detail::SatSub;
     using detail::UpperIdx;
     // [d1][d2][center][pos][gdir].
     std::uint64_t counts[2][2][2][3][2] = {};
@@ -905,8 +893,6 @@ class WindowCounter {
                         std::uint32_t pbc, std::uint64_t* raw) {
     using detail::LowerIdx;
     using detail::RangeDirCount;
-    using detail::SatAdd;
-    using detail::SatSub;
     using detail::UpperIdx;
     // Symbols: a = 0, b = 1, c = 2 (the raw sequences are canonicalized
     // when merged).

@@ -1,16 +1,10 @@
 #include "stream/stream_window.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/check.h"
 
 namespace tmotif {
-
-Timestamp SaturatingSubtract(Timestamp a, Timestamp b) {
-  const Timestamp lowest = std::numeric_limits<Timestamp>::min();
-  return a >= lowest + b ? a - b : lowest;
-}
 
 WindowPolicy WindowPolicy::CountBased(std::int64_t max_events) {
   TMOTIF_CHECK_MSG(max_events >= 1, "count-based window needs capacity >= 1");
@@ -76,8 +70,7 @@ IngestPlan StreamWindow::PlanIngest(const std::vector<Event>& batch) const {
   const Timestamp t_latest = saw_any_event_
                                  ? std::max(max_time_seen_, batch.back().time)
                                  : batch.back().time;
-  const Timestamp threshold =
-      SaturatingSubtract(t_latest, policy_.horizon);
+  const Timestamp threshold = SatSub(t_latest, policy_.horizon);
   // Keep events with time > threshold; both the window and the batch are
   // sorted by time, so the cut points are binary searches.
   plan.num_evict = static_cast<std::size_t>(
@@ -121,8 +114,7 @@ IngestPlan StreamWindow::PlanSplice(const std::vector<Event>& late) const {
   // Time-based: the clock does not move, so residents are already inside
   // the horizon (num_evict = 0); late events at or below the threshold
   // would be evicted instantly and are dropped instead.
-  const Timestamp threshold =
-      SaturatingSubtract(max_time_seen_, policy_.horizon);
+  const Timestamp threshold = SatSub(max_time_seen_, policy_.horizon);
   plan.batch_begin = static_cast<std::size_t>(
       std::upper_bound(late.begin(), late.end(), threshold,
                        [](Timestamp t, const Event& e) { return t < e.time; }) -

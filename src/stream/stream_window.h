@@ -20,10 +20,6 @@ enum class WindowPolicyKind {
   kTimeBased,
 };
 
-/// a - b with saturation at the representable minimum (timestamps are
-/// signed; streams may legitimately carry negative times).
-Timestamp SaturatingSubtract(Timestamp a, Timestamp b);
-
 struct WindowPolicy {
   WindowPolicyKind kind = WindowPolicyKind::kCountBased;
   /// Capacity for kCountBased (>= 1).

@@ -127,7 +127,7 @@ struct StreamMetrics {
 EventIndex FirstPossibleStart(const WindowGraph& graph, Timestamp last_time,
                               const std::optional<Timestamp>& span) {
   if (!span.has_value()) return 0;
-  return graph.LowerBoundTime(SaturatingSubtract(last_time, *span));
+  return graph.LowerBoundTime(SatSub(last_time, *span));
 }
 
 /// Sink forwarding the full instance-identity emit (event indices + digit
@@ -763,7 +763,7 @@ void StreamingMotifCounter::Ingest(std::vector<Event> batch) {
       ++ordered_begin;
     }
     if (ordered_begin > 0) {
-      const Timestamp cutoff = SaturatingSubtract(clock, config_.lateness);
+      const Timestamp cutoff = SatSub(clock, config_.lateness);
       std::size_t accept_begin = 0;
       while (accept_begin < ordered_begin &&
              batch[accept_begin].time < cutoff) {
@@ -986,8 +986,8 @@ void StreamingMotifCounter::IngestOrdered(const std::vector<Event>& batch) {
       // prefix isolates exactly the retractions, per code.
       const EventIndex hi1 =
           span.has_value()
-              ? live_.UpperBoundTime(internal::fast_paths::detail::SatAdd(
-                    live_.event_time(n_evict - 1), *span))
+              ? live_.UpperBoundTime(
+                    SatAdd(live_.event_time(n_evict - 1), *span))
               : live_.num_events();
       const auto all = [](EventIndex) { return true; };
       internal::fast_paths::CodeDeltas& deltas = scratch_->deltas;

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "core/counter.h"
+#include "core/models/model_info.h"
 #include "graph/temporal_graph.h"
 
 namespace tmotif {
@@ -273,6 +275,41 @@ TEST(Enumerator, MaxInstancesStopsEarly) {
   EnumerationOptions o = Opts(2, 2);
   o.max_instances = 3;
   EXPECT_EQ(CountInstances(g, o), 3u);
+}
+
+TEST(Enumerator, TimeBoundsSaturateNearMaxTimestamp) {
+  // A temporal triangle plus a repeat, once at t = 1000..1003 and once
+  // shifted to just below the largest Timestamp: t0 + dW and t_prev + dC
+  // overflow there, and must clamp instead.
+  const auto triangle = [](Timestamp base) {
+    return GraphFromEvents({{0, 1, base},
+                            {1, 2, base + 1},
+                            {2, 0, base + 2},
+                            {0, 1, base + 3}});
+  };
+  const TemporalGraph low = triangle(1000);
+  const TemporalGraph high =
+      triangle(std::numeric_limits<Timestamp>::max() - 807);
+  EnumerationOptions window = Opts(3, 3);
+  window.timing = TimingConstraints::OnlyDeltaW(3000);
+  window.inducedness = Inducedness::kTemporalWindow;
+  EnumerationOptions dc_dw = Opts(3, 3);
+  dc_dw.timing = TimingConstraints::Both(1500, 3000);
+  const struct {
+    const char* name;
+    EnumerationOptions options;
+    std::uint64_t expected;
+  } configs[] = {
+      {"paranjape", OptionsForModel(ModelId::kParanjape, 3, 3, 0, 3000), 2},
+      {"window", window, 2},
+      {"dc_dw", dc_dw, 4},
+  };
+  for (const auto& config : configs) {
+    const MotifCounts at_low = CountMotifs(low, config.options);
+    const MotifCounts at_high = CountMotifs(high, config.options);
+    EXPECT_EQ(at_low.total(), config.expected) << config.name;
+    EXPECT_EQ(at_high.raw(), at_low.raw()) << config.name;
+  }
 }
 
 TEST(IsValidInstance, AgreesWithHandExamples) {

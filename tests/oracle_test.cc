@@ -147,6 +147,22 @@ INSTANTIATE_TEST_SUITE_P(
                    Opts(3, 3, TimingConstraints::OnlyDeltaW(14), false, false,
                         Inducedness::kTemporalWindow),
                    SmallSpec()},
+        // Temporal-window inducedness is checked at every prefix: a
+        // two-node pair saturates its scope at the root (only the root
+        // check sees another event on the pair at t0), and the CDG and
+        // consecutive-events cases combine the prune with the order
+        // predicates that can reject an in-scope candidate.
+        OracleCase{"k2_pair_induced_temporal",
+                   Opts(2, 2, {}, false, false, Inducedness::kTemporalWindow),
+                   DenseSpec()},
+        OracleCase{"k3_induced_temporal_cdg",
+                   Opts(3, 3, TimingConstraints::OnlyDeltaW(14), false, true,
+                        Inducedness::kTemporalWindow),
+                   DenseSpec()},
+        OracleCase{"k3_induced_temporal_consecutive",
+                   Opts(3, 3, TimingConstraints::OnlyDeltaC(10), true, false,
+                        Inducedness::kTemporalWindow),
+                   DenseSpec()},
         // Temporal-window inducedness x duration-aware gaps (the ROADMAP's
         // uncovered combination): durations shift the dC gap base while the
         // inducedness check spans [t_first, t_last] — the two must compose.
@@ -259,6 +275,23 @@ TEST(ReferenceOracle, SimultaneousEventsExcluded) {
     EXPECT_LT(g.event(instance.event_indices[0]).time,
               g.event(instance.event_indices[1]).time);
   }
+}
+
+// Temporal-window inducedness on a saturated four-node scope under the
+// consecutive-events restriction: the first scope event after the prefix
+// (0->1 @5) is rejected because node 0 met node 4 at 4, yet it still lies
+// in the window of every later scope event, such as the disjoint 2->3 @6.
+// The saturated final depth must end its merge at 0->1 @5.
+TEST(ReferenceOracle, RejectedScopeEventStillIntrudes) {
+  const TemporalGraph g = GraphFromEvents(
+      {{0, 1, 1}, {1, 2, 2}, {2, 3, 3}, {0, 4, 4}, {0, 1, 5}, {2, 3, 6}});
+  EnumerationOptions o;
+  o.num_events = 4;
+  o.max_nodes = 4;
+  o.consecutive_events_restriction = true;
+  o.inducedness = Inducedness::kTemporalWindow;
+  const auto report = DiffAgainstOracle(g, o);
+  EXPECT_TRUE(report.ok()) << report.Summary();
 }
 
 TEST(ReferenceOracle, EmptyAndUndersizedGraphs) {
