@@ -129,19 +129,22 @@ bool IsValidInstance(const TemporalGraph& graph,
   }
   if (static_cast<int>(node_set.size()) > options.max_nodes) return false;
 
-  // Timing.
+  // Timing. Bounds saturate (common/types.h): near the Timestamp extremes
+  // a plain difference or end time would wrap.
   const Timestamp t_first = graph.event(event_indices.front()).time;
   const Timestamp t_last = graph.event(event_indices.back()).time;
   if (options.timing.delta_w.has_value() &&
-      t_last - t_first > *options.timing.delta_w) {
+      t_last > SatAdd(t_first, *options.timing.delta_w)) {
     return false;
   }
   if (options.timing.delta_c.has_value()) {
     for (std::size_t i = 1; i < event_indices.size(); ++i) {
       const Event& prev = graph.event(event_indices[i - 1]);
-      const Timestamp base =
-          options.duration_aware_gaps ? prev.time + prev.duration : prev.time;
-      if (graph.event(event_indices[i]).time - base > *options.timing.delta_c) {
+      const Timestamp base = options.duration_aware_gaps
+                                 ? SatAdd(prev.time, prev.duration)
+                                 : prev.time;
+      if (graph.event(event_indices[i]).time >
+          SatAdd(base, *options.timing.delta_c)) {
         return false;
       }
     }

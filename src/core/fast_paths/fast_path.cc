@@ -17,9 +17,10 @@ bool FastPathSupported(const EnumerationOptions& options) {
   if (options.timing.delta_c.has_value()) return false;  // Per-gap bound.
   if (options.inducedness == Inducedness::kTemporalWindow) return false;
   if (options.inducedness == Inducedness::kStatic) {
-    // 2-node scopes reduce to a per-pair direction-pattern filter; larger
-    // scopes would need per-instance coverage checks.
-    return options.max_nodes == 2;
+    // 2-node scopes reduce to a per-pair direction-pattern filter, and the
+    // k == 3 stars and triangles to per-pair static facts (fast_path.h);
+    // 3-node wedges (k == 2) stay on the DFS scope checks.
+    return options.max_nodes == 2 || (k == 3 && options.max_nodes == 3);
   }
   // kNone: pair DP alone (max_nodes == 2), pairs + wedges (k == 2), or
   // pairs + stars + triangles (k == 3, max_nodes == 3).

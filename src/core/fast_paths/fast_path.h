@@ -12,11 +12,22 @@
 // predicate-free presets (Song / vanilla counting) where the DFS has
 // nothing to prune.
 //
+// Static inducedness (Paranjape et al.'s own model) reduces to facts about
+// node pairs of the full graph. A pair with both directed static edges is
+// *bidirectional*: a 2-node instance on it must use both directions, a
+// star's two-event leg on it must run in opposite directions, and its
+// events never form a star's one-event leg or a triangle side (one event
+// covers one direction). A star is void when its third pair — the one it
+// leaves unused — has a static edge, i.e. when its three nodes form a
+// static triangle; every static triangle therefore subtracts the stars on
+// its nodes, and range or filtered counts add the full-graph pairs the
+// window left without events so those triangles are still found.
+//
 // Dispatch contract: callers must consult FastPathSupported(options) first;
 // the counters handle exactly the combinations it accepts and
 // TMOTIF_CHECK otherwise. The general DfsEngine remains the fallback for
 // everything else (dC gaps, order predicates, temporal-window inducedness,
-// k >= 4, instance caps).
+// static inducedness on 3-node wedges, k >= 4, instance caps).
 //
 // Range counting uses window differences: the set of instances with every
 // event inside [lo, N) shrinks monotonically as lo grows, so
@@ -54,8 +65,9 @@ namespace fast_paths {
 /// True when the specialized counters handle `options` exactly: k <= 3, no
 /// instance cap, and for k >= 2 no order predicates (consecutive / CDG), no
 /// dC gap, and inducedness limited to kNone (2-node, or any shape at
-/// k <= 3 with max_nodes == 3) or kStatic with max_nodes == 2. k == 1 is
-/// always supported (every predicate is trivial or a per-event lookup).
+/// k <= 3 with max_nodes == 3) or kStatic with max_nodes == 2 or with
+/// k == max_nodes == 3 (Paranjape et al.'s shapes). k == 1 is always
+/// supported (every predicate is trivial or a per-event lookup).
 bool FastPathSupported(const EnumerationOptions& options);
 
 /// Telemetry: records which engine a counting call dispatched to, bumping
@@ -173,13 +185,18 @@ inline std::uint64_t WedgeCode(int d1, int d2) {
   return 0x01ULL | (byte1 << 8);
 }
 
-/// Events in timeline index range [i0, i1) whose dir equals `d`, given the
-/// timeline's dir-1 prefix sums.
-inline std::uint64_t RangeDirCount(const std::uint32_t* prefix, std::size_t i0,
-                                   std::size_t i1, int d) {
-  if (i1 <= i0) return 0;
+/// Splits the events of timeline index range [i0, i1), given the
+/// timeline's dir-1 prefix sums, by direction: out[1] = those whose dir is
+/// `dir`, out[0] = the rest.
+inline void SplitRangeByDir(const std::uint32_t* prefix, std::size_t i0,
+                            std::size_t i1, int dir, std::uint64_t out[2]) {
+  if (i1 <= i0) {
+    out[0] = out[1] = 0;
+    return;
+  }
   const std::uint64_t ones = prefix[i1] - prefix[i0];
-  return d == 1 ? ones : (i1 - i0) - ones;
+  out[1] = dir == 1 ? ones : (i1 - i0) - ones;
+  out[0] = (i1 - i0) - out[1];
 }
 
 /// prefix[i] = number of dir-1 entries among dirs[0, i).
@@ -208,6 +225,21 @@ class FlatIndex {
   }
 
   std::uint32_t size() const { return size_; }
+
+  static constexpr std::uint32_t kAbsent =
+      std::numeric_limits<std::uint32_t>::max();
+
+  /// Index of `key`, or kAbsent when no Insert since the last Reset added
+  /// it.
+  std::uint32_t Find(std::uint64_t key) const {
+    if (slots_.empty()) return kAbsent;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = Hash(key) & mask;; i = (i + 1) & mask) {
+      const Slot& slot = slots_[i];
+      if (slot.stamp != generation_) return kAbsent;
+      if (slot.key == key) return slot.value;
+    }
+  }
 
   /// Index of `key`; a new key gets index size() and sets `*inserted`.
   std::uint32_t Insert(std::uint64_t key, bool* inserted) {
@@ -306,10 +338,12 @@ class WindowCounter {
       CountSingles(lo, hi, include, emit);
       return;
     }
-    const bool shapes3 =
-        opt_.inducedness == Inducedness::kNone && opt_.max_nodes >= 3;
-    BuildTimelines(lo, hi, include, /*need_nodes=*/shapes3,
-                   /*need_node_pairs=*/shapes3 && k == 2);
+    // FastPathSupported admits 3-node shapes only where these counters
+    // honour the inducedness (kNone, or kStatic at k == 3).
+    const bool shapes3 = opt_.max_nodes >= 3;
+    const bool whole_graph =
+        BuildTimelines(lo, hi, include, /*need_nodes=*/shapes3,
+                       /*need_node_pairs=*/shapes3 && k == 2);
 
     std::uint64_t g2[2][2] = {};
     std::uint64_t g3[2][2][2] = {};
@@ -345,12 +379,17 @@ class WindowCounter {
     // (three distinct pairs) complete the partition of instances by their
     // distinct-pair count; rank queries need the prefix sums. Both count
     // into one flat array of raw symbol sequences, merged per canonical
-    // code at the end.
+    // code at the end. Under static inducedness CountTriangles also
+    // subtracts the stars each static triangle voids from `stars`, which
+    // therefore reach `raw` only after it.
     detail::BuildDirPrefix(pair_dirs_, &pair_prefix_);
     detail::BuildDirPrefix(node_dirs_, &node_prefix_);
     std::array<std::uint64_t, detail::kRawSequences> raw{};
-    CountStars(raw.data());
-    CountTriangles(raw.data());
+    StarCounts stars{};
+    CountStars(&stars);
+    if (static_induced_ && !whole_graph) AddUncountedStaticPairs();
+    CountTriangles(&stars, raw.data());
+    AddStarsTo(stars, raw.data());
     CodeDeltas merged;
     for (std::size_t r = 0; r < raw.size(); ++r) {
       if (raw[r]) {
@@ -380,7 +419,8 @@ class WindowCounter {
   /// One undirected node pair of the filtered window (dir 0 = lo -> hi,
   /// lo < hi). Its timeline is pair_times_ / pair_dirs_ [begin, end),
   /// ascending in time; lo_node / hi_node are the endpoints' node slots
-  /// (set only when node timelines are built).
+  /// (set only when node timelines are built). `bidirectional`: under
+  /// static inducedness, the full graph has both directed edges.
   struct Pair {
     NodeId lo;
     NodeId hi;
@@ -388,12 +428,15 @@ class WindowCounter {
     std::uint32_t hi_node;
     std::uint32_t begin;
     std::uint32_t end;
+    bool bidirectional;
   };
 
   /// One node's incident filtered events: node_times_ / node_dirs_ /
-  /// node_pairs_ [begin, end) (dir 1 = the node is the src), plus its
-  /// row [adj_begin, adj_end) of the triangle adjacency.
+  /// node_pairs_ [begin, end) (dir 1 = the node is the src; under static
+  /// inducedness only events of unidirectional pairs), plus its row
+  /// [adj_begin, adj_end) of the triangle adjacency.
   struct Node {
+    NodeId id;
     std::uint32_t begin;
     std::uint32_t end;
     std::uint32_t adj_begin;
@@ -412,7 +455,18 @@ class WindowCounter {
     std::size_t hi_tp;
   };
 
-  /// Node-timeline bounds of one (group, center): first index with time
+  /// A star's one-event leg g, seen from one center: the times and dir-1
+  /// prefix sums of the timeline g is drawn from (the center's node
+  /// timeline, or one pair's), and the dir of its events that have the
+  /// center as src. n == 0 means no leg at this center.
+  struct Leg {
+    const Timestamp* T;
+    const std::uint32_t* prefix;
+    std::size_t n;
+    int src_dir;
+  };
+
+  /// Leg-timeline bounds of one (group, center): first index with time
   /// >= t - dw / >= t / > t / > t + dw.
   struct CenterBounds {
     std::size_t lo_m;
@@ -423,6 +477,12 @@ class WindowCounter {
 
   static constexpr std::uint32_t kExcluded =
       std::numeric_limits<std::uint32_t>::max();
+
+  /// Star totals per [d1][d2][center][pos][gdir]: the canonical code
+  /// depends on nothing else (AddStarsTo).
+  struct StarCounts {
+    std::uint64_t n[2][2][2][3][2];
+  };
 
   template <typename Include, typename Emit>
   void CountSingles(EventIndex lo, EventIndex hi, const Include& include,
@@ -465,19 +525,25 @@ class WindowCounter {
   /// Groups the filtered events of [lo, hi) into pair (and, for the
   /// 3-node shapes, node) timelines laid out as CSR arrays. Pass 1 assigns
   /// pair and node slots and counts timeline lengths; pass 2 scatters the
-  /// events in index order, so every timeline is ascending in time.
+  /// events in index order, so every timeline is ascending in time. Under
+  /// static inducedness each new pair reads its reverse static edge from
+  /// the full graph (the event's own direction exists by definition), and
+  /// bidirectional pairs stay off the node timelines. Returns whether the
+  /// timelines hold every event of the graph.
   template <typename Include>
-  void BuildTimelines(EventIndex lo, EventIndex hi, const Include& include,
+  bool BuildTimelines(EventIndex lo, EventIndex hi, const Include& include,
                       bool need_nodes, bool need_node_pairs) {
     pair_index_.Reset();
     node_index_.Reset();
     pairs_.clear();
     nodes_.clear();
     event_pair_.resize(static_cast<std::size_t>(hi - lo));
+    EventIndex excluded = 0;
     for (EventIndex i = lo; i < hi; ++i) {
       std::uint32_t& slot = event_pair_[static_cast<std::size_t>(i - lo)];
       if (!include(i)) {
         slot = kExcluded;
+        ++excluded;
         continue;
       }
       const NodeId s = graph_.event_src(i);
@@ -487,7 +553,10 @@ class WindowCounter {
       bool inserted = false;
       slot = pair_index_.Insert(NodePairKey(a, b), &inserted);
       if (inserted) {
-        Pair pair{a, b, 0, 0, 0, 0};
+        Pair pair{a, b, 0, 0, 0, 0, false};
+        if (static_induced_) {
+          pair.bidirectional = graph_.FindEdge(d, s) != Graph::kNoEdgeHandle;
+        }
         if (need_nodes) {
           pair.lo_node = NodeSlot(a);
           pair.hi_node = NodeSlot(b);
@@ -496,7 +565,7 @@ class WindowCounter {
       }
       Pair& pair = pairs_[slot];
       ++pair.end;  // A length until the offsets below.
-      if (need_nodes) {
+      if (need_nodes && !pair.bidirectional) {
         ++nodes_[pair.lo_node].end;
         ++nodes_[pair.hi_node].end;
       }
@@ -532,20 +601,22 @@ class WindowCounter {
       pair_times_[pair.end] = t;
       pair_dirs_[pair.end] = dir;
       ++pair.end;
-      if (need_nodes) {
+      if (need_nodes && !pair.bidirectional) {
         const std::uint32_t src = dir == 0 ? pair.lo_node : pair.hi_node;
         const std::uint32_t dst = dir == 0 ? pair.hi_node : pair.lo_node;
         AppendNodeEvent(src, t, 1, p, need_node_pairs);
         AppendNodeEvent(dst, t, 0, p, need_node_pairs);
       }
     }
+    return lo == 0 && excluded == 0 &&
+           hi == static_cast<EventIndex>(graph_.num_events());
   }
 
   std::uint32_t NodeSlot(NodeId node) {
     bool inserted = false;
     const std::uint32_t slot =
         node_index_.Insert(static_cast<std::uint32_t>(node), &inserted);
-    if (inserted) nodes_.push_back(Node{0, 0, 0, 0});
+    if (inserted) nodes_.push_back(Node{node, 0, 0, 0, 0});
     return slot;
   }
 
@@ -583,7 +654,7 @@ class WindowCounter {
       while (j < n && T[j] == T[i]) ++j;
       const Timestamp t = T[i];
       if (use_dw_) {
-        while (wbegin < i && t - T[wbegin] > dw_) {
+        while (wbegin < i && T[wbegin] < SatSub(t, dw_)) {
           std::size_t ge = wbegin + 1;
           while (ge < i && T[ge] == T[wbegin]) ++ge;
           std::uint64_t evicted[2] = {};
@@ -628,16 +699,11 @@ class WindowCounter {
       c1[1] += grp[1];
       i = j;
     }
-    // Static inducedness (max_nodes == 2): the scope is the pair itself and
-    // the instance must cover every full-graph static orientation, so the
-    // direction pattern's distinct-pair count must equal the static edge
-    // count — a per-pair constant filter over the four/eight patterns.
-    int scope_edges = 2;
-    if (static_induced_) {
-      scope_edges =
-          (graph_.FindEdge(pair.lo, pair.hi) != Graph::kNoEdgeHandle ? 1 : 0) +
-          (graph_.FindEdge(pair.hi, pair.lo) != Graph::kNoEdgeHandle ? 1 : 0);
-    }
+    // Static inducedness: a 2-node instance's scope is the pair itself and
+    // it must cover every full-graph static orientation, so the direction
+    // pattern's distinct-pair count must equal the static edge count — a
+    // per-pair constant filter over the four/eight patterns.
+    const int scope_edges = pair.bidirectional ? 2 : 1;
     if (opt_.num_events == 2) {
       for (int d1 = 0; d1 < 2; ++d1) {
         for (int de = 0; de < 2; ++de) {
@@ -679,7 +745,7 @@ class WindowCounter {
         while (j < n && T[j] == T[i]) ++j;
         const Timestamp t = T[i];
         if (use_dw_) {
-          while (wbegin < i && t - T[wbegin] > dw_) {
+          while (wbegin < i && T[wbegin] < SatSub(t, dw_)) {
             --ctot[D[wbegin]];
             --wedge_pair_counts_[P[wbegin]][D[wbegin]];
             ++wbegin;
@@ -715,87 +781,127 @@ class WindowCounter {
   /// per-direction sizes. All node- and pair-timeline search bounds depend
   /// on one group's own timestamp, so they are precomputed once per group
   /// (one pass of binary searches) and the double loop over group pairs is
-  /// pure prefix-sum arithmetic. The canonical code depends only on
-  /// (d1, d2, center, pos, gdir), so counts accumulate into a flat
-  /// 48-entry array and are added to `raw` (RawSequence slots) once at the
-  /// end — no hashing on the hot path.
-  void CountStars(std::uint64_t* raw) {
-    using detail::LowerIdx;
-    using detail::RangeDirCount;
-    using detail::UpperIdx;
-    // [d1][d2][center][pos][gdir].
-    std::uint64_t counts[2][2][2][3][2] = {};
+  /// pure prefix-sum arithmetic. Counts accumulate into the flat
+  /// 48-entry `stars` — no hashing on the hot path.
+  void CountStars(StarCounts* stars) {
     for (const Pair& pair : pairs_) {
-      const Timestamp* T = pair_times_.data() + pair.begin;
-      const std::uint8_t* D = pair_dirs_.data() + pair.begin;
-      const std::uint32_t* pair_prefix = pair_prefix_.data() + pair.begin;
-      const std::size_t n = pair.end - pair.begin;
-      if (n < 2) continue;
-      const Node* centers[2] = {&nodes_[pair.lo_node], &nodes_[pair.hi_node]};
-      star_groups_.clear();
-      star_bounds_.clear();  // star_groups_.size() * 2, center-minor.
-      for (std::size_t i = 0; i < n;) {
-        std::size_t j = i + 1;
-        while (j < n && T[j] == T[i]) ++j;
-        TieGroup g;
-        g.begin = i;
-        g.end = j;
-        g.t = T[i];
-        g.ndir[0] = 0;
-        g.ndir[1] = 0;
-        for (std::size_t x = i; x < j; ++x) ++g.ndir[D[x]];
-        g.lo_tm = use_dw_ ? LowerIdx(T, n, SatSub(g.t, dw_)) : 0;
-        g.hi_tp = use_dw_ ? UpperIdx(T, n, SatAdd(g.t, dw_)) : n;
-        star_groups_.push_back(g);
-        for (int c = 0; c < 2; ++c) {
-          const Timestamp* NT = node_times_.data() + centers[c]->begin;
-          const std::size_t nn = centers[c]->end - centers[c]->begin;
-          CenterBounds b;
-          b.lo_m = use_dw_ ? LowerIdx(NT, nn, SatSub(g.t, dw_)) : 0;
-          b.lo_t = LowerIdx(NT, nn, g.t);
-          b.up_t = UpperIdx(NT, nn, g.t);
-          b.up_p = use_dw_ ? UpperIdx(NT, nn, SatAdd(g.t, dw_)) : nn;
-          star_bounds_.push_back(b);
-        }
-        i = j;
+      if (pair.end - pair.begin < 2) continue;
+      // The singleton leg comes from each endpoint's node timeline, which
+      // holds the pair's own events unless the pair is bidirectional.
+      Leg legs[2];
+      const std::uint32_t center_nodes[2] = {pair.lo_node, pair.hi_node};
+      for (int c = 0; c < 2; ++c) {
+        const Node& node = nodes_[center_nodes[c]];
+        legs[c] = Leg{node_times_.data() + node.begin,
+                      node_prefix_.data() + node.begin,
+                      static_cast<std::size_t>(node.end - node.begin), 1};
       }
-      const std::uint32_t* node_prefix[2] = {
-          node_prefix_.data() + centers[0]->begin,
-          node_prefix_.data() + centers[1]->begin};
-      const std::size_t num_groups = star_groups_.size();
-      for (std::size_t gp = 0; gp + 1 < num_groups; ++gp) {
-        const TieGroup& P = star_groups_[gp];
-        for (std::size_t gq = gp + 1; gq < num_groups; ++gq) {
-          const TieGroup& Q = star_groups_[gq];
-          if (use_dw_ && Q.t - P.t > dw_) break;
-          const std::uint64_t m[2][2] = {
-              {P.ndir[0] * Q.ndir[0], P.ndir[0] * Q.ndir[1]},
-              {P.ndir[1] * Q.ndir[0], P.ndir[1] * Q.ndir[1]}};
-          for (int c = 0; c < 2; ++c) {
-            const CenterBounds& bp = star_bounds_[gp * 2 + c];
-            const CenterBounds& bq = star_bounds_[gq * 2 + c];
-            // g strictly before f1 (within f2's window) / strictly between
-            // / strictly after f2 (within f1's window).
-            const std::size_t ni[3][2] = {{bq.lo_m, bp.lo_t},
-                                          {bp.up_t, bq.lo_t},
-                                          {bq.up_t, bp.up_p}};
-            const std::size_t pi[3][2] = {{Q.lo_tm, P.begin},
-                                          {P.end, Q.begin},
-                                          {Q.end, P.hi_tp}};
-            for (int pos = 0; pos < 3; ++pos) {
-              for (int gdir = 0; gdir < 2; ++gdir) {  // 1 = center is src.
-                // A pair event has the center as src iff its dir == c.
-                const int pair_dir_wanted = gdir == 1 ? c : 1 - c;
-                const std::uint64_t cnt =
-                    RangeDirCount(node_prefix[c], ni[pos][0], ni[pos][1],
-                                  gdir) -
-                    RangeDirCount(pair_prefix, pi[pos][0], pi[pos][1],
-                                  pair_dir_wanted);
-                if (!cnt) continue;
-                for (int d1 = 0; d1 < 2; ++d1) {
-                  for (int d2 = 0; d2 < 2; ++d2) {
-                    counts[d1][d2][c][pos][gdir] += cnt * m[d1][d2];
-                  }
+      if (legs[0].n == 0 && legs[1].n == 0) continue;
+      BuildStarGroups(pair);
+      AccumulateStars(pair, legs, /*minus_pair=*/!pair.bidirectional,
+                      /*subtract=*/false, stars);
+    }
+  }
+
+  /// Tie groups of `pair`'s timeline into star_groups_, with their
+  /// pair-timeline dW bounds.
+  void BuildStarGroups(const Pair& pair) {
+    using detail::LowerIdx;
+    using detail::UpperIdx;
+    const Timestamp* T = pair_times_.data() + pair.begin;
+    const std::uint8_t* D = pair_dirs_.data() + pair.begin;
+    const std::size_t n = pair.end - pair.begin;
+    star_groups_.clear();
+    for (std::size_t i = 0; i < n;) {
+      std::size_t j = i + 1;
+      while (j < n && T[j] == T[i]) ++j;
+      TieGroup g;
+      g.begin = i;
+      g.end = j;
+      g.t = T[i];
+      g.ndir[0] = 0;
+      g.ndir[1] = 0;
+      for (std::size_t x = i; x < j; ++x) ++g.ndir[D[x]];
+      g.lo_tm = use_dw_ ? LowerIdx(T, n, SatSub(g.t, dw_)) : 0;
+      g.hi_tp = use_dw_ ? UpperIdx(T, n, SatAdd(g.t, dw_)) : n;
+      star_groups_.push_back(g);
+      i = j;
+    }
+  }
+
+  /// The tie-group loop over star_groups_ (built from `pair`): adds to
+  /// `stars` — or, with `subtract`, removes from it — the stars whose
+  /// two-event leg is `pair`'s and whose one-event leg g around center c
+  /// (0 = pair.lo) is drawn from legs[c], minus the pair's own events when
+  /// `minus_pair` (they sit on the node timelines). A bidirectional pair's
+  /// two events must run in opposite directions to cover both of its
+  /// static edges.
+  void AccumulateStars(const Pair& pair, const Leg (&legs)[2],
+                       bool minus_pair, bool subtract, StarCounts* stars) {
+    using detail::LowerIdx;
+    using detail::SplitRangeByDir;
+    using detail::UpperIdx;
+    const std::size_t num_groups = star_groups_.size();
+    star_bounds_.resize(num_groups * 2);  // Center-minor.
+    for (int c = 0; c < 2; ++c) {
+      const Leg leg = legs[c];
+      if (leg.n == 0) continue;
+      for (std::size_t g = 0; g < num_groups; ++g) {
+        const Timestamp t = star_groups_[g].t;
+        CenterBounds b;
+        b.lo_m = use_dw_ ? LowerIdx(leg.T, leg.n, SatSub(t, dw_)) : 0;
+        b.lo_t = LowerIdx(leg.T, leg.n, t);
+        b.up_t = UpperIdx(leg.T, leg.n, t);
+        b.up_p = use_dw_ ? UpperIdx(leg.T, leg.n, SatAdd(t, dw_)) : leg.n;
+        star_bounds_[g * 2 + static_cast<std::size_t>(c)] = b;
+      }
+    }
+    const std::uint32_t* pair_prefix = pair_prefix_.data() + pair.begin;
+    const bool mixed_only = pair.bidirectional;
+    // Unsigned weights: subtracting is adding the two's complement, and
+    // CountStars has added every star a subtraction removes.
+    const std::uint64_t sign = subtract ? ~std::uint64_t{0} : 1;
+    for (std::size_t gp = 0; gp + 1 < num_groups; ++gp) {
+      const TieGroup& P = star_groups_[gp];
+      for (std::size_t gq = gp + 1; gq < num_groups; ++gq) {
+        const TieGroup& Q = star_groups_[gq];
+        if (use_dw_ && Q.t > SatAdd(P.t, dw_)) break;
+        const std::uint64_t m[2][2] = {
+            {mixed_only ? 0 : sign * P.ndir[0] * Q.ndir[0],
+             sign * P.ndir[0] * Q.ndir[1]},
+            {sign * P.ndir[1] * Q.ndir[0],
+             mixed_only ? 0 : sign * P.ndir[1] * Q.ndir[1]}};
+        for (int c = 0; c < 2; ++c) {
+          const Leg leg = legs[c];
+          if (leg.n == 0) continue;
+          const CenterBounds& bp = star_bounds_[gp * 2 + c];
+          const CenterBounds& bq = star_bounds_[gq * 2 + c];
+          // g strictly before f1 (within f2's window) / strictly between
+          // / strictly after f2 (within f1's window).
+          const std::size_t ni[3][2] = {{bq.lo_m, bp.lo_t},
+                                        {bp.up_t, bq.lo_t},
+                                        {bq.up_t, bp.up_p}};
+          const std::size_t pi[3][2] = {{Q.lo_tm, P.begin},
+                                        {P.end, Q.begin},
+                                        {Q.end, P.hi_tp}};
+          for (int pos = 0; pos < 3; ++pos) {
+            // cnt[gdir]: leg events in the range with the center as src
+            // (gdir 1) or as dst (gdir 0).
+            std::uint64_t cnt[2];
+            SplitRangeByDir(leg.prefix, ni[pos][0], ni[pos][1], leg.src_dir,
+                            cnt);
+            if (minus_pair) {
+              // A pair event has the center as src iff its dir == c.
+              std::uint64_t own[2];
+              SplitRangeByDir(pair_prefix, pi[pos][0], pi[pos][1], c, own);
+              cnt[0] -= own[0];
+              cnt[1] -= own[1];
+            }
+            for (int gdir = 0; gdir < 2; ++gdir) {
+              if (!cnt[gdir]) continue;
+              for (int d1 = 0; d1 < 2; ++d1) {
+                for (int d2 = 0; d2 < 2; ++d2) {
+                  stars->n[d1][d2][c][pos][gdir] += cnt[gdir] * m[d1][d2];
                 }
               }
             }
@@ -803,12 +909,16 @@ class WindowCounter {
         }
       }
     }
+  }
+
+  /// Adds `stars` into `raw` (RawSequence slots).
+  static void AddStarsTo(const StarCounts& stars, std::uint64_t* raw) {
     for (int d1 = 0; d1 < 2; ++d1) {
       for (int d2 = 0; d2 < 2; ++d2) {
         for (int c = 0; c < 2; ++c) {
           for (int pos = 0; pos < 3; ++pos) {
             for (int gdir = 0; gdir < 2; ++gdir) {
-              const std::uint64_t cnt = counts[d1][d2][c][pos][gdir];
+              const std::uint64_t cnt = stars.n[d1][d2][c][pos][gdir];
               if (!cnt) continue;
               // Symbols: pair.lo = 0, pair.hi = 1, new far endpoint = 2.
               const int fs1 = d1, fd1 = 1 - d1;
@@ -837,12 +947,40 @@ class WindowCounter {
     }
   }
 
+  /// Static inducedness reads a star's third pair from the full graph, so
+  /// a range or filtered count adds, as empty pairs, the full-graph pairs
+  /// between two of its nodes that it left without events: CountTriangles
+  /// must still find the static triangles they close.
+  void AddUncountedStaticPairs() {
+    const std::uint32_t num_nodes = static_cast<std::uint32_t>(nodes_.size());
+    for (std::uint32_t u = 0; u < num_nodes; ++u) {
+      const NodeId id = nodes_[u].id;
+      const auto incident = graph_.incident(id);
+      for (auto it = incident.begin(); it != incident.end(); ++it) {
+        const NodeId other = it.src() == id ? it.dst() : it.src();
+        if (other < id) continue;  // The lower endpoint adds the pair.
+        const std::uint32_t v =
+            node_index_.Find(static_cast<std::uint32_t>(other));
+        if (v == detail::FlatIndex::kAbsent) continue;
+        bool inserted = false;
+        pair_index_.Insert(NodePairKey(id, other), &inserted);
+        if (inserted) pairs_.push_back(Pair{id, other, u, v, 0, 0, false});
+      }
+    }
+  }
+
   /// Triangles (k == 3, three distinct pairs): enumerate static triangles
   /// a < b < c by neighbor-list intersection over the filtered pair set,
   /// then for each windowed cross-pair event pair (x, y) rank-count the
   /// third pair's events in the before / between / after ranges. The
   /// largest of the three timelines takes the rank-query role.
-  void CountTriangles(std::uint64_t* raw) {
+  ///
+  /// Under static inducedness a triangle counts only when all three pairs
+  /// are unidirectional, and each pair visits every triangle it lies on
+  /// to remove from `stars` the stars whose two-event leg it is: the
+  /// triangle's third pair is the static edge such a star leaves
+  /// uncovered.
+  void CountTriangles(StarCounts* stars, std::uint64_t* raw) {
     // Undirected adjacency over the filtered pairs: a CSR over node slots
     // (each node's row of (neighbor, pair slot)), rows sorted by neighbor.
     for (const Pair& pair : pairs_) {
@@ -866,10 +1004,16 @@ class WindowCounter {
       std::sort(adjacency_.begin() + node.adj_begin,
                 adjacency_.begin() + node.adj_end);
     }
+    const auto countable = [this](std::uint32_t p) {
+      const Pair& pair = pairs_[p];
+      return pair.end > pair.begin && !pair.bidirectional;
+    };
     for (std::uint32_t pab = 0; pab < pairs_.size(); ++pab) {
-      const Node& na = nodes_[pairs_[pab].lo_node];
-      const Node& nb = nodes_[pairs_[pab].hi_node];
-      const NodeId b = pairs_[pab].hi;
+      const Pair& ab = pairs_[pab];
+      const Node& na = nodes_[ab.lo_node];
+      const Node& nb = nodes_[ab.hi_node];
+      const bool remove_stars = static_induced_ && ab.end - ab.begin >= 2;
+      bool groups_built = false;
       std::uint32_t ia = na.adj_begin;
       std::uint32_t ib = nb.adj_begin;
       while (ia < na.adj_end && ib < nb.adj_end) {
@@ -878,9 +1022,37 @@ class WindowCounter {
         } else if (adjacency_[ib].first < adjacency_[ia].first) {
           ++ib;
         } else {
-          if (adjacency_[ia].first > b) {
-            CountOneTriangle(pab, adjacency_[ia].second,
-                             adjacency_[ib].second, raw);
+          const NodeId w = adjacency_[ia].first;
+          const std::uint32_t paw = adjacency_[ia].second;
+          const std::uint32_t pbw = adjacency_[ib].second;
+          if (w > ab.hi && (!static_induced_ || (countable(pab) &&
+                                                 countable(paw) &&
+                                                 countable(pbw)))) {
+            CountOneTriangle(pab, paw, pbw, raw);
+          }
+          if (remove_stars) {
+            if (!groups_built) {
+              BuildStarGroups(ab);
+              groups_built = true;
+            }
+            // Center a's one-event leg is (a, w), center b's is (b, w);
+            // bidirectional or empty legs were never counted.
+            Leg legs[2];
+            const std::uint32_t leg_pairs[2] = {paw, pbw};
+            const NodeId centers[2] = {ab.lo, ab.hi};
+            for (int c = 0; c < 2; ++c) {
+              const Pair& leg = pairs_[leg_pairs[c]];
+              legs[c] = Leg{pair_times_.data() + leg.begin,
+                            pair_prefix_.data() + leg.begin,
+                            countable(leg_pairs[c])
+                                ? static_cast<std::size_t>(leg.end - leg.begin)
+                                : 0,
+                            centers[c] == leg.lo ? 0 : 1};
+            }
+            if (legs[0].n > 0 || legs[1].n > 0) {
+              AccumulateStars(ab, legs, /*minus_pair=*/false,
+                              /*subtract=*/true, stars);
+            }
           }
           ++ia;
           ++ib;
@@ -892,7 +1064,7 @@ class WindowCounter {
   void CountOneTriangle(std::uint32_t pab, std::uint32_t pac,
                         std::uint32_t pbc, std::uint64_t* raw) {
     using detail::LowerIdx;
-    using detail::RangeDirCount;
+    using detail::SplitRangeByDir;
     using detail::UpperIdx;
     // Symbols: a = 0, b = 1, c = 2 (the raw sequences are canonicalized
     // when merged).
@@ -950,8 +1122,10 @@ class WindowCounter {
             z1 = use_dw_ ? UpperIdx(TZ, nz, SatAdd(tmin, dw_)) : nz;
           }
           if (z1 <= z0) continue;
+          std::uint64_t by_dir[2];  // z events per dir.
+          SplitRangeByDir(PZ, z0, z1, 1, by_dir);
           for (int zd = 0; zd < 2; ++zd) {
-            const std::uint64_t cnt = RangeDirCount(PZ, z0, z1, zd);
+            const std::uint64_t cnt = by_dir[zd];
             if (!cnt) continue;
             const int zs = zd == 0 ? rz.lo_sym : rz.hi_sym;
             const int zdd = zd == 0 ? rz.hi_sym : rz.lo_sym;
@@ -982,6 +1156,7 @@ class WindowCounter {
   const bool use_dw_;
   const Timestamp dw_;
   const bool static_induced_;
+
 
   // Per-call scratch, reset by each Count (see the class comment).
   detail::FlatIndex pair_index_;

@@ -8,6 +8,7 @@
 #include "core/counter.h"
 #include "core/models/model_info.h"
 #include "graph/temporal_graph.h"
+#include "testing/reference_oracle.h"
 
 namespace tmotif {
 namespace {
@@ -279,13 +280,14 @@ TEST(Enumerator, MaxInstancesStopsEarly) {
 
 TEST(Enumerator, TimeBoundsSaturateNearMaxTimestamp) {
   // A temporal triangle plus a repeat, once at t = 1000..1003 and once
-  // shifted to just below the largest Timestamp: t0 + dW and t_prev + dC
-  // overflow there, and must clamp instead.
+  // shifted to just below the largest Timestamp: t0 + dW, t_prev + dC and
+  // the duration-aware t_prev + duration + dC overflow there, and must
+  // clamp instead — in the engine and in the reference predicate alike.
   const auto triangle = [](Timestamp base) {
-    return GraphFromEvents({{0, 1, base},
-                            {1, 2, base + 1},
-                            {2, 0, base + 2},
-                            {0, 1, base + 3}});
+    return GraphFromEvents({{0, 1, base, 1000},
+                            {1, 2, base + 1, 1000},
+                            {2, 0, base + 2, 1000},
+                            {0, 1, base + 3, 1000}});
   };
   const TemporalGraph low = triangle(1000);
   const TemporalGraph high =
@@ -295,6 +297,10 @@ TEST(Enumerator, TimeBoundsSaturateNearMaxTimestamp) {
   window.inducedness = Inducedness::kTemporalWindow;
   EnumerationOptions dc_dw = Opts(3, 3);
   dc_dw.timing = TimingConstraints::Both(1500, 3000);
+  // dC = 0 admits a gap only through the previous event's duration.
+  EnumerationOptions durations = Opts(3, 3);
+  durations.timing = TimingConstraints::OnlyDeltaC(0);
+  durations.duration_aware_gaps = true;
   const struct {
     const char* name;
     EnumerationOptions options;
@@ -303,12 +309,16 @@ TEST(Enumerator, TimeBoundsSaturateNearMaxTimestamp) {
       {"paranjape", OptionsForModel(ModelId::kParanjape, 3, 3, 0, 3000), 2},
       {"window", window, 2},
       {"dc_dw", dc_dw, 4},
+      {"durations", durations, 4},
   };
   for (const auto& config : configs) {
     const MotifCounts at_low = CountMotifs(low, config.options);
     const MotifCounts at_high = CountMotifs(high, config.options);
     EXPECT_EQ(at_low.total(), config.expected) << config.name;
     EXPECT_EQ(at_high.raw(), at_low.raw()) << config.name;
+    EXPECT_EQ(testing::ReferenceCountMotifs(high, config.options).raw(),
+              at_low.raw())
+        << config.name;
   }
 }
 

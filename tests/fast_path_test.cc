@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <random>
 #include <string>
@@ -21,6 +22,7 @@
 #include "core/enumerate_core.h"
 #include "core/enumerator.h"
 #include "core/fast_paths/fast_path.h"
+#include "core/models/model_info.h"
 #include "core/packed_table.h"
 #include "testing/random_graphs.h"
 #include "testing/reference_oracle.h"
@@ -92,8 +94,9 @@ std::ostream& operator<<(std::ostream& os, const FastPathCase& c) {
 
 /// Every combination FastPathSupported accepts, by counter family: the
 /// 2-node event-sequence DP (max_nodes == 2), the wedge/star/triangle
-/// counters (k == 3, max_nodes == 3), the k <= 2 closed forms, and the
-/// k == 1 trivial paths where even inducedness is a per-event lookup.
+/// counters (k == 3, max_nodes == 3, also under static inducedness), the
+/// k <= 2 closed forms, and the k == 1 trivial paths where even
+/// inducedness is a per-event lookup.
 const std::vector<FastPathCase> DispatchedCases() {
   return {
       {"k1_vanilla", Opts(1, 2)},
@@ -111,6 +114,11 @@ const std::vector<FastPathCase> DispatchedCases() {
       {"k3_n3_unbounded", Opts(3, 3)},
       {"k3_n3_dw_tight", Opts(3, 3, TimingConstraints::OnlyDeltaW(6))},
       {"k3_n3_dw_loose", Opts(3, 3, TimingConstraints::OnlyDeltaW(25))},
+      {"k3_n3_static_unbounded", Opts(3, 3, {}, Inducedness::kStatic)},
+      {"k3_n3_static_dw_tight",
+       Opts(3, 3, TimingConstraints::OnlyDeltaW(6), Inducedness::kStatic)},
+      {"k3_n3_static_dw_loose",
+       Opts(3, 3, TimingConstraints::OnlyDeltaW(25), Inducedness::kStatic)},
   };
 }
 
@@ -253,7 +261,8 @@ TEST(FastPathReuse, ReusedCounterMatchesFreshCounterAndGenericEngine) {
       }
     }
   }
-  ASSERT_EQ(combos.size(), 16u);  // All but static inducedness on 3 nodes.
+  // All but static inducedness on 3-node wedges (k == 2).
+  ASSERT_EQ(combos.size(), 18u);
 
   int calls = 0;
   int nonzero = 0;
@@ -303,6 +312,79 @@ TEST(FastPathReuse, ReusedCounterMatchesFreshCounterAndGenericEngine) {
   EXPECT_GT(nonzero, calls / 2);  // The sequence must count something.
 }
 
+// Static inducedness reads a star's third pair from the full graph, also
+// when the counted range holds none of that pair's events. Events 1..3 form
+// a star around node 1 whose third pair (0, 2) has its only event (0)
+// before the range: the star is void, so the range [1, 4) counts nothing,
+// while the whole graph counts the two triangles through event 0.
+TEST(FastPathStatic, RangeCountSeesThirdPairOutsideTheRange) {
+  const TemporalGraph g =
+      GraphFromEvents({{0, 2, 1}, {0, 1, 2}, {1, 2, 3}, {0, 1, 4}});
+  const EnumerationOptions o =
+      OptionsForModel(ModelId::kParanjape, 3, 3, /*delta_c=*/0,
+                      /*delta_w=*/100);
+  ASSERT_TRUE(internal::fast_paths::FastPathSupported(o));
+  EXPECT_EQ(CountMotifsInRange(g, o, 1, 4).total(), 0u);
+  EXPECT_EQ(ForcedGenericCount(g, o, 1, 4).total(), 0u);
+  const MotifCounts whole = CountMotifs(g, o);
+  EXPECT_EQ(whole.total(), 2u);
+  EXPECT_EQ(whole.SortedByCode(),
+            ForcedGenericCount(g, o, 0, g.num_events()).SortedByCode());
+  EXPECT_EQ(whole.SortedByCode(), ReferenceCountMotifs(g, o).SortedByCode());
+}
+
+// Window bounds saturate: with timestamps spanning the signed range, a
+// plain t - t0 wraps, and an unsaturated dW test keeps events 2^64 - 21
+// apart in one window (k = 2 pairs and wedges, k = 3 stars, with and
+// without static inducedness). Near the top the legitimate instances —
+// a pair, a star and a static triangle — have t0 + dW past INT64_MAX.
+TEST(FastPathSaturation, TimestampsSpanningTheSignedRange) {
+  constexpr Timestamp kMin = std::numeric_limits<Timestamp>::min();
+  constexpr Timestamp kMax = std::numeric_limits<Timestamp>::max();
+  const TemporalGraph g = GraphFromEvents({{0, 1, kMin + 5},
+                                           {0, 2, 0},
+                                           {0, 1, kMax - 15},
+                                           {0, 2, kMax - 10},
+                                           {0, 1, kMax - 5},
+                                           {3, 4, kMin + 3},
+                                           {3, 4, kMax - 12},
+                                           {4, 5, kMax - 8},
+                                           {5, 3, kMax - 3}});
+  const TimingConstraints dw = TimingConstraints::OnlyDeltaW(20);
+  const struct {
+    const char* name;
+    EnumerationOptions options;
+  } configs[] = {
+      {"k2_pair", Opts(2, 2, dw)},
+      {"k2_n3", Opts(2, 3, dw)},
+      {"k3_n3", Opts(3, 3, dw)},
+      {"k3_n3_static", Opts(3, 3, dw, Inducedness::kStatic)},
+  };
+  for (const auto& config : configs) {
+    ASSERT_TRUE(internal::fast_paths::FastPathSupported(config.options))
+        << config.name;
+    const MotifCounts fast = CountMotifs(g, config.options);
+    const MotifCounts generic =
+        ForcedGenericCount(g, config.options, 0, g.num_events());
+    const MotifCounts oracle = ReferenceCountMotifs(g, config.options);
+    EXPECT_GT(fast.total(), 0u) << config.name;
+    EXPECT_EQ(fast.SortedByCode(), generic.SortedByCode())
+        << config.name << ": fast=" << Describe(fast)
+        << " generic=" << Describe(generic);
+    EXPECT_EQ(fast.SortedByCode(), oracle.SortedByCode())
+        << config.name << ": fast=" << Describe(fast)
+        << " oracle=" << Describe(oracle);
+  }
+  // The two-event repro: 2^64 - 21 apart, so no instance at dW = 10.
+  const TemporalGraph pair =
+      GraphFromEvents({{0, 1, kMin + 10}, {0, 1, kMax - 10}});
+  const EnumerationOptions song =
+      OptionsForModel(ModelId::kSong, 2, 3, /*delta_c=*/0, /*delta_w=*/10);
+  EXPECT_EQ(CountMotifs(pair, song).total(), 0u);
+  EXPECT_EQ(ForcedGenericCount(pair, song, 0, 2).total(), 0u);
+  EXPECT_EQ(ReferenceCountMotifs(pair, song).total(), 0u);
+}
+
 // Dispatch-coverage guard: the grid above is only meaningful while these
 // combinations actually route to the fast paths, and the generic engine
 // must keep owning everything the counters do not implement. A change to
@@ -327,9 +409,15 @@ TEST(FastPathDispatch, SupportedAndUnsupportedCombinations) {
   // Temporal-window inducedness is only trivial at k == 1.
   EXPECT_FALSE(internal::fast_paths::FastPathSupported(
       Opts(2, 2, {}, Inducedness::kTemporalWindow)));
-  // Static inducedness beyond node pairs needs the DFS scope checks.
-  EXPECT_FALSE(internal::fast_paths::FastPathSupported(
+  // Static inducedness on 3-node wedges needs the DFS scope checks; the
+  // k == 3 stars and triangles reduce to per-pair static facts.
+  EXPECT_TRUE(internal::fast_paths::FastPathSupported(
       Opts(3, 3, {}, Inducedness::kStatic)));
+  EXPECT_FALSE(internal::fast_paths::FastPathSupported(
+      Opts(2, 3, {}, Inducedness::kStatic)));
+  // ... and so does static inducedness with a dC gap (Hulovatyy et al.).
+  EXPECT_FALSE(internal::fast_paths::FastPathSupported(
+      Opts(3, 3, TimingConstraints::OnlyDeltaC(5), Inducedness::kStatic)));
   // Instance caps imply early termination, which totals-only counters
   // cannot honor.
   EnumerationOptions capped = Opts(3, 3);

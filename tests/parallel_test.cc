@@ -240,8 +240,8 @@ TEST(ParallelDispatch, ThreadedGenericConfigDispatchesGenericOnce) {
   const TemporalGraph g = TestGraph(3);
   ASSERT_GE(g.num_events(), kMinParallelEvents);
   const EnumerationOptions o = OptionsForModel(
-      ModelId::kParanjape, /*num_events=*/3, /*max_nodes=*/3, /*delta_c=*/0,
-      /*delta_w=*/1200);
+      ModelId::kHulovatyy, /*num_events=*/3, /*max_nodes=*/3, /*delta_c=*/600,
+      /*delta_w=*/0);
   const std::uint64_t fast_before = CounterValue("counting.dispatch_fastpath");
   const std::uint64_t generic_before =
       CounterValue("counting.dispatch_generic");

@@ -307,8 +307,10 @@ TEST(StreamingMotifCounter, ThreadedWindowRecountMatchesSerial) {
   };
   const Case cases[] = {
       {"kovanen", Opts(3, 3, TimingConstraints::OnlyDeltaC(12), true), 0},
-      {"paranjape_store_off",
-       Opts(3, 3, TimingConstraints::OnlyDeltaW(24), false, false,
+      // Static inducedness with a dC gap (Hulovatyy et al.) stays off the
+      // fast path, so its store-off recount still spawns shards.
+      {"hulovatyy_store_off",
+       Opts(3, 3, TimingConstraints::OnlyDeltaC(12), false, false,
             Inducedness::kStatic),
        1},
   };
@@ -358,6 +360,60 @@ TEST(StreamingMotifCounter, ThreadedWindowRecountMatchesSerial) {
       EXPECT_GE(threaded_recounts, 2) << c.name << " seed=" << seed;
     });
   }
+}
+
+// Paranjape et al.'s model (static inducedness, dW) is a fast-path config:
+// its store-off window recount dispatches the k <= 3 counters, records
+// counting.dispatch_fastpath, and spawns no shard even with threads on a
+// window above the parallel threshold (the grids check its counts).
+TEST(StreamingMotifCounter, StoreOffParanjapeRecountDispatchesFastPath) {
+  const std::size_t kWindow =
+      static_cast<std::size_t>(internal::kMinParallelEvents) + 64;
+  RandomGraphSpec spec;
+  spec.num_nodes = 16;
+  spec.num_events = static_cast<int>(3 * kWindow);
+  spec.max_time = static_cast<Timestamp>(8 * kWindow);
+  obs::Counter* const fast =
+      obs::GlobalMetrics().GetCounter("counting.dispatch_fastpath");
+  obs::Counter* const generic =
+      obs::GlobalMetrics().GetCounter("counting.dispatch_generic");
+  obs::Histogram* const shard_instances =
+      obs::GlobalMetrics().GetHistogram("parallel.shard_instances");
+  ForEachRandomGraph(0x9a4a, 2, spec, [&](std::uint64_t seed,
+                                          const TemporalGraph& g) {
+    StreamConfig config;
+    config.options = OptionsForModel(ModelId::kParanjape, 3, 3,
+                                     /*delta_c=*/0, /*delta_w=*/24);
+    config.window = WindowPolicy::CountBased(kWindow);
+    config.store_budget_bytes = 1;
+    config.num_threads = 4;
+    StreamingMotifCounter counter(config);
+    const std::vector<Event>& all = g.events();
+    int recounts = 0;
+    for (std::size_t begin = 0; begin < all.size(); begin += 64) {
+      const std::vector<Event> batch(
+          all.begin() + static_cast<std::ptrdiff_t>(begin),
+          all.begin() + static_cast<std::ptrdiff_t>(
+                            std::min(all.size(), begin + 64)));
+      const std::uint64_t recounts_before = counter.stats().full_recounts;
+      const bool store_was_on = counter.store_active();
+      const std::uint64_t fast_before = fast->Value();
+      const std::uint64_t generic_before = generic->Value();
+      const std::uint64_t shards_before = shard_instances->Snapshot().count;
+      counter.Ingest(batch);
+      if (store_was_on || counter.stats().full_recounts == recounts_before ||
+          counter.window_size() < kWindow) {
+        continue;
+      }
+      ++recounts;
+      const std::string label =
+          "seed=" + std::to_string(seed) + " batch at " + std::to_string(begin);
+      EXPECT_GT(fast->Value(), fast_before) << label;
+      EXPECT_EQ(generic->Value(), generic_before) << label;
+      EXPECT_EQ(shard_instances->Snapshot().count, shards_before) << label;
+    }
+    EXPECT_GT(recounts, 0) << "seed=" << seed;
+  });
 }
 
 // Static-edge flips that actually change surviving instances' validity,

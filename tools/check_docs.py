@@ -52,6 +52,7 @@ REQUIRED_SECTIONS = {
     "docs/PERFORMANCE.md": (
         "## Specialized k ≤ 3 counting fast paths (core/fast_paths/)",
         "### The dispatch table",
+        "| k = 3, `max_nodes == 3`, kStatic, no dC (Paranjape et al.) | yes |",
         "batch sink surface",
         "window-difference identity",
         "## Performance gate (tools/pipebench_gate.py)",
