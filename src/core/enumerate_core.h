@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <limits>
 #include <type_traits>
-#include <vector>
 
 #include "common/check.h"
 #include "core/enumerator.h"
@@ -179,8 +178,7 @@ class DfsEngine {
   /// Flushes the per-kernel invocation tallies into the process-wide
   /// counting.kernel_* counters (same funnel pattern as
   /// PackedMotifTable::PublishTelemetry — the hot loops stay
-  /// increment-only). EnumerateCore/EnumerateCoreAtRoots call it after
-  /// the run.
+  /// increment-only). EnumerateCore calls it after the run.
   void PublishKernelTelemetry() {
     if (distinct_scans_ == 0 && prefilters_ == 0) return;
     static obs::Counter* const scans =
@@ -958,24 +956,6 @@ std::uint64_t EnumerateCore(const Graph& graph,
                             Sink& sink) {
   DfsEngine<Graph, Sink> engine(graph, options, sink);
   const std::uint64_t total = engine.Run(first_begin, first_end);
-  engine.PublishKernelTelemetry();
-  return total;
-}
-
-/// Runs the DFS over instances whose first event is one of `roots`
-/// (ascending, deduplicated); one engine serves every root, so per-engine
-/// setup is paid once (the streaming scoped static-flip recount calls this
-/// with sparse root sets).
-template <typename Graph, typename Sink>
-std::uint64_t EnumerateCoreAtRoots(const Graph& graph,
-                                   const EnumerationOptions& options,
-                                   const std::vector<EventIndex>& roots,
-                                   Sink& sink) {
-  DfsEngine<Graph, Sink> engine(graph, options, sink);
-  std::uint64_t total = 0;
-  for (const EventIndex root : roots) {
-    total = engine.Run(root, root + 1);
-  }
   engine.PublishKernelTelemetry();
   return total;
 }

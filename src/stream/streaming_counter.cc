@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <limits>
-#include <unordered_set>
 
 #include "common/check.h"
 #include "common/fault_points.h"
@@ -50,8 +49,6 @@ struct StreamMetrics {
   obs::Counter* tie_corrections;
   obs::Counter* full_recounts;
   obs::Counter* static_fallbacks;
-  obs::Counter* scoped_static_recounts;
-  obs::Counter* scoped_recount_roots;
   obs::Counter* store_flip_batches;
   obs::Counter* store_entries_touched;
   obs::Counter* store_admitted;
@@ -99,9 +96,6 @@ struct StreamMetrics {
       n.tie_corrections = r.GetCounter("stream.tie_corrections");
       n.full_recounts = r.GetCounter("stream.full_recounts");
       n.static_fallbacks = r.GetCounter("stream.static_fallbacks");
-      n.scoped_static_recounts =
-          r.GetCounter("stream.scoped_static_recounts");
-      n.scoped_recount_roots = r.GetCounter("stream.scoped_recount_roots");
       n.store_flip_batches = r.GetCounter("stream.store_flip_batches");
       n.store_entries_touched =
           r.GetCounter("stream.store_entries_touched");
@@ -215,116 +209,6 @@ struct NewInstanceSink {
     table->Add(packed);
   }
 };
-
-/// Incident-entry scan budget of one scoped-correction root collection: a few
-/// multiples of the window (a full recount visits every window event, so a
-/// ball search costing much more than that has lost already). The floor
-/// keeps tiny windows from starving the search.
-std::int64_t ScopedWorkBudget(std::size_t window_size) {
-  return std::max<std::int64_t>(256,
-                                4 * static_cast<std::int64_t>(window_size));
-}
-
-/// True when the instance's node set contains both endpoints of at least
-/// one flipped pair — the exact "affected by a static-edge flip" predicate
-/// (static inducedness reads HasStaticEdge only on intra-instance pairs).
-bool InstanceSpansFlippedPair(
-    const WindowGraph& graph, const EventIndex* chosen, int k,
-    const std::vector<std::pair<NodeId, NodeId>>& flips) {
-  NodeId nodes[2 * internal::kMaxCoreEvents];
-  int num_nodes = 0;
-  for (int i = 0; i < k; ++i) {
-    for (const NodeId n : {graph.event_src(chosen[i]),
-                           graph.event_dst(chosen[i])}) {
-      bool seen = false;
-      for (int j = 0; j < num_nodes; ++j) {
-        if (nodes[j] == n) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) nodes[num_nodes++] = n;
-    }
-  }
-  for (const auto& [u, v] : flips) {
-    bool has_u = false;
-    bool has_v = false;
-    for (int j = 0; j < num_nodes; ++j) {
-      has_u = has_u || nodes[j] == u;
-      has_v = has_v || nodes[j] == v;
-    }
-    if (has_u && has_v) return true;
-  }
-  return false;
-}
-
-/// Nodes within undirected hop distance `radius` of `center` over the
-/// window's incident event lists (the instance-connectivity relation).
-/// `work_budget` bounds the incident entries scanned (shared across calls,
-/// decremented in place); returns false — with the ball left partial — when
-/// the budget runs out, signalling the caller to fall back.
-bool CollectBall(const WindowGraph& graph, NodeId center, int radius,
-                 std::int64_t* work_budget, std::unordered_set<NodeId>* out) {
-  out->clear();
-  out->insert(center);
-  std::vector<NodeId> frontier{center};
-  for (int hop = 0; hop < radius && !frontier.empty(); ++hop) {
-    std::vector<NodeId> next;
-    for (const NodeId node : frontier) {
-      const auto incident = graph.incident(node);
-      *work_budget -= static_cast<std::int64_t>(incident.size());
-      if (*work_budget < 0) return false;
-      for (const EventIndex idx : incident) {
-        const NodeId src = graph.event_src(idx);
-        const NodeId other = src == node ? graph.event_dst(idx) : src;
-        if (out->insert(other).second) next.push_back(other);
-      }
-    }
-    frontier = std::move(next);
-  }
-  return true;
-}
-
-/// First-event candidates (within [first_begin, first_end)) of instances
-/// whose node set can contain both `u` and `v`: an instance spanning the
-/// pair keeps every node — in particular its first event's endpoints —
-/// within hop distance `radius` of *each* endpoint, so roots are events
-/// with both endpoints inside the intersected balls. Returns false when
-/// `work_budget` runs out.
-bool AppendScopedRoots(const WindowGraph& graph, NodeId u, NodeId v,
-                       int radius, EventIndex first_begin,
-                       EventIndex first_end, std::int64_t* work_budget,
-                       std::vector<EventIndex>* roots) {
-  std::unordered_set<NodeId> ball_u;
-  std::unordered_set<NodeId> ball_v;
-  if (!CollectBall(graph, u, radius, work_budget, &ball_u) ||
-      !CollectBall(graph, v, radius, work_budget, &ball_v)) {
-    return false;
-  }
-  const std::unordered_set<NodeId>& small =
-      ball_u.size() <= ball_v.size() ? ball_u : ball_v;
-  const std::unordered_set<NodeId>& large =
-      ball_u.size() <= ball_v.size() ? ball_v : ball_u;
-  const auto in_both = [&](NodeId n) {
-    return small.count(n) != 0 && large.count(n) != 0;
-  };
-  for (const NodeId node : small) {
-    if (large.count(node) == 0) continue;
-    const auto incident = graph.incident(node);
-    *work_budget -= static_cast<std::int64_t>(incident.size());
-    if (*work_budget < 0) return false;
-    for (const EventIndex idx : incident) {
-      if (idx < first_begin || idx >= first_end) continue;
-      const NodeId src = graph.event_src(idx);
-      const NodeId other = src == node ? graph.event_dst(idx) : src;
-      // Dedupe events whose both endpoints are in the intersection by
-      // emitting them from their source endpoint only.
-      if (src != node && in_both(src)) continue;
-      if (in_both(other)) roots->push_back(idx);
-    }
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -472,67 +356,6 @@ StreamingMotifCounter::CollectStaticEdgeFlips(std::size_t num_evict,
     }
   }
   return flips;
-}
-
-bool StreamingMotifCounter::CollectFlipRoots(
-    const std::vector<std::pair<NodeId, NodeId>>& flips,
-    EventIndex first_begin, EventIndex first_end, std::int64_t* work_budget,
-    std::vector<EventIndex>* roots) const {
-  const int radius = options().max_nodes - 1;
-  roots->clear();
-  for (const auto& [u, v] : flips) {
-    if (!AppendScopedRoots(live_, u, v, radius, first_begin, first_end,
-                           work_budget, roots)) {
-      return false;
-    }
-  }
-  std::sort(roots->begin(), roots->end());
-  roots->erase(std::unique(roots->begin(), roots->end()), roots->end());
-  return true;
-}
-
-void StreamingMotifCounter::SubtractFlipAffected(
-    const std::vector<std::pair<NodeId, NodeId>>& flips,
-    const std::vector<EventIndex>& roots) {
-  stats_.scoped_recount_roots += roots.size();
-  internal::PackedMotifTable removed;
-  auto sink = internal::MakeFnSink(
-      [&](const EventIndex* chosen, int k, std::uint64_t packed) {
-        if (InstanceSpansFlippedPair(live_, chosen, k, flips)) {
-          removed.Add(packed);
-        }
-      });
-  internal::EnumerateCoreAtRoots(live_, config_.options, roots, sink);
-  counts_.SubtractTable(removed);
-}
-
-bool StreamingMotifCounter::AddFlipAffected(
-    const std::vector<std::pair<NodeId, NodeId>>& flips,
-    EventIndex first_new) {
-  std::int64_t budget = ScopedWorkBudget(window_.size());
-  std::vector<EventIndex> roots;
-  // Roots past `first_new` can only anchor instances whose last event is
-  // new — the sink would discard every one of them (phase 6 owns arriving
-  // instances), so collecting them would just burn budget and inflate the
-  // locality estimate.
-  if (!CollectFlipRoots(flips, 0, first_new, &budget, &roots) ||
-      2 * roots.size() >= window_.size()) {
-    return false;
-  }
-  stats_.scoped_recount_roots += roots.size();
-  internal::PackedMotifTable added;
-  auto sink = internal::MakeFnSink(
-      [&](const EventIndex* chosen, int k, std::uint64_t packed) {
-        // Instances ending in a new event are phase 6's: they were never
-        // counted before this batch, under either edge set.
-        if (is_new_[static_cast<std::size_t>(chosen[k - 1])]) return;
-        if (InstanceSpansFlippedPair(live_, chosen, k, flips)) {
-          added.Add(packed);
-        }
-      });
-  internal::EnumerateCoreAtRoots(live_, config_.options, roots, sink);
-  counts_.AddTable(added);
-  return true;
 }
 
 void StreamingMotifCounter::RecountWindow() {
@@ -801,8 +624,6 @@ void StreamingMotifCounter::PublishTelemetry() {
   TMOTIF_PUBLISH_FIELD(tie_corrections);
   TMOTIF_PUBLISH_FIELD(full_recounts);
   TMOTIF_PUBLISH_FIELD(static_fallbacks);
-  TMOTIF_PUBLISH_FIELD(scoped_static_recounts);
-  TMOTIF_PUBLISH_FIELD(scoped_recount_roots);
   TMOTIF_PUBLISH_FIELD(store_flip_batches);
   TMOTIF_PUBLISH_FIELD(store_entries_touched);
   TMOTIF_PUBLISH_FIELD(store_admitted);
@@ -928,41 +749,21 @@ void StreamingMotifCounter::IngestOrdered(const std::vector<Event>& batch) {
     return;
   }
 
-  // Static inducedness with the store off (memory budget): when the
-  // window's static edge set changes, survivor instances whose node set
-  // spans a flipped pair change validity. The scoped correction subtracts
-  // exactly those instances at pre-flip validity here and re-adds them at
-  // post-flip validity after the window slides — a neighborhood-restricted
-  // recount.
-  // The full-window fallback remains for batches where a flip coincides
-  // with a boundary tie (the two corrections would overlap), where the flip
-  // set is too large to localize cheaply, or where the collected root set
-  // approaches the window itself (the scoped passes would cost more than
-  // one recount). A boundary tie also falls back when the eviction alone
+  // Static inducedness with the store off (memory budget): a batch that
+  // flips a static edge changes the validity of every survivor whose node
+  // set spans the flipped pair, wherever it lies in the window, so it
+  // recounts the window. So does a boundary-tie batch whose eviction alone
   // removes an edge, even one the batch re-adds: the tie corrections run
   // on the survivors, whose edge set is then neither the old nor the new
   // one.
   bool evicts_edge = false;
-  const std::vector<std::pair<NodeId, NodeId>>& flips = CollectStaticEdgeFlips(
-      plan.num_evict, batch, plan.batch_begin, &evicts_edge);
-  if (!flips.empty() || (evicts_edge && (evict_tie || append_tie))) {
-    constexpr std::size_t kMaxScopedFlips = 32;
-    std::vector<EventIndex> flip_roots;
-    bool scoped = !evict_tie && !append_tie && flips.size() <= kMaxScopedFlips;
-    if (scoped) {
-      std::int64_t budget = ScopedWorkBudget(old_size);
-      // The scoped correction enumerates each root twice (subtract + add);
-      // a full recount enumerates every window event once.
-      scoped = CollectFlipRoots(flips, n_evict,
-                                static_cast<EventIndex>(old_size), &budget,
-                                &flip_roots) &&
-               2 * flip_roots.size() < old_size;
-    }
-    if (!scoped) {
-      ApplyAndRecount(plan, batch, /*is_static_fallback=*/true);
-      return;
-    }
-    SubtractFlipAffected(flips, flip_roots);
+  const bool flips_edge =
+      !CollectStaticEdgeFlips(plan.num_evict, batch, plan.batch_begin,
+                              &evicts_edge)
+           .empty();
+  if (flips_edge || (evicts_edge && (evict_tie || append_tie))) {
+    ApplyAndRecount(plan, batch, /*is_static_fallback=*/true);
+    return;
   }
 
   // Phase 1 — retire the evicted prefix. The evicted events form a
@@ -1060,25 +861,6 @@ void StreamingMotifCounter::IngestOrdered(const std::vector<Event>& batch) {
   InvalidateSnapshot();
   is_new_.assign(window_.size(), 0);
   for (const std::size_t p : new_positions_) is_new_[p] = 1;
-
-  // Scoped static-flip correction, add-back half: flip-affected survivors
-  // re-enter at their validity under the new edge set (instances with a new
-  // last event are phase 6's, under the new edge set either way).
-  if (!flips.empty()) {
-    // Tie-free batch: the entering events are strictly later than every
-    // survivor, so they occupy the window's suffix.
-    const EventIndex first_new =
-        static_cast<EventIndex>(window_.size() - num_new);
-    if (!AddFlipAffected(flips, first_new)) {
-      // The post-apply neighborhood blew its budget (rare: arrivals grew a
-      // flip's ball past the locality threshold). The window has already
-      // slid, so recount it outright — that subsumes phase 6.
-      RecountWindow();
-      ++stats_.static_fallbacks;
-      return;
-    }
-    ++stats_.scoped_static_recounts;
-  }
 
   // Phase 5 — append-side boundary correction, add-back half, evaluated on
   // the post-append window. An instance whose last event is old contains no

@@ -23,8 +23,7 @@ namespace tmotif {
 /// State of the live-instance store under static inducedness (see
 /// docs/RESILIENCE.md). `kFull`: the store is on and absorbs every
 /// static-edge flip. `kRecount`: a memory budget turned the store off;
-/// flip batches take the scoped neighborhood correction or, where that
-/// cannot localize, a window recount, until pressure clears. The numeric
+/// every flip batch recounts the window until pressure clears. The numeric
 /// values are the `stream.store_mode` gauge and the checkpoint byte.
 enum class StoreMode : std::uint8_t {
   kFull = 0,
@@ -73,15 +72,15 @@ struct IngestStats {
   std::uint64_t tie_corrections = 0;
   /// Window recounted from scratch (startup, window turnover, a late-event
   /// splice the delta passes cannot localize, or — store off only — a
-  /// static-edge flip that coincided with a boundary tie or resisted
-  /// localization).
+  /// batch that flips a static edge or drops one on a boundary tie).
   std::uint64_t full_recounts = 0;
-  /// Static-edge flips that forced a full-window recount (store off only).
+  /// Batches whose static-edge flips (or tie eviction of an edge) forced a
+  /// full-window recount (store off only).
   std::uint64_t static_fallbacks = 0;
-  /// Static-edge flips handled by the scoped, neighborhood-restricted
-  /// correction (store off only; see docs/STREAMING.md).
+  /// Always 0: the scoped store-off correction that counted its batches
+  /// and roots is gone. Kept only because pipebench/pipebench.cc reports
+  /// them and checkpoint v4 writes them; not exported.
   std::uint64_t scoped_static_recounts = 0;
-  /// Roots enumerated by scoped recounts (both halves), for cost tracking.
   std::uint64_t scoped_recount_roots = 0;
   /// Static-edge flip batches absorbed by the live-instance store, the
   /// store entries those flips re-evaluated, and the counted-set changes
@@ -141,8 +140,8 @@ struct StreamCheckpointState {
 /// boundary corrections. Static inducedness is handled by the node-pair
 /// live-instance store (stream/instance_store.h) — every static edge flip
 /// retires/admits exactly the affected instances, fully incremental at any
-/// batch size — and, while a memory budget keeps the store off, by a scoped
-/// neighborhood correction with a window-recount fallback. The invariant —
+/// batch size — and, while a memory budget keeps the store off, by a
+/// window recount of every flip batch. The invariant —
 /// asserted by tests/stream_test.cc across the oracle grid — is that after
 /// every batch, `counts()` equals
 /// `CountMotifs(GraphFromEvents(window events), options)` exactly.
@@ -308,36 +307,8 @@ class StreamingMotifCounter {
   /// counts (promotion must never change a count).
   void PromoteStore();
 
-  // --- Store-off static-flip correction (scoped neighborhood recount). ---
-
-  /// Sorted, deduplicated first-event candidates (within
-  /// [first_begin, first_end)) of instances whose node set can span a
-  /// flipped pair — events inside the intersected hop-balls of each pair's
-  /// endpoints. Returns false (roots unusable) when the ball search
-  /// exhausts `work_budget` — the locality assumption failed and a full
-  /// recount is cheaper.
-  bool CollectFlipRoots(const std::vector<std::pair<NodeId, NodeId>>& flips,
-                        EventIndex first_begin, EventIndex first_end,
-                        std::int64_t* work_budget,
-                        std::vector<EventIndex>* roots) const;
-
-  /// Subtract-half of the scoped static-flip correction, run on the
-  /// pre-apply window over the given roots: removes counted survivor
-  /// instances whose node set spans a flipped pair.
-  void SubtractFlipAffected(
-      const std::vector<std::pair<NodeId, NodeId>>& flips,
-      const std::vector<EventIndex>& roots);
-  /// Add-half, run on the post-apply window: re-adds flip-affected
-  /// survivors at their new validity. Root collection stops at
-  /// `first_new` (survivors are entirely pre-batch; instances ending in a
-  /// new event are phase 6's), keeping the cost gate honest. Returns false
-  /// when root collection blows its budget or locality threshold
-  /// post-apply; the caller must then recount the window.
-  bool AddFlipAffected(const std::vector<std::pair<NodeId, NodeId>>& flips,
-                       EventIndex first_new);
-
   /// Applies the plan and recounts the whole window on the live indices
-  /// (startup, full window turnover, or a static-edge flip fallback).
+  /// (startup, full window turnover, or a store-off static-edge flip).
   void ApplyAndRecount(const IngestPlan& plan, const std::vector<Event>& batch,
                        bool is_static_fallback);
   /// Recounts the already-updated window in place (store rebuild included

@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/models/model_info.h"
@@ -90,7 +92,6 @@ void AccumulateGridStats(const IngestStats& stats) {
   g_grid_stats.tie_corrections += stats.tie_corrections;
   g_grid_stats.full_recounts += stats.full_recounts;
   g_grid_stats.static_fallbacks += stats.static_fallbacks;
-  g_grid_stats.scoped_static_recounts += stats.scoped_static_recounts;
   g_grid_stats.store_flip_batches += stats.store_flip_batches;
   g_grid_stats.store_admitted += stats.store_admitted;
   g_grid_stats.store_retired += stats.store_retired;
@@ -150,7 +151,7 @@ struct StreamCase {
   int num_graphs = 8;
   /// Store memory budget (0 = unlimited). 1 byte turns the live-instance
   /// store off as soon as it holds anything, so static flips take the
-  /// store-off path: the scoped correction and its window-recount fallback.
+  /// store-off path: a window recount per flip batch.
   std::size_t store_budget_bytes = 0;
 };
 
@@ -249,9 +250,8 @@ INSTANTIATE_TEST_SUITE_P(
                    Opts(3, 3, {}, false, false, Inducedness::kStatic),
                    DenseSpec()},
         // The store-off state a memory budget forces must stay exact —
-        // these twin cases keep the scoped correction's subtract/add
-        // halves and its window-recount fallback under differential
-        // coverage.
+        // these twin cases keep its flip recounts and its delta path
+        // between flips under differential coverage.
         StreamCase{"induced_static_degraded",
                    Opts(3, 3, {}, false, false, Inducedness::kStatic),
                    DenseSpec(), 8, /*store_budget_bytes=*/1},
@@ -416,14 +416,14 @@ TEST(StreamingMotifCounter, StoreOffParanjapeRecountDispatchesFastPath) {
   });
 }
 
-// Static-edge flips that actually change surviving instances' validity,
-// routed through the store-off SCOPED correction (a 1-byte budget turns the
-// store off once it holds the first candidate; tie-free batches, flips
-// local to a small neighborhood inside a padded window so the cost gate
-// keeps them off the full-recount fallback). The random grid rarely
-// produces count-changing scoped flips, so this is the directed regression
-// test for the subtract/add halves of the correction.
-TEST(StreamingMotifCounter, ScopedStaticFlipCorrectsAffectedInstances) {
+// Store off, a batch that flips a static edge recounts the window. A
+// 1-byte budget turns the store off once it holds its first candidate; the
+// flip batches that follow build a valid induced triangle and then
+// invalidate it with the reverse edge (2,0), a flipped pair with
+// src > dst. The padding edges REPEAT, so neither their re-entries nor
+// their later evictions flip the static edge set: those batches take the
+// delta path. Distinct timestamps keep every batch tie-free.
+TEST(StreamingMotifCounter, StoreOffFlipBatchesRecount) {
   StreamConfig config;
   config.options.num_events = 3;
   config.options.max_nodes = 3;
@@ -432,10 +432,6 @@ TEST(StreamingMotifCounter, ScopedStaticFlipCorrectsAffectedInstances) {
   config.store_budget_bytes = 1;
   StreamingMotifCounter counter(config);
 
-  // Padding events among far-away nodes keep the window large relative to
-  // the flip neighborhoods; the pad edges REPEAT so neither their re-entry
-  // nor their later eviction flips the static edge set, and distinct
-  // timestamps keep every batch tie-free.
   const std::vector<Event> events = {
       {10, 11, 1}, {12, 13, 2}, {10, 11, 3}, {12, 13, 4},
       {10, 11, 5}, {12, 13, 6},
@@ -446,30 +442,54 @@ TEST(StreamingMotifCounter, ScopedStaticFlipCorrectsAffectedInstances) {
       {0, 1, 11},
       {1, 2, 12},
   };
+  const auto static_edges = [](const std::vector<Event>& window) {
+    std::set<std::pair<NodeId, NodeId>> edges;
+    for (const Event& e : window) edges.emplace(e.src, e.dst);
+    return edges;
+  };
   MotifCounts expected_at_10;  // Snapshot before the invalidating flip.
+  std::vector<Event> previous_window;
+  int flip_batches = 0;
+  int delta_batches = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {
+    const bool store_was_off = counter.store_mode() == StoreMode::kRecount;
+    const IngestStats before = counter.stats();
     counter.Ingest({events[i]});
-    const TemporalGraph expect_graph = GraphFromEvents(std::vector<Event>(
-        events.begin() + static_cast<std::ptrdiff_t>(
-                             i + 1 > 10 ? i + 1 - 10 : 0),
-        events.begin() + static_cast<std::ptrdiff_t>(i + 1)));
-    const MotifCounts expected = CountMotifs(expect_graph, config.options);
+    const std::vector<Event> window(
+        events.begin() +
+            static_cast<std::ptrdiff_t>(i + 1 > 10 ? i + 1 - 10 : 0),
+        events.begin() + static_cast<std::ptrdiff_t>(i + 1));
+    const MotifCounts expected =
+        CountMotifs(GraphFromEvents(window), config.options);
     ASSERT_EQ(counter.counts().SortedByCode(), expected.SortedByCode())
         << "after event " << i << " (t=" << events[i].time << "): streaming="
         << DescribeCounts(counter.counts())
         << " batch=" << DescribeCounts(expected);
     if (events[i].time == 9) expected_at_10 = expected;
+    const IngestStats& after = counter.stats();
+    const std::string label = "t=" + std::to_string(events[i].time);
+    if (store_was_off && static_edges(window) != static_edges(previous_window)) {
+      ++flip_batches;
+      EXPECT_EQ(after.static_fallbacks, before.static_fallbacks + 1) << label;
+      EXPECT_EQ(after.full_recounts, before.full_recounts + 1) << label;
+    } else if (store_was_off) {
+      ++delta_batches;
+      EXPECT_EQ(after.static_fallbacks, before.static_fallbacks) << label;
+      EXPECT_EQ(after.full_recounts, before.full_recounts) << label;
+    }
+    previous_window = window;
   }
-  // The triangle existed at t=9 and the t=10 flip removed it — the scoped
-  // subtract half did real work, on a flipped pair with src > dst.
+  // The triangle existed at t=9 and the t=10 flip removed it.
   EXPECT_EQ(expected_at_10.count("011202"), 1u);
   EXPECT_EQ(counter.store_mode(), StoreMode::kRecount);
   const IngestStats& stats = counter.stats();
   EXPECT_EQ(stats.store_demotions_recount, 1u);
-  // The triangle-building and triangle-invalidating flips all stay scoped.
-  EXPECT_GE(stats.scoped_static_recounts, 4u);
-  EXPECT_GT(stats.scoped_recount_roots, 0u);
-  EXPECT_EQ(stats.static_fallbacks, 0u);
+  // The store turns off after t=5, the first candidate. The four triangle
+  // flips (t=7..10) recount; the re-entries at t=6, t=11 and t=12 (the
+  // last two evict a padding event whose edge stays) take the delta path.
+  EXPECT_EQ(flip_batches, 4);
+  EXPECT_EQ(delta_batches, 3);
+  EXPECT_EQ(stats.static_fallbacks, 4u);
 }
 
 // Store off: the boundary-tie corrections run on the survivors alone, so a
@@ -545,7 +565,6 @@ TEST(StreamingMotifCounter, StoreRetiresFlipAffectedInstances) {
   EXPECT_GE(stats.store_retired, 1u);  // The t=10 flip retired the triangle.
   EXPECT_GT(stats.store_flip_batches, 0u);
   EXPECT_EQ(stats.static_fallbacks, 0u);
-  EXPECT_EQ(stats.scoped_static_recounts, 0u);
   EXPECT_EQ(stats.full_recounts, 1u);  // Startup only.
   EXPECT_GT(counter.store_size(), 0u);
 }
@@ -628,7 +647,6 @@ TEST(StreamingMotifCounter, StaticPresetsStreamWithoutRecountFallbacks) {
             // Startup fills the empty window; nothing after it recounts.
             EXPECT_LE(stats.full_recounts, 1u) << label;
             EXPECT_EQ(stats.static_fallbacks, 0u) << label;
-            EXPECT_EQ(stats.scoped_static_recounts, 0u) << label;
             EXPECT_GT(stats.store_flip_batches, 0u) << label;
             const MotifCounts expected =
                 CountMotifs(counter.window_graph(), options);
@@ -641,7 +659,7 @@ TEST(StreamingMotifCounter, StaticPresetsStreamWithoutRecountFallbacks) {
 }
 
 // The lifted store gates: k=1 (whose tie-group anchor renumbering used to
-// force the scoped-recount fallback) and the consecutive/CDG + static
+// keep it off the store) and the consecutive/CDG + static
 // combinations (whose order predicates are now cached per candidate and
 // revalidated only at the window boundaries) must stream store-active with
 // ZERO recount fallbacks of any kind after startup, while staying exact on
@@ -694,7 +712,6 @@ TEST(StreamingMotifCounter, LiftedStoreGatesStreamWithoutFallbacks) {
             const IngestStats& stats = counter.stats();
             EXPECT_LE(stats.full_recounts, 1u) << label;  // Startup only.
             EXPECT_EQ(stats.static_fallbacks, 0u) << label;
-            EXPECT_EQ(stats.scoped_static_recounts, 0u) << label;
             totals.store_flip_batches += stats.store_flip_batches;
             totals.store_order_rechecks += stats.store_order_rechecks;
           }
@@ -711,29 +728,46 @@ TEST(StreamingMotifCounter, LiftedStoreGatesStreamWithoutFallbacks) {
 // The two static-flip handlers are differential twins: an unbudgeted
 // counter (store on throughout) and a 1-byte-budget one (store off after
 // its first candidate) hold identical counts after every batch, whatever
-// path each takes internally.
-TEST(StreamingMotifCounter, StoreAndScopedStrategiesAgree) {
-  const EnumerationOptions options =
-      OptionsForModel(ModelId::kParanjape, 3, 3, 0, 10);
-  ForEachRandomGraph(
-      0xa9bee, 6, DenseSpec(), [&](std::uint64_t seed, const TemporalGraph& g) {
-        StreamConfig store_config;
-        store_config.options = options;
-        store_config.window = WindowPolicy::CountBased(10);
-        StreamConfig degraded_config = store_config;
-        degraded_config.store_budget_bytes = 1;
-        StreamingMotifCounter with_store(store_config);
-        StreamingMotifCounter degraded(degraded_config);
-        for (const Event& e : g.events()) {
-          with_store.Ingest({e});
-          degraded.Ingest({e});
-          ASSERT_EQ(with_store.counts().SortedByCode(),
-                    degraded.counts().SortedByCode())
-              << "seed=" << seed << " t=" << e.time;
-        }
-        EXPECT_TRUE(with_store.store_active()) << "seed=" << seed;
-        EXPECT_FALSE(degraded.store_active()) << "seed=" << seed;
-      });
+// path each takes internally. Paranjape et al.'s preset recounts on the
+// k <= 3 fast path, Hulovatyy et al.'s (static + dC) on the DFS.
+TEST(StreamingMotifCounter, StoreOnAndStoreOffAgree) {
+  const std::vector<std::pair<const char*, EnumerationOptions>> presets = {
+      {"paranjape", OptionsForModel(ModelId::kParanjape, 3, 3, 0, 10)},
+      {"hulovatyy", OptionsForModel(ModelId::kHulovatyy, 3, 3, 5, 0)},
+  };
+  for (const auto& [name, options] : presets) {
+    ForEachRandomGraph(
+        0xa9bee, 6, DenseSpec(),
+        [&](std::uint64_t seed, const TemporalGraph& g) {
+          for (const std::size_t batch_size : {std::size_t{1}, std::size_t{3}}) {
+            StreamConfig store_config;
+            store_config.options = options;
+            store_config.window = WindowPolicy::CountBased(10);
+            StreamConfig degraded_config = store_config;
+            degraded_config.store_budget_bytes = 1;
+            StreamingMotifCounter with_store(store_config);
+            StreamingMotifCounter degraded(degraded_config);
+            const std::string label = std::string(name) + " seed=" +
+                                      std::to_string(seed) + " batch=" +
+                                      std::to_string(batch_size);
+            const std::vector<Event>& all = g.events();
+            for (std::size_t begin = 0; begin < all.size();
+                 begin += batch_size) {
+              const std::vector<Event> batch(
+                  all.begin() + static_cast<std::ptrdiff_t>(begin),
+                  all.begin() + static_cast<std::ptrdiff_t>(
+                                    std::min(all.size(), begin + batch_size)));
+              with_store.Ingest(batch);
+              degraded.Ingest(batch);
+              ASSERT_EQ(with_store.counts().SortedByCode(),
+                        degraded.counts().SortedByCode())
+                  << label << " t=" << batch.back().time;
+            }
+            EXPECT_TRUE(with_store.store_active()) << label;
+            EXPECT_FALSE(degraded.store_active()) << label;
+          }
+        });
+  }
 }
 
 // A batch larger than a count-based window forces the full-turnover path:
@@ -938,13 +972,12 @@ class GridCoverageEnvironment : public ::testing::Environment {
     // live-instance store (both retire and admit directions, plus the
     // boundary order-revalidation sweeps of the consecutive/CDG + static
     // cases), and — via the 1-byte-budget twin cases — the store-off
-    // scoped correction and its full-window fallback.
+    // window recount.
     EXPECT_GT(g_grid_stats.store_flip_batches, 0u);
     EXPECT_GT(g_grid_stats.store_retired, 0u);
     EXPECT_GT(g_grid_stats.store_admitted, 0u);
     EXPECT_GT(g_grid_stats.store_order_rechecks, 0u);
     EXPECT_GT(g_grid_stats.static_fallbacks, 0u);
-    EXPECT_GT(g_grid_stats.scoped_static_recounts, 0u);
   }
 };
 

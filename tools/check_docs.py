@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Doc-drift check: keeps the markdown tree honest as the code moves.
 
-Four classes of rot are caught:
+Five classes of rot are caught:
 
   1. Broken intra-repo links — every relative markdown link (and image)
      in the repo's *.md files must resolve to an existing file.
@@ -16,16 +16,22 @@ Four classes of rot are caught:
   4. A stale checkpoint version — docs/RESILIENCE.md must say "The
      current version is N" for the kCheckpointFormatVersion N declared in
      src/stream/checkpoint.h.
+  5. Stale metric names — every backticked `stream.*` name in the
+     `stream.*` section of docs/OBSERVABILITY.md's metric catalog must
+     appear in the metrics dump of a tmotif_stream replay of the bundled
+     sample (--metrics-out=- --metrics-format=jsonl).
 
 Usage:
   tools/check_docs.py [--repo-root DIR] [--bin-dir BUILDDIR]
 
-Without --bin-dir only the link check runs (useful before building);
-CI passes the build directory so the flag check runs against the real
-binaries. Exit status is nonzero on any finding.
+Without --bin-dir only the link, section and checkpoint-version checks
+run (useful before building); CI passes the build directory so the flag
+and metric-name checks run against the real binaries. Exit status is
+nonzero on any finding.
 """
 
 import argparse
+import json
 import os
 import re
 import subprocess
@@ -94,6 +100,14 @@ FENCE_RE = re.compile(r"^```")
 INLINE_CODE_RE = re.compile(r"`([^`]+)`")
 CHECKPOINT_VERSION_RE = re.compile(
     r"kCheckpointFormatVersion\s*=\s*(\d+)\s*;")
+HEADING_RE = re.compile(r"^#{1,6} ")
+STREAM_CATALOG_HEADING = "### `stream.*`"
+STREAM_METRIC_RE = re.compile(r"`(stream\.[a-z0-9_]+)`")
+# The replay whose metrics dump the catalog's stream.* names are checked
+# against (every stream.* metric is registered on the first batch).
+STREAM_METRICS_ARGS = ("--model=paranjape", "--k=3", "--dw=600",
+                       "--window-events=8", "--batch=2", "--metrics-out=-",
+                       "--metrics-format=jsonl")
 
 
 def find_markdown_files(root):
@@ -216,6 +230,50 @@ def check_checkpoint_version(root, errors):
                           f"src/stream/checkpoint.h)")
 
 
+def catalog_stream_metrics(root):
+    """Backticked stream.* names in OBSERVABILITY.md's stream.* section."""
+    names = []
+    in_section = False
+    with open(os.path.join(root, "docs", "OBSERVABILITY.md"),
+              encoding="utf-8") as f:
+        for line in f:
+            if HEADING_RE.match(line):
+                in_section = line.startswith(STREAM_CATALOG_HEADING)
+            elif in_section:
+                for name in STREAM_METRIC_RE.findall(line):
+                    if name not in names:
+                        names.append(name)
+    return names
+
+
+def check_stream_metrics(root, bin_dir, errors):
+    binary = os.path.join(bin_dir, "tmotif_stream")
+    if not os.path.exists(binary):
+        return  # check_flags already reports the missing binary.
+    sample = os.path.join(root, "examples", "data", "sample_events.txt")
+    try:
+        proc = subprocess.run([binary, f"--input={sample}",
+                               *STREAM_METRICS_ARGS],
+                              capture_output=True, text=True, timeout=60)
+    except OSError as e:
+        errors.append(f"metric check: cannot run {binary}: {e}")
+        return
+    if proc.returncode != 0:
+        errors.append(f"metric check: tmotif_stream exited "
+                      f"{proc.returncode}: {proc.stderr.strip()}")
+        return
+    dumped = {json.loads(line)["metric"]
+              for line in proc.stdout.splitlines() if line.startswith("{")}
+    cited = catalog_stream_metrics(root)
+    if not cited:
+        errors.append("docs/OBSERVABILITY.md: no stream.* names found under "
+                      f"{STREAM_CATALOG_HEADING!r}")
+    for name in cited:
+        if name not in dumped:
+            errors.append(f"docs/OBSERVABILITY.md: `{name}` is not in the "
+                          f"tmotif_stream metrics dump")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repo-root",
@@ -236,13 +294,14 @@ def main():
     check_checkpoint_version(args.repo_root, errors)
     if args.bin_dir is not None:
         check_flags(md_files, args.repo_root, args.bin_dir, errors)
+        check_stream_metrics(args.repo_root, args.bin_dir, errors)
     if errors:
         for e in errors:
             print(f"check_docs: {e}", file=sys.stderr)
         print(f"check_docs: {len(errors)} finding(s) across "
               f"{len(md_files)} markdown files", file=sys.stderr)
         return 1
-    scope = ("links + sections + CLI flags" if args.bin_dir
+    scope = ("links + sections + CLI flags + stream metrics" if args.bin_dir
              else "links + sections")
     print(f"check_docs: OK ({scope}; {len(md_files)} markdown files)")
     return 0

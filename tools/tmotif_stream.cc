@@ -21,27 +21,20 @@
 
 #include "analysis/report.h"
 #include "common/parse_int.h"
-#include "core/models/model_info.h"
 #include "core/parallel.h"
 #include "graph/graph_io.h"
 #include "obs/export.h"
 #include "obs/trace.h"
 #include "stream/checkpoint.h"
 #include "stream/streaming_counter.h"
+#include "model_flags.h"
 
 namespace tmotif {
 namespace {
 
 struct CliArgs {
   std::string input;
-  std::string model = "custom";  // kovanen|song|hulovatyy|paranjape|custom.
-  int k = 3;
-  int max_nodes = 0;  // 0 = k.
-  long long dc = -1;
-  long long dw = -1;
-  std::string induced = "none";  // none|static|window.
-  bool cdg = false;
-  bool consecutive = false;
+  ModelFlags model;
   long long window_events = -1;
   long long window_seconds = -1;
   bool window_events_set = false;
@@ -110,20 +103,12 @@ void Usage(const char* argv0, std::FILE* out = stderr) {
 bool Parse(int argc, char** argv, CliArgs* args) {
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    const auto value = [&](const char* prefix) -> const char* {
-      const std::size_t n = std::strlen(prefix);
-      return std::strncmp(a, prefix, n) == 0 ? a + n : nullptr;
-    };
+    const auto value = [&](const char* prefix) { return FlagValue(a, prefix); };
     bool valid = true;  // False when a numeric flag's value does not parse.
     if (const char* v = value("--input=")) args->input = v;
-    else if (const char* v = value("--model=")) args->model = v;
-    else if (const char* v = value("--k=")) valid = ParseInt(v, &args->k);
-    else if (const char* v = value("--max-nodes=")) valid = ParseInt(v, &args->max_nodes);
-    else if (const char* v = value("--dc=")) valid = ParseInt(v, &args->dc);
-    else if (const char* v = value("--dw=")) valid = ParseInt(v, &args->dw);
-    else if (const char* v = value("--induced=")) args->induced = v;
-    else if (std::strcmp(a, "--cdg") == 0) args->cdg = true;
-    else if (std::strcmp(a, "--consecutive") == 0) args->consecutive = true;
+    else if (ParseModelFlag(a, &args->model, &valid)) {
+      // A motif-model flag (model_flags.h).
+    }
     else if (const char* v = value("--window-events=")) {
       valid = ParseInt(v, &args->window_events);
       args->window_events_set = true;
@@ -164,15 +149,7 @@ bool Parse(int argc, char** argv, CliArgs* args) {
     std::fprintf(stderr, "--input is required\n");
     return false;
   }
-  if (args->k < 1 || args->k > 8) {
-    std::fprintf(stderr, "--k must be in [1, 8]\n");
-    return false;
-  }
-  if (args->max_nodes != 0 &&
-      (args->max_nodes < 2 || args->max_nodes > args->k + 1)) {
-    std::fprintf(stderr, "--max-nodes must be in [2, k+1]\n");
-    return false;
-  }
+  if (!ValidateModelFlags(args->model)) return false;
   if (args->window_events_set && args->window_seconds_set) {
     std::fprintf(stderr,
                  "--window-events and --window-seconds are exclusive\n");
@@ -246,51 +223,6 @@ void DumpMetrics(const CliArgs& args, std::FILE* out) {
   std::fwrite(text.data(), 1, text.size(), out);
 }
 
-bool BuildOptions(const CliArgs& args, EnumerationOptions* options) {
-  const int max_nodes = args.max_nodes > 0 ? args.max_nodes : args.k;
-  if (args.model != "custom") {
-    ModelId model;
-    if (args.model == "kovanen") model = ModelId::kKovanen;
-    else if (args.model == "song") model = ModelId::kSong;
-    else if (args.model == "hulovatyy") model = ModelId::kHulovatyy;
-    else if (args.model == "paranjape") model = ModelId::kParanjape;
-    else {
-      std::fprintf(stderr, "unknown model: %s\n", args.model.c_str());
-      return false;
-    }
-    const ModelAspects aspects = GetModelAspects(model);
-    if (aspects.uses_delta_c && args.dc < 0) {
-      std::fprintf(stderr, "%s requires --dc\n", aspects.name);
-      return false;
-    }
-    if (aspects.uses_delta_w && args.dw < 0) {
-      std::fprintf(stderr, "%s requires --dw\n", aspects.name);
-      return false;
-    }
-    *options = OptionsForModel(model, args.k, max_nodes,
-                               std::max<long long>(args.dc, 0),
-                               std::max<long long>(args.dw, 0));
-    return true;
-  }
-  options->num_events = args.k;
-  options->max_nodes = max_nodes;
-  if (args.dc >= 0) options->timing.delta_c = args.dc;
-  if (args.dw >= 0) options->timing.delta_w = args.dw;
-  options->cdg_restriction = args.cdg;
-  options->consecutive_events_restriction = args.consecutive;
-  if (args.induced == "none") {
-    options->inducedness = Inducedness::kNone;
-  } else if (args.induced == "static") {
-    options->inducedness = Inducedness::kStatic;
-  } else if (args.induced == "window") {
-    options->inducedness = Inducedness::kTemporalWindow;
-  } else {
-    std::fprintf(stderr, "unknown --induced kind: %s\n", args.induced.c_str());
-    return false;
-  }
-  return true;
-}
-
 void PrintSnapshot(const StreamingMotifCounter& counter, int top) {
   std::printf("  window: %zu events spanning %llds (%lld..%lld), %llu "
               "instances across %zu motif types\n",
@@ -315,7 +247,7 @@ int Main(int argc, char** argv) {
     return 2;
   }
   StreamConfig config;
-  if (!BuildOptions(args, &config.options)) return 2;
+  if (!BuildModelOptions(args.model, &config.options)) return 2;
   if (args.window_seconds_set) {
     config.window = WindowPolicy::TimeBased(args.window_seconds);
   } else {
