@@ -9,10 +9,8 @@
 # timing histograms — metric lines whose name contains `latency_ns`, the
 # obs/ naming convention for wall-clock histograms — are replaced by a
 # fixed <t> token in both the Prometheus text and the JSON-lines exporter
-# formats, and the `counting.simd_dispatch_level` gauge (which reports the
-# CPU the test happens to run on) is replaced by <isa>. Metric *names* and
-# every deterministic counter/gauge line stay byte-exact; only the
-# run-dependent durations and the machine-dependent ISA level are masked.
+# formats. Metric *names* and every deterministic counter/gauge line stay
+# byte-exact; only the run-dependent durations are masked.
 #
 # To refresh a golden after an intentional output change, copy OUTPUT over
 # EXPECTED (the failure message prints both paths; OUTPUT is already
@@ -50,14 +48,6 @@ if(MASK_TIMING)
   string(REGEX REPLACE
     "(latency_ns\",\"type\":\"histogram\"),[^\n]*"
     "\\1,\"samples\":\"<t>\"}" _content "${_content}")
-  # The detected-ISA gauge depends on the host CPU (and on
-  # TMOTIF_FORCE_SCALAR), not on the code under test.
-  string(REGEX REPLACE
-    "(simd_dispatch_level) [0-9]+"
-    "\\1 <isa>" _content "${_content}")
-  string(REGEX REPLACE
-    "(simd_dispatch_level\",\"type\":\"gauge\",\"value\":)[0-9]+"
-    "\\1\"<isa>\"" _content "${_content}")
   file(WRITE "${OUTPUT}" "${_content}")
 endif()
 

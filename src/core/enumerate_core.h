@@ -27,8 +27,6 @@
 
 #include "common/check.h"
 #include "core/enumerator.h"
-#include "core/simd/dispatch.h"
-#include "obs/metrics.h"
 
 namespace tmotif {
 namespace internal {
@@ -163,7 +161,6 @@ class DfsEngine {
       : graph_(graph),
         opt_(opt),
         sink_(sink),
-        ops_(&simd::Kernels()),
         use_dc_(opt.timing.delta_c.has_value()),
         use_dw_(opt.timing.delta_w.has_value()),
         static_induced_(opt.inducedness == Inducedness::kStatic),
@@ -174,22 +171,6 @@ class DfsEngine {
                          opt.max_instances == 0),
         dc_(use_dc_ ? *opt.timing.delta_c : 0),
         dw_(use_dw_ ? *opt.timing.delta_w : 0) {}
-
-  /// Flushes the per-kernel invocation tallies into the process-wide
-  /// counting.kernel_* counters (same funnel pattern as
-  /// PackedMotifTable::PublishTelemetry — the hot loops stay
-  /// increment-only). EnumerateCore calls it after the run.
-  void PublishKernelTelemetry() {
-    if (distinct_scans_ == 0 && prefilters_ == 0) return;
-    static obs::Counter* const scans =
-        obs::GlobalMetrics().GetCounter("counting.kernel_distinct_scans");
-    static obs::Counter* const filters =
-        obs::GlobalMetrics().GetCounter("counting.kernel_prefilters");
-    scans->Add(distinct_scans_);
-    filters->Add(prefilters_);
-    distinct_scans_ = 0;
-    prefilters_ = 0;
-  }
 
   std::uint64_t Run(EventIndex first_begin, EventIndex first_end) {
     const int k = opt_.num_events;
@@ -287,24 +268,6 @@ class DfsEngine {
     return count;
   }
 
-  /// Distinct digit pairs of `code`'s first `k` bytes, routed through the
-  /// dispatched scan kernel. Tiny prefixes (k <= 3: at most three byte
-  /// compares) stay inline — the function-pointer hop would cost more
-  /// than the scan.
-  int DistinctPairs(std::uint64_t code, int k) {
-    ++distinct_scans_;
-    if (k <= 3) {
-      const std::uint32_t b0 = code & 0xFF;
-      const std::uint32_t b1 = (code >> 8) & 0xFF;
-      if (k <= 1) return 1;
-      if (k == 2) return 1 + (b1 != b0 ? 1 : 0);
-      const std::uint32_t b2 = (code >> 16) & 0xFF;
-      return 1 + (b1 != b0 ? 1 : 0) +
-             (b2 != b0 && b2 != b1 ? 1 : 0);
-    }
-    return ops_->distinct_pair_count(code, k);
-  }
-
   bool PassesFinalChecks(std::uint64_t packed, int num_nodes) {
     if (opt_.inducedness == Inducedness::kNone) return true;
     const int k = opt_.num_events;
@@ -314,7 +277,7 @@ class DfsEngine {
       // pairs number scope_static_edges_ — a pure byte scan, no graph
       // queries. (The final-depth loop inlines this check; this branch
       // serves the k == 1 root path.)
-      return DistinctPairs(packed, k) == scope_static_edges_;
+      return PackedDistinctPairCount(packed, k) == scope_static_edges_;
     }
     // Temporal-window inducedness over the whole instance. (Every proper
     // prefix already passed in Run / Extend; this last check still has to
@@ -400,15 +363,15 @@ class DfsEngine {
   /// numerous) incident events that lead outside the scope.
   ///
   /// Static mode rejects whole runs up front: every candidate on the same
-  /// edge yields the same packed code, so one prefilter_codes kernel call
-  /// over the collected pair codes replaces all per-candidate inducedness
-  /// checks. Temporal-window mode needs no rank query at all: the prefix
-  /// already passed over [t_first, t_prev] (Run and Extend check every
-  /// prefix) and no node can join, so an instance passes iff its final
-  /// event is the only scope event in (t_prev, tc]. Only the first scope
-  /// event after t_prev can be that, and only when no other scope event
-  /// shares its timestamp; it intrudes on every later candidate, so the
-  /// merge ends with it either way.
+  /// edge yields the same packed code, so one distinct-pair scan per
+  /// collected pair code replaces all per-candidate inducedness checks.
+  /// Temporal-window mode needs no rank query at all: the prefix already
+  /// passed over [t_first, t_prev] (Run and Extend check every prefix) and
+  /// no node can join, so an instance passes iff its final event is the
+  /// only scope event in (t_prev, tc]. Only the first scope event after
+  /// t_prev can be that, and only when no other scope event shares its
+  /// timestamp; it intrudes on every later candidate, so the merge ends
+  /// with it either way.
   ///
   /// The runs are disjoint (each event lies on exactly one edge), and the
   /// min-scan merges them in ascending index order, so emission order is
@@ -417,13 +380,13 @@ class DfsEngine {
                       Timestamp t_prev, Timestamp upper) {
     const int k = opt_.num_events;
     // Collect the scope's resolved ordered pairs once; the codes feed the
-    // run-level pre-filter (static).
+    // run-level filter (static).
     constexpr int kMaxPairs = kMaxCoreNodes * (kMaxCoreNodes - 1);
     std::uint64_t codes[kMaxPairs];
     EdgeHandle handles[kMaxPairs];
     std::int8_t src_digits[kMaxPairs];
     std::int8_t dst_digits[kMaxPairs];
-    std::uint8_t pass[kMaxPairs];
+    bool pass[kMaxPairs];
     int npairs = 0;
     for (int a = 0; a < num_nodes_; ++a) {
       for (int b = 0; b < num_nodes_; ++b) {
@@ -438,15 +401,12 @@ class DfsEngine {
       }
     }
     if (npairs == 0) return;
-    if (static_induced_) {
-      // One kernel call filters every run: pass[i] <=> run i's code covers
-      // exactly the scope's static edges.
-      ops_->prefilter_codes(codes, npairs, k, scope_static_edges_, pass);
-      ++prefilters_;
-    } else {
-      // Temporal-window: admission depends on the candidate's timestamp,
-      // so every run stays live.
-      for (int i = 0; i < npairs; ++i) pass[i] = 1;
+    // Static: pass[i] <=> run i's code covers exactly the scope's static
+    // edges. Temporal-window: admission depends on the candidate's
+    // timestamp, so every run stays live.
+    for (int i = 0; i < npairs; ++i) {
+      pass[i] = !static_induced_ ||
+                PackedDistinctPairCount(codes[i], k) == scope_static_edges_;
     }
 
     // Batch short-circuit (static only): with no per-candidate order
@@ -678,7 +638,7 @@ class DfsEngine {
         const int sd = src_digit < 0 ? nd : src_digit;
         const int dd = dst_digit < 0 ? nd : dst_digit;
         const std::uint64_t code = packed_ | PackPair(sd, dd, depth);
-        const int distinct = DistinctPairs(code, opt_.num_events);
+        const int distinct = PackedDistinctPairCount(code, opt_.num_events);
         if (new_nodes == 0) {
           if (distinct != scope_static_edges_) continue;
         } else {
@@ -881,7 +841,8 @@ class DfsEngine {
       // the predicate is prefix-closed (see WindowInduced).
       const bool prefix_viable =
           static_induced_
-              ? scope_static_edges_ - DistinctPairs(packed_, depth + 1) <=
+              ? scope_static_edges_ -
+                        PackedDistinctPairCount(packed_, depth + 1) <=
                     opt_.num_events - (depth + 1)
               : !window_induced_ || WindowInduced(depth + 1, num_nodes_, tc);
       if (prefix_viable) {
@@ -900,9 +861,6 @@ class DfsEngine {
   const Graph& graph_;
   const EnumerationOptions& opt_;
   Sink& sink_;
-  /// Dispatched kernel table (core/simd/), resolved once at construction so
-  /// the engine's view is stable even if a test flips the level mid-run.
-  const simd::KernelOps* const ops_;
   // Timing knobs hoisted out of the candidate loop.
   const bool use_dc_;
   const bool use_dw_;
@@ -939,11 +897,6 @@ class DfsEngine {
       cursors_{};
   std::array<std::array<IncidentIter, kMaxCoreNodes>, kMaxCoreEvents>
       cursor_ends_{};
-  /// Per-kernel invocation tallies since the last PublishKernelTelemetry.
-  /// Deterministic and dispatch-level-independent: the scalar and vector
-  /// kernels are bit-identical, so call counts never depend on the ISA.
-  std::uint64_t distinct_scans_ = 0;
-  std::uint64_t prefilters_ = 0;
 };
 
 /// Runs the DFS over instances whose first event lies in
@@ -955,9 +908,7 @@ std::uint64_t EnumerateCore(const Graph& graph,
                             EventIndex first_begin, EventIndex first_end,
                             Sink& sink) {
   DfsEngine<Graph, Sink> engine(graph, options, sink);
-  const std::uint64_t total = engine.Run(first_begin, first_end);
-  engine.PublishKernelTelemetry();
-  return total;
+  return engine.Run(first_begin, first_end);
 }
 
 /// Sink that only counts (CountInstances, CountInstancesInRange). The

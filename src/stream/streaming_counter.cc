@@ -1151,8 +1151,11 @@ bool StreamingMotifCounter::RestoreCheckpointState(
   // Exported metrics are deltas against published_stats_; after a restore
   // they must reflect post-restore activity only, not replay history.
   published_stats_ = stats_;
-  store_mode_ =
-      uses_static_inducedness_ ? state.store_mode : StoreMode::kFull;
+  // Only a budget can turn the store back on (EnforceStoreBudget), so a
+  // store-off state restored without one comes back store-on.
+  store_mode_ = uses_static_inducedness_ && config_.store_budget_bytes != 0
+                    ? state.store_mode
+                    : StoreMode::kFull;
   promote_streak_ = state.promote_streak;
   full_bytes_per_event_ = state.full_bytes_per_event;
   MotifCounts restored;

@@ -226,8 +226,10 @@ class StreamingMotifCounter {
   /// that via the config fingerprint). The window is reloaded, the live
   /// indices and — when active — the instance store are regenerated, and
   /// the regenerated counted set is cross-checked against the checkpointed
-  /// counts. Returns false (with `error` set, if non-null) when the state
-  /// is internally inconsistent; the counter must then be discarded.
+  /// counts. A store-off state keeps the store off only when this counter
+  /// has a `store_budget_bytes`; without one the store is on. Returns false
+  /// (with `error` set, if non-null) when the state is internally
+  /// inconsistent; the counter must then be discarded.
   bool RestoreCheckpointState(const StreamCheckpointState& state,
                               std::string* error);
 

@@ -473,6 +473,29 @@ TEST(Checkpoint, CraftedUncountableCodesAreMalformed) {
   }
 }
 
+// A store-off checkpoint restored without a budget turns the store on, so
+// its counts are cross-checked against the rebuilt store like any store-on
+// restore: a count the window does not hold is malformed.
+TEST(Checkpoint, CraftedStoreOffCountsAreCheckedWithoutABudget) {
+  StreamConfig config;
+  config.options = Opts(3, 3, {}, false, false, Inducedness::kStatic);
+  config.window = WindowPolicy::CountBased(12);
+  config.store_budget_bytes = 1;  // Impossible budget: degrade immediately.
+  StreamingMotifCounter counter(config);
+  counter.Ingest(FixtureEvents());
+  ASSERT_EQ(counter.store_mode(), StoreMode::kRecount);
+  ASSERT_GE(counter.counts().num_codes(), 1u);
+  std::string bytes = EncodeCheckpoint(counter);
+  PutU64At(&bytes, CountEntryOffset(counter.window_size(), 0) + 8,
+           std::uint64_t{1} << 40);
+  FixUpCrc(&bytes);
+
+  config.store_budget_bytes = 0;
+  StreamingMotifCounter unbudgeted(config);
+  const CheckpointResult r = DecodeCheckpoint(bytes, &unbudgeted);
+  EXPECT_EQ(r.status, CheckpointStatus::kMalformed) << r.message;
+}
+
 // Only store-mode bytes 0 (store on) and 2 (store off) decode; 1 (a v2
 // counted-only state) is not a state.
 TEST(Checkpoint, CraftedCountedOnlyStoreModeIsMalformed) {
@@ -621,7 +644,7 @@ TEST(Checkpoint, PeriodicCheckpointsSurviveAnInjectedFailure) {
 }
 
 // A counter checkpointed with the store off restores with the store off and
-// the same counts, and keeps counting exactly.
+// the same counts, and keeps counting exactly (the reader has a budget too).
 TEST(Checkpoint, DegradedStoreModeRoundTrips) {
   StreamConfig config;
   config.options = Opts(3, 3, {}, false, false, Inducedness::kStatic);
@@ -646,6 +669,52 @@ TEST(Checkpoint, DegradedStoreModeRoundTrips) {
   continuous.Ingest(std::vector<Event>(all.begin() + 6, all.end()));
   EXPECT_EQ(restored.counts().SortedByCode(),
             continuous.counts().SortedByCode());
+}
+
+// The budget is not part of the fingerprint, and only a budget can turn the
+// store back on: a store-off checkpoint restored without one comes back
+// with the store on and then streams like a counter that never had a
+// budget, absorbing flips in the store instead of recounting.
+TEST(Checkpoint, DegradedCheckpointRestoresStoreOnWithoutABudget) {
+  StreamConfig budgeted;
+  budgeted.options = Opts(3, 3, {}, false, false, Inducedness::kStatic);
+  budgeted.window = WindowPolicy::CountBased(4);
+  budgeted.store_budget_bytes = 1;  // Impossible budget: degrade immediately.
+  StreamConfig unbudgeted = budgeted;
+  unbudgeted.store_budget_bytes = 0;
+
+  const std::vector<Event> all = FixtureEvents();
+  const std::vector<Event> head(all.begin(), all.begin() + 4);
+  StreamingMotifCounter writer(budgeted);
+  writer.Ingest(head);
+  ASSERT_EQ(writer.store_mode(), StoreMode::kRecount);
+
+  StreamingMotifCounter restored(unbudgeted);
+  const CheckpointResult r =
+      DecodeCheckpoint(EncodeCheckpoint(writer), &restored);
+  ASSERT_TRUE(r.ok()) << r.message;
+  EXPECT_EQ(restored.store_mode(), StoreMode::kFull);
+  EXPECT_EQ(restored.counts().SortedByCode(), writer.counts().SortedByCode());
+
+  StreamingMotifCounter fresh(unbudgeted);
+  fresh.Ingest(head);
+  const IngestStats restored_at_cut = restored.stats();
+  const IngestStats fresh_at_cut = fresh.stats();
+  for (std::size_t i = 4; i < all.size(); ++i) {
+    restored.Ingest({all[i]});
+    fresh.Ingest({all[i]});
+  }
+  EXPECT_EQ(restored.store_mode(), StoreMode::kFull);
+  EXPECT_EQ(restored.counts().SortedByCode(), fresh.counts().SortedByCode());
+  EXPECT_GT(fresh.stats().store_flip_batches, fresh_at_cut.store_flip_batches);
+  EXPECT_EQ(restored.stats().store_flip_batches -
+                restored_at_cut.store_flip_batches,
+            fresh.stats().store_flip_batches - fresh_at_cut.store_flip_batches);
+  EXPECT_EQ(restored.stats().full_recounts - restored_at_cut.full_recounts,
+            fresh.stats().full_recounts - fresh_at_cut.full_recounts);
+  EXPECT_EQ(restored.stats().static_fallbacks -
+                restored_at_cut.static_fallbacks,
+            fresh.stats().static_fallbacks - fresh_at_cut.static_fallbacks);
 }
 
 }  // namespace

@@ -6,15 +6,22 @@
 // rank/occurrence surface identically on every window state. The window is
 // slid over the oracle-grid graphs exactly like the streaming counter does
 // (BeginUpdate / Apply / FinishUpdate), so the incremental maintenance is
-// cross-checked against a from-scratch build at every batch.
+// cross-checked against a from-scratch build at every batch. On top of the
+// predicates, the whole counting stack (DFS engine plus packed table) must
+// emit the identical instance stream over both graph types across the
+// predicate grid.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "core/enumerate_core.h"
+#include "core/packed_table.h"
 #include "graph/temporal_graph.h"
 #include "stream/stream_window.h"
 #include "stream/window_graph.h"
@@ -193,6 +200,104 @@ TEST(GraphPredicateDiff, ResetMidStreamMatchesFromScratch) {
           if (::testing::Test::HasFatalFailure()) return;
         }
       });
+}
+
+EnumerationOptions Opts(int k, int max_nodes, TimingConstraints timing = {},
+                        bool consecutive = false, bool cdg = false,
+                        Inducedness inducedness = Inducedness::kNone) {
+  EnumerationOptions o;
+  o.num_events = k;
+  o.max_nodes = max_nodes;
+  o.timing = timing;
+  o.consecutive_events_restriction = consecutive;
+  o.cdg_restriction = cdg;
+  o.inducedness = inducedness;
+  return o;
+}
+
+/// Full (chosen indices, packed code) emission stream plus the packed
+/// table's contents in iteration order: everything the graph type could
+/// leak into.
+struct StackTrace {
+  std::vector<std::pair<std::vector<EventIndex>, std::uint64_t>> instances;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> table_order;
+  std::uint64_t total = 0;
+};
+
+template <typename Graph>
+StackTrace RunStack(const Graph& g, const EnumerationOptions& opt) {
+  StackTrace trace;
+  struct RecordingSink {
+    StackTrace* trace;
+    internal::PackedMotifTable table;
+    void Emit(const EventIndex* chosen, int num_events, std::uint64_t packed,
+              const NodeId*, int) {
+      trace->instances.emplace_back(
+          std::vector<EventIndex>(chosen, chosen + num_events), packed);
+      table.Add(packed);
+    }
+  };
+  RecordingSink sink{&trace, {}};
+  trace.total = internal::EnumerateCore(g, opt, 0, g.num_events(), sink);
+  sink.table.ForEach([&](std::uint64_t packed, std::uint64_t count) {
+    trace.table_order.emplace_back(packed, count);
+  });
+  return trace;
+}
+
+// Both graph types run the one DfsEngine: over a WindowGraph holding the
+// same events (filled batch by batch, never evicting, so window positions
+// equal event indices) it must emit the same instances in the same order.
+TEST(GraphPredicateDiff, CountingStackIdenticalOnBothGraphTypes) {
+  RandomGraphSpec spec;
+  spec.num_nodes = 6;
+  spec.num_events = 18;
+  spec.max_time = 36;
+  spec.prob_duplicate_time = 0.3;
+  const std::pair<const char*, EnumerationOptions> grid[] = {
+      {"k3_vanilla", Opts(3, 4)},
+      {"k3_dw", Opts(3, 4, TimingConstraints::OnlyDeltaW(14))},
+      {"k3_dc_dw", Opts(3, 3, TimingConstraints::Both(8, 12))},
+      {"k3_consecutive", Opts(3, 3, {}, /*consecutive=*/true)},
+      {"k3_cdg", Opts(3, 3, {}, false, /*cdg=*/true)},
+      {"k3_static", Opts(3, 3, {}, false, false, Inducedness::kStatic)},
+      {"k3_window",
+       Opts(3, 3, {}, false, false, Inducedness::kTemporalWindow)},
+      {"k3_window_pair",
+       Opts(3, 2, {}, false, false, Inducedness::kTemporalWindow)},
+      {"k4_static_dw", Opts(4, 4, TimingConstraints::OnlyDeltaW(20), false,
+                            false, Inducedness::kStatic)},
+      {"k4_window_dw", Opts(4, 3, TimingConstraints::OnlyDeltaW(20), false,
+                            false, Inducedness::kTemporalWindow)},
+  };
+  for (const auto& [name, options] : grid) {
+    SCOPED_TRACE(name);
+    ForEachRandomGraph(
+        0x51d, 10, spec, [&](std::uint64_t seed, const TemporalGraph& g) {
+          StreamWindow window(WindowPolicy::CountBased(g.num_events() + 1));
+          WindowGraph live(&window);
+          const std::vector<Event>& all = g.events();
+          for (std::size_t begin = 0; begin < all.size(); begin += 3) {
+            const std::size_t end = std::min(all.size(), begin + 3);
+            const std::vector<Event> batch(
+                all.begin() + static_cast<std::ptrdiff_t>(begin),
+                all.begin() + static_cast<std::ptrdiff_t>(end));
+            const IngestPlan plan = window.PlanIngest(batch);
+            live.BeginUpdate(plan, batch);
+            window.Apply(plan, batch);
+            live.FinishUpdate();
+          }
+          ASSERT_TRUE(std::equal(all.begin(), all.end(),
+                                 window.events().begin(),
+                                 window.events().end()))
+              << "seed=" << seed;
+          const StackTrace want = RunStack(g, options);
+          const StackTrace got = RunStack(live, options);
+          ASSERT_EQ(got.total, want.total) << "seed=" << seed;
+          ASSERT_EQ(got.instances, want.instances) << "seed=" << seed;
+          ASSERT_EQ(got.table_order, want.table_order) << "seed=" << seed;
+        });
+  }
 }
 
 }  // namespace

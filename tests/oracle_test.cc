@@ -76,6 +76,17 @@ RandomGraphSpec DenseSpec() {
   return spec;
 }
 
+RandomGraphSpec SaturatedSpec() {
+  // 18 events with ties on 6 nodes: scopes reach max_nodes early, so the
+  // temporal-window final depth walks the scope's edge runs.
+  RandomGraphSpec spec;
+  spec.num_nodes = 6;
+  spec.num_events = 18;
+  spec.max_time = 36;
+  spec.prob_duplicate_time = 0.3;
+  return spec;
+}
+
 class OracleDifferentialTest : public ::testing::TestWithParam<OracleCase> {};
 
 TEST_P(OracleDifferentialTest, FastStackMatchesBruteForce) {
@@ -163,6 +174,23 @@ INSTANTIATE_TEST_SUITE_P(
                    Opts(3, 3, TimingConstraints::OnlyDeltaC(10), true, false,
                         Inducedness::kTemporalWindow),
                    DenseSpec()},
+        // The scope-saturated temporal-window final depth (edge runs of
+        // the scope, first scope event after t_prev): a two-node scope
+        // for three events, the order predicates with no timing bound,
+        // and four events on three nodes.
+        OracleCase{"k3_two_nodes_induced_temporal",
+                   Opts(3, 2, {}, false, false, Inducedness::kTemporalWindow),
+                   SaturatedSpec(), 12},
+        OracleCase{"k3_induced_temporal_cdg_untimed",
+                   Opts(3, 3, {}, false, true, Inducedness::kTemporalWindow),
+                   SaturatedSpec(), 12},
+        OracleCase{"k3_induced_temporal_consecutive_untimed",
+                   Opts(3, 3, {}, true, false, Inducedness::kTemporalWindow),
+                   SaturatedSpec(), 12},
+        OracleCase{"k4_three_nodes_induced_temporal_dw",
+                   Opts(4, 3, TimingConstraints::OnlyDeltaW(18), false, false,
+                        Inducedness::kTemporalWindow),
+                   SaturatedSpec(), 12},
         // Temporal-window inducedness x duration-aware gaps (the ROADMAP's
         // uncovered combination): durations shift the dC gap base while the
         // inducedness check spans [t_first, t_last] — the two must compose.

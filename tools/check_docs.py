@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Doc-drift check: keeps the markdown tree honest as the code moves.
 
-Five classes of rot are caught:
+Six classes of rot are caught:
 
   1. Broken intra-repo links — every relative markdown link (and image)
      in the repo's *.md files must resolve to an existing file.
@@ -20,6 +20,11 @@ Five classes of rot are caught:
      `stream.*` section of docs/OBSERVABILITY.md's metric catalog must
      appear in the metrics dump of a tmotif_stream replay of the bundled
      sample (--metrics-out=- --metrics-format=jsonl).
+  6. The same for every backticked `counting.*` name in the catalog's
+     `counting.*` section, against the union of two tmotif_count
+     --metrics-out=- dumps of the bundled sample (a fast-path config and a
+     DFS config). The dumps are Prometheus text: a name matches as
+     `tmotif_` + the name with `.` → `_`, a histogram on its `_count` line.
 
 Usage:
   tools/check_docs.py [--repo-root DIR] [--bin-dir BUILDDIR]
@@ -103,11 +108,18 @@ CHECKPOINT_VERSION_RE = re.compile(
 HEADING_RE = re.compile(r"^#{1,6} ")
 STREAM_CATALOG_HEADING = "### `stream.*`"
 STREAM_METRIC_RE = re.compile(r"`(stream\.[a-z0-9_]+)`")
+COUNTING_CATALOG_HEADING = "### `counting.*`"
+COUNTING_METRIC_RE = re.compile(r"`(counting\.[a-z0-9_]+)`")
 # The replay whose metrics dump the catalog's stream.* names are checked
 # against (every stream.* metric is registered on the first batch).
 STREAM_METRICS_ARGS = ("--model=paranjape", "--k=3", "--dw=600",
                        "--window-events=8", "--batch=2", "--metrics-out=-",
                        "--metrics-format=jsonl")
+# The two counts whose metrics dumps, together, register every counting.*
+# metric: Paranjape et al. runs the k <= 3 fast path, Hulovatyy et al.
+# (static inducedness with dC) the DFS engine.
+COUNTING_METRICS_RUNS = (("--model=paranjape", "--k=3", "--dw=600"),
+                         ("--model=hulovatyy", "--k=3", "--dc=300"))
 
 
 def find_markdown_files(root):
@@ -230,20 +242,36 @@ def check_checkpoint_version(root, errors):
                           f"src/stream/checkpoint.h)")
 
 
-def catalog_stream_metrics(root):
-    """Backticked stream.* names in OBSERVABILITY.md's stream.* section."""
+def catalog_metrics(root, heading, name_re):
+    """Backticked names matching `name_re` in the OBSERVABILITY.md section
+    under `heading`."""
     names = []
     in_section = False
     with open(os.path.join(root, "docs", "OBSERVABILITY.md"),
               encoding="utf-8") as f:
         for line in f:
             if HEADING_RE.match(line):
-                in_section = line.startswith(STREAM_CATALOG_HEADING)
+                in_section = line.startswith(heading)
             elif in_section:
-                for name in STREAM_METRIC_RE.findall(line):
+                for name in name_re.findall(line):
                     if name not in names:
                         names.append(name)
     return names
+
+
+def run_tool(binary, args, errors):
+    """stdout of `binary args`, or None (with an error) when it fails."""
+    try:
+        proc = subprocess.run([binary, *args], capture_output=True,
+                              text=True, timeout=60)
+    except OSError as e:
+        errors.append(f"metric check: cannot run {binary}: {e}")
+        return None
+    if proc.returncode != 0:
+        errors.append(f"metric check: {os.path.basename(binary)} exited "
+                      f"{proc.returncode}: {proc.stderr.strip()}")
+        return None
+    return proc.stdout
 
 
 def check_stream_metrics(root, bin_dir, errors):
@@ -251,20 +279,13 @@ def check_stream_metrics(root, bin_dir, errors):
     if not os.path.exists(binary):
         return  # check_flags already reports the missing binary.
     sample = os.path.join(root, "examples", "data", "sample_events.txt")
-    try:
-        proc = subprocess.run([binary, f"--input={sample}",
-                               *STREAM_METRICS_ARGS],
-                              capture_output=True, text=True, timeout=60)
-    except OSError as e:
-        errors.append(f"metric check: cannot run {binary}: {e}")
-        return
-    if proc.returncode != 0:
-        errors.append(f"metric check: tmotif_stream exited "
-                      f"{proc.returncode}: {proc.stderr.strip()}")
+    stdout = run_tool(binary, [f"--input={sample}", *STREAM_METRICS_ARGS],
+                      errors)
+    if stdout is None:
         return
     dumped = {json.loads(line)["metric"]
-              for line in proc.stdout.splitlines() if line.startswith("{")}
-    cited = catalog_stream_metrics(root)
+              for line in stdout.splitlines() if line.startswith("{")}
+    cited = catalog_metrics(root, STREAM_CATALOG_HEADING, STREAM_METRIC_RE)
     if not cited:
         errors.append("docs/OBSERVABILITY.md: no stream.* names found under "
                       f"{STREAM_CATALOG_HEADING!r}")
@@ -272,6 +293,32 @@ def check_stream_metrics(root, bin_dir, errors):
         if name not in dumped:
             errors.append(f"docs/OBSERVABILITY.md: `{name}` is not in the "
                           f"tmotif_stream metrics dump")
+
+
+def check_counting_metrics(root, bin_dir, errors):
+    binary = os.path.join(bin_dir, "tmotif_count")
+    if not os.path.exists(binary):
+        return  # check_flags already reports the missing binary.
+    sample = os.path.join(root, "examples", "data", "sample_events.txt")
+    samples = set()  # Prometheus sample names of both dumps.
+    for args in COUNTING_METRICS_RUNS:
+        stdout = run_tool(binary, [f"--input={sample}", *args,
+                                   "--metrics-out=-"], errors)
+        if stdout is None:
+            return
+        for line in stdout.splitlines():
+            if line.startswith("tmotif_"):
+                samples.add(line.split()[0].split("{")[0])
+    cited = catalog_metrics(root, COUNTING_CATALOG_HEADING,
+                            COUNTING_METRIC_RE)
+    if not cited:
+        errors.append("docs/OBSERVABILITY.md: no counting.* names found "
+                      f"under {COUNTING_CATALOG_HEADING!r}")
+    for name in cited:
+        prom = "tmotif_" + name.replace(".", "_")
+        if prom not in samples and prom + "_count" not in samples:
+            errors.append(f"docs/OBSERVABILITY.md: `{name}` is not in the "
+                          f"tmotif_count metrics dumps")
 
 
 def main():
@@ -295,14 +342,15 @@ def main():
     if args.bin_dir is not None:
         check_flags(md_files, args.repo_root, args.bin_dir, errors)
         check_stream_metrics(args.repo_root, args.bin_dir, errors)
+        check_counting_metrics(args.repo_root, args.bin_dir, errors)
     if errors:
         for e in errors:
             print(f"check_docs: {e}", file=sys.stderr)
         print(f"check_docs: {len(errors)} finding(s) across "
               f"{len(md_files)} markdown files", file=sys.stderr)
         return 1
-    scope = ("links + sections + CLI flags + stream metrics" if args.bin_dir
-             else "links + sections")
+    scope = ("links + sections + CLI flags + stream and counting metrics"
+             if args.bin_dir else "links + sections")
     print(f"check_docs: OK ({scope}; {len(md_files)} markdown files)")
     return 0
 

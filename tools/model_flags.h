@@ -1,7 +1,9 @@
 // Motif-model flags shared by tmotif_count and tmotif_stream: --model,
 // --k, --max-nodes, --dc, --dw, --induced, --cdg and --consecutive — their
 // parsing, their range checks and their mapping to EnumerationOptions.
-// Each tool keeps its own --help text.
+// Each tool keeps its own --help text. A published model's preset takes
+// only --k, --max-nodes and the bound it uses; any other model flag with a
+// preset is a usage error, never silently dropped.
 
 #ifndef TMOTIF_TOOLS_MODEL_FLAGS_H_
 #define TMOTIF_TOOLS_MODEL_FLAGS_H_
@@ -31,7 +33,7 @@ struct ModelFlags {
   /// Unset when the flag is not given (no bound); 0 is a valid bound.
   std::optional<long long> dc;
   std::optional<long long> dw;
-  std::string induced = "none";  // none|static|window.
+  std::optional<std::string> induced;  // none|static|window; unset = none.
   bool cdg = false;
   bool consecutive = false;
 };
@@ -82,8 +84,8 @@ inline bool ValidateModelFlags(const ModelFlags& flags) {
 
 /// Maps the flags to enumeration options: a published model's preset, or
 /// the custom configuration they spell out. Prints the problem to stderr
-/// and returns false for an unknown model or --induced kind, or a preset
-/// missing a bound it needs.
+/// and returns false for an unknown model or --induced kind, a preset
+/// missing the bound it needs, or a preset given a flag it does not use.
 inline bool BuildModelOptions(const ModelFlags& flags,
                               EnumerationOptions* options) {
   const int max_nodes = flags.max_nodes > 0 ? flags.max_nodes : flags.k;
@@ -106,6 +108,19 @@ inline bool BuildModelOptions(const ModelFlags& flags,
       std::fprintf(stderr, "%s requires --dw\n", aspects.name);
       return false;
     }
+    const char* unused = nullptr;
+    if (flags.dc.has_value() && !aspects.uses_delta_c) unused = "--dc";
+    else if (flags.dw.has_value() && !aspects.uses_delta_w) unused = "--dw";
+    else if (flags.induced.has_value()) unused = "--induced";
+    else if (flags.cdg) unused = "--cdg";
+    else if (flags.consecutive) unused = "--consecutive";
+    if (unused != nullptr) {
+      std::fprintf(stderr,
+                   "--model=%s (%s) does not take %s; use --model=custom "
+                   "to combine the predicates freely\n",
+                   flags.model.c_str(), aspects.name, unused);
+      return false;
+    }
     *options = OptionsForModel(model, flags.k, max_nodes,
                                flags.dc.value_or(0), flags.dw.value_or(0));
     return true;
@@ -116,15 +131,15 @@ inline bool BuildModelOptions(const ModelFlags& flags,
   if (flags.dw.has_value()) options->timing.delta_w = *flags.dw;
   options->cdg_restriction = flags.cdg;
   options->consecutive_events_restriction = flags.consecutive;
-  if (flags.induced == "none") {
+  const std::string induced = flags.induced.value_or("none");
+  if (induced == "none") {
     options->inducedness = Inducedness::kNone;
-  } else if (flags.induced == "static") {
+  } else if (induced == "static") {
     options->inducedness = Inducedness::kStatic;
-  } else if (flags.induced == "window") {
+  } else if (induced == "window") {
     options->inducedness = Inducedness::kTemporalWindow;
   } else {
-    std::fprintf(stderr, "unknown --induced kind: %s\n",
-                 flags.induced.c_str());
+    std::fprintf(stderr, "unknown --induced kind: %s\n", induced.c_str());
     return false;
   }
   return true;

@@ -21,7 +21,6 @@
 #include "common/parse_int.h"
 #include "core/counter.h"
 #include "core/parallel.h"
-#include "core/simd/dispatch.h"
 #include "graph/graph_io.h"
 #include "graph/graph_stats.h"
 #include "obs/export.h"
@@ -48,11 +47,13 @@ void Usage(const char* argv0, std::FILE* out = stderr) {
       "(default custom)\n"
       "  --k=N            events per motif (default 3)\n"
       "  --max-nodes=N    node cap (default k)\n"
-      "  --dc=SECONDS     consecutive-gap bound\n"
-      "  --dw=SECONDS     whole-motif window bound\n"
+      "  --dc=SECONDS     consecutive-gap bound (custom, kovanen, hulovatyy)\n"
+      "  --dw=SECONDS     whole-motif window bound (custom, song, paranjape)\n"
       "  --induced=KIND   none|static|window (custom model only)\n"
-      "  --cdg            constrained-dynamic-graphlet restriction\n"
-      "  --consecutive    Kovanen consecutive-events restriction\n"
+      "  --cdg            constrained-dynamic-graphlet restriction (custom "
+      "only)\n"
+      "  --consecutive    Kovanen consecutive-events restriction (custom "
+      "only)\n"
       "  --top=N          rows to print (default 25, 0 = all)\n"
       "  --threads=N      split DFS counting over event ranges (default 1,\n"
       "                   at most 256; k <= 3 fast-path configs count\n"
@@ -187,10 +188,6 @@ int Main(int argc, char** argv) {
   }
 
   if (!args.metrics_out.empty()) {
-    // The human-readable twin of the counting.simd_dispatch_level gauge in
-    // the snapshot; stderr so "-" stdout dumps stay machine-parseable.
-    std::fprintf(stderr, "counting kernels: %s dispatch\n",
-                 simd::DispatchLevelName(simd::ActiveDispatchLevel()));
     const std::string text =
         obs::ToPrometheusText(obs::GlobalMetrics().Snapshot());
     std::FILE* out = args.metrics_out == "-"

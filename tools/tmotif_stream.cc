@@ -63,11 +63,15 @@ void Usage(const char* argv0, std::FILE* out = stderr) {
       "(default custom)\n"
       "  --k=N               events per motif (default 3)\n"
       "  --max-nodes=N       node cap (default k)\n"
-      "  --dc=SECONDS        consecutive-gap bound\n"
-      "  --dw=SECONDS        whole-motif window bound\n"
+      "  --dc=SECONDS        consecutive-gap bound (custom, kovanen, "
+      "hulovatyy)\n"
+      "  --dw=SECONDS        whole-motif window bound (custom, song, "
+      "paranjape)\n"
       "  --induced=KIND      none|static|window (custom model only)\n"
-      "  --cdg               constrained-dynamic-graphlet restriction\n"
-      "  --consecutive       Kovanen consecutive-events restriction\n"
+      "  --cdg               constrained-dynamic-graphlet restriction "
+      "(custom only)\n"
+      "  --consecutive       Kovanen consecutive-events restriction "
+      "(custom only)\n"
       "  --window-events=N   count-based sliding window capacity\n"
       "  --window-seconds=S  time-based sliding window horizon\n"
       "                      (exactly one; default --window-events=4096)\n"
