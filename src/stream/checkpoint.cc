@@ -20,7 +20,6 @@ constexpr char kMagic[4] = {'T', 'M', 'C', 'K'};
 // Header: magic + u32 version + u64 payload_size. Trailer: u32 crc.
 constexpr std::size_t kHeaderSize = 4 + 4 + 8;
 constexpr std::size_t kTrailerSize = 4;
-constexpr std::uint32_t kNumStatFields = 22;
 
 // --- CRC32 (IEEE, reflected, poly 0xEDB88320) over the payload. ---
 
@@ -158,56 +157,20 @@ void HashBytes(std::uint64_t* h, const char* data, std::size_t size) {
   }
 }
 
+// The stats block: a u32 field count, then one u64 per kIngestStatFields
+// entry, in table order.
 void SerializeStats(const IngestStats& stats, std::string* out) {
-  PutU32(out, kNumStatFields);
-  PutU64(out, stats.batches);
-  PutU64(out, stats.events_ingested);
-  PutU64(out, stats.events_dropped);
-  PutU64(out, stats.events_evicted);
-  PutU64(out, stats.instances_added);
-  PutU64(out, stats.instances_retracted);
-  PutU64(out, stats.tie_corrections);
-  PutU64(out, stats.full_recounts);
-  PutU64(out, stats.static_fallbacks);
-  PutU64(out, stats.scoped_static_recounts);
-  PutU64(out, stats.scoped_recount_roots);
-  PutU64(out, stats.store_flip_batches);
-  PutU64(out, stats.store_entries_touched);
-  PutU64(out, stats.store_admitted);
-  PutU64(out, stats.store_retired);
-  PutU64(out, stats.store_order_rechecks);
-  PutU64(out, stats.store_demotions_recount);
-  PutU64(out, stats.store_promotions_full);
-  PutU64(out, stats.late_events);
-  PutU64(out, stats.late_dropped);
-  PutU64(out, stats.late_splices);
-  PutU64(out, stats.late_recounts);
+  PutU32(out, static_cast<std::uint32_t>(kIngestStatFields.size()));
+  for (const IngestStatField& f : kIngestStatFields) {
+    PutU64(out, stats.*f.field);
+  }
 }
 
 bool DeserializeStats(Reader* r, IngestStats* stats) {
-  if (r->U32() != kNumStatFields) return false;
-  stats->batches = r->U64();
-  stats->events_ingested = r->U64();
-  stats->events_dropped = r->U64();
-  stats->events_evicted = r->U64();
-  stats->instances_added = r->U64();
-  stats->instances_retracted = r->U64();
-  stats->tie_corrections = r->U64();
-  stats->full_recounts = r->U64();
-  stats->static_fallbacks = r->U64();
-  stats->scoped_static_recounts = r->U64();
-  stats->scoped_recount_roots = r->U64();
-  stats->store_flip_batches = r->U64();
-  stats->store_entries_touched = r->U64();
-  stats->store_admitted = r->U64();
-  stats->store_retired = r->U64();
-  stats->store_order_rechecks = r->U64();
-  stats->store_demotions_recount = r->U64();
-  stats->store_promotions_full = r->U64();
-  stats->late_events = r->U64();
-  stats->late_dropped = r->U64();
-  stats->late_splices = r->U64();
-  stats->late_recounts = r->U64();
+  if (r->U32() != kIngestStatFields.size()) return false;
+  for (const IngestStatField& f : kIngestStatFields) {
+    stats->*f.field = r->U64();
+  }
   return r->ok();
 }
 

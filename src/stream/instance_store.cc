@@ -9,24 +9,19 @@ void LiveInstanceStore::Reset(std::uint64_t first_id_base) {
   pool_.clear();
   free_list_.clear();
   slots_.clear();
-  tail_slots_.clear();
   buckets_.clear();
   base_ = first_id_base;
   live_ = 0;
-  num_counted_ = 0;
   live_pair_refs_ = 0;
   dead_bucket_slots_ = 0;
 }
 
 LiveInstanceStore::Entry& LiveInstanceStore::Insert(
-    const std::uint64_t* event_ids, int num_events, std::uint64_t packed,
-    const NodeId* nodes, int num_nodes, int distinct_pairs, bool covered,
-    bool order_valid) {
-  const std::uint64_t first_id = event_ids[0];
-  TMOTIF_CHECK(first_id >= base_);
-  TMOTIF_CHECK(num_events >= 1 && num_events <= internal::kMaxCoreEvents);
+    std::uint64_t anchor_id, std::uint64_t packed, const NodeId* nodes,
+    int num_nodes, int distinct_pairs, bool covered) {
+  TMOTIF_CHECK(anchor_id >= base_);
   TMOTIF_CHECK(num_nodes >= 1 && num_nodes <= internal::kMaxCoreNodes);
-  const std::size_t slot = static_cast<std::size_t>(first_id - base_);
+  const std::size_t slot = static_cast<std::size_t>(anchor_id - base_);
   if (slot >= slots_.size()) slots_.resize(slot + 1);
 
   std::uint32_t index;
@@ -41,33 +36,19 @@ LiveInstanceStore::Entry& LiveInstanceStore::Insert(
   for (int d = 0; d < num_nodes; ++d) {
     entry.nodes[static_cast<std::size_t>(d)] = nodes[d];
   }
-  for (int i = 0; i < num_events; ++i) {
-    entry.event_ids[static_cast<std::size_t>(i)] = event_ids[i];
-  }
   entry.packed = packed;
   ++entry.generation;  // Retags the pool index; stale bucket refs miss.
   entry.visit_stamp = 0;
   entry.num_nodes = static_cast<std::int8_t>(num_nodes);
-  entry.num_events = static_cast<std::int8_t>(num_events);
   entry.distinct_pairs = static_cast<std::int8_t>(distinct_pairs);
   entry.covered = covered;
-  entry.order_valid = order_valid;
-  entry.counted = covered && order_valid;
   entry.alive = true;
   ++live_;
-  if (entry.counted) ++num_counted_;
   live_pair_refs_ +=
       static_cast<std::size_t>(num_nodes * (num_nodes - 1) / 2);
 
   const std::uint64_t tagged = Tagged(index, entry.generation);
   slots_[slot].push_back(tagged);
-  if (track_tails_) {
-    const std::uint64_t tail_id = event_ids[num_events - 1];
-    TMOTIF_CHECK(tail_id >= first_id);
-    const std::size_t tail_slot = static_cast<std::size_t>(tail_id - base_);
-    if (tail_slot >= tail_slots_.size()) tail_slots_.resize(tail_slot + 1);
-    tail_slots_[tail_slot].push_back(tagged);
-  }
   ForEachPairKey(entry,
                  [&](std::uint64_t key) { buckets_[key].push_back(tagged); });
   return entry;
@@ -82,18 +63,10 @@ void LiveInstanceStore::SpliceSlot(std::uint64_t first_id) {
     slots_.insert(slots_.begin() + static_cast<std::ptrdiff_t>(pos),
                   std::vector<std::uint64_t>());
   }
-  if (pos < tail_slots_.size()) {
-    tail_slots_.insert(tail_slots_.begin() + static_cast<std::ptrdiff_t>(pos),
-                       std::vector<std::uint64_t>());
-  }
 }
 
 void LiveInstanceStore::Free(Entry* entry, std::uint32_t index) {
   entry->alive = false;
-  if (entry->counted) {
-    TMOTIF_CHECK(num_counted_ > 0);
-    --num_counted_;
-  }
   TMOTIF_CHECK(live_ > 0);
   --live_;
   // Its bucket references go stale; they are dropped lazily on the next
@@ -135,12 +108,8 @@ std::size_t LiveInstanceStore::ApproxBytes() const {
   constexpr std::size_t kRefBytes = sizeof(std::uint64_t);
   std::size_t bytes = pool_.size() * sizeof(Entry);
   bytes += free_list_.size() * sizeof(std::uint32_t);
-  bytes += (slots_.size() + tail_slots_.size()) *
-           sizeof(std::vector<std::uint64_t>);
+  bytes += slots_.size() * sizeof(std::vector<std::uint64_t>);
   bytes += live_ * kRefBytes;  // Anchor refs: exactly one per live entry.
-  if (track_tails_) {
-    bytes += live_ * kRefBytes;  // Tail refs; stale ones are ignored.
-  }
   bytes += (live_pair_refs_ + dead_bucket_slots_) * kRefBytes;
   bytes += buckets_.size() * kBucketNodeBytes;
   return bytes;

@@ -1,7 +1,6 @@
 #ifndef TMOTIF_STREAM_INSTANCE_STORE_H_
 #define TMOTIF_STREAM_INSTANCE_STORE_H_
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <deque>
@@ -18,75 +17,57 @@ namespace tmotif {
 /// Node-pair-indexed live-instance store: the data structure that makes
 /// static-induced streaming fully incremental (docs/STREAMING.md).
 ///
-/// Under `Inducedness::kStatic` an instance's validity factors into
-/// independent parts:
+/// Under `Inducedness::kStatic` without an order predicate (the configs
+/// StreamingMotifCounter::UsesInstanceStore accepts) an instance's
+/// validity factors into two independent parts:
 ///   * a *candidate* predicate (connectivity, node cap, timing) that reads
-///     only the instance's own events,
+///     only the instance's own events, and
 ///   * the static coverage check: `distinct event digit pairs ==
-///     number of directed static edges among the instance's nodes`, and
-///   * optionally an order predicate (consecutive-events / CDG) over the
-///     candidate's gaps.
+///     number of directed static edges among the instance's nodes`.
 /// The store keeps every candidate instance of the current window together
-/// with its distinct-pair count, a `covered` flag caching the coverage
-/// check and an `order_valid` flag caching the order predicate; `counted`
-/// is their conjunction. Candidates enter only when a batch delivers their
-/// last event and leave only when the window evicts their first event (both
-/// already enumerated by the streaming delta path). Coverage can only
-/// change for instances whose node set contains BOTH endpoints of a static
-/// edge that appeared or disappeared — bucketing entries by every unordered
-/// node pair of their scope turns a static-edge flip into a bucket scan:
-/// retire or admit exactly the affected instances, O(affected), no recount.
-/// Order validity can only change at the window boundaries (see
-/// stream/streaming_counter.cc), which the anchor and tail indexes below
-/// localize the same way.
+/// with its distinct-pair count and a `covered` flag caching the coverage
+/// check; an entry is counted exactly when it is covered. Candidates enter
+/// only when a batch delivers their last event and leave only when the
+/// window evicts their first event (both already enumerated by the
+/// streaming delta path). Coverage can only change for instances whose
+/// node set contains BOTH endpoints of a static edge that appeared or
+/// disappeared — bucketing entries by every unordered node pair of their
+/// scope turns a static-edge flip into a bucket scan: retire or admit
+/// exactly the affected instances, O(affected), no recount.
 ///
 /// Identity scheme: entries are anchored by their first event's monotone id
 /// (the stream/window_graph.h `id = offset + position` numbering) via a
-/// deque of per-id slots; when tail tracking is on (order predicates), a
-/// second deque anchors entries by their last event's id. Eviction pops
-/// slots from the front; a late-event splice (stream/streaming_counter.h)
-/// inserts an empty slot, which shifts every later slot exactly in lockstep
-/// with the id renumbering of the spliced window. Entries additionally
-/// record their events' ids so order predicates can be re-evaluated in
-/// place; only a tail-tied entry's last id can ever shift (the caller
-/// re-syncs it from the tail slot during the boundary sweep).
+/// deque of per-id slots. Eviction pops slots from the front; a late-event
+/// splice (stream/streaming_counter.h) inserts an empty slot, which shifts
+/// every later slot exactly in lockstep with the id renumbering of the
+/// spliced window.
 ///
 /// Bucket slots referencing evicted entries are dropped lazily when their
 /// bucket is next scanned; a compaction pass filters every bucket in place
 /// when the dead-slot debt exceeds the live population, so memory stays
-/// O(live candidates). Tail slots clean up the same way (lazily on sweep,
-/// wholesale on eviction).
+/// O(live candidates).
 class LiveInstanceStore {
  public:
   struct Entry {
     /// Digit -> node id of the candidate (first `num_nodes` are valid).
     std::array<NodeId, internal::kMaxCoreNodes> nodes;
-    /// Monotone ids of the candidate's events (first `num_events` valid).
-    std::array<std::uint64_t, internal::kMaxCoreEvents> event_ids;
-    /// Packed motif code (core/enumerate_core.h) — the counts-table key.
-    std::uint64_t packed = 0;
     /// Tag distinguishing reuses of this pool index (bucket staleness).
     std::uint32_t generation = 0;
+    /// Packed motif code (core/enumerate_core.h) — the counts-table key.
+    std::uint64_t packed = 0;
     /// Last flip pass that re-evaluated this entry (multi-flip dedupe).
     std::uint64_t visit_stamp = 0;
     std::int8_t num_nodes = 0;
-    std::int8_t num_events = 0;
     /// Distinct event digit pairs of `packed`.
     std::int8_t distinct_pairs = 0;
-    /// Cached static coverage verdict.
+    /// Cached static coverage verdict: the instance currently contributes.
     bool covered = false;
-    /// Cached order-predicate verdict (true when no order predicate).
-    bool order_valid = false;
-    /// covered && order_valid: the instance currently contributes.
-    bool counted = false;
     bool alive = false;
   };
+  // ApproxBytes and the docs' memory model charge this size per candidate.
+  static_assert(sizeof(Entry) <= 64, "a store entry fits one cache line");
 
   LiveInstanceStore() = default;
-
-  /// Enables the last-event (tail) index. Must be set before the first
-  /// Insert after a Reset; the flag itself survives Reset.
-  void SetTrackTails(bool track) { track_tails_ = track; }
 
   /// Dead-bucket-slot debt tolerated beyond the live population before a
   /// compaction pass runs (default 64). The knob survives Reset; it
@@ -99,12 +80,12 @@ class LiveInstanceStore {
   /// (the full-recount path re-populates via Insert).
   void Reset(std::uint64_t first_id_base);
 
-  /// Registers a candidate whose events carry the `num_events` monotone ids
-  /// in `event_ids` (ascending; event_ids[0] >= the current base anchors
-  /// it). `nodes` must hold `num_nodes` digit-ordered node ids.
-  Entry& Insert(const std::uint64_t* event_ids, int num_events,
-                std::uint64_t packed, const NodeId* nodes, int num_nodes,
-                int distinct_pairs, bool covered, bool order_valid);
+  /// Registers a candidate anchored at its first event's monotone id
+  /// `anchor_id` (>= the current base). `nodes` must hold `num_nodes`
+  /// digit-ordered node ids.
+  Entry& Insert(std::uint64_t anchor_id, std::uint64_t packed,
+                const NodeId* nodes, int num_nodes, int distinct_pairs,
+                bool covered);
 
   /// Removes every entry anchored at the `num_evicted` oldest ids and
   /// advances the base, invoking `fn(const Entry&)` before each removal
@@ -119,13 +100,6 @@ class LiveInstanceStore {
         Free(&entry, SlotIndex(tagged));
       }
       slots_.pop_front();
-    }
-    // A tail slot below the new base can only reference an entry whose
-    // first event (<= its last) was just evicted above; any refs it holds
-    // are dead. Refs to evicted entries in *later* tail slots go stale and
-    // are skipped lazily by ForEachTailAnchored.
-    for (std::size_t i = 0; i < num_evicted && !tail_slots_.empty(); ++i) {
-      tail_slots_.pop_front();
     }
     base_ += num_evicted;
     CompactIfNeeded();
@@ -161,73 +135,18 @@ class LiveInstanceStore {
     if (bucket.empty()) buckets_.erase(it);
   }
 
-  /// Invokes `fn(Entry&)` for every live entry whose first event's id lies
-  /// in [id_begin, id_end). Anchor slots are authoritative (entries only
-  /// die by front eviction), so no staleness handling is needed.
-  template <typename Fn>
-  void ForEachAnchoredInRange(std::uint64_t id_begin, std::uint64_t id_end,
-                              Fn fn) {
-    for (std::uint64_t id = std::max(id_begin, base_); id < id_end; ++id) {
-      const std::size_t slot = static_cast<std::size_t>(id - base_);
-      if (slot >= slots_.size()) break;
-      for (const std::uint64_t tagged : slots_[slot]) {
-        Entry& entry = pool_[SlotIndex(tagged)];
-        TMOTIF_CHECK(entry.alive && entry.generation == SlotTag(tagged));
-        fn(entry);
-      }
-    }
-  }
-
-  /// Invokes `fn(Entry&, tail_id)` for every live entry whose last event's
-  /// id lies in [id_begin, id_end); requires tail tracking. Stale refs
-  /// (entries already evicted via their anchor) are dropped on the way.
-  /// The tail slot is the id's source of truth — callers re-sync
-  /// `entry.event_ids[num_events - 1]` from `tail_id` when positions may
-  /// have shifted.
-  template <typename Fn>
-  void ForEachTailAnchored(std::uint64_t id_begin, std::uint64_t id_end,
-                           Fn fn) {
-    TMOTIF_CHECK(track_tails_);
-    for (std::uint64_t id = std::max(id_begin, base_); id < id_end; ++id) {
-      const std::size_t slot = static_cast<std::size_t>(id - base_);
-      if (slot >= tail_slots_.size()) break;
-      std::vector<std::uint64_t>& refs = tail_slots_[slot];
-      for (std::size_t i = 0; i < refs.size();) {
-        Entry& entry = pool_[SlotIndex(refs[i])];
-        if (!entry.alive || entry.generation != SlotTag(refs[i])) {
-          refs[i] = refs.back();
-          refs.pop_back();
-          continue;
-        }
-        fn(entry, id);
-        ++i;
-      }
-    }
-  }
-
   /// Monotone stamp for one flip pass (callers mark visited entries so an
   /// entry touching several flipped pairs is re-evaluated once).
   std::uint64_t NextVisitStamp() { return ++visit_counter_; }
 
   /// Live candidate instances (the store's memory footprint driver).
   std::size_t size() const { return live_; }
-  /// Approximate resident bytes: entry pool + free list + anchor/tail slot
-  /// deques + bucket references + a fixed per-bucket hash-node estimate.
+  /// Approximate resident bytes: entry pool + free list + anchor slot
+  /// deque + bucket references + a fixed per-bucket hash-node estimate.
   /// Computed from logical element counts (not allocator capacities), so
   /// the number is deterministic for a given stream replay — it feeds the
   /// stream.store_bytes gauge and tmotif_stream's final stats line.
   std::size_t ApproxBytes() const;
-  /// Live candidates currently passing the coverage check.
-  std::size_t num_counted() const { return num_counted_; }
-  /// Maintained by callers flipping Entry::counted in place.
-  void NoteCountedChange(bool now_counted) {
-    if (now_counted) {
-      ++num_counted_;
-    } else {
-      TMOTIF_CHECK(num_counted_ > 0);
-      --num_counted_;
-    }
-  }
 
  private:
   static std::uint64_t UnorderedPairKey(NodeId u, NodeId v) {
@@ -261,15 +180,10 @@ class LiveInstanceStore {
   std::vector<std::uint32_t> free_list_;
   /// slots_[i] anchors entries whose first event has id base_ + i.
   std::deque<std::vector<std::uint64_t>> slots_;
-  /// tail_slots_[i] anchors entries whose last event has id base_ + i
-  /// (maintained only when track_tails_).
-  std::deque<std::vector<std::uint64_t>> tail_slots_;
-  bool track_tails_ = false;
   std::uint64_t base_ = 0;
   /// Unordered-node-pair key -> tagged entry references.
   std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> buckets_;
   std::size_t live_ = 0;
-  std::size_t num_counted_ = 0;
   /// Bucket references held by live entries (sum of their scope pairs).
   std::size_t live_pair_refs_ = 0;
   /// Bucket slots pointing at freed entries, not yet lazily removed.

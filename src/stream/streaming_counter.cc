@@ -39,29 +39,11 @@ struct StreamMetrics {
   obs::Gauge* store_bytes;
   /// Store state (StoreMode numeric value: 0 store on, 2 store off).
   obs::Gauge* store_mode;
-  // One counter per IngestStats field (mirrored as deltas per batch).
-  obs::Counter* batches;
-  obs::Counter* events_ingested;
-  obs::Counter* events_dropped;
-  obs::Counter* events_evicted;
-  obs::Counter* instances_added;
-  obs::Counter* instances_retracted;
-  obs::Counter* tie_corrections;
-  obs::Counter* full_recounts;
-  obs::Counter* static_fallbacks;
-  obs::Counter* store_flip_batches;
-  obs::Counter* store_entries_touched;
-  obs::Counter* store_admitted;
-  obs::Counter* store_retired;
-  obs::Counter* store_order_rechecks;
-  obs::Counter* store_demotions_recount;
-  obs::Counter* store_promotions_full;
+  /// One counter per kIngestStatFields entry (mirrored as deltas per
+  /// batch), in table order.
+  std::array<obs::Counter*, kIngestStatFields.size()> stats;
   /// Mirrors LiveInstanceStore::compactions() (not an IngestStats field).
   obs::Counter* store_compactions;
-  obs::Counter* late_events;
-  obs::Counter* late_dropped;
-  obs::Counter* late_splices;
-  obs::Counter* late_recounts;
 
   static StreamMetrics& Get() {
     static StreamMetrics m = [] {
@@ -87,29 +69,10 @@ struct StreamMetrics {
       n.store_entries = r.GetGauge("stream.store_entries");
       n.store_bytes = r.GetGauge("stream.store_bytes");
       n.store_mode = r.GetGauge("stream.store_mode");
-      n.batches = r.GetCounter("stream.batches");
-      n.events_ingested = r.GetCounter("stream.events_ingested");
-      n.events_dropped = r.GetCounter("stream.events_dropped");
-      n.events_evicted = r.GetCounter("stream.events_evicted");
-      n.instances_added = r.GetCounter("stream.instances_added");
-      n.instances_retracted = r.GetCounter("stream.instances_retracted");
-      n.tie_corrections = r.GetCounter("stream.tie_corrections");
-      n.full_recounts = r.GetCounter("stream.full_recounts");
-      n.static_fallbacks = r.GetCounter("stream.static_fallbacks");
-      n.store_flip_batches = r.GetCounter("stream.store_flip_batches");
-      n.store_entries_touched =
-          r.GetCounter("stream.store_entries_touched");
-      n.store_admitted = r.GetCounter("stream.store_admitted");
-      n.store_retired = r.GetCounter("stream.store_retired");
-      n.store_order_rechecks = r.GetCounter("stream.store_order_rechecks");
-      n.store_demotions_recount =
-          r.GetCounter("stream.store_demotions_recount");
-      n.store_promotions_full = r.GetCounter("stream.store_promotions_full");
+      for (std::size_t i = 0; i < kIngestStatFields.size(); ++i) {
+        n.stats[i] = r.GetCounter(kIngestStatFields[i].metric);
+      }
       n.store_compactions = r.GetCounter("stream.store_compactions");
-      n.late_events = r.GetCounter("stream.late_events");
-      n.late_dropped = r.GetCounter("stream.late_dropped");
-      n.late_splices = r.GetCounter("stream.late_splices");
-      n.late_recounts = r.GetCounter("stream.late_recounts");
       return n;
     }();
     return m;
@@ -174,30 +137,6 @@ void SubtractAppendTies(const WindowGraph& graph,
   counts->SubtractTable(table);
 }
 
-/// The counted-set changes of one store pass: entries whose cached verdicts
-/// moved them into or out of the counts.
-struct CountedChanges {
-  internal::PackedMotifTable admitted;
-  internal::PackedMotifTable retired;
-
-  /// Re-derives `entry.counted` from its cached verdicts; records a change.
-  void Update(LiveInstanceStore* store, LiveInstanceStore::Entry& entry) {
-    const bool counted = entry.covered && entry.order_valid;
-    if (counted == entry.counted) return;
-    entry.counted = counted;
-    store->NoteCountedChange(counted);
-    (counted ? admitted : retired).Add(entry.packed);
-  }
-
-  /// Folds the changes into `counts` and the admitted/retired stats.
-  void Apply(MotifCounts* counts, IngestStats* stats) const {
-    stats->store_admitted += admitted.total();
-    stats->store_retired += retired.total();
-    counts->AddTable(admitted);
-    counts->SubtractTable(retired);
-  }
-};
-
 /// Sink of the arrival path: keeps instances whose last event entered with
 /// the current batch.
 struct NewInstanceSink {
@@ -242,22 +181,12 @@ StreamingMotifCounter::StreamingMotifCounter(const StreamConfig& config)
   uses_static_inducedness_ =
       config_.options.inducedness == Inducedness::kStatic;
   // The store factorizes validity into a purely instance-local candidate
-  // predicate (connectivity, node cap, timing) and cached per-entry flags
-  // for everything non-local: the static coverage check (re-evaluated per
-  // flipped pair via the node-pair buckets) and, when set, the
-  // consecutive/CDG order predicates (re-evaluated only at the window
-  // boundaries that can change them — see IngestOrdered's store path).
-  track_tails_ = uses_static_inducedness_ &&
-                 (config_.options.consecutive_events_restriction ||
-                  config_.options.cdg_restriction) &&
-                 config_.options.num_events >= 2;
+  // predicate (connectivity, node cap, timing) and a cached per-entry
+  // static coverage verdict, re-evaluated per flipped pair via the
+  // node-pair buckets.
+  uses_store_ = UsesInstanceStore(config_.options);
   candidate_options_ = config_.options;
-  if (uses_static_inducedness_) {
-    candidate_options_.inducedness = Inducedness::kNone;
-    candidate_options_.consecutive_events_restriction = false;
-    candidate_options_.cdg_restriction = false;
-    store_.SetTrackTails(track_tails_);
-  }
+  if (uses_store_) candidate_options_.inducedness = Inducedness::kNone;
   scratch_ = std::make_unique<DeltaScratch>(live_, config_.options);
 }
 
@@ -437,23 +366,16 @@ template <typename Keep>
 void StreamingMotifCounter::StoreAddCandidates(EventIndex lo, EventIndex hi,
                                                Keep keep, bool count_churn) {
   internal::PackedMotifTable added;
-  std::array<std::uint64_t, internal::kMaxCoreEvents> ids{};
   auto sink = MakeNodeFnSink([&](const EventIndex* chosen, int k,
                                  std::uint64_t packed, const NodeId* nodes,
                                  int num_nodes) {
     if (!keep(chosen, k)) return;
-    for (int i = 0; i < k; ++i) {
-      ids[static_cast<std::size_t>(i)] =
-          id_offset_ + static_cast<std::uint64_t>(chosen[i]);
-    }
     const int distinct = internal::PackedDistinctPairCount(packed, k);
     const bool covered =
         distinct == ScopeStaticEdges(live_, nodes, num_nodes);
-    const bool order_valid =
-        !track_tails_ || OrderValidAt(chosen, k, nodes, num_nodes);
-    store_.Insert(ids.data(), k, packed, nodes, num_nodes, distinct, covered,
-                  order_valid);
-    if (covered && order_valid) added.Add(packed);
+    store_.Insert(id_offset_ + static_cast<std::uint64_t>(chosen[0]), packed,
+                  nodes, num_nodes, distinct, covered);
+    if (covered) added.Add(packed);
   });
   internal::EnumerateCore(live_, candidate_options_, lo, hi, sink);
   if (count_churn) stats_.instances_added += added.total();
@@ -463,7 +385,7 @@ void StreamingMotifCounter::StoreAddCandidates(EventIndex lo, EventIndex hi,
 void StreamingMotifCounter::StoreEvict(std::size_t num_evict) {
   internal::PackedMotifTable retired;
   store_.EvictFront(num_evict, [&](const LiveInstanceStore::Entry& entry) {
-    if (entry.counted) retired.Add(entry.packed);
+    if (entry.covered) retired.Add(entry.packed);
   });
   stats_.instances_retracted += retired.total();
   counts_.SubtractTable(retired);
@@ -473,92 +395,26 @@ void StreamingMotifCounter::StoreProcessFlips(
     const std::vector<std::pair<NodeId, NodeId>>& flips) {
   if (flips.empty()) return;
   const std::uint64_t stamp = store_.NextVisitStamp();
-  CountedChanges changes;
+  internal::PackedMotifTable admitted;
+  internal::PackedMotifTable retired;
   for (const auto& [u, v] : flips) {
     store_.ForEachTouching(u, v, [&](LiveInstanceStore::Entry& entry) {
       if (entry.visit_stamp == stamp) return;  // Touched via another flip.
       entry.visit_stamp = stamp;
       ++stats_.store_entries_touched;
-      entry.covered =
+      const bool covered =
           entry.distinct_pairs ==
           ScopeStaticEdges(live_, entry.nodes.data(), entry.num_nodes);
-      changes.Update(&store_, entry);
+      if (covered == entry.covered) return;
+      entry.covered = covered;
+      (covered ? admitted : retired).Add(entry.packed);
     });
   }
   ++stats_.store_flip_batches;
-  changes.Apply(&counts_, &stats_);
-}
-
-bool StreamingMotifCounter::OrderValidAt(const EventIndex* pos, int k,
-                                         const NodeId* nodes,
-                                         int num_nodes) const {
-  // Mirrors the enumeration core's per-candidate checks exactly
-  // (core/enumerate_core.h): CDG rejects another event on a gap's closing
-  // edge inside the closed gap interval (same-edge gaps exempt);
-  // consecutive rejects any interloper strictly between a node's successive
-  // instance touches.
-  if (config_.options.cdg_restriction) {
-    for (int i = 1; i < k; ++i) {
-      const EventIndex a = pos[i - 1];
-      const EventIndex b = pos[i];
-      if (live_.event_src(a) == live_.event_src(b) &&
-          live_.event_dst(a) == live_.event_dst(b)) {
-        continue;
-      }
-      if (live_.HasAdjacentEdgeEventInRange(b, live_.event_time(a),
-                                            live_.event_time(b))) {
-        return false;
-      }
-    }
-  }
-  if (config_.options.consecutive_events_restriction) {
-    for (int d = 0; d < num_nodes; ++d) {
-      const NodeId node = nodes[d];
-      EventIndex prev = -1;
-      for (int i = 0; i < k; ++i) {
-        const EventIndex p = pos[i];
-        if (live_.event_src(p) != node && live_.event_dst(p) != node) {
-          continue;
-        }
-        if (prev >= 0 && live_.HasIncidentInIndexRange(node, prev, p)) {
-          return false;
-        }
-        prev = p;
-      }
-    }
-  }
-  return true;
-}
-
-void StreamingMotifCounter::ReevaluateOrder(std::uint64_t id_begin,
-                                            std::uint64_t id_end,
-                                            bool by_tail) {
-  CountedChanges changes;
-  const auto recheck = [&](LiveInstanceStore::Entry& entry) {
-    ++stats_.store_order_rechecks;
-    EventIndex pos[internal::kMaxCoreEvents];
-    for (int i = 0; i < entry.num_events; ++i) {
-      pos[i] = static_cast<EventIndex>(
-          entry.event_ids[static_cast<std::size_t>(i)] - id_offset_);
-    }
-    entry.order_valid = OrderValidAt(pos, entry.num_events,
-                                     entry.nodes.data(), entry.num_nodes);
-    changes.Update(&store_, entry);
-  };
-  if (by_tail) {
-    store_.ForEachTailAnchored(
-        id_begin, id_end,
-        [&](LiveInstanceStore::Entry& entry, std::uint64_t tail_id) {
-          // The tail slot is positional truth: interleaved arrivals shifted
-          // this entry's last event in lockstep with the slot.
-          entry.event_ids[static_cast<std::size_t>(entry.num_events - 1)] =
-              tail_id;
-          recheck(entry);
-        });
-  } else {
-    store_.ForEachAnchoredInRange(id_begin, id_end, recheck);
-  }
-  changes.Apply(&counts_, &stats_);
+  stats_.store_admitted += admitted.total();
+  stats_.store_retired += retired.total();
+  counts_.AddTable(admitted);
+  counts_.SubtractTable(retired);
 }
 
 // --- Ingestion. ---
@@ -613,29 +469,10 @@ void StreamingMotifCounter::Ingest(std::vector<Event> batch) {
 
 void StreamingMotifCounter::PublishTelemetry() {
   StreamMetrics& metrics = StreamMetrics::Get();
-#define TMOTIF_PUBLISH_FIELD(field) \
-  metrics.field->Add(stats_.field - published_stats_.field)
-  TMOTIF_PUBLISH_FIELD(batches);
-  TMOTIF_PUBLISH_FIELD(events_ingested);
-  TMOTIF_PUBLISH_FIELD(events_dropped);
-  TMOTIF_PUBLISH_FIELD(events_evicted);
-  TMOTIF_PUBLISH_FIELD(instances_added);
-  TMOTIF_PUBLISH_FIELD(instances_retracted);
-  TMOTIF_PUBLISH_FIELD(tie_corrections);
-  TMOTIF_PUBLISH_FIELD(full_recounts);
-  TMOTIF_PUBLISH_FIELD(static_fallbacks);
-  TMOTIF_PUBLISH_FIELD(store_flip_batches);
-  TMOTIF_PUBLISH_FIELD(store_entries_touched);
-  TMOTIF_PUBLISH_FIELD(store_admitted);
-  TMOTIF_PUBLISH_FIELD(store_retired);
-  TMOTIF_PUBLISH_FIELD(store_order_rechecks);
-  TMOTIF_PUBLISH_FIELD(store_demotions_recount);
-  TMOTIF_PUBLISH_FIELD(store_promotions_full);
-  TMOTIF_PUBLISH_FIELD(late_events);
-  TMOTIF_PUBLISH_FIELD(late_dropped);
-  TMOTIF_PUBLISH_FIELD(late_splices);
-  TMOTIF_PUBLISH_FIELD(late_recounts);
-#undef TMOTIF_PUBLISH_FIELD
+  for (std::size_t i = 0; i < kIngestStatFields.size(); ++i) {
+    std::uint64_t IngestStats::*const field = kIngestStatFields[i].field;
+    metrics.stats[i]->Add(stats_.*field - published_stats_.*field);
+  }
   published_stats_ = stats_;
   metrics.store_compactions->Add(store_.compactions() -
                                  published_store_compactions_);
@@ -674,30 +511,13 @@ void StreamingMotifCounter::IngestOrdered(const std::vector<Event>& batch) {
 
   const std::optional<Timestamp> span = SpanBound();
   const EventIndex n_evict = static_cast<EventIndex>(plan.num_evict);
-  // Survivors can only flip validity at shared boundary timestamps (or via
-  // static-edge flips): an evicted or arriving event lies inside a
-  // surviving instance's scope only when it ties the instance's first or
-  // last timestamp. See docs/STREAMING.md for the case analysis.
-  const bool evict_tie =
-      n_evict > 0 && live_.event_time(n_evict - 1) == live_.event_time(n_evict);
-  const Timestamp t_ev = n_evict > 0 ? live_.event_time(n_evict - 1) : 0;
-  const Timestamp old_surviving_max =
-      live_.event_time(static_cast<EventIndex>(old_size) - 1);
-  const bool append_tie =
-      num_new > 0 && batch[plan.batch_begin].time == old_surviving_max;
 
   if (store_active()) {
     // Store path: candidate validity is instance-local, so survivors never
-    // flip as candidates. The store absorbs every static-edge flip by
+    // flip as candidates, and the store absorbs every static-edge flip by
     // retiring/admitting exactly the instances whose node set spans a
-    // flipped pair, and caches the order predicates (consecutive/CDG) per
-    // entry — those can only flip for entries whose first event ties the
-    // eviction boundary (an evicted same-time interloper can un-violate a
-    // CDG gap) or whose last event ties the arriving batch's earliest
-    // timestamp (an interleaving arrival can violate the final gap), so
-    // two boundary sweeps over the tie groups keep every flag exact. The
-    // only enumerations left are the same retract/add deltas every model
-    // pays.
+    // flipped pair. The only enumerations left are the same retract/add
+    // deltas every model pays.
     const std::vector<std::pair<NodeId, NodeId>>& flips =
         CollectStaticEdgeFlips(plan.num_evict, batch, plan.batch_begin);
     if (n_evict > 0) StoreEvict(plan.num_evict);
@@ -711,7 +531,7 @@ void StreamingMotifCounter::IngestOrdered(const std::vector<Event>& batch) {
     // Batch events interleaving within the trailing tie group renumber the
     // resident tie-group events; opening store slots at the entered ids
     // (ascending, so each insertion accounts for the previous) shifts the
-    // anchored entries in lockstep — anchors for k == 1, tails always.
+    // entries anchored there in lockstep (only k = 1 entries can be).
     for (const std::size_t p : new_positions_) {
       store_.SpliceSlot(id_offset_ + p);
     }
@@ -721,20 +541,6 @@ void StreamingMotifCounter::IngestOrdered(const std::vector<Event>& batch) {
     {
       obs::PhaseTimer span(metrics.store_flips, "stream.store_flips");
       StoreProcessFlips(flips);  // Post-apply edge state.
-    }
-    if (track_tails_ && append_tie) {
-      ReevaluateOrder(
-          id_offset_ + static_cast<std::uint64_t>(
-                           live_.LowerBoundTime(old_surviving_max)),
-          id_offset_ + static_cast<std::uint64_t>(
-                           live_.UpperBoundTime(old_surviving_max)),
-          /*by_tail=*/true);
-    }
-    if (track_tails_ && config_.options.cdg_restriction && evict_tie) {
-      ReevaluateOrder(
-          id_offset_,
-          id_offset_ + static_cast<std::uint64_t>(live_.UpperBoundTime(t_ev)),
-          /*by_tail=*/false);
     }
     if (num_new > 0) {
       obs::PhaseTimer phase_span(metrics.phase6_arrivals,
@@ -749,13 +555,25 @@ void StreamingMotifCounter::IngestOrdered(const std::vector<Event>& batch) {
     return;
   }
 
-  // Static inducedness with the store off (memory budget): a batch that
-  // flips a static edge changes the validity of every survivor whose node
-  // set spans the flipped pair, wherever it lies in the window, so it
-  // recounts the window. So does a boundary-tie batch whose eviction alone
-  // removes an edge, even one the batch re-adds: the tie corrections run
-  // on the survivors, whose edge set is then neither the old nor the new
-  // one.
+  // Survivors can only flip validity at shared boundary timestamps (or via
+  // static-edge flips): an evicted or arriving event lies inside a
+  // surviving instance's scope only when it ties the instance's first or
+  // last timestamp. See docs/STREAMING.md for the case analysis.
+  const bool evict_tie =
+      n_evict > 0 && live_.event_time(n_evict - 1) == live_.event_time(n_evict);
+  const Timestamp t_ev = n_evict > 0 ? live_.event_time(n_evict - 1) : 0;
+  const Timestamp old_surviving_max =
+      live_.event_time(static_cast<EventIndex>(old_size) - 1);
+  const bool append_tie =
+      num_new > 0 && batch[plan.batch_begin].time == old_surviving_max;
+
+  // Static inducedness without the store (an order predicate, or a memory
+  // budget turned it off): a batch that flips a static edge changes the
+  // validity of every survivor whose node set spans the flipped pair,
+  // wherever it lies in the window, so it recounts the window. So does a
+  // boundary-tie batch whose eviction alone removes an edge, even one the
+  // batch re-adds: the tie corrections run on the survivors, whose edge
+  // set is then neither the old nor the new one.
   bool evicts_edge = false;
   const bool flips_edge =
       !CollectStaticEdgeFlips(plan.num_evict, batch, plan.batch_begin,
@@ -948,16 +766,6 @@ void StreamingMotifCounter::IngestLate(const std::vector<Event>& late) {
   };
 
   if (store_active()) {
-    if (track_tails_) {
-      // A spliced event lands between resident events in both index and
-      // time, so it can violate a consecutive/CDG gap of any entry in the
-      // window — no boundary to sweep. Recount (late events are the rare
-      // case the lateness horizon already bounds).
-      ApplySplice(plan.num_evict, late, plan.batch_begin);
-      RecountWindow();
-      ++stats_.late_recounts;
-      return;
-    }
     // Fully incremental: evict, splice (slots realign), absorb the static
     // flips through the store, then add the candidates that contain a
     // spliced event (the only new ones — existing candidates are immune to
@@ -1063,7 +871,7 @@ void StreamingMotifCounter::IngestLate(const std::vector<Event>& late) {
 // --- Memory-budget degradation. ---
 
 void StreamingMotifCounter::EnforceStoreBudget() {
-  if (!uses_static_inducedness_ || config_.store_budget_bytes == 0) return;
+  if (!uses_store_ || config_.store_budget_bytes == 0) return;
   // Promotion hysteresis: the store comes back on once its estimated
   // footprint fits under this fraction of the budget for this many
   // consecutive batches.
@@ -1153,7 +961,7 @@ bool StreamingMotifCounter::RestoreCheckpointState(
   published_stats_ = stats_;
   // Only a budget can turn the store back on (EnforceStoreBudget), so a
   // store-off state restored without one comes back store-on.
-  store_mode_ = uses_static_inducedness_ && config_.store_budget_bytes != 0
+  store_mode_ = uses_store_ && config_.store_budget_bytes != 0
                     ? state.store_mode
                     : StoreMode::kFull;
   promote_streak_ = state.promote_streak;

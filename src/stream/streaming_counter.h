@@ -1,6 +1,7 @@
 #ifndef TMOTIF_STREAM_STREAMING_COUNTER_H_
 #define TMOTIF_STREAM_STREAMING_COUNTER_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -20,11 +21,11 @@
 
 namespace tmotif {
 
-/// State of the live-instance store under static inducedness (see
-/// docs/RESILIENCE.md). `kFull`: the store is on and absorbs every
-/// static-edge flip. `kRecount`: a memory budget turned the store off;
-/// every flip batch recounts the window until pressure clears. The numeric
-/// values are the `stream.store_mode` gauge and the checkpoint byte.
+/// State of the live-instance store (see docs/RESILIENCE.md). `kFull`: the
+/// store is on and absorbs every static-edge flip. `kRecount`: a memory
+/// budget turned the store off; every flip batch recounts the window until
+/// pressure clears. The numeric values are the `stream.store_mode` gauge
+/// and the checkpoint byte.
 enum class StoreMode : std::uint8_t {
   kFull = 0,
   kRecount = 2,
@@ -54,7 +55,8 @@ struct StreamConfig {
   /// it back on once its estimated footprint fits under half the budget
   /// for 4 consecutive batches. Counts are exact in both states. Not part
   /// of the checkpoint config fingerprint (operational, restorable across
-  /// budget changes).
+  /// budget changes). Only configs that keep the store
+  /// (StreamingMotifCounter::UsesInstanceStore) read it.
   std::size_t store_budget_bytes = 0;
 };
 
@@ -79,7 +81,7 @@ struct IngestStats {
   std::uint64_t static_fallbacks = 0;
   /// Always 0: the scoped store-off correction that counted its batches
   /// and roots is gone. Kept only because pipebench/pipebench.cc reports
-  /// them and checkpoint v4 writes them; not exported.
+  /// them; neither serialized nor exported.
   std::uint64_t scoped_static_recounts = 0;
   std::uint64_t scoped_recount_roots = 0;
   /// Static-edge flip batches absorbed by the live-instance store, the
@@ -89,9 +91,6 @@ struct IngestStats {
   std::uint64_t store_entries_touched = 0;
   std::uint64_t store_admitted = 0;
   std::uint64_t store_retired = 0;
-  /// Store entries whose consecutive/CDG verdict was re-evaluated at a
-  /// window boundary (store on, with an order predicate).
-  std::uint64_t store_order_rechecks = 0;
   /// Memory-budget transitions (see docs/RESILIENCE.md): the store turned
   /// off, and turned back on.
   std::uint64_t store_demotions_recount = 0;
@@ -107,6 +106,38 @@ struct IngestStats {
   std::uint64_t late_splices = 0;
   std::uint64_t late_recounts = 0;
 };
+
+/// One exported `IngestStats` counter: its `stream.*` metric name and its
+/// field.
+struct IngestStatField {
+  const char* metric;
+  std::uint64_t IngestStats::*field;
+};
+
+/// The `IngestStats` counters PublishTelemetry mirrors into the metrics
+/// registry, in the order the checkpoint's stats block stores them
+/// (docs/RESILIENCE.md). The always-zero fields are in neither.
+inline constexpr std::array<IngestStatField, 19> kIngestStatFields = {{
+    {"stream.batches", &IngestStats::batches},
+    {"stream.events_ingested", &IngestStats::events_ingested},
+    {"stream.events_dropped", &IngestStats::events_dropped},
+    {"stream.events_evicted", &IngestStats::events_evicted},
+    {"stream.instances_added", &IngestStats::instances_added},
+    {"stream.instances_retracted", &IngestStats::instances_retracted},
+    {"stream.tie_corrections", &IngestStats::tie_corrections},
+    {"stream.full_recounts", &IngestStats::full_recounts},
+    {"stream.static_fallbacks", &IngestStats::static_fallbacks},
+    {"stream.store_flip_batches", &IngestStats::store_flip_batches},
+    {"stream.store_entries_touched", &IngestStats::store_entries_touched},
+    {"stream.store_admitted", &IngestStats::store_admitted},
+    {"stream.store_retired", &IngestStats::store_retired},
+    {"stream.store_demotions_recount", &IngestStats::store_demotions_recount},
+    {"stream.store_promotions_full", &IngestStats::store_promotions_full},
+    {"stream.late_events", &IngestStats::late_events},
+    {"stream.late_dropped", &IngestStats::late_dropped},
+    {"stream.late_splices", &IngestStats::late_splices},
+    {"stream.late_recounts", &IngestStats::late_recounts},
+}};
 
 /// Complete restorable state of a StreamingMotifCounter, as captured by
 /// CaptureCheckpointState() — the in-memory form of the durable checkpoint
@@ -124,8 +155,8 @@ struct StreamCheckpointState {
   IngestStats stats;
   /// counts() as (packed code, count) pairs, ascending by packed code.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> counts;
-  /// Store state and promotion hysteresis (meaningful only under static
-  /// inducedness; defaults otherwise).
+  /// Store state and promotion hysteresis (meaningful only for configs
+  /// that keep the store; defaults otherwise).
   StoreMode store_mode = StoreMode::kFull;
   std::uint32_t promote_streak = 0;
   double full_bytes_per_event = 0.0;
@@ -137,11 +168,12 @@ struct StreamCheckpointState {
 /// range suffices); on expiry, only instances anchored at an evicted event
 /// are retracted. Models whose instance predicate reads graph state outside
 /// the instance (consecutive-events, CDG, inducedness) get targeted
-/// boundary corrections. Static inducedness is handled by the node-pair
-/// live-instance store (stream/instance_store.h) — every static edge flip
-/// retires/admits exactly the affected instances, fully incremental at any
-/// batch size — and, while a memory budget keeps the store off, by a
-/// window recount of every flip batch. The invariant —
+/// boundary corrections. Static inducedness without an order predicate is
+/// handled by the node-pair live-instance store (stream/instance_store.h)
+/// — every static edge flip retires/admits exactly the affected instances,
+/// fully incremental at any batch size; every other static config, and a
+/// store turned off by a memory budget, recounts the window on each flip
+/// batch. The invariant —
 /// asserted by tests/stream_test.cc across the oracle grid — is that after
 /// every batch, `counts()` equals
 /// `CountMotifs(GraphFromEvents(window events), options)` exactly.
@@ -200,10 +232,18 @@ class StreamingMotifCounter {
 
   const StreamConfig& config() const { return config_; }
   const IngestStats& stats() const { return stats_; }
-  /// True when static flips are absorbed by the live-instance store (static
-  /// inducedness, store not turned off by the memory budget).
+  /// True when a counter with these options keeps the live-instance store:
+  /// static inducedness without the consecutive-events or CDG restriction
+  /// (docs/STREAMING.md, "Which configs use the store"). Every other config
+  /// streams store-off and ignores `store_budget_bytes`.
+  static bool UsesInstanceStore(const EnumerationOptions& options) {
+    return options.inducedness == Inducedness::kStatic &&
+           !options.consecutive_events_restriction && !options.cdg_restriction;
+  }
+  /// True when static flips are absorbed by the live-instance store (the
+  /// config keeps one and the memory budget has not turned it off).
   bool store_active() const {
-    return uses_static_inducedness_ && store_mode_ == StoreMode::kFull;
+    return uses_store_ && store_mode_ == StoreMode::kFull;
   }
   /// Current store state (kFull unless a `store_budget_bytes` enforcement
   /// pass turned the store off).
@@ -282,20 +322,6 @@ class StreamingMotifCounter {
   template <typename Keep>
   void StoreAddCandidates(EventIndex lo, EventIndex hi, Keep keep,
                           bool count_churn = true);
-  /// Order-predicate (consecutive/CDG) verdict of an instance given as
-  /// current window positions + digit-ordered nodes, evaluated against the
-  /// live indices — the cached-flag source of truth.
-  bool OrderValidAt(const EventIndex* pos, int k, const NodeId* nodes,
-                    int num_nodes) const;
-  /// Re-evaluates the order verdict of every store entry whose LAST event
-  /// id (`by_tail`) or FIRST event id lies in [id_begin, id_end); admits or
-  /// retires on change. The tail pass covers the arriving batch's tie group
-  /// (arrivals interleaving there are the only thing that shifts a stored
-  /// last-event id, so it re-syncs that id from the tail slot first); the
-  /// anchor pass covers the eviction boundary tie group, where an evicted
-  /// same-time interloper can un-violate a CDG gap.
-  void ReevaluateOrder(std::uint64_t id_begin, std::uint64_t id_end,
-                       bool by_tail);
 
   // --- Memory-budget degradation (docs/RESILIENCE.md). ---
 
@@ -339,9 +365,12 @@ class StreamingMotifCounter {
 
   StreamConfig config_;
   bool has_nonlocal_ = false;
-  /// Static inducedness: the store handles flips whenever the memory budget
-  /// has not turned it off (store_active()).
+  /// Static inducedness: batches that flip a static edge need the store or
+  /// a recount.
   bool uses_static_inducedness_ = false;
+  /// UsesInstanceStore(options): the store handles flips whenever the
+  /// memory budget has not turned it off (store_active()).
+  bool uses_store_ = false;
   /// Store state; only EnforceStoreBudget and checkpoint restore move it,
   /// so it is stable within a batch.
   StoreMode store_mode_ = StoreMode::kFull;
@@ -353,13 +382,9 @@ class StreamingMotifCounter {
   double full_bytes_per_event_ = 0.0;
   /// store_.compactions() at the last PublishTelemetry (delta mirroring).
   std::uint64_t published_store_compactions_ = 0;
-  /// Store path with an order predicate (consecutive/CDG, k >= 2): entries
-  /// carry event ids and the store maintains a last-event (tail) index so
-  /// order verdicts can be re-evaluated at the window boundaries.
-  bool track_tails_ = false;
-  /// `options` with the static coverage check and order predicates stripped
-  /// — the candidate predicate the store path enumerates with (purely
-  /// instance-local; the stripped parts are cached per entry).
+  /// `options` with the static coverage check stripped — the candidate
+  /// predicate the store path enumerates with (purely instance-local; the
+  /// coverage verdict is cached per entry).
   EnumerationOptions candidate_options_;
 
   StreamWindow window_;

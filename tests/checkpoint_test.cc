@@ -330,7 +330,7 @@ TEST(Checkpoint, OperationalKnobsDoNotChangeTheFingerprint) {
 
 // --- Crafted CRC-valid fixtures: structural checks behind the checksum. ---
 
-// Byte layout of a version-4 file (docs/RESILIENCE.md): a 16-byte header
+// Byte layout of a version-5 file (docs/RESILIENCE.md): a 16-byte header
 // (magic, u32 version, u64 payload size), the payload, a u32 CRC trailer.
 constexpr std::size_t kHeaderBytes = 16;
 constexpr std::size_t kCrcBytes = 4;
@@ -381,10 +381,10 @@ void FixUpCrc(std::string* bytes) {
 
 /// Offset of the u32 count-entry field: fingerprint, saw_any_event,
 /// max_time_seen, max_duration_seen, event count, 28-byte events, then the
-/// stats block (u32 field count + 22 u64 fields).
+/// stats block (u32 field count + 19 u64 fields).
 std::size_t CountsFieldOffset(std::size_t num_window_events) {
   return kHeaderBytes + 8 + 1 + 8 + 8 + 8 + 28 * num_window_events + 4 +
-         8 * 22;
+         8 * 19;
 }
 
 /// Offset of count entry `i` (u64 packed code, u64 count; 16 bytes each).
@@ -508,12 +508,13 @@ TEST(Checkpoint, CraftedCountedOnlyStoreModeIsMalformed) {
   EXPECT_EQ(r.status, CheckpointStatus::kMalformed) << r.message;
 }
 
-// Version-2 files (with the counted-only fields) and version-3 files (with
-// string-keyed count entries) are rejected outright, not migrated.
+// Version-2 files (with the counted-only fields), version-3 files (with
+// string-keyed count entries) and version-4 files (with 22 stat fields)
+// are rejected outright, not migrated.
 TEST(Checkpoint, VersionTwoFilesAreBadVersion) {
   StreamingMotifCounter counter(FixtureConfig());
   const std::string bytes = CraftableEncoding(&counter);
-  for (const std::uint32_t version : {2u, 3u}) {
+  for (const std::uint32_t version : {2u, 3u, 4u}) {
     std::string crafted = bytes;
     PutU32At(&crafted, 4, version);  // The version field follows the magic.
     FixUpCrc(&crafted);

@@ -34,12 +34,11 @@ RandomGraphSpec BudgetSpec() {
   return spec;
 }
 
-EnumerationOptions StaticInducedOpts(bool consecutive = false) {
+EnumerationOptions StaticInducedOpts() {
   EnumerationOptions o;
   o.num_events = 3;
   o.max_nodes = 3;
   o.inducedness = Inducedness::kStatic;
-  o.consecutive_events_restriction = consecutive;
   return o;
 }
 
@@ -153,36 +152,34 @@ TEST(StreamBudget, RepromotesWhenPressureClears) {
 }
 
 // An impossible budget turns the store off in the first batch that fills
-// it — with and without an order predicate (tail tracking) — and the
-// counter keeps counting exactly with the store off.
+// it, and the counter keeps counting exactly with the store off. (Static
+// inducedness with an order predicate keeps no store at all; see
+// StaticOrderConfigsStreamStoreOff in stream_test.cc.)
 TEST(StreamBudget, ImpossibleBudgetReachesRecountMode) {
-  for (const bool consecutive : {false, true}) {
-    ForEachRandomGraph(
-        0x1adde5, 2, BudgetSpec(),
-        [&](std::uint64_t seed, const TemporalGraph& g) {
-          const std::string label = "seed " + std::to_string(seed) +
-                                    (consecutive ? " consecutive" : "");
-          StreamConfig config;
-          config.options = StaticInducedOpts(consecutive);
-          config.window = WindowPolicy::CountBased(14);
-          config.store_budget_bytes = 1;
-          IngestStats stats;
-          ReplayExactUnderBudget(g.events(), config, 4, label, &stats);
-          if (::testing::Test::HasFatalFailure()) return;
-          EXPECT_EQ(stats.store_demotions_recount, 1u) << label;
-          EXPECT_EQ(stats.store_promotions_full, 0u) << label;
+  ForEachRandomGraph(
+      0x1adde5, 2, BudgetSpec(),
+      [&](std::uint64_t seed, const TemporalGraph& g) {
+        const std::string label = "seed " + std::to_string(seed);
+        StreamConfig config;
+        config.options = StaticInducedOpts();
+        config.window = WindowPolicy::CountBased(14);
+        config.store_budget_bytes = 1;
+        IngestStats stats;
+        ReplayExactUnderBudget(g.events(), config, 4, label, &stats);
+        if (::testing::Test::HasFatalFailure()) return;
+        EXPECT_EQ(stats.store_demotions_recount, 1u) << label;
+        EXPECT_EQ(stats.store_promotions_full, 0u) << label;
 
-          StreamingMotifCounter counter(config);
-          counter.Ingest(g.events());
-          const MotifCounts expected =
-              CountMotifs(counter.window_graph(), config.options);
-          ASSERT_EQ(counter.counts().SortedByCode(), expected.SortedByCode())
-              << label;
-          EXPECT_EQ(counter.store_mode(), StoreMode::kRecount) << label;
-          EXPECT_FALSE(counter.store_active()) << label;
-          EXPECT_EQ(counter.store_approx_bytes(), 0u) << label;
-        });
-  }
+        StreamingMotifCounter counter(config);
+        counter.Ingest(g.events());
+        const MotifCounts expected =
+            CountMotifs(counter.window_graph(), config.options);
+        ASSERT_EQ(counter.counts().SortedByCode(), expected.SortedByCode())
+            << label;
+        EXPECT_EQ(counter.store_mode(), StoreMode::kRecount) << label;
+        EXPECT_FALSE(counter.store_active()) << label;
+        EXPECT_EQ(counter.store_approx_bytes(), 0u) << label;
+      });
 }
 
 // Every store transition must be visible in the exported metrics. The
@@ -220,26 +217,26 @@ TEST(StreamBudget, CompactionSlackControlsBucketCompaction) {
   const auto churn = [](LiveInstanceStore* store) {
     // Insert anchors one by one and evict all but the newest four: every
     // eviction strands a bucket ref (the classic compaction driver) while
-    // the survivors keep buckets populated.
+    // the survivors keep buckets populated. The store never reads
+    // `packed`, so each entry carries its anchor id there as a tag.
     for (std::uint64_t id = 0; id < 64; ++id) {
-      const std::uint64_t ids[1] = {id};
       const NodeId nodes[2] = {static_cast<NodeId>(id % kNumNodes),
                                static_cast<NodeId>((id + 1) % kNumNodes)};
-      store->Insert(ids, 1, /*packed=*/0x01, nodes, 2, /*distinct=*/1,
-                    /*covered=*/true, /*order_valid=*/true);
+      store->Insert(id, /*packed=*/id, nodes, 2, /*distinct=*/1,
+                    /*covered=*/true);
       if (id >= 4) {
         store->EvictFront(1, [](const LiveInstanceStore::Entry&) {});
       }
     }
   };
-  // Anchor ids visited per node pair, in pair order.
+  // Tags (anchor ids) of the entries visited per node pair, in pair order.
   const auto touched = [](LiveInstanceStore* store) {
     std::vector<std::vector<std::uint64_t>> visits;
     for (NodeId u = 0; u < kNumNodes; ++u) {
       for (NodeId v = u + 1; v < kNumNodes; ++v) {
         std::vector<std::uint64_t> ids;
         store->ForEachTouching(u, v, [&](LiveInstanceStore::Entry& entry) {
-          ids.push_back(entry.event_ids[0]);
+          ids.push_back(entry.packed);
         });
         std::sort(ids.begin(), ids.end());
         visits.push_back(ids);

@@ -231,8 +231,9 @@ INSTANTIATE_TEST_SUITE_P(
         LateCase{"song", OptionsForModel(ModelId::kSong, 3, 3, 0, 8),
                  DenseSpec()},
         LateCase{"vanilla_unbounded", Opts(2, 3), SmallSpec()},
-        // Static + consecutive + CDG: the store tracks tails, so a late
-        // splice takes the windowed recount and must still be exact.
+        // Static + consecutive + CDG keeps no store: a late splice that
+        // flips an edge or evicts takes the windowed recount, the rest the
+        // bounded replacement pass.
         LateCase{"kitchen_sink",
                  Opts(3, 3, TimingConstraints::Both(9, 14), true, true,
                       Inducedness::kStatic),

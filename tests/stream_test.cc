@@ -95,7 +95,6 @@ void AccumulateGridStats(const IngestStats& stats) {
   g_grid_stats.store_flip_batches += stats.store_flip_batches;
   g_grid_stats.store_admitted += stats.store_admitted;
   g_grid_stats.store_retired += stats.store_retired;
-  g_grid_stats.store_order_rechecks += stats.store_order_rechecks;
 }
 
 /// Replays `graph`'s events through a streaming counter and checks every
@@ -269,10 +268,10 @@ INSTANTIATE_TEST_SUITE_P(
         StreamCase{"k4_dw", Opts(4, 4, TimingConstraints::OnlyDeltaW(16)),
                    SmallSpec(), 4},
         StreamCase{"k1", Opts(1, 2), DenseSpec(), 4},
-        // The formerly store-gated configurations, now store-active: k=1
-        // static inducedness (anchor-renumbering fix) and the order
-        // predicates combined with static inducedness (cached order_valid
-        // plus boundary revalidation sweeps).
+        // k = 1 static inducedness streams on the store (anchor
+        // renumbering within a tie group); static inducedness combined
+        // with an order predicate (here and in kitchen_sink) streams
+        // store-off: flip batches recount, the rest take the six phases.
         StreamCase{"k1_static",
                    Opts(1, 2, {}, false, false, Inducedness::kStatic),
                    DenseSpec(), 4},
@@ -658,70 +657,111 @@ TEST(StreamingMotifCounter, StaticPresetsStreamWithoutRecountFallbacks) {
       });
 }
 
-// The lifted store gates: k=1 (whose tie-group anchor renumbering used to
-// keep it off the store) and the consecutive/CDG + static
-// combinations (whose order predicates are now cached per candidate and
-// revalidated only at the window boundaries) must stream store-active with
-// ZERO recount fallbacks of any kind after startup, while staying exact on
-// every snapshot.
-TEST(StreamingMotifCounter, LiftedStoreGatesStreamWithoutFallbacks) {
-  struct LiftedCase {
-    const char* name;
-    EnumerationOptions options;
-    /// Order-predicate cases must actually revalidate at boundaries.
-    bool expect_order_rechecks;
-  };
-  const std::vector<LiftedCase> cases = {
-      {"k1_static", Opts(1, 2, {}, false, false, Inducedness::kStatic), false},
-      {"static_consecutive", Opts(3, 3, {}, true, false, Inducedness::kStatic),
-       true},
+// k = 1 static inducedness (whose tie-group anchor renumbering used to keep
+// it off the store) streams store-active with ZERO recount fallbacks of
+// any kind after startup, while staying exact on every snapshot.
+TEST(StreamingMotifCounter, K1StaticStreamsOnTheStoreWithoutFallbacks) {
+  const EnumerationOptions options =
+      Opts(1, 2, {}, false, false, Inducedness::kStatic);
+  std::uint64_t store_flip_batches = 0;
+  ForEachRandomGraph(
+      0x11f7ed, 6, DenseSpec(),
+      [&](std::uint64_t seed, const TemporalGraph& g) {
+        for (const std::size_t batch_size : {std::size_t{1}, std::size_t{3}}) {
+          StreamConfig config;
+          config.options = options;
+          config.window = WindowPolicy::CountBased(10);
+          StreamingMotifCounter counter(config);
+          ASSERT_TRUE(counter.store_active());
+          const std::vector<Event>& all = g.events();
+          for (std::size_t begin = 0; begin < all.size();
+               begin += batch_size) {
+            const std::size_t end = std::min(all.size(), begin + batch_size);
+            counter.Ingest(std::vector<Event>(
+                all.begin() + static_cast<std::ptrdiff_t>(begin),
+                all.begin() + static_cast<std::ptrdiff_t>(end)));
+            const MotifCounts expected =
+                CountMotifs(counter.window_graph(), options);
+            ASSERT_EQ(counter.counts().SortedByCode(), expected.SortedByCode())
+                << "seed=" << seed << " after " << end
+                << " events: streaming=" << DescribeCounts(counter.counts())
+                << " batch=" << DescribeCounts(expected);
+          }
+          const std::string label = "seed=" + std::to_string(seed) +
+                                    " batch=" + std::to_string(batch_size);
+          const IngestStats& stats = counter.stats();
+          EXPECT_LE(stats.full_recounts, 1u) << label;  // Startup only.
+          EXPECT_EQ(stats.static_fallbacks, 0u) << label;
+          store_flip_batches += stats.store_flip_batches;
+        }
+      });
+  EXPECT_GT(store_flip_batches, 0u);
+}
+
+// Static inducedness combined with an order predicate (consecutive-events
+// or CDG) keeps no live-instance store: from the first batch the counter
+// is store-off, a store budget (even 1 byte) has nothing to demote, flip
+// batches recount the window and every other batch takes the six delta
+// phases — exact after every batch.
+TEST(StreamingMotifCounter, StaticOrderConfigsStreamStoreOff) {
+  EXPECT_TRUE(StreamingMotifCounter::UsesInstanceStore(
+      OptionsForModel(ModelId::kParanjape, 3, 3, 0, 10)));
+  EXPECT_TRUE(StreamingMotifCounter::UsesInstanceStore(
+      OptionsForModel(ModelId::kHulovatyy, 3, 3, 5, 0)));
+  EXPECT_FALSE(StreamingMotifCounter::UsesInstanceStore(
+      OptionsForModel(ModelId::kKovanen, 3, 3, 5, 0)));
+  EXPECT_FALSE(StreamingMotifCounter::UsesInstanceStore(
+      OptionsForModel(ModelId::kSong, 3, 3, 0, 10)));
+  const std::vector<std::pair<const char*, EnumerationOptions>> cases = {
+      {"static_consecutive", Opts(3, 3, {}, true, false, Inducedness::kStatic)},
       {"static_cdg",
        Opts(3, 3, TimingConstraints::OnlyDeltaC(12), false, true,
-            Inducedness::kStatic),
-       true},
+            Inducedness::kStatic)},
   };
-  for (const LiftedCase& c : cases) {
-    IngestStats totals;
+  for (const auto& [name, options] : cases) {
+    EXPECT_FALSE(StreamingMotifCounter::UsesInstanceStore(options)) << name;
+    std::uint64_t static_fallbacks = 0;
     ForEachRandomGraph(
         0x11f7ed, 6, DenseSpec(),
         [&](std::uint64_t seed, const TemporalGraph& g) {
-          for (const std::size_t batch_size : {std::size_t{1}, std::size_t{3}}) {
-            StreamConfig config;
-            config.options = c.options;
-            config.window = WindowPolicy::CountBased(10);
-            StreamingMotifCounter counter(config);
-            ASSERT_TRUE(counter.store_active()) << c.name;
-            const std::vector<Event>& all = g.events();
-            for (std::size_t begin = 0; begin < all.size();
-                 begin += batch_size) {
-              const std::size_t end = std::min(all.size(), begin + batch_size);
-              counter.Ingest(std::vector<Event>(
-                  all.begin() + static_cast<std::ptrdiff_t>(begin),
-                  all.begin() + static_cast<std::ptrdiff_t>(end)));
-              const MotifCounts expected =
-                  CountMotifs(counter.window_graph(), c.options);
-              ASSERT_EQ(counter.counts().SortedByCode(),
-                        expected.SortedByCode())
-                  << c.name << " seed=" << seed << " after " << end
-                  << " events: streaming=" << DescribeCounts(counter.counts())
-                  << " batch=" << DescribeCounts(expected);
+          for (const std::size_t batch_size :
+               {std::size_t{1}, std::size_t{3}}) {
+            for (const std::size_t budget : {std::size_t{0}, std::size_t{1}}) {
+              StreamConfig config;
+              config.options = options;
+              config.window = WindowPolicy::CountBased(10);
+              config.store_budget_bytes = budget;
+              StreamingMotifCounter counter(config);
+              const std::string label =
+                  std::string(name) + " seed=" + std::to_string(seed) +
+                  " batch=" + std::to_string(batch_size) +
+                  " budget=" + std::to_string(budget);
+              const std::vector<Event>& all = g.events();
+              for (std::size_t begin = 0; begin < all.size();
+                   begin += batch_size) {
+                const std::size_t end =
+                    std::min(all.size(), begin + batch_size);
+                counter.Ingest(std::vector<Event>(
+                    all.begin() + static_cast<std::ptrdiff_t>(begin),
+                    all.begin() + static_cast<std::ptrdiff_t>(end)));
+                ASSERT_FALSE(counter.store_active()) << label;
+                ASSERT_EQ(counter.store_approx_bytes(), 0u) << label;
+                const MotifCounts expected =
+                    CountMotifs(counter.window_graph(), options);
+                ASSERT_EQ(counter.counts().SortedByCode(),
+                          expected.SortedByCode())
+                    << label << " after " << end << " events: streaming="
+                    << DescribeCounts(counter.counts())
+                    << " batch=" << DescribeCounts(expected);
+              }
+              const IngestStats& stats = counter.stats();
+              EXPECT_EQ(stats.store_demotions_recount, 0u) << label;
+              EXPECT_EQ(stats.store_flip_batches, 0u) << label;
+              static_fallbacks += stats.static_fallbacks;
             }
-            const std::string label = std::string(c.name) + " seed=" +
-                                      std::to_string(seed) + " batch=" +
-                                      std::to_string(batch_size);
-            const IngestStats& stats = counter.stats();
-            EXPECT_LE(stats.full_recounts, 1u) << label;  // Startup only.
-            EXPECT_EQ(stats.static_fallbacks, 0u) << label;
-            totals.store_flip_batches += stats.store_flip_batches;
-            totals.store_order_rechecks += stats.store_order_rechecks;
           }
         });
-    EXPECT_GT(totals.store_flip_batches, 0u) << c.name;
-    if (c.expect_order_rechecks) {
-      EXPECT_GT(totals.store_order_rechecks, 0u) << c.name;
-    } else {
-      EXPECT_EQ(totals.store_order_rechecks, 0u) << c.name;
-    }
+    EXPECT_GT(static_fallbacks, 0u) << name;
   }
 }
 
@@ -969,14 +1009,12 @@ class GridCoverageEnvironment : public ::testing::Environment {
     EXPECT_GT(g_grid_stats.tie_corrections, 0u);
     EXPECT_GT(g_grid_stats.full_recounts, 0u);
     // Static-edge flips must exercise every handling path: the
-    // live-instance store (both retire and admit directions, plus the
-    // boundary order-revalidation sweeps of the consecutive/CDG + static
-    // cases), and — via the 1-byte-budget twin cases — the store-off
-    // window recount.
+    // live-instance store (both retire and admit directions), and — via
+    // the order-predicate cases and the 1-byte-budget twin cases — the
+    // store-off window recount.
     EXPECT_GT(g_grid_stats.store_flip_batches, 0u);
     EXPECT_GT(g_grid_stats.store_retired, 0u);
     EXPECT_GT(g_grid_stats.store_admitted, 0u);
-    EXPECT_GT(g_grid_stats.store_order_rechecks, 0u);
     EXPECT_GT(g_grid_stats.static_fallbacks, 0u);
   }
 };

@@ -10,7 +10,7 @@ Six classes of rot are caught:
      tmotif_stream) must appear in that tool's --help output.
   3. Missing required sections — load-bearing doc sections that code or
      tests reference by topic (the fast-path dispatch table, the batch
-     sink surface, the lifted store gates) must keep existing; a refactor
+     sink surface, which configs use the store) must keep existing; a refactor
      that drops one fails here instead of silently orphaning the
      references.
   4. A stale checkpoint version — docs/RESILIENCE.md must say "The
@@ -74,14 +74,12 @@ REQUIRED_SECTIONS = {
         "EmitBatch",
     ),
     "docs/STREAMING.md": (
-        "#### Lifted store gates: order predicates and k = 1",
-        "boundary revalidation",
-        "store_order_rechecks",
+        "#### Which configs use the store",
         "#### The store-off state",
     ),
     "docs/RESILIENCE.md": (
         "## Checkpoint format",
-        "Versions 2 and 3 are rejected",
+        "Versions 2 to 4 are rejected",
         "## Degradation state machine",
         "## Fault-point catalog",
         "stream.store_mode",

@@ -100,7 +100,10 @@ void Usage(const char* argv0, std::FILE* out = stderr) {
       "                      replay resumes after the checkpointed events\n"
       "  --store-budget=BYTES  instance-store memory budget; over it the\n"
       "                      store turns off until pressure clears\n"
-      "                      (0 = unlimited)\n",
+      "                      (0 = unlimited). Only configs with the store\n"
+      "                      take it: static inducedness (paranjape,\n"
+      "                      hulovatyy, --induced=static) without --cdg\n"
+      "                      or --consecutive\n",
       argv0);
 }
 
@@ -252,6 +255,13 @@ int Main(int argc, char** argv) {
   }
   StreamConfig config;
   if (!BuildModelOptions(args.model, &config.options)) return 2;
+  if (args.store_budget > 0 &&
+      !StreamingMotifCounter::UsesInstanceStore(config.options)) {
+    std::fprintf(stderr,
+                 "--store-budget needs a config with the instance store: "
+                 "static inducedness without --cdg or --consecutive\n");
+    return 2;
+  }
   if (args.window_seconds_set) {
     config.window = WindowPolicy::TimeBased(args.window_seconds);
   } else {
