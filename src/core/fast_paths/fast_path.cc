@@ -1,5 +1,6 @@
 #include "core/fast_paths/fast_path.h"
 
+#include "core/timing.h"
 #include "obs/metrics.h"
 
 namespace tmotif {
@@ -14,7 +15,14 @@ bool FastPathSupported(const EnumerationOptions& options) {
   if (options.consecutive_events_restriction || options.cdg_restriction) {
     return false;  // Order predicates need per-instance identity.
   }
-  if (options.timing.delta_c.has_value()) return false;  // Per-gap bound.
+  if (options.timing.delta_c.has_value()) {
+    // Per-gap bounds: exact when no duration stretches a gap and one bound
+    // implies the other (ClassifyTiming). Only dW binding, the counters
+    // ignore dC; only dC binding (k == 3), they bound each gap; at k == 2
+    // the one gap takes min(dC, dW). Where both bind the DFS prunes.
+    if (options.duration_aware_gaps) return false;
+    if (ClassifyTiming(options.timing, k) == TimingRegime::kBoth) return false;
+  }
   if (options.inducedness == Inducedness::kTemporalWindow) return false;
   if (options.inducedness == Inducedness::kStatic) {
     // 2-node scopes reduce to a per-pair direction-pattern filter, and the

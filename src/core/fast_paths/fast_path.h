@@ -23,11 +23,21 @@
 // its nodes, and range or filtered counts add the full-graph pairs the
 // window left without events so those triangles are still found.
 //
+// Timing (the Section 4.5 case analysis, core/timing.h): when only dW
+// binds, every counter bounds the timespan t_last - t_first; at k == 2 the
+// one gap is the timespan, bounded by min(dC, dW). When only dC binds at
+// k == 3 (dC <= dW / 2, or no dW), the counters bound each of the two gaps
+// instead: the sequence DP pairs in-dC predecessors with in-dC successors
+// of each middle event, and a star's or triangle's third event lies within
+// dC of its neighbour in time order — before or after the enumerated two
+// only when their own gap fits dC, so the enumeration stops at 2 * dC.
+//
 // Dispatch contract: callers must consult FastPathSupported(options) first;
 // the counters handle exactly the combinations it accepts and
 // TMOTIF_CHECK otherwise. The general DfsEngine remains the fallback for
-// everything else (dC gaps, order predicates, temporal-window inducedness,
-// static inducedness on 3-node wedges, k >= 4, instance caps).
+// everything else (dC and dW both binding at k == 3, duration-aware dC
+// gaps, order predicates, temporal-window inducedness, static inducedness
+// on 3-node wedges, k >= 4, instance caps).
 //
 // Range counting uses window differences: the set of instances with every
 // event inside [lo, N) shrinks monotonically as lo grows, so
@@ -56,6 +66,7 @@
 #include "common/types.h"
 #include "core/enumerate_core.h"
 #include "core/packed_table.h"
+#include "core/timing.h"
 #include "graph/event.h"
 
 namespace tmotif {
@@ -63,11 +74,13 @@ namespace internal {
 namespace fast_paths {
 
 /// True when the specialized counters handle `options` exactly: k <= 3, no
-/// instance cap, and for k >= 2 no order predicates (consecutive / CDG), no
-/// dC gap, and inducedness limited to kNone (2-node, or any shape at
-/// k <= 3 with max_nodes == 3) or kStatic with max_nodes == 2 or with
-/// k == max_nodes == 3 (Paranjape et al.'s shapes). k == 1 is always
-/// supported (every predicate is trivial or a per-event lookup).
+/// instance cap, and for k >= 2 no order predicates (consecutive / CDG), a
+/// dC gap only without duration-aware gaps and outside the both-binding
+/// regime (ClassifyTiming(timing, k) != kBoth), and inducedness limited to
+/// kNone (2-node, or any shape at k <= 3 with max_nodes == 3) or kStatic
+/// with max_nodes == 2 or with k == max_nodes == 3 (Paranjape et al.'s and
+/// Hulovatyy et al.'s shapes). k == 1 is always supported (every predicate
+/// is trivial or a per-event lookup).
 bool FastPathSupported(const EnumerationOptions& options);
 
 /// Telemetry: records which engine a counting call dispatched to, bumping
@@ -315,8 +328,11 @@ class WindowCounter {
   WindowCounter(const Graph& graph, const EnumerationOptions& opt)
       : graph_(graph),
         opt_(opt),
-        use_dw_(opt.timing.delta_w.has_value()),
-        dw_(use_dw_ ? *opt.timing.delta_w : 0),
+        per_gap_(opt.num_events == 3 && ClassifyTiming(opt.timing, 3) ==
+                                            TimingRegime::kOnlyDeltaC),
+        bounded_(opt.timing.delta_c.has_value() ||
+                 opt.timing.delta_w.has_value()),
+        reach_(Reach(opt.timing, per_gap_)),
         static_induced_(opt.inducedness == Inducedness::kStatic) {
     TMOTIF_CHECK(FastPathSupported(opt));
   }
@@ -449,8 +465,8 @@ class WindowCounter {
     std::size_t end;
     Timestamp t;
     std::uint64_t ndir[2];
-    /// Pair-timeline bounds: first index with time >= t - dw, first index
-    /// with time > t + dw.
+    /// Pair-timeline bounds: first index with time >= t - reach_, first
+    /// index with time > t + reach_.
     std::size_t lo_tm;
     std::size_t hi_tp;
   };
@@ -467,7 +483,7 @@ class WindowCounter {
   };
 
   /// Leg-timeline bounds of one (group, center): first index with time
-  /// >= t - dw / >= t / > t / > t + dw.
+  /// >= t - reach_ / >= t / > t / > t + reach_.
   struct CenterBounds {
     std::size_t lo_m;
     std::size_t lo_t;
@@ -477,6 +493,29 @@ class WindowCounter {
 
   static constexpr std::uint32_t kExcluded =
       std::numeric_limits<std::uint32_t>::max();
+
+  /// The one bound the counters apply (see the members): dC per gap, or
+  /// the tighter of the set bounds on the whole timespan.
+  static Timestamp Reach(const TimingConstraints& timing, bool per_gap) {
+    if (per_gap) return *timing.delta_c;
+    Timestamp reach = std::numeric_limits<Timestamp>::max();
+    if (timing.delta_c.has_value()) reach = std::min(reach, *timing.delta_c);
+    if (timing.delta_w.has_value()) reach = std::min(reach, *timing.delta_w);
+    return reach;
+  }
+
+  /// Latest last-event time of an instance whose first event is at `t`
+  /// (meaningful when bounded_): two gaps of reach_ per gap.
+  Timestamp SpanEnd(Timestamp t) const {
+    const Timestamp end = SatAdd(t, reach_);
+    return per_gap_ ? SatAdd(end, reach_) : end;
+  }
+
+  /// Earliest first-event time of an instance whose last event is at `t`.
+  Timestamp SpanBegin(Timestamp t) const {
+    const Timestamp begin = SatSub(t, reach_);
+    return per_gap_ ? SatSub(begin, reach_) : begin;
+  }
 
   /// Star totals per [d1][d2][center][pos][gdir]: the canonical code
   /// depends on nothing else (AddStarsTo).
@@ -635,8 +674,9 @@ class WindowCounter {
   /// times): completions for a group are taken against the pre-group
   /// window state, evictions pop whole front groups. c1[d] counts window
   /// events by direction; c2[d1][d2] counts ordered in-window event pairs
-  /// (only k == 3 maintains it). The dW window applies to the would-be
-  /// *first* event: older ones are evicted before completing.
+  /// (only k == 3 maintains it). The timespan window applies to the
+  /// would-be *first* event: older ones are evicted before completing.
+  /// Under a per-gap bound GapTriples counts instead.
   void PairDp(const Pair& pair, std::uint64_t g2[2][2],
               std::uint64_t g3[2][2][2]) {
     const Timestamp* T = pair_times_.data() + pair.begin;
@@ -645,59 +685,63 @@ class WindowCounter {
     const int k = opt_.num_events;
     std::uint64_t p2[2][2] = {};
     std::uint64_t p3[2][2][2] = {};
-    std::uint64_t c1[2] = {};
-    std::uint64_t c2[2][2] = {};
-    std::size_t wbegin = 0;
-    std::size_t i = 0;
-    while (i < n) {
-      std::size_t j = i + 1;
-      while (j < n && T[j] == T[i]) ++j;
-      const Timestamp t = T[i];
-      if (use_dw_) {
-        while (wbegin < i && T[wbegin] < SatSub(t, dw_)) {
-          std::size_t ge = wbegin + 1;
-          while (ge < i && T[ge] == T[wbegin]) ++ge;
-          std::uint64_t evicted[2] = {};
-          for (std::size_t x = wbegin; x < ge; ++x) ++evicted[D[x]];
-          c1[0] -= evicted[0];
-          c1[1] -= evicted[1];
-          if (k == 3) {
-            // Pairs starting in the evicted group end strictly later (ties
-            // were popped together), i.e. at events still in c1.
+    if (per_gap_) {
+      GapTriples(T, D, n, p3);
+    } else {
+      std::uint64_t c1[2] = {};
+      std::uint64_t c2[2][2] = {};
+      std::size_t wbegin = 0;
+      std::size_t i = 0;
+      while (i < n) {
+        std::size_t j = i + 1;
+        while (j < n && T[j] == T[i]) ++j;
+        const Timestamp t = T[i];
+        if (bounded_) {
+          while (wbegin < i && T[wbegin] < SatSub(t, reach_)) {
+            std::size_t ge = wbegin + 1;
+            while (ge < i && T[ge] == T[wbegin]) ++ge;
+            std::uint64_t evicted[2] = {};
+            for (std::size_t x = wbegin; x < ge; ++x) ++evicted[D[x]];
+            c1[0] -= evicted[0];
+            c1[1] -= evicted[1];
+            if (k == 3) {
+              // Pairs starting in the evicted group end strictly later (ties
+              // were popped together), i.e. at events still in c1.
+              for (int d1 = 0; d1 < 2; ++d1) {
+                for (int d2 = 0; d2 < 2; ++d2) {
+                  c2[d1][d2] -= evicted[d1] * c1[d2];
+                }
+              }
+            }
+            wbegin = ge;
+          }
+        }
+        std::uint64_t grp[2] = {};
+        for (std::size_t x = i; x < j; ++x) ++grp[D[x]];
+        if (k == 2) {
+          for (int de = 0; de < 2; ++de) {
+            for (int d1 = 0; d1 < 2; ++d1) {
+              p2[d1][de] += grp[de] * c1[d1];
+            }
+          }
+        } else {
+          for (int de = 0; de < 2; ++de) {
             for (int d1 = 0; d1 < 2; ++d1) {
               for (int d2 = 0; d2 < 2; ++d2) {
-                c2[d1][d2] -= evicted[d1] * c1[d2];
+                p3[d1][d2][de] += grp[de] * c2[d1][d2];
               }
             }
           }
-          wbegin = ge;
-        }
-      }
-      std::uint64_t grp[2] = {};
-      for (std::size_t x = i; x < j; ++x) ++grp[D[x]];
-      if (k == 2) {
-        for (int de = 0; de < 2; ++de) {
           for (int d1 = 0; d1 < 2; ++d1) {
-            p2[d1][de] += grp[de] * c1[d1];
-          }
-        }
-      } else {
-        for (int de = 0; de < 2; ++de) {
-          for (int d1 = 0; d1 < 2; ++d1) {
-            for (int d2 = 0; d2 < 2; ++d2) {
-              p3[d1][d2][de] += grp[de] * c2[d1][d2];
+            for (int de = 0; de < 2; ++de) {
+              c2[d1][de] += c1[d1] * grp[de];
             }
           }
         }
-        for (int d1 = 0; d1 < 2; ++d1) {
-          for (int de = 0; de < 2; ++de) {
-            c2[d1][de] += c1[d1] * grp[de];
-          }
-        }
+        c1[0] += grp[0];
+        c1[1] += grp[1];
+        i = j;
       }
-      c1[0] += grp[0];
-      c1[1] += grp[1];
-      i = j;
     }
     // Static inducedness: a 2-node instance's scope is the pair itself and
     // it must cover every full-graph static orientation, so the direction
@@ -724,6 +768,44 @@ class WindowCounter {
     }
   }
 
+  /// k == 3 sequences under a per-gap bound: each middle tie group [i, j)
+  /// at t pairs its predecessors in [t - reach_, t) with its successors in
+  /// (t, t + reach_], counted by direction between two monotone cursors:
+  /// `before` holds the events of [lo, i), `ahead` those of [i, hi).
+  void GapTriples(const Timestamp* T, const std::uint8_t* D, std::size_t n,
+                  std::uint64_t p3[2][2][2]) const {
+    std::uint64_t before[2] = {};
+    std::uint64_t ahead[2] = {};
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+    std::size_t i = 0;
+    while (i < n) {
+      std::size_t j = i + 1;
+      while (j < n && T[j] == T[i]) ++j;
+      const Timestamp t = T[i];
+      const Timestamp from = SatSub(t, reach_);
+      while (T[lo] < from) --before[D[lo++]];  // Stops at i: T[i] == t.
+      const Timestamp to = SatAdd(t, reach_);
+      while (hi < n && T[hi] <= to) ++ahead[D[hi++]];
+      std::uint64_t grp[2] = {};
+      for (std::size_t x = i; x < j; ++x) ++grp[D[x]];
+      const std::uint64_t after[2] = {ahead[0] - grp[0], ahead[1] - grp[1]};
+      for (int d1 = 0; d1 < 2; ++d1) {
+        if (!before[d1]) continue;
+        for (int d2 = 0; d2 < 2; ++d2) {
+          for (int de = 0; de < 2; ++de) {
+            p3[d1][d2][de] += before[d1] * grp[d2] * after[de];
+          }
+        }
+      }
+      for (int d = 0; d < 2; ++d) {
+        before[d] += grp[d];
+        ahead[d] -= grp[d];
+      }
+      i = j;
+    }
+  }
+
   /// Wedges: ordered cross-pair event pairs sharing one node, counted per
   /// center with the same tie-group-atomic sliding window; same-pair
   /// predecessors (2-node instances) are excluded by per-pair window
@@ -744,8 +826,8 @@ class WindowCounter {
         std::size_t j = i + 1;
         while (j < n && T[j] == T[i]) ++j;
         const Timestamp t = T[i];
-        if (use_dw_) {
-          while (wbegin < i && T[wbegin] < SatSub(t, dw_)) {
+        if (bounded_) {
+          while (wbegin < i && T[wbegin] < SatSub(t, reach_)) {
             --ctot[D[wbegin]];
             --wedge_pair_counts_[P[wbegin]][D[wbegin]];
             ++wbegin;
@@ -804,7 +886,7 @@ class WindowCounter {
   }
 
   /// Tie groups of `pair`'s timeline into star_groups_, with their
-  /// pair-timeline dW bounds.
+  /// pair-timeline reach_ bounds.
   void BuildStarGroups(const Pair& pair) {
     using detail::LowerIdx;
     using detail::UpperIdx;
@@ -822,8 +904,8 @@ class WindowCounter {
       g.ndir[0] = 0;
       g.ndir[1] = 0;
       for (std::size_t x = i; x < j; ++x) ++g.ndir[D[x]];
-      g.lo_tm = use_dw_ ? LowerIdx(T, n, SatSub(g.t, dw_)) : 0;
-      g.hi_tp = use_dw_ ? UpperIdx(T, n, SatAdd(g.t, dw_)) : n;
+      g.lo_tm = bounded_ ? LowerIdx(T, n, SatSub(g.t, reach_)) : 0;
+      g.hi_tp = bounded_ ? UpperIdx(T, n, SatAdd(g.t, reach_)) : n;
       star_groups_.push_back(g);
       i = j;
     }
@@ -839,7 +921,6 @@ class WindowCounter {
   void AccumulateStars(const Pair& pair, const Leg (&legs)[2],
                        bool minus_pair, bool subtract, StarCounts* stars) {
     using detail::LowerIdx;
-    using detail::SplitRangeByDir;
     using detail::UpperIdx;
     const std::size_t num_groups = star_groups_.size();
     star_bounds_.resize(num_groups * 2);  // Center-minor.
@@ -849,13 +930,31 @@ class WindowCounter {
       for (std::size_t g = 0; g < num_groups; ++g) {
         const Timestamp t = star_groups_[g].t;
         CenterBounds b;
-        b.lo_m = use_dw_ ? LowerIdx(leg.T, leg.n, SatSub(t, dw_)) : 0;
+        b.lo_m = bounded_ ? LowerIdx(leg.T, leg.n, SatSub(t, reach_)) : 0;
         b.lo_t = LowerIdx(leg.T, leg.n, t);
         b.up_t = UpperIdx(leg.T, leg.n, t);
-        b.up_p = use_dw_ ? UpperIdx(leg.T, leg.n, SatAdd(t, dw_)) : leg.n;
+        b.up_p =
+            bounded_ ? UpperIdx(leg.T, leg.n, SatAdd(t, reach_)) : leg.n;
         star_bounds_[g * 2 + static_cast<std::size_t>(c)] = b;
       }
     }
+    if (per_gap_) {
+      StarGroupPairs<true>(pair, legs, minus_pair, subtract, stars);
+    } else {
+      StarGroupPairs<false>(pair, legs, minus_pair, subtract, stars);
+    }
+  }
+
+  /// AccumulateStars' double loop over group pairs (P, Q) = (f1, f2), with
+  /// the one-event leg g's three ranges per timing regime: a timespan
+  /// bound reaches g before f1 (after f2) from f2 (f1); a per-gap bound
+  /// reaches it from f1 (f2), only when f1 -> f2 fits one gap itself, and
+  /// keeps g between them within reach_ of both.
+  template <bool kPerGap>
+  void StarGroupPairs(const Pair& pair, const Leg (&legs)[2],
+                      bool minus_pair, bool subtract, StarCounts* stars) {
+    using detail::SplitRangeByDir;
+    const std::size_t num_groups = star_groups_.size();
     const std::uint32_t* pair_prefix = pair_prefix_.data() + pair.begin;
     const bool mixed_only = pair.bidirectional;
     // Unsigned weights: subtracting is adding the two's complement, and
@@ -863,9 +962,13 @@ class WindowCounter {
     const std::uint64_t sign = subtract ? ~std::uint64_t{0} : 1;
     for (std::size_t gp = 0; gp + 1 < num_groups; ++gp) {
       const TieGroup& P = star_groups_[gp];
+      const Timestamp last = SpanEnd(P.t);
       for (std::size_t gq = gp + 1; gq < num_groups; ++gq) {
         const TieGroup& Q = star_groups_[gq];
-        if (use_dw_ && Q.t > SatAdd(P.t, dw_)) break;
+        if (bounded_ && Q.t > last) break;
+        const bool outer = !kPerGap || Q.t <= SatAdd(P.t, reach_);
+        const TieGroup& B = kPerGap ? P : Q;
+        const TieGroup& A = kPerGap ? Q : P;
         const std::uint64_t m[2][2] = {
             {mixed_only ? 0 : sign * P.ndir[0] * Q.ndir[0],
              sign * P.ndir[0] * Q.ndir[1]},
@@ -876,15 +979,21 @@ class WindowCounter {
           if (leg.n == 0) continue;
           const CenterBounds& bp = star_bounds_[gp * 2 + c];
           const CenterBounds& bq = star_bounds_[gq * 2 + c];
-          // g strictly before f1 (within f2's window) / strictly between
-          // / strictly after f2 (within f1's window).
-          const std::size_t ni[3][2] = {{bq.lo_m, bp.lo_t},
-                                        {bp.up_t, bq.lo_t},
-                                        {bq.up_t, bp.up_p}};
-          const std::size_t pi[3][2] = {{Q.lo_tm, P.begin},
-                                        {P.end, Q.begin},
-                                        {Q.end, P.hi_tp}};
+          const CenterBounds& bb = kPerGap ? bp : bq;
+          const CenterBounds& ba = kPerGap ? bq : bp;
+          // g strictly before f1 / strictly between / strictly after f2.
+          const std::size_t ni[3][2] = {
+              {bb.lo_m, bp.lo_t},
+              {kPerGap ? std::max(bp.up_t, bq.lo_m) : bp.up_t,
+               kPerGap ? std::min(bq.lo_t, bp.up_p) : bq.lo_t},
+              {bq.up_t, ba.up_p}};
+          const std::size_t pi[3][2] = {
+              {B.lo_tm, P.begin},
+              {kPerGap ? std::max(P.end, Q.lo_tm) : P.end,
+               kPerGap ? std::min(Q.begin, P.hi_tp) : Q.begin},
+              {Q.end, A.hi_tp}};
           for (int pos = 0; pos < 3; ++pos) {
+            if (pos != 1 && !outer) continue;
             // cnt[gdir]: leg events in the range with the center as src
             // (gdir 1) or as dst (gdir 0).
             std::uint64_t cnt[2];
@@ -1028,7 +1137,11 @@ class WindowCounter {
           if (w > ab.hi && (!static_induced_ || (countable(pab) &&
                                                  countable(paw) &&
                                                  countable(pbw)))) {
-            CountOneTriangle(pab, paw, pbw, raw);
+            if (per_gap_) {
+              CountOneTriangle<true>(pab, paw, pbw, raw);
+            } else {
+              CountOneTriangle<false>(pab, paw, pbw, raw);
+            }
           }
           if (remove_stars) {
             if (!groups_built) {
@@ -1061,6 +1174,9 @@ class WindowCounter {
     }
   }
 
+  /// One static triangle's instances. Ranges of z per timing regime as in
+  /// StarGroupPairs, with x and y in the roles of f1 and f2.
+  template <bool kPerGap>
   void CountOneTriangle(std::uint32_t pab, std::uint32_t pac,
                         std::uint32_t pbc, std::uint64_t* raw) {
     using detail::LowerIdx;
@@ -1097,8 +1213,8 @@ class WindowCounter {
     const std::size_t nz = size(rz);
     for (std::size_t xi = 0; xi < nx; ++xi) {
       const Timestamp tx = TX[xi];
-      const std::size_t y0 = use_dw_ ? LowerIdx(TY, ny, SatSub(tx, dw_)) : 0;
-      const std::size_t y1 = use_dw_ ? UpperIdx(TY, ny, SatAdd(tx, dw_)) : ny;
+      const std::size_t y0 = bounded_ ? LowerIdx(TY, ny, SpanBegin(tx)) : 0;
+      const std::size_t y1 = bounded_ ? UpperIdx(TY, ny, SpanEnd(tx)) : ny;
       for (std::size_t yi = y0; yi < y1; ++yi) {
         const Timestamp ty = TY[yi];
         if (ty == tx) continue;
@@ -1109,17 +1225,24 @@ class WindowCounter {
         const int xd = DX[xi] == 0 ? rx.hi_sym : rx.lo_sym;
         const int ys = DY[yi] == 0 ? ry.lo_sym : ry.hi_sym;
         const int yd = DY[yi] == 0 ? ry.hi_sym : ry.lo_sym;
+        const bool outer = !kPerGap || tmax <= SatAdd(tmin, reach_);
+        const Timestamp before_from = kPerGap ? tmin : tmax;
+        const Timestamp after_from = kPerGap ? tmax : tmin;
         for (int pos = 0; pos < 3; ++pos) {
+          if (pos != 1 && !outer) continue;
           std::size_t z0, z1;
-          if (pos == 0) {  // z strictly before both, within tmax's window.
-            z0 = use_dw_ ? LowerIdx(TZ, nz, SatSub(tmax, dw_)) : 0;
+          if (pos == 0) {  // z strictly before both.
+            z0 = bounded_ ? LowerIdx(TZ, nz, SatSub(before_from, reach_)) : 0;
             z1 = LowerIdx(TZ, nz, tmin);
-          } else if (pos == 1) {  // z strictly between.
+          } else if (pos == 1 && !kPerGap) {  // z strictly between.
             z0 = UpperIdx(TZ, nz, tmin);
             z1 = LowerIdx(TZ, nz, tmax);
-          } else {  // z strictly after both, within tmin's window.
+          } else if (pos == 1) {  // Strictly between, within reach_ of both.
+            z0 = LowerIdx(TZ, nz, std::max(tmin + 1, SatSub(tmax, reach_)));
+            z1 = UpperIdx(TZ, nz, std::min(tmax - 1, SatAdd(tmin, reach_)));
+          } else {  // z strictly after both.
             z0 = UpperIdx(TZ, nz, tmax);
-            z1 = use_dw_ ? UpperIdx(TZ, nz, SatAdd(tmin, dw_)) : nz;
+            z1 = bounded_ ? UpperIdx(TZ, nz, SatAdd(after_from, reach_)) : nz;
           }
           if (z1 <= z0) continue;
           std::uint64_t by_dir[2];  // z events per dir.
@@ -1153,8 +1276,14 @@ class WindowCounter {
 
   const Graph& graph_;
   const EnumerationOptions& opt_;
-  const bool use_dw_;
-  const Timestamp dw_;
+  /// Timing as FastPathSupported admits it. With `per_gap_` (k == 3, only
+  /// dC binds) reach_ = dC bounds each gap between consecutive events;
+  /// otherwise reach_ bounds the whole timespan: dW, or min(dC, dW) (at
+  /// k == 2 the one gap is the timespan; at k == 3 only dW binds when dC
+  /// is set). `bounded_`: some bound is set.
+  const bool per_gap_;
+  const bool bounded_;
+  const Timestamp reach_;
   const bool static_induced_;
 
 

@@ -1,6 +1,7 @@
 #include "core/timing.h"
 
 #include <cstdio>
+#include <limits>
 
 #include "common/check.h"
 
@@ -69,13 +70,17 @@ TimingRegime ClassifyTiming(const TimingConstraints& timing, int num_events) {
   const Timestamp dc = *timing.delta_c;
   const Timestamp dw = *timing.delta_w;
   if (dc >= dw) return TimingRegime::kOnlyDeltaW;
-  if (dc * (num_events - 1) <= dw) return TimingRegime::kOnlyDeltaC;
+  // dC * (m - 1) <= dW, exactly: the product may not fit a Timestamp.
+  if (dc <= dw / (num_events - 1)) return TimingRegime::kOnlyDeltaC;
   return TimingRegime::kBoth;
 }
 
 Timestamp LooseWindowBound(Timestamp delta_c, int num_events) {
   TMOTIF_CHECK(num_events >= 1);
-  return delta_c * (num_events - 1);
+  const Timestamp gaps = num_events - 1;
+  constexpr Timestamp kMax = std::numeric_limits<Timestamp>::max();
+  if (gaps > 0 && delta_c > kMax / gaps) return kMax;
+  return delta_c * gaps;
 }
 
 }  // namespace tmotif

@@ -43,10 +43,12 @@ const char* TimingRegimeName(TimingRegime regime);
 
 /// Classifies a constraint pair for motifs with `num_events` events.
 /// When only one constraint is set, returns the corresponding only-regime.
+/// Exact for every pair of bounds: dC * (m - 1) is never formed.
 TimingRegime ClassifyTiming(const TimingConstraints& timing, int num_events);
 
 /// The loose bound dC * (m - 1) implied on the whole motif window by the
-/// consecutive-gap constraint.
+/// consecutive-gap constraint, saturated at the largest Timestamp. A
+/// saturated value is no bound: a motif's timespan may exceed it.
 Timestamp LooseWindowBound(Timestamp delta_c, int num_events);
 
 }  // namespace tmotif

@@ -10,6 +10,7 @@
 #include "core/fast_paths/fast_path.h"
 #include "core/packed_table.h"
 #include "core/parallel.h"
+#include "core/timing.h"
 #include "obs/trace.h"
 
 namespace tmotif {
@@ -231,15 +232,10 @@ std::optional<Timestamp> StreamingMotifCounter::SpanBound() const {
     if (options().duration_aware_gaps) {
       // Gaps are measured from event end times, so each may stretch by the
       // longest duration ever seen (conservative but safe).
-      if (per_gap >
-          std::numeric_limits<Timestamp>::max() - max_duration_seen_) {
-        return bound;
-      }
-      per_gap += max_duration_seen_;
+      per_gap = SatAdd(per_gap, max_duration_seen_);
     }
-    const Timestamp gaps = options().num_events - 1;
-    if (per_gap > std::numeric_limits<Timestamp>::max() / gaps) return bound;
-    const Timestamp loose = per_gap * gaps;
+    const Timestamp loose = LooseWindowBound(per_gap, options().num_events);
+    if (loose == std::numeric_limits<Timestamp>::max()) return bound;
     bound = bound.has_value() ? std::min(*bound, loose) : loose;
   }
   return bound;
@@ -481,7 +477,8 @@ void StreamingMotifCounter::PublishTelemetry() {
   metrics.store_entries->Set(static_cast<std::int64_t>(store_.size()));
   metrics.store_bytes->Set(
       static_cast<std::int64_t>(store_active() ? store_.ApproxBytes() : 0));
-  metrics.store_mode->Set(static_cast<std::int64_t>(store_mode_));
+  metrics.store_mode->Set(uses_store_ ? static_cast<std::int64_t>(store_mode_)
+                                      : kNoStoreModeGauge);
 }
 
 void StreamingMotifCounter::IngestOrdered(const std::vector<Event>& batch) {

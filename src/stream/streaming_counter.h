@@ -31,6 +31,11 @@ enum class StoreMode : std::uint8_t {
   kRecount = 2,
 };
 
+/// `stream.store_mode` gauge value of a counter whose config keeps no store
+/// (StreamingMotifCounter::UsesInstanceStore is false). No StoreMode takes
+/// it, and the checkpoint byte never holds it.
+inline constexpr std::int64_t kNoStoreModeGauge = 1;
+
 /// Configuration of a streaming motif counter.
 struct StreamConfig {
   /// Motif model of the maintained counts. Any option set the batch stack

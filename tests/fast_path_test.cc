@@ -96,7 +96,9 @@ std::ostream& operator<<(std::ostream& os, const FastPathCase& c) {
 /// 2-node event-sequence DP (max_nodes == 2), the wedge/star/triangle
 /// counters (k == 3, max_nodes == 3, also under static inducedness), the
 /// k <= 2 closed forms, and the k == 1 trivial paths where even
-/// inducedness is a per-event lookup.
+/// inducedness is a per-event lookup — each under a timespan bound (dW,
+/// or min(dC, dW) at k == 2) and, at k == 3, under a per-gap dC bound
+/// (Hulovatyy et al.'s preset, and dC <= dW / 2 where dW is implied).
 const std::vector<FastPathCase> DispatchedCases() {
   return {
       {"k1_vanilla", Opts(1, 2)},
@@ -105,12 +107,18 @@ const std::vector<FastPathCase> DispatchedCases() {
       {"k2_pair_unbounded", Opts(2, 2)},
       {"k2_pair_dw", Opts(2, 2, TimingConstraints::OnlyDeltaW(8))},
       {"k2_pair_static", Opts(2, 2, {}, Inducedness::kStatic)},
+      {"k2_pair_dc", Opts(2, 2, TimingConstraints::OnlyDeltaC(5))},
       {"k2_n3_unbounded", Opts(2, 3)},
       {"k2_n3_dw", Opts(2, 3, TimingConstraints::OnlyDeltaW(10))},
+      {"k2_n3_dc", Opts(2, 3, TimingConstraints::OnlyDeltaC(6))},
+      {"k2_n3_dc_dw", Opts(2, 3, TimingConstraints::Both(4, 9))},
       {"k3_pair_unbounded", Opts(3, 2)},
       {"k3_pair_dw", Opts(3, 2, TimingConstraints::OnlyDeltaW(8))},
       {"k3_pair_static_dw",
        Opts(3, 2, TimingConstraints::OnlyDeltaW(8), Inducedness::kStatic)},
+      {"k3_pair_dc", Opts(3, 2, TimingConstraints::OnlyDeltaC(4))},
+      {"k3_pair_static_dc",
+       Opts(3, 2, TimingConstraints::OnlyDeltaC(4), Inducedness::kStatic)},
       {"k3_n3_unbounded", Opts(3, 3)},
       {"k3_n3_dw_tight", Opts(3, 3, TimingConstraints::OnlyDeltaW(6))},
       {"k3_n3_dw_loose", Opts(3, 3, TimingConstraints::OnlyDeltaW(25))},
@@ -119,6 +127,17 @@ const std::vector<FastPathCase> DispatchedCases() {
        Opts(3, 3, TimingConstraints::OnlyDeltaW(6), Inducedness::kStatic)},
       {"k3_n3_static_dw_loose",
        Opts(3, 3, TimingConstraints::OnlyDeltaW(25), Inducedness::kStatic)},
+      {"k3_n3_dc_tight", Opts(3, 3, TimingConstraints::OnlyDeltaC(3))},
+      {"k3_n3_dc_loose", Opts(3, 3, TimingConstraints::OnlyDeltaC(12))},
+      {"k3_n3_static_dc_tight",
+       Opts(3, 3, TimingConstraints::OnlyDeltaC(3), Inducedness::kStatic)},
+      {"k3_n3_static_dc_loose",
+       Opts(3, 3, TimingConstraints::OnlyDeltaC(12), Inducedness::kStatic)},
+      // dC <= dW / 2: only dC binds. dC >= dW: only dW binds.
+      {"k3_n3_dc_implied_dw", Opts(3, 3, TimingConstraints::Both(4, 8))},
+      {"k3_n3_dw_implied_dc", Opts(3, 3, TimingConstraints::Both(9, 6))},
+      {"k3_n3_static_dc_implied_dw",
+       Opts(3, 3, TimingConstraints::Both(5, 11), Inducedness::kStatic)},
   };
 }
 
@@ -250,19 +269,18 @@ TEST(FastPathReuse, ReusedCounterMatchesFreshCounterAndGenericEngine) {
     for (int max_nodes = 2; max_nodes <= 3; ++max_nodes) {
       for (const Inducedness induced :
            {Inducedness::kNone, Inducedness::kStatic}) {
-        for (const bool dw : {false, true}) {
+        for (const TimingConstraints& timing :
+             {TimingConstraints{}, TimingConstraints::OnlyDeltaW(7),
+              TimingConstraints::OnlyDeltaC(6)}) {
           if (max_nodes > k + 1) continue;
-          const EnumerationOptions o = Opts(
-              k, max_nodes,
-              dw ? TimingConstraints::OnlyDeltaW(7) : TimingConstraints{},
-              induced);
+          const EnumerationOptions o = Opts(k, max_nodes, timing, induced);
           if (internal::fast_paths::FastPathSupported(o)) combos.push_back(o);
         }
       }
     }
   }
   // All but static inducedness on 3-node wedges (k == 2).
-  ASSERT_EQ(combos.size(), 18u);
+  ASSERT_EQ(combos.size(), 27u);
 
   int calls = 0;
   int nonzero = 0;
@@ -294,7 +312,7 @@ TEST(FastPathReuse, ReusedCounterMatchesFreshCounterAndGenericEngine) {
                   " k=" + std::to_string(o.num_events) +
                   " n=" + std::to_string(o.max_nodes) + " static=" +
                   std::to_string(o.inducedness == Inducedness::kStatic) +
-                  " dw=" + std::to_string(o.timing.delta_w.has_value()) +
+                  " " + o.timing.ToString() +
                   " step=" + std::to_string(step) + " [" +
                   std::to_string(lo) + "," + std::to_string(hi) +
                   ") filtered=" + std::to_string(filtered);
@@ -337,7 +355,8 @@ TEST(FastPathStatic, RangeCountSeesThirdPairOutsideTheRange) {
 // plain t - t0 wraps, and an unsaturated dW test keeps events 2^64 - 21
 // apart in one window (k = 2 pairs and wedges, k = 3 stars, with and
 // without static inducedness). Near the top the legitimate instances —
-// a pair, a star and a static triangle — have t0 + dW past INT64_MAX.
+// a pair, a star and a static triangle — have t0 + dW past INT64_MAX. The
+// per-gap dC bounds saturate the same way (t + dC past INT64_MAX).
 TEST(FastPathSaturation, TimestampsSpanningTheSignedRange) {
   constexpr Timestamp kMin = std::numeric_limits<Timestamp>::min();
   constexpr Timestamp kMax = std::numeric_limits<Timestamp>::max();
@@ -346,11 +365,13 @@ TEST(FastPathSaturation, TimestampsSpanningTheSignedRange) {
                                            {0, 1, kMax - 15},
                                            {0, 2, kMax - 10},
                                            {0, 1, kMax - 5},
+                                           {0, 1, kMax - 1},
                                            {3, 4, kMin + 3},
                                            {3, 4, kMax - 12},
                                            {4, 5, kMax - 8},
                                            {5, 3, kMax - 3}});
   const TimingConstraints dw = TimingConstraints::OnlyDeltaW(20);
+  const TimingConstraints dc = TimingConstraints::OnlyDeltaC(10);
   const struct {
     const char* name;
     EnumerationOptions options;
@@ -359,6 +380,10 @@ TEST(FastPathSaturation, TimestampsSpanningTheSignedRange) {
       {"k2_n3", Opts(2, 3, dw)},
       {"k3_n3", Opts(3, 3, dw)},
       {"k3_n3_static", Opts(3, 3, dw, Inducedness::kStatic)},
+      {"k2_pair_dc", Opts(2, 2, dc)},
+      {"k3_pair_dc", Opts(3, 2, dc)},
+      {"k3_n3_dc", Opts(3, 3, dc)},
+      {"k3_n3_static_dc", Opts(3, 3, dc, Inducedness::kStatic)},
   };
   for (const auto& config : configs) {
     ASSERT_TRUE(internal::fast_paths::FastPathSupported(config.options))
@@ -383,6 +408,28 @@ TEST(FastPathSaturation, TimestampsSpanningTheSignedRange) {
   EXPECT_EQ(CountMotifs(pair, song).total(), 0u);
   EXPECT_EQ(ForcedGenericCount(pair, song, 0, 2).total(), 0u);
   EXPECT_EQ(ReferenceCountMotifs(pair, song).total(), 0u);
+
+  // Two gaps of dC = 3 * 2^61 span 3 * 2^62 > INT64_MAX: a star and a
+  // triangle whose first and last events are further apart than any
+  // saturated 2 * dC reaches.
+  constexpr Timestamp kGap = Timestamp{3} << 61;
+  const TemporalGraph wide = GraphFromEvents({{0, 1, kMin + 5},
+                                              {6, 7, kMin + 5},
+                                              {0, 2, kMin + 5 + kGap},
+                                              {7, 8, kMin + 5 + kGap},
+                                              {0, 1, kMin + 5 + kGap + kGap},
+                                              {8, 6, kMin + 5 + kGap + kGap}});
+  for (const Inducedness induced : {Inducedness::kNone, Inducedness::kStatic}) {
+    const EnumerationOptions o =
+        Opts(3, 3, TimingConstraints::OnlyDeltaC(kGap), induced);
+    ASSERT_TRUE(internal::fast_paths::FastPathSupported(o));
+    const MotifCounts fast = CountMotifs(wide, o);
+    EXPECT_EQ(fast.total(), 2u) << Describe(fast);
+    EXPECT_EQ(fast.SortedByCode(),
+              ForcedGenericCount(wide, o, 0, wide.num_events()).SortedByCode());
+    EXPECT_EQ(fast.SortedByCode(),
+              ReferenceCountMotifs(wide, o).SortedByCode());
+  }
 }
 
 // Dispatch-coverage guard: the grid above is only meaningful while these
@@ -396,9 +443,21 @@ TEST(FastPathDispatch, SupportedAndUnsupportedCombinations) {
 
   // k >= 4 never dispatches.
   EXPECT_FALSE(internal::fast_paths::FastPathSupported(Opts(4, 4)));
-  // dC gaps require the DFS gap pruning.
-  EXPECT_FALSE(internal::fast_paths::FastPathSupported(
+  // A dC gap dispatches unless both bounds bind (dW / 2 < dC < dW at
+  // k == 3; never at k == 2) or durations stretch the gaps.
+  EXPECT_TRUE(internal::fast_paths::FastPathSupported(
       Opts(3, 3, TimingConstraints::OnlyDeltaC(5))));
+  EXPECT_FALSE(internal::fast_paths::FastPathSupported(
+      Opts(3, 3, TimingConstraints::Both(5, 7))));
+  EXPECT_TRUE(internal::fast_paths::FastPathSupported(
+      Opts(2, 3, TimingConstraints::Both(5, 7))));
+  // 2 * 2^62 overflows a Timestamp: dW = 2^62 + 1 still binds.
+  EXPECT_FALSE(internal::fast_paths::FastPathSupported(Opts(
+      3, 3, TimingConstraints::Both(Timestamp{1} << 62,
+                                    (Timestamp{1} << 62) + 1))));
+  EnumerationOptions durations = Opts(3, 3, TimingConstraints::OnlyDeltaC(5));
+  durations.duration_aware_gaps = true;
+  EXPECT_FALSE(internal::fast_paths::FastPathSupported(durations));
   // Order predicates are DFS-only.
   EnumerationOptions consec = Opts(3, 3);
   consec.consecutive_events_restriction = true;
@@ -415,9 +474,14 @@ TEST(FastPathDispatch, SupportedAndUnsupportedCombinations) {
       Opts(3, 3, {}, Inducedness::kStatic)));
   EXPECT_FALSE(internal::fast_paths::FastPathSupported(
       Opts(2, 3, {}, Inducedness::kStatic)));
-  // ... and so does static inducedness with a dC gap (Hulovatyy et al.).
-  EXPECT_FALSE(internal::fast_paths::FastPathSupported(
+  // Static inducedness with a dC gap (Hulovatyy et al.) is a k == 3
+  // star-and-triangle shape like Paranjape et al.'s.
+  EXPECT_TRUE(internal::fast_paths::FastPathSupported(
       Opts(3, 3, TimingConstraints::OnlyDeltaC(5), Inducedness::kStatic)));
+  EXPECT_TRUE(internal::fast_paths::FastPathSupported(OptionsForModel(
+      ModelId::kHulovatyy, 3, 3, /*delta_c=*/1500, /*delta_w=*/0)));
+  EXPECT_TRUE(internal::fast_paths::FastPathSupported(
+      Opts(3, 3, TimingConstraints::Both(1500, 3000))));
   // Instance caps imply early termination, which totals-only counters
   // cannot honor.
   EnumerationOptions capped = Opts(3, 3);

@@ -240,7 +240,7 @@ TEST(ParallelDispatch, ThreadedGenericConfigDispatchesGenericOnce) {
   const TemporalGraph g = TestGraph(3);
   ASSERT_GE(g.num_events(), kMinParallelEvents);
   const EnumerationOptions o = OptionsForModel(
-      ModelId::kHulovatyy, /*num_events=*/3, /*max_nodes=*/3, /*delta_c=*/600,
+      ModelId::kKovanen, /*num_events=*/3, /*max_nodes=*/3, /*delta_c=*/600,
       /*delta_w=*/0);
   const std::uint64_t fast_before = CounterValue("counting.dispatch_fastpath");
   const std::uint64_t generic_before =

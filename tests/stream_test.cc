@@ -237,6 +237,12 @@ INSTANTIATE_TEST_SUITE_P(
         StreamCase{"vanilla_unbounded", Opts(2, 3), SmallSpec()},
         StreamCase{"vanilla_dc_dw", Opts(3, 3, TimingConstraints::Both(8, 12)),
                    SmallSpec()},
+        // dC on the fast path: without a store every batch takes its
+        // deltas; with dC <= dW / 2 only dC binds.
+        StreamCase{"vanilla_dc", Opts(3, 3, TimingConstraints::OnlyDeltaC(8)),
+                   DenseSpec()},
+        StreamCase{"vanilla_dc_implied_dw",
+                   Opts(3, 3, TimingConstraints::Both(6, 12)), SmallSpec()},
         StreamCase{"consecutive_unbounded", Opts(3, 3, {}, true), DenseSpec()},
         StreamCase{"cdg_dc",
                    Opts(3, 3, TimingConstraints::OnlyDeltaC(10), false, true),
@@ -256,6 +262,9 @@ INSTANTIATE_TEST_SUITE_P(
                    DenseSpec(), 8, /*store_budget_bytes=*/1},
         StreamCase{"paranjape_tight_degraded",
                    OptionsForModel(ModelId::kParanjape, 3, 3, 0, 8),
+                   DenseSpec(), 6, /*store_budget_bytes=*/1},
+        StreamCase{"hulovatyy_tight_degraded",
+                   OptionsForModel(ModelId::kHulovatyy, 3, 3, 6, 0),
                    DenseSpec(), 6, /*store_budget_bytes=*/1},
         StreamCase{"duration_aware_dc",
                    Opts(3, 3, TimingConstraints::OnlyDeltaC(10), false, false,
@@ -290,8 +299,9 @@ INSTANTIATE_TEST_SUITE_P(
 // is the one streaming path split over StreamConfig::num_threads. Full
 // window turnovers recount windows above internal::kMinParallelEvents with
 // 4 threads, both without a store (Kovanen) and with the store turned off
-// by a 1-byte budget (Paranjape); after every batch the counts must equal
-// a serial counter's, and every such recount must have spawned shards.
+// by a 1-byte budget (static inducedness where dC and dW both bind); after
+// every batch the counts must equal a serial counter's, and every such
+// recount must have spawned shards.
 TEST(StreamingMotifCounter, ThreadedWindowRecountMatchesSerial) {
   const std::size_t kWindow =
       static_cast<std::size_t>(internal::kMinParallelEvents) + 64;
@@ -306,10 +316,10 @@ TEST(StreamingMotifCounter, ThreadedWindowRecountMatchesSerial) {
   };
   const Case cases[] = {
       {"kovanen", Opts(3, 3, TimingConstraints::OnlyDeltaC(12), true), 0},
-      // Static inducedness with a dC gap (Hulovatyy et al.) stays off the
-      // fast path, so its store-off recount still spawns shards.
-      {"hulovatyy_store_off",
-       Opts(3, 3, TimingConstraints::OnlyDeltaC(12), false, false,
+      // Static inducedness with dC and dW both binding stays off the fast
+      // path, so its store-off recount still spawns shards.
+      {"static_both_store_off",
+       Opts(3, 3, TimingConstraints::Both(12, 18), false, false,
             Inducedness::kStatic),
        1},
   };
@@ -359,6 +369,23 @@ TEST(StreamingMotifCounter, ThreadedWindowRecountMatchesSerial) {
       EXPECT_GE(threaded_recounts, 2) << c.name << " seed=" << seed;
     });
   }
+}
+
+// The stream.store_mode gauge tells a config without a store (Song et
+// al.'s) from one whose store is on (Hulovatyy et al.'s): 1 and 0.
+TEST(StreamingMotifCounter, StoreModeGaugeTellsNoStoreFromStoreOn) {
+  obs::Gauge* const mode = obs::GlobalMetrics().GetGauge("stream.store_mode");
+  const std::vector<Event> events = {{0, 1, 1}, {1, 2, 2}, {2, 0, 3}};
+  StreamConfig config;
+  config.options = OptionsForModel(ModelId::kSong, 3, 3, 0, 8);
+  StreamingMotifCounter song(config);
+  ASSERT_FALSE(StreamingMotifCounter::UsesInstanceStore(config.options));
+  song.Ingest(events);
+  EXPECT_EQ(mode->Value(), kNoStoreModeGauge);
+  config.options = OptionsForModel(ModelId::kHulovatyy, 3, 3, 8, 0);
+  StreamingMotifCounter hulovatyy(config);
+  hulovatyy.Ingest(events);
+  EXPECT_EQ(mode->Value(), static_cast<std::int64_t>(StoreMode::kFull));
 }
 
 // Paranjape et al.'s model (static inducedness, dW) is a fast-path config:

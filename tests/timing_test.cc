@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace tmotif {
 namespace {
 
@@ -73,11 +75,37 @@ TEST(ClassifyTiming, DeltaCLargerThanDeltaWIsOnlyDeltaW) {
             TimingRegime::kOnlyDeltaW);
 }
 
+// dC * (m - 1) need not fit a Timestamp: the classification compares
+// without forming it (the fast-path gate reads it, so a wrapped product
+// would drop a binding dW), and the loose bound saturates.
+TEST(ClassifyTiming, ExactWhereDeltaCTimesGapsOverflows) {
+  constexpr Timestamp k62 = Timestamp{1} << 62;
+  constexpr Timestamp kMax = std::numeric_limits<Timestamp>::max();
+  EXPECT_EQ(ClassifyTiming(TimingConstraints::Both(k62, k62 + 1), 3),
+            TimingRegime::kBoth);
+  // 2 * 2^62 = kMax + 1: dW = kMax still binds.
+  EXPECT_EQ(ClassifyTiming(TimingConstraints::Both(k62, kMax), 3),
+            TimingRegime::kBoth);
+  EXPECT_EQ(ClassifyTiming(TimingConstraints::Both(k62 - 1, kMax), 3),
+            TimingRegime::kOnlyDeltaC);
+  EXPECT_EQ(ClassifyTiming(TimingConstraints::Both(kMax - 1, kMax), 2),
+            TimingRegime::kOnlyDeltaC);
+}
+
 TEST(LooseWindowBound, MatchesFormula) {
   // (|E'| - 1) * dC.
   EXPECT_EQ(LooseWindowBound(1500, 3), 3000);
   EXPECT_EQ(LooseWindowBound(1000, 4), 3000);
   EXPECT_EQ(LooseWindowBound(500, 1), 0);
+}
+
+TEST(LooseWindowBound, SaturatesAtTheLargestTimestamp) {
+  constexpr Timestamp k62 = Timestamp{1} << 62;
+  constexpr Timestamp kMax = std::numeric_limits<Timestamp>::max();
+  EXPECT_EQ(LooseWindowBound(k62, 3), kMax);
+  EXPECT_EQ(LooseWindowBound(kMax, 4), kMax);
+  EXPECT_EQ(LooseWindowBound(k62 - 1, 3), kMax - 1);
+  EXPECT_EQ(LooseWindowBound(kMax, 2), kMax);
 }
 
 TEST(TimingRegimeName, Names) {

@@ -63,7 +63,8 @@ REQUIRED_SECTIONS = {
     "docs/PERFORMANCE.md": (
         "## Specialized k ≤ 3 counting fast paths (core/fast_paths/)",
         "### The dispatch table",
-        "| k = 3, `max_nodes == 3`, kStatic, no dC (Paranjape et al.) | yes |",
+        "| k = 3, `max_nodes == 3`, kStatic (Paranjape et al.; "
+        "Hulovatyy et al.) | yes | yes (per gap) | no — DFS |",
         "batch sink surface",
         "window-difference identity",
         "## Performance gate (tools/pipebench_gate.py)",
@@ -114,10 +115,10 @@ STREAM_METRICS_ARGS = ("--model=paranjape", "--k=3", "--dw=600",
                        "--window-events=8", "--batch=2", "--metrics-out=-",
                        "--metrics-format=jsonl")
 # The two counts whose metrics dumps, together, register every counting.*
-# metric: Paranjape et al. runs the k <= 3 fast path, Hulovatyy et al.
-# (static inducedness with dC) the DFS engine.
+# metric: Paranjape et al. runs the k <= 3 fast path, Kovanen et al.
+# (consecutive events, an order predicate) the DFS engine.
 COUNTING_METRICS_RUNS = (("--model=paranjape", "--k=3", "--dw=600"),
-                         ("--model=hulovatyy", "--k=3", "--dc=300"))
+                         ("--model=kovanen", "--k=3", "--dc=300"))
 
 
 def find_markdown_files(root):
