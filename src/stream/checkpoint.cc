@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <utility>
@@ -333,6 +334,15 @@ CheckpointResult DecodeCheckpoint(const std::string& bytes,
     return Fail(CheckpointStatus::kMalformed,
                 "window events without saw_any_event");
   }
+  // The window must be one the policy can leave behind: at most the
+  // count-based capacity, and (below) every event inside the time-based
+  // horizon of the clock.
+  const WindowPolicy& policy = counter->config().window;
+  if (policy.kind == WindowPolicyKind::kCountBased &&
+      num_events > static_cast<std::uint64_t>(policy.max_events)) {
+    return Fail(CheckpointStatus::kMalformed,
+                "window holds more events than the count-based capacity");
+  }
   state.window_events.reserve(static_cast<std::size_t>(num_events));
   for (std::uint64_t i = 0; i < num_events; ++i) {
     Event e;
@@ -348,9 +358,20 @@ CheckpointResult DecodeCheckpoint(const std::string& bytes,
       return Fail(CheckpointStatus::kMalformed,
                   "invalid window event (node ids, self-loop, or duration)");
     }
+    if (e.duration > state.max_duration_seen) {
+      // The duration-aware span bound reads max_duration_seen; a lower one
+      // would cut instances out of the delta ranges.
+      return Fail(CheckpointStatus::kMalformed,
+                  "window event longer than max_duration_seen");
+    }
     if (e.time > state.max_time_seen) {
       return Fail(CheckpointStatus::kMalformed,
                   "window event newer than max_time_seen");
+    }
+    if (policy.kind == WindowPolicyKind::kTimeBased &&
+        e.time <= SatSub(state.max_time_seen, policy.horizon)) {
+      return Fail(CheckpointStatus::kMalformed,
+                  "window event outside the time-based horizon");
     }
     if (i > 0 && EventTimeLess(e, state.window_events.back())) {
       return Fail(CheckpointStatus::kMalformed,
@@ -394,6 +415,17 @@ CheckpointResult DecodeCheckpoint(const std::string& bytes,
     return Fail(CheckpointStatus::kMalformed,
                 r.ok() ? "trailing bytes inside the payload"
                        : "payload ends mid-field");
+  }
+  // The budget code resets the streak when it reaches the promotion count,
+  // and records a finite, non-negative bytes-per-event estimate.
+  if (state.promote_streak >= StreamingMotifCounter::kPromoteBatches) {
+    return Fail(CheckpointStatus::kMalformed,
+                "promotion streak at or above the promotion batch count");
+  }
+  if (!std::isfinite(state.full_bytes_per_event) ||
+      state.full_bytes_per_event < 0.0) {
+    return Fail(CheckpointStatus::kMalformed,
+                "invalid store bytes-per-event estimate");
   }
 
   std::string error;

@@ -37,10 +37,10 @@ namespace tmotif {
 ///
 /// Identity scheme: entries are anchored by their first event's monotone id
 /// (the stream/window_graph.h `id = offset + position` numbering) via a
-/// deque of per-id slots. Eviction pops slots from the front; a late-event
-/// splice (stream/streaming_counter.h) inserts an empty slot, which shifts
-/// every later slot exactly in lockstep with the id renumbering of the
-/// spliced window.
+/// deque of per-id slots. Eviction pops slots from the front; an event
+/// entering before residents (stream/streaming_counter.h) inserts an empty
+/// slot, which shifts every later slot exactly in lockstep with the id
+/// renumbering of the merged window.
 ///
 /// Bucket slots referencing evicted entries are dropped lazily when their
 /// bucket is next scanned; a compaction pass filters every bucket in place
@@ -105,9 +105,9 @@ class LiveInstanceStore {
     CompactIfNeeded();
   }
 
-  /// Opens an empty anchor slot at `first_id`: the event spliced in at that
-  /// id shifts every later event's id by one, and inserting the slot shifts
-  /// the anchored entries identically. A splice past the last populated
+  /// Opens an empty anchor slot at `first_id`: the event entered at that id
+  /// shifts every later event's id by one, and inserting the slot shifts
+  /// the anchored entries identically. An entry past the last populated
   /// slot needs no realignment.
   void SpliceSlot(std::uint64_t first_id);
 

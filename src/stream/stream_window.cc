@@ -40,8 +40,8 @@ StreamWindow::StreamWindow(const WindowPolicy& policy) : policy_(policy) {
 IngestPlan StreamWindow::PlanIngest(const std::vector<Event>& batch) const {
   IngestPlan plan;
   if (batch.empty()) return plan;
-  TMOTIF_CHECK_MSG(!saw_any_event_ || batch.front().time >= max_time_seen_,
-                   "streaming ingest requires time-ordered batches");
+  TMOTIF_CHECK_MSG(std::is_sorted(batch.begin(), batch.end(), EventTimeLess),
+                   "streaming ingest requires canonically sorted batches");
 
   if (policy_.kind == WindowPolicyKind::kCountBased) {
     const std::size_t cap = static_cast<std::size_t>(policy_.max_events);
@@ -84,97 +84,6 @@ IngestPlan StreamWindow::PlanIngest(const std::vector<Event>& batch) const {
   return plan;
 }
 
-IngestPlan StreamWindow::PlanSplice(const std::vector<Event>& late) const {
-  IngestPlan plan;
-  if (late.empty()) return plan;
-  TMOTIF_CHECK_MSG(saw_any_event_ && late.back().time < max_time_seen_,
-                   "PlanSplice requires genuinely late events");
-
-  if (policy_.kind == WindowPolicyKind::kCountBased) {
-    const std::size_t cap = static_cast<std::size_t>(policy_.max_events);
-    const std::size_t total = events_.size() + late.size();
-    if (total <= cap) return plan;
-    // Same merged-prefix walk as PlanIngest: the post-splice window must be
-    // the last `cap` events of the merged canonical sequence. Ties prefer
-    // the window side (residents are older arrivals).
-    std::size_t overflow = total - cap;
-    while (overflow > 0) {
-      if (plan.num_evict < events_.size() &&
-          (plan.batch_begin >= late.size() ||
-           !EventTimeLess(late[plan.batch_begin], events_[plan.num_evict]))) {
-        ++plan.num_evict;
-      } else {
-        ++plan.batch_begin;
-      }
-      --overflow;
-    }
-    return plan;
-  }
-
-  // Time-based: the clock does not move, so residents are already inside
-  // the horizon (num_evict = 0); late events at or below the threshold
-  // would be evicted instantly and are dropped instead.
-  const Timestamp threshold = SatSub(max_time_seen_, policy_.horizon);
-  plan.batch_begin = static_cast<std::size_t>(
-      std::upper_bound(late.begin(), late.end(), threshold,
-                       [](Timestamp t, const Event& e) { return t < e.time; }) -
-      late.begin());
-  return plan;
-}
-
-std::size_t StreamWindow::SpliceCut(const IngestPlan& plan,
-                                    const std::vector<Event>& late) const {
-  if (plan.batch_begin >= late.size()) return events_.size();
-  // The first surviving late event inserts after every resident that
-  // canonically precedes-or-equals it (late arrivals are younger, so they
-  // sort after residents with identical keys).
-  const Event& first = late[plan.batch_begin];
-  const auto it = std::upper_bound(
-      events_.begin(), events_.end(), first,
-      [](const Event& a, const Event& b) { return EventTimeLess(a, b); });
-  return static_cast<std::size_t>(it - events_.begin());
-}
-
-void StreamWindow::Splice(const IngestPlan& plan,
-                          const std::vector<Event>& late,
-                          std::vector<std::size_t>* positions,
-                          std::size_t* first_changed) {
-  TMOTIF_CHECK(plan.num_evict <= events_.size());
-  TMOTIF_CHECK(plan.batch_begin <= late.size());
-  if (positions != nullptr) positions->clear();
-  const std::size_t cut = SpliceCut(plan, late);
-  TMOTIF_CHECK(cut >= plan.num_evict);  // The plan dropped earlier events.
-  if (first_changed != nullptr) *first_changed = cut;
-  events_.erase(events_.begin(),
-                events_.begin() + static_cast<std::ptrdiff_t>(plan.num_evict));
-  if (plan.batch_begin >= late.size()) return;
-
-  // Pull off the tail past the cut, merge it with the late events, and push
-  // the merged run back — the same bounded-tail scheme as Apply, with the
-  // cut at the first insertion point instead of the trailing tie group.
-  std::vector<Event> tail;
-  while (events_.size() > cut - plan.num_evict) {
-    tail.push_back(events_.back());
-    events_.pop_back();
-  }
-  std::reverse(tail.begin(), tail.end());
-  std::size_t position = events_.size();
-  std::size_t old_it = 0;
-  std::size_t new_it = plan.batch_begin;
-  while (old_it < tail.size() || new_it < late.size()) {
-    // Ties prefer the resident side (older arrivals first).
-    if (old_it < tail.size() &&
-        (new_it >= late.size() ||
-         !EventTimeLess(late[new_it], tail[old_it]))) {
-      events_.push_back(tail[old_it++]);
-    } else {
-      if (positions != nullptr) positions->push_back(position);
-      events_.push_back(late[new_it++]);
-    }
-    ++position;
-  }
-}
-
 void StreamWindow::Apply(const IngestPlan& plan,
                          const std::vector<Event>& batch,
                          std::vector<std::size_t>* new_positions) {
@@ -191,10 +100,10 @@ void StreamWindow::Apply(const IngestPlan& plan,
   }
   if (plan.batch_begin >= batch.size()) return;
 
-  // New events sort after every strictly-older event, so only the trailing
-  // tie group of the window can interleave with the batch. Pull it off,
-  // merge (ties prefer the window side = older arrivals, matching a stable
-  // sort of the whole history), and push the merged tail back.
+  // Residents ordered before the first entering event keep their
+  // positions. Pull off the rest (for an in-order batch, the trailing tie
+  // group), merge (ties prefer the window side = older arrivals, matching
+  // a stable sort of the whole history), and push the merged tail back.
   const Event& first_new = batch[plan.batch_begin];
   std::vector<Event> tail;
   while (!events_.empty() && !EventTimeLess(events_.back(), first_new)) {

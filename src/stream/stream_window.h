@@ -45,14 +45,15 @@ struct IngestPlan {
   std::size_t batch_begin = 0;
 };
 
-/// A sliding window over a time-ordered event stream, kept in the same
-/// canonical order as `TemporalGraphBuilder::Build` (EventTimeLess with
-/// stable ties, older arrivals first). Because arrivals are monotone in
-/// time and eviction always removes a canonical prefix, the window is at
-/// every point exactly the policy-selected suffix of the canonically sorted
-/// stream history — so a graph built from `events()` equals the graph built
-/// from scratch on the same event set (the invariant the streaming counter's
-/// differential tests assert).
+/// A sliding window over an event stream, kept in the same canonical order
+/// as `TemporalGraphBuilder::Build` (EventTimeLess with stable ties, older
+/// arrivals first). Every batch merges into canonical position (an
+/// in-order batch behind the trailing tie group, a late one wherever its
+/// times fall) and eviction always removes a canonical prefix, so the
+/// window is at every point exactly the policy-selected suffix of the
+/// canonically sorted stream history — a graph built from `events()`
+/// equals the graph built from scratch on the same event set (the
+/// invariant the streaming counter's differential tests assert).
 class StreamWindow {
  public:
   explicit StreamWindow(const WindowPolicy& policy);
@@ -70,43 +71,24 @@ class StreamWindow {
   /// time, so the zero default cannot distinguish "no events yet").
   bool saw_any_event() const { return saw_any_event_; }
 
-  /// Computes the policy's response to `batch` (sorted by EventTimeLess,
-  /// times >= max_time_seen()) without applying it.
+  /// Computes the policy's response to `batch` (sorted by EventTimeLess)
+  /// without applying it. Count-based windows evict the merged canonical
+  /// prefix — batch events falling inside it are dropped via
+  /// `batch_begin`, exactly as if they had arrived and already expired.
+  /// Time-based windows measure from the clock the batch leaves
+  /// (max_time_seen() or its newest time); a late batch (every time below
+  /// max_time_seen()) moves no clock, so it evicts nothing and only drops
+  /// its events at or below the horizon threshold.
   IngestPlan PlanIngest(const std::vector<Event>& batch) const;
-
-  /// Computes the policy's response to splicing `late` (sorted, every time
-  /// strictly below max_time_seen()) into the window. Count-based windows
-  /// evict the merged canonical prefix — late events falling inside it are
-  /// dropped via `batch_begin`, exactly as if they had arrived on time and
-  /// already expired; time-based windows never evict (the clock does not
-  /// move) but drop late events at or below the horizon threshold.
-  IngestPlan PlanSplice(const std::vector<Event>& late) const;
-
-  /// Applies a splice plan: evicts the canonical prefix and merges
-  /// late[plan.batch_begin:] into canonical position (ties sort after
-  /// resident events with identical keys — late arrivals are younger).
-  /// Does NOT advance max_time_seen. `positions` (optional) receives the
-  /// final window positions of the entered events, ascending.
-  /// `first_changed` (optional) receives the pre-eviction window position
-  /// of the first event whose position the merge changes (the insertion
-  /// cut; window.size() when nothing changes) — the pop point for
-  /// WindowGraph::BeginSplice.
-  void Splice(const IngestPlan& plan, const std::vector<Event>& late,
-              std::vector<std::size_t>* positions = nullptr,
-              std::size_t* first_changed = nullptr);
-
-  /// Pre-eviction window position where `Splice(plan, late)` will cut in
-  /// (for callers that must prepare index updates before mutating).
-  std::size_t SpliceCut(const IngestPlan& plan,
-                        const std::vector<Event>& late) const;
 
   /// Applies a plan: evicts `plan.num_evict` events from the front and
   /// merges batch[plan.batch_begin:] into canonical position. The merge
-  /// only ever touches the trailing tie group (new events sort after every
-  /// strictly-older event; within a shared timestamp, EventTimeLess ties
-  /// are broken with older arrivals first, matching stable sort of the
-  /// whole history). When `new_positions` is non-null it receives the final
-  /// window positions of the entered batch events, ascending.
+  /// pops every resident not ordered before the first entering event — the
+  /// trailing tie group for an in-order batch — and pushes the merged run
+  /// back (within a shared key, EventTimeLess ties are broken with older
+  /// arrivals first, matching stable sort of the whole history). The clock
+  /// never moves back. When `new_positions` is non-null it receives the
+  /// final window positions of the entered batch events, ascending.
   void Apply(const IngestPlan& plan, const std::vector<Event>& batch,
              std::vector<std::size_t>* new_positions = nullptr);
 

@@ -29,7 +29,6 @@ struct StreamMetrics {
   obs::Histogram* phase5_append_add;
   obs::Histogram* phase6_arrivals;
   obs::Histogram* store_flips;
-  obs::Histogram* splice_apply;
   obs::Histogram* late_ingest;
   obs::Histogram* recount;
   /// Batch sizes (events per Ingest call).
@@ -62,7 +61,6 @@ struct StreamMetrics {
       n.phase6_arrivals =
           r.GetHistogram("stream.phase6_arrivals_latency_ns");
       n.store_flips = r.GetHistogram("stream.store_flips_latency_ns");
-      n.splice_apply = r.GetHistogram("stream.splice_apply_latency_ns");
       n.late_ingest = r.GetHistogram("stream.late_ingest_latency_ns");
       n.recount = r.GetHistogram("stream.recount_latency_ns");
       n.batch_events = r.GetHistogram("stream.batch_events");
@@ -122,33 +120,17 @@ int ScopeStaticEdges(const WindowGraph& graph, const NodeId* nodes,
   return count;
 }
 
-/// Subtract-half of the append-side boundary correction: removes survivors
-/// whose last event timestamp equals `t_b`, evaluated on the survivors
-/// (the evicted prefix has already left `graph`, the arrivals not yet
-/// entered it).
-void SubtractAppendTies(const WindowGraph& graph,
-                        const EnumerationOptions& options, EventIndex lo,
-                        Timestamp t_b, MotifCounts* counts) {
-  internal::PackedMotifTable table;
-  auto sink = internal::MakeFnSink(
-      [&](const EventIndex* chosen, int k, std::uint64_t packed) {
-        if (graph.event_time(chosen[k - 1]) == t_b) table.Add(packed);
-      });
-  internal::EnumerateCore(graph, options, lo, graph.num_events(), sink);
-  counts->SubtractTable(table);
-}
-
-/// Sink of the arrival path: keeps instances whose last event entered with
-/// the current batch.
-struct NewInstanceSink {
-  const std::vector<char>* is_new;
-  internal::PackedMotifTable* table;
-  void Emit(const EventIndex* chosen, int k, std::uint64_t packed,
-            const NodeId*, int) {
-    if (!(*is_new)[static_cast<std::size_t>(chosen[k - 1])]) return;
-    table->Add(packed);
+/// True when one of an instance's `k` chosen window positions entered with
+/// the current batch (`is_new` flags them). A late batch can enter events
+/// anywhere in an instance, so every position is tested; the last one
+/// first, where an in-order batch's events sit.
+bool ContainsEntered(const std::vector<char>& is_new,
+                     const EventIndex* chosen, int k) {
+  for (int i = k - 1; i >= 0; --i) {
+    if (is_new[static_cast<std::size_t>(chosen[i])]) return true;
   }
-};
+  return false;
+}
 
 }  // namespace
 
@@ -176,9 +158,10 @@ StreamingMotifCounter::StreamingMotifCounter(const StreamConfig& config)
   TMOTIF_CHECK(config_.num_threads >= 1);
   TMOTIF_CHECK_MSG(config_.lateness >= 0, "lateness must be >= 0");
   internal::ValidateEnumerationOptions(config_.options);
-  has_nonlocal_ = config_.options.consecutive_events_restriction ||
-                  config_.options.cdg_restriction ||
-                  config_.options.inducedness != Inducedness::kNone;
+  has_order_predicate_ =
+      config_.options.consecutive_events_restriction ||
+      config_.options.cdg_restriction ||
+      config_.options.inducedness == Inducedness::kTemporalWindow;
   uses_static_inducedness_ =
       config_.options.inducedness == Inducedness::kStatic;
   // The store factorizes validity into a purely instance-local candidate
@@ -305,41 +288,51 @@ void StreamingMotifCounter::RecountWindow() {
   }
 }
 
-void StreamingMotifCounter::ApplyAndRecount(const IngestPlan& plan,
-                                            const std::vector<Event>& batch,
-                                            bool is_static_fallback) {
+void StreamingMotifCounter::ApplyAndRecount(
+    const IngestPlan& plan, const std::vector<Event>& batch,
+    std::uint64_t IngestStats::*reason) {
   window_.Apply(plan, batch);
   InvalidateSnapshot();
   RecountWindow();
-  if (is_static_fallback) ++stats_.static_fallbacks;
+  if (reason != nullptr) ++(stats_.*reason);
 }
 
-void StreamingMotifCounter::AddNewInstances(EventIndex begin) {
+void StreamingMotifCounter::AddNewInstances(
+    Timestamp t_min, Timestamp t_max, const std::optional<Timestamp>& span) {
+  // An instance that contains an entered event starts at or after
+  // t_min - span and ends at or before t_max + span.
+  const EventIndex lo = FirstPossibleStart(live_, t_min, span);
   internal::PackedMotifTable added;
   if (scratch_->fast) {
     internal::fast_paths::NoteDispatch(true);
-    // Suffix difference with an exclude-new filter: every instance that
-    // contains a new event ends in one (no old event follows a new one in
-    // time), so [begin, N) counted over all events minus the same window
-    // counted over old events only is exactly the arrivals, per code.
-    const EventIndex n = live_.num_events();
+    // Window difference with an exclude-entered filter: every instance that
+    // contains an entered event lies inside [lo, hi), so [lo, hi) counted
+    // over all events minus the same window counted over old events only
+    // is exactly the arrivals, per code.
+    const EventIndex hi = span.has_value()
+                              ? live_.UpperBoundTime(SatAdd(t_max, *span))
+                              : live_.num_events();
     const auto all = [](EventIndex) { return true; };
     const auto old_only = [this](EventIndex i) {
       return is_new_[static_cast<std::size_t>(i)] == 0;
     };
     internal::fast_paths::CodeDeltas& deltas = scratch_->deltas;
     deltas.Clear();
-    scratch_->fast->Accumulate(begin, n, all, +1, &deltas);
-    scratch_->fast->Accumulate(begin, n, old_only, -1, &deltas);
+    scratch_->fast->Accumulate(lo, hi, all, +1, &deltas);
+    scratch_->fast->Accumulate(lo, hi, old_only, -1, &deltas);
     for (const auto& [code, delta] : deltas) {
       TMOTIF_CHECK(delta >= 0);
       if (delta > 0) added.Add(code, static_cast<std::uint64_t>(delta));
     }
   } else {
     internal::fast_paths::NoteDispatch(false);
-    NewInstanceSink sink{&is_new_, &added};
-    internal::EnumerateCore(live_, config_.options, begin, live_.num_events(),
-                            sink);
+    // Such an instance also starts at or before t_max.
+    auto sink = internal::MakeFnSink(
+        [&](const EventIndex* chosen, int k, std::uint64_t packed) {
+          if (ContainsEntered(is_new_, chosen, k)) added.Add(packed);
+        });
+    internal::EnumerateCore(live_, config_.options, lo,
+                            live_.UpperBoundTime(t_max), sink);
   }
   stats_.instances_added += added.total();
   counts_.AddTable(added);
@@ -428,8 +421,8 @@ void StreamingMotifCounter::Ingest(std::vector<Event> batch) {
   stats_.events_ingested += batch.size();
 
   // Split off genuinely late events (strictly behind the stream clock):
-  // in-horizon ones are spliced, the rest dropped. The remainder is the
-  // in-order suffix the standard delta path ingests.
+  // beyond the lateness horizon they are dropped; the in-horizon ones take
+  // the same delta path as the in-order suffix, ahead of it.
   std::size_t ordered_begin = 0;
   if (window_.saw_any_event()) {
     const Timestamp clock = window_.max_time_seen();
@@ -446,18 +439,22 @@ void StreamingMotifCounter::Ingest(std::vector<Event> batch) {
       }
       stats_.late_dropped += accept_begin;
       if (accept_begin < ordered_begin) {
-        IngestLate(std::vector<Event>(
-            batch.begin() + static_cast<std::ptrdiff_t>(accept_begin),
-            batch.begin() + static_cast<std::ptrdiff_t>(ordered_begin)));
+        obs::PhaseTimer late_span(metrics.late_ingest, "stream.late_ingest");
+        IngestSorted(
+            std::vector<Event>(
+                batch.begin() + static_cast<std::ptrdiff_t>(accept_begin),
+                batch.begin() + static_cast<std::ptrdiff_t>(ordered_begin)),
+            /*late=*/true);
       }
     }
   }
   if (ordered_begin == 0) {
-    IngestOrdered(batch);
+    IngestSorted(batch, /*late=*/false);
   } else if (ordered_begin < batch.size()) {
-    IngestOrdered(std::vector<Event>(
-        batch.begin() + static_cast<std::ptrdiff_t>(ordered_begin),
-        batch.end()));
+    IngestSorted(std::vector<Event>(
+                     batch.begin() + static_cast<std::ptrdiff_t>(ordered_begin),
+                     batch.end()),
+                 /*late=*/false);
   }
   EnforceStoreBudget();
   PublishTelemetry();
@@ -481,33 +478,37 @@ void StreamingMotifCounter::PublishTelemetry() {
                                       : kNoStoreModeGauge);
 }
 
-void StreamingMotifCounter::IngestOrdered(const std::vector<Event>& batch) {
+void StreamingMotifCounter::IngestSorted(const std::vector<Event>& batch,
+                                         bool late) {
   StreamMetrics& metrics = StreamMetrics::Get();
   const IngestPlan plan = window_.PlanIngest(batch);
   const std::size_t old_size = window_.size();
   const std::size_t num_new = batch.size() - plan.batch_begin;
   stats_.events_dropped += plan.batch_begin;
+  if (num_new == 0 && plan.num_evict == 0) {
+    window_.Apply(plan, batch);  // Still advances the stream clock; the
+    return;                      // window content (and indices) is unchanged.
+  }
   stats_.events_evicted += plan.num_evict;
+  if (late) stats_.late_events += num_new;
   // Only events that actually enter widen the duration-aware span bound;
   // a dropped outlier must not degrade every later delta range.
   for (std::size_t i = plan.batch_begin; i < batch.size(); ++i) {
     max_duration_seen_ = std::max(max_duration_seen_, batch[i].duration);
   }
 
-  if (num_new == 0 && plan.num_evict == 0) {
-    window_.Apply(plan, batch);  // Still advances the stream clock; the
-    return;                      // window content (and indices) is unchanged.
-  }
-
   // Full window turnover (including startup) recounts from scratch — there
   // is nothing incremental to preserve.
   if (plan.num_evict >= old_size) {
-    ApplyAndRecount(plan, batch, /*is_static_fallback=*/false);
+    ApplyAndRecount(plan, batch, late ? &IngestStats::late_recounts : nullptr);
     return;
   }
 
   const std::optional<Timestamp> span = SpanBound();
   const EventIndex n_evict = static_cast<EventIndex>(plan.num_evict);
+  // Time range of the entered events (t_min meaningful when num_new > 0).
+  const Timestamp t_min = num_new > 0 ? batch[plan.batch_begin].time : 0;
+  const Timestamp t_max = batch.back().time;
 
   if (store_active()) {
     // Store path: candidate validity is instance-local, so survivors never
@@ -519,16 +520,16 @@ void StreamingMotifCounter::IngestOrdered(const std::vector<Event>& batch) {
         CollectStaticEdgeFlips(plan.num_evict, batch, plan.batch_begin);
     if (n_evict > 0) StoreEvict(plan.num_evict);
     {
-      obs::PhaseTimer span(metrics.phase4_apply, "stream.phase4_apply");
+      obs::PhaseTimer phase_span(metrics.phase4_apply, "stream.phase4_apply");
       live_.BeginUpdate(plan, batch);
       window_.Apply(plan, batch, &new_positions_);
       live_.FinishUpdate();
     }
     id_offset_ += plan.num_evict;
-    // Batch events interleaving within the trailing tie group renumber the
-    // resident tie-group events; opening store slots at the entered ids
-    // (ascending, so each insertion accounts for the previous) shifts the
-    // entries anchored there in lockstep (only k = 1 entries can be).
+    // Each entered event renumbers the residents ordered after it (for an
+    // in-order batch, only the trailing tie group); opening store slots at
+    // the entered ids (ascending, so each insertion accounts for the
+    // previous) shifts the entries anchored there in lockstep.
     for (const std::size_t p : new_positions_) {
       store_.SpliceSlot(id_offset_ + p);
     }
@@ -536,60 +537,67 @@ void StreamingMotifCounter::IngestOrdered(const std::vector<Event>& batch) {
     is_new_.assign(window_.size(), 0);
     for (const std::size_t p : new_positions_) is_new_[p] = 1;
     {
-      obs::PhaseTimer span(metrics.store_flips, "stream.store_flips");
+      obs::PhaseTimer phase_span(metrics.store_flips, "stream.store_flips");
       StoreProcessFlips(flips);  // Post-apply edge state.
     }
     if (num_new > 0) {
       obs::PhaseTimer phase_span(metrics.phase6_arrivals,
                                  "stream.phase6_arrivals");
-      const Timestamp min_new_time = batch[plan.batch_begin].time;
-      StoreAddCandidates(
-          FirstPossibleStart(live_, min_new_time, span), live_.num_events(),
-          [this](const EventIndex* chosen, int k) {
-            return is_new_[static_cast<std::size_t>(chosen[k - 1])] != 0;
-          });
+      StoreAddCandidates(FirstPossibleStart(live_, t_min, span),
+                         live_.UpperBoundTime(t_max),
+                         [this](const EventIndex* chosen, int k) {
+                           return ContainsEntered(is_new_, chosen, k);
+                         });
     }
+    if (late) ++stats_.late_splices;
     return;
   }
 
-  // Survivors can only flip validity at shared boundary timestamps (or via
-  // static-edge flips): an evicted or arriving event lies inside a
-  // surviving instance's scope only when it ties the instance's first or
-  // last timestamp. See docs/STREAMING.md for the case analysis.
+  // A surviving instance can flip validity only under an order predicate,
+  // and only when an evicted or entered event lies inside its time span
+  // [t_first, t_last] (or via static-edge flips). Evicted events form a
+  // canonical prefix, so they reach a survivor only by tying its first
+  // timestamp; entered events reach every survivor that ends at or after
+  // t_min and starts at or before t_max. See docs/STREAMING.md.
   const bool evict_tie =
       n_evict > 0 && live_.event_time(n_evict - 1) == live_.event_time(n_evict);
   const Timestamp t_ev = n_evict > 0 ? live_.event_time(n_evict - 1) : 0;
-  const Timestamp old_surviving_max =
+  // The newest resident survives (num_evict < old_size), so it bounds every
+  // survivor's last event.
+  const Timestamp old_max =
       live_.event_time(static_cast<EventIndex>(old_size) - 1);
-  const bool append_tie =
-      num_new > 0 && batch[plan.batch_begin].time == old_surviving_max;
+  const bool entry_overlap = num_new > 0 && old_max >= t_min;
 
   // Static inducedness without the store (an order predicate, or a memory
   // budget turned it off): a batch that flips a static edge changes the
   // validity of every survivor whose node set spans the flipped pair,
-  // wherever it lies in the window, so it recounts the window. So does a
-  // boundary-tie batch whose eviction alone removes an edge, even one the
-  // batch re-adds: the tie corrections run on the survivors, whose edge
-  // set is then neither the old nor the new one.
+  // wherever it lies in the window, so it recounts the window. Otherwise
+  // the edge set is the same before and after the batch. Under an order
+  // predicate the survivor corrections also evaluate survivors between
+  // eviction and entry, so a batch whose eviction alone removes an edge
+  // (even one the batch re-adds) recounts when one of them runs.
   bool evicts_edge = false;
   const bool flips_edge =
       !CollectStaticEdgeFlips(plan.num_evict, batch, plan.batch_begin,
                               &evicts_edge)
            .empty();
-  if (flips_edge || (evicts_edge && (evict_tie || append_tie))) {
-    ApplyAndRecount(plan, batch, /*is_static_fallback=*/true);
+  if (flips_edge || (has_order_predicate_ && evicts_edge &&
+                     (evict_tie || entry_overlap))) {
+    ApplyAndRecount(plan, batch,
+                    late ? &IngestStats::late_recounts
+                         : &IngestStats::static_fallbacks);
     return;
   }
 
   // Phase 1 — retire the evicted prefix. The evicted events form a
   // canonical prefix, so an instance loses an event exactly when its first
   // event is evicted; those are retracted on the pre-update indices. Under
-  // a non-local predicate, survivors whose first event ties the eviction
+  // an order predicate, survivors whose first event ties the eviction
   // boundary are removed too, at the validity they were counted with
   // (phase 2 re-adds them). Then the prefix leaves the window and the live
   // indices as an update of its own — an empty batch moves no clock and
-  // pops no tie group — so phases 2 and 3 run on the survivors.
-  const bool evict_correction = has_nonlocal_ && evict_tie;
+  // pops no resident — so phases 2 and 3 run on the survivors.
+  const bool evict_correction = has_order_predicate_ && evict_tie;
   if (n_evict > 0) {
     obs::PhaseTimer phase_span(metrics.phase1_retract,
                                "stream.phase1_retract");
@@ -650,22 +658,36 @@ void StreamingMotifCounter::IngestOrdered(const std::vector<Event>& batch) {
     ++stats_.tie_corrections;
   }
 
-  // Phase 3 — append-side boundary correction, subtract half: survivors
-  // whose last event ties the arriving batch's earliest timestamp are
-  // removed at their pre-append validity (re-added at post-append validity
-  // in phase 5). Timing bounds the first-event range.
-  if (has_nonlocal_ && append_tie) {
+  // Phases 3 and 5 — the entry-side correction. Under an order predicate
+  // every survivor whose time span overlaps [t_min, t_max] is removed at
+  // its validity on the survivors (phase 3) and re-added at its validity
+  // with the entered events (phase 5). Such a survivor ends at or after
+  // t_min and starts at or before min(t_max, old_max), and timing bounds
+  // how far before t_min it can start. For an in-order batch t_min can
+  // only tie old_max, so these are the append-tie survivors.
+  const bool entry_correction = has_order_predicate_ && entry_overlap;
+  const Timestamp overlap_hi_time = std::min(t_max, old_max);
+  const auto ends_in_reach = [&](const EventIndex* chosen, int k) {
+    return live_.event_time(chosen[k - 1]) >= t_min;
+  };
+  if (entry_correction) {
     obs::PhaseTimer phase_span(metrics.phase3_append_tie,
                                "stream.phase3_append_tie");
-    const Timestamp t_b = old_surviving_max;
-    SubtractAppendTies(live_, config_.options,
-                       FirstPossibleStart(live_, t_b, span), t_b, &counts_);
+    internal::PackedMotifTable table;
+    auto sink = internal::MakeFnSink(
+        [&](const EventIndex* chosen, int k, std::uint64_t packed) {
+          if (ends_in_reach(chosen, k)) table.Add(packed);
+        });
+    internal::EnumerateCore(live_, config_.options,
+                            FirstPossibleStart(live_, t_min, span),
+                            live_.UpperBoundTime(overlap_hi_time), sink);
+    counts_.SubtractTable(table);
     ++stats_.tie_corrections;
   }
 
-  // Phase 4 — enter the arrivals, advance the stream clock, and update the
-  // live indices incrementally (O(tie group + entered); no window-graph
-  // rebuild).
+  // Phase 4 — enter the batch: merge it into the window and update the
+  // live indices incrementally (O(residents ordered after the first
+  // entered event + entered); no window-graph rebuild).
   {
     obs::PhaseTimer phase_span(metrics.phase4_apply, "stream.phase4_apply");
     const IngestPlan enter{0, plan.batch_begin};
@@ -677,203 +699,34 @@ void StreamingMotifCounter::IngestOrdered(const std::vector<Event>& batch) {
   is_new_.assign(window_.size(), 0);
   for (const std::size_t p : new_positions_) is_new_[p] = 1;
 
-  // Phase 5 — append-side boundary correction, add-back half, evaluated on
-  // the post-append window. An instance whose last event is old contains no
-  // new event at all (no old event can follow a new one in time), so these
-  // are exactly the survivors the subtract half removed.
-  if (has_nonlocal_ && append_tie) {
+  if (entry_correction) {
     obs::PhaseTimer phase_span(metrics.phase5_append_add,
                                "stream.phase5_append_add");
-    const Timestamp t_b = old_surviving_max;
-    const EventIndex lo = FirstPossibleStart(live_, t_b, span);
-    const EventIndex hi = live_.UpperBoundTime(t_b);
     internal::PackedMotifTable table;
     auto sink = internal::MakeFnSink(
         [&](const EventIndex* chosen, int k, std::uint64_t packed) {
-          const EventIndex last = chosen[k - 1];
-          if (is_new_[static_cast<std::size_t>(last)]) return;
-          if (live_.event_time(last) == t_b) table.Add(packed);
+          if (ContainsEntered(is_new_, chosen, k)) return;
+          if (ends_in_reach(chosen, k)) table.Add(packed);
         });
-    internal::EnumerateCore(live_, config_.options, lo, hi, sink);
+    internal::EnumerateCore(live_, config_.options,
+                            FirstPossibleStart(live_, t_min, span),
+                            live_.UpperBoundTime(overlap_hi_time), sink);
     counts_.AddTable(table);
   }
 
-  // Phase 6 — count arriving instances: every instance that includes a new
-  // event ends in one (the stream is time-ordered), so instances whose last
-  // event is new are exactly the additions; timing bounds how far back
-  // their first events can reach.
+  // Phase 6 — count the instances that contain an entered event.
   if (num_new > 0) {
     obs::PhaseTimer phase_span(metrics.phase6_arrivals,
                                "stream.phase6_arrivals");
-    const Timestamp min_new_time = batch[plan.batch_begin].time;
-    AddNewInstances(FirstPossibleStart(live_, min_new_time, span));
+    AddNewInstances(t_min, t_max, span);
   }
-}
-
-void StreamingMotifCounter::ApplySplice(std::size_t num_evict,
-                                        const std::vector<Event>& late,
-                                        std::size_t late_begin) {
-  obs::PhaseTimer span(StreamMetrics::Get().splice_apply,
-                       "stream.splice_apply");
-  IngestPlan plan;
-  plan.num_evict = num_evict;
-  plan.batch_begin = late_begin;
-  const std::size_t cut = window_.SpliceCut(plan, late);
-  live_.BeginSplice(num_evict, cut);
-  window_.Splice(plan, late, &spliced_positions_);
-  live_.FinishUpdate();
-  id_offset_ += num_evict;
-  if (store_active()) {
-    // Anchor slots shift in lockstep with the id renumbering (ascending
-    // final positions: each insertion already accounts for the previous).
-    for (const std::size_t p : spliced_positions_) {
-      store_.SpliceSlot(id_offset_ + p);
-    }
-  }
-  InvalidateSnapshot();
-}
-
-void StreamingMotifCounter::IngestLate(const std::vector<Event>& late) {
-  obs::PhaseTimer late_span(StreamMetrics::Get().late_ingest,
-                            "stream.late_ingest");
-  const IngestPlan plan = window_.PlanSplice(late);
-  stats_.events_dropped += plan.batch_begin;
-  const std::size_t num_spliced = late.size() - plan.batch_begin;
-  if (num_spliced == 0) return;
-  stats_.events_evicted += plan.num_evict;
-  stats_.late_events += num_spliced;
-  // Spliced events enter the window, so their durations must widen the
-  // span bound before any correction range is computed.
-  for (std::size_t i = plan.batch_begin; i < late.size(); ++i) {
-    max_duration_seen_ = std::max(max_duration_seen_, late[i].duration);
-  }
-
-  const std::optional<Timestamp> span = SpanBound();
-  const Timestamp min_late_time = late[plan.batch_begin].time;
-  const Timestamp max_late_time = late.back().time;
-
-  const auto mark_spliced = [&]() -> EventIndex {
-    is_late_.assign(window_.size(), 0);
-    EventIndex max_pos = 0;
-    for (const std::size_t p : spliced_positions_) {
-      is_late_[p] = 1;
-      max_pos = std::max(max_pos, static_cast<EventIndex>(p));
-    }
-    return max_pos;
-  };
-
-  if (store_active()) {
-    // Fully incremental: evict, splice (slots realign), absorb the static
-    // flips through the store, then add the candidates that contain a
-    // spliced event (the only new ones — existing candidates are immune to
-    // the splice, their validity being instance-local).
-    const std::vector<std::pair<NodeId, NodeId>>& flips =
-        CollectStaticEdgeFlips(plan.num_evict, late, plan.batch_begin);
-    if (plan.num_evict > 0) StoreEvict(plan.num_evict);
-    ApplySplice(plan.num_evict, late, plan.batch_begin);
-    const EventIndex max_pos = mark_spliced();
-    {
-      obs::PhaseTimer span(StreamMetrics::Get().store_flips,
-                           "stream.store_flips");
-      StoreProcessFlips(flips);
-    }
-    StoreAddCandidates(FirstPossibleStart(live_, min_late_time, span),
-                       max_pos + 1,
-                       [this](const EventIndex* chosen, int k) {
-                         for (int i = 0; i < k; ++i) {
-                           if (is_late_[static_cast<std::size_t>(chosen[i])]) {
-                             return true;
-                           }
-                         }
-                         return false;
-                       });
-    ++stats_.late_splices;
-    return;
-  }
-
-  // Without the store, two cases resist cheap localization: a static-edge
-  // flip can strike instances far outside any time-bounded root range (the
-  // spliced event creates/destroys an edge whose spanning instances live
-  // anywhere in the window), and an eviction under a non-local predicate
-  // would need the full boundary-tie machinery. Both take the windowed
-  // recount; everything else is a bounded subtract/add around the splice.
-  const std::vector<std::pair<NodeId, NodeId>>& flips =
-      CollectStaticEdgeFlips(plan.num_evict, late, plan.batch_begin);
-  if (!flips.empty() || (plan.num_evict > 0 && has_nonlocal_)) {
-    ApplySplice(plan.num_evict, late, plan.batch_begin);
-    RecountWindow();
-    ++stats_.late_recounts;
-    return;
-  }
-
-  const EventIndex n_evict = static_cast<EventIndex>(plan.num_evict);
-  // Retract instances anchored at the evicted prefix (reached only with a
-  // purely local predicate, so survivors cannot flip).
-  if (n_evict > 0) {
-    internal::PackedMotifTable retracted;
-    internal::PackedTableSink sink{&retracted};
-    internal::EnumerateCore(live_, config_.options, 0, n_evict, sink);
-    stats_.instances_retracted += retracted.total();
-    counts_.SubtractTable(retracted);
-  }
-
-  // Non-local predicates (consecutive, CDG, temporal-window inducedness):
-  // a spliced event can only affect instances whose scope reaches its
-  // timestamp, i.e. first-event time in [min_late - span, max_late]. The
-  // subtract half removes everything in that range at pre-splice validity;
-  // the add half below re-adds the range at post-splice validity — the
-  // difference is exactly the splice's effect, containment included.
-  const bool replace_range = has_nonlocal_;
-  if (replace_range) {
-    internal::PackedMotifTable removed;
-    internal::PackedTableSink sink{&removed};
-    internal::EnumerateCore(live_, config_.options,
-                            FirstPossibleStart(live_, min_late_time, span),
-                            live_.UpperBoundTime(max_late_time), sink);
-    counts_.SubtractTable(removed);
-  }
-
-  ApplySplice(plan.num_evict, late, plan.batch_begin);
-  const EventIndex max_pos = mark_spliced();
-
-  if (replace_range) {
-    internal::PackedMotifTable added;
-    internal::PackedTableSink sink{&added};
-    internal::EnumerateCore(live_, config_.options,
-                            FirstPossibleStart(live_, min_late_time, span),
-                            live_.UpperBoundTime(max_late_time), sink);
-    counts_.AddTable(added);
-  } else {
-    // Purely local predicate: existing instances are untouched, so only
-    // instances containing a spliced event are new.
-    internal::PackedMotifTable added;
-    auto sink = internal::MakeFnSink(
-        [&](const EventIndex* chosen, int k, std::uint64_t packed) {
-          for (int i = 0; i < k; ++i) {
-            if (is_late_[static_cast<std::size_t>(chosen[i])]) {
-              added.Add(packed);
-              return;
-            }
-          }
-        });
-    internal::EnumerateCore(live_, config_.options,
-                            FirstPossibleStart(live_, min_late_time, span),
-                            max_pos + 1, sink);
-    stats_.instances_added += added.total();
-    counts_.AddTable(added);
-  }
-  ++stats_.late_splices;
+  if (late) ++stats_.late_splices;
 }
 
 // --- Memory-budget degradation. ---
 
 void StreamingMotifCounter::EnforceStoreBudget() {
   if (!uses_store_ || config_.store_budget_bytes == 0) return;
-  // Promotion hysteresis: the store comes back on once its estimated
-  // footprint fits under this fraction of the budget for this many
-  // consecutive batches.
-  constexpr double kPromoteFraction = 0.5;
-  constexpr std::uint32_t kPromoteBatches = 4;
   std::size_t pressure = 0;
   if (const auto injected = fault::Consume("stream.budget_pressure")) {
     if (*injected > 0) pressure = static_cast<std::size_t>(*injected);

@@ -48,10 +48,11 @@ struct StreamConfig {
   /// Arrivals, corrections and the live-instance store fill run serially.
   int num_threads = 1;
   /// Bounded out-of-order ingestion: events arriving up to `lateness`
-  /// seconds behind the stream clock (`max_time_seen`) are spliced into the
-  /// window at their canonical position and corrected for; later ones are
-  /// dropped and counted in `IngestStats::late_dropped`. 0 (the default)
-  /// accepts only in-order streams — late events are dropped, not fatal.
+  /// seconds behind the stream clock (`max_time_seen`) enter the window at
+  /// their canonical position through the same delta path as in-order
+  /// events; later ones are dropped and counted in
+  /// `IngestStats::late_dropped`. 0 (the default) accepts only in-order
+  /// streams — late events are dropped, not fatal.
   Timestamp lateness = 0;
   /// Memory budget for the live-instance store, in approximate resident
   /// bytes (LiveInstanceStore::ApproxBytes). 0 (the default) = unlimited.
@@ -75,13 +76,16 @@ struct IngestStats {
   /// Instance-level churn of the delta path.
   std::uint64_t instances_added = 0;
   std::uint64_t instances_retracted = 0;
-  /// Boundary-timestamp re-evaluation passes (see docs/STREAMING.md).
+  /// Order-predicate re-evaluation passes over survivors: an eviction tying
+  /// a survivor's first timestamp, or entered events inside a survivor's
+  /// time span (see docs/STREAMING.md).
   std::uint64_t tie_corrections = 0;
-  /// Window recounted from scratch (startup, window turnover, a late-event
-  /// splice the delta passes cannot localize, or — store off only — a
-  /// batch that flips a static edge or drops one on a boundary tie).
+  /// Window recounted from scratch: startup, window turnover, or — store
+  /// off only — a batch that flips a static edge, or that under an order
+  /// predicate evicts an edge's last occurrence while a correction pass
+  /// runs.
   std::uint64_t full_recounts = 0;
-  /// Batches whose static-edge flips (or tie eviction of an edge) forced a
+  /// In-order batches whose static-edge flip (or edge eviction) forced a
   /// full-window recount (store off only).
   std::uint64_t static_fallbacks = 0;
   /// Always 0: the scoped store-off correction that counted its batches
@@ -103,9 +107,10 @@ struct IngestStats {
   /// Always 0: there is no counted-only store state. Kept only because
   /// pipebench/pipebench.cc reports it; neither serialized nor exported.
   std::uint64_t store_demotions_counted = 0;
-  /// Out-of-order ingestion: late events spliced into the window, late
-  /// events beyond the lateness horizon (dropped), late batches applied as
-  /// delta corrections, and late batches that recounted the window.
+  /// Out-of-order ingestion: late events that entered the window, late
+  /// events beyond the lateness horizon (dropped), late sub-batches the
+  /// delta path applied, and late sub-batches that recounted the window
+  /// (a static flip with the store off, or window turnover).
   std::uint64_t late_events = 0;
   std::uint64_t late_dropped = 0;
   std::uint64_t late_splices = 0;
@@ -168,17 +173,18 @@ struct StreamCheckpointState {
 };
 
 /// Maintains exact per-motif counts over a sliding window of an event
-/// stream. On arrival, only instances that include an arriving event are
-/// enumerated (every such instance ends in one, so a bounded first-event
-/// range suffices); on expiry, only instances anchored at an evicted event
-/// are retracted. Models whose instance predicate reads graph state outside
-/// the instance (consecutive-events, CDG, inducedness) get targeted
-/// boundary corrections. Static inducedness without an order predicate is
-/// handled by the node-pair live-instance store (stream/instance_store.h)
-/// — every static edge flip retires/admits exactly the affected instances,
-/// fully incremental at any batch size; every other static config, and a
-/// store turned off by a memory budget, recounts the window on each flip
-/// batch. The invariant —
+/// stream. On arrival, only instances that include an entered event are
+/// enumerated (timing bounds their first events to a range around the
+/// entered ones); on expiry, only instances anchored at an evicted event
+/// are retracted. The order predicates (consecutive events, CDG,
+/// temporal-window inducedness) read events inside an instance's time
+/// span, so surviving instances whose span reaches an evicted or entered
+/// event are re-evaluated. Static inducedness without an order predicate
+/// is handled by the node-pair live-instance store
+/// (stream/instance_store.h) — every static edge flip retires/admits
+/// exactly the affected instances, fully incremental at any batch size;
+/// every other static config, and a store turned off by a memory budget,
+/// recounts the window on each flip batch. The invariant —
 /// asserted by tests/stream_test.cc across the oracle grid — is that after
 /// every batch, `counts()` equals
 /// `CountMotifs(GraphFromEvents(window events), options)` exactly.
@@ -196,12 +202,19 @@ struct StreamCheckpointState {
 /// above the largest timestamp already ingested (equal is fine;
 /// simultaneous events never share an instance but may interleave
 /// arbitrarily across batches). Late events are tolerated up to
-/// `StreamConfig::lateness`: they are spliced into the window at their
-/// canonical position and the counts corrected; beyond the horizon they
-/// are dropped (`late_dropped`). Self-loop events must be filtered by the
-/// caller (graph_io's loader does this).
+/// `StreamConfig::lateness`: each batch's late part enters the window at
+/// its canonical position through the same delta path, ahead of the
+/// in-order part; beyond the horizon they are dropped (`late_dropped`).
+/// Self-loop events must be filtered by the caller (graph_io's loader does
+/// this).
 class StreamingMotifCounter {
  public:
+  /// Store promotion hysteresis (docs/RESILIENCE.md): a store turned off by
+  /// the budget comes back on once its estimated footprint fits under this
+  /// fraction of the budget for this many consecutive batches.
+  static constexpr double kPromoteFraction = 0.5;
+  static constexpr std::uint32_t kPromoteBatches = 4;
+
   explicit StreamingMotifCounter(const StreamConfig& config);
   ~StreamingMotifCounter();
 
@@ -294,21 +307,12 @@ class StreamingMotifCounter {
       std::size_t num_evict, const std::vector<Event>& added,
       std::size_t added_begin, bool* evicts_edge = nullptr);
 
-  /// In-order ingestion (every time at or above the stream clock). The
-  /// shared tail of Ingest.
-  void IngestOrdered(const std::vector<Event>& batch);
-
-  /// Splices in-horizon late events (`late`, canonically sorted, all times
-  /// strictly below the stream clock) and applies delta corrections — or a
-  /// windowed recount where the deltas cannot localize the damage (see
-  /// docs/STREAMING.md).
-  void IngestLate(const std::vector<Event>& late);
-
-  /// Applies the splice to the window + live indices (+ store anchor slots
-  /// when active) and records the post-splice positions of the entered
-  /// events in `spliced_positions_`.
-  void ApplySplice(std::size_t num_evict, const std::vector<Event>& late,
-                   std::size_t late_begin);
+  /// The one delta path of Ingest: applies a canonically sorted batch —
+  /// the in-order part (every time at or above the stream clock) or the
+  /// in-horizon late part (`late`, every time below it) — and corrects the
+  /// counts, or recounts the window where no delta pass can (startup,
+  /// turnover, a store-off static flip).
+  void IngestSorted(const std::vector<Event>& batch, bool late);
 
   // --- Live-instance store path (store_active()). ---
 
@@ -341,16 +345,18 @@ class StreamingMotifCounter {
   void PromoteStore();
 
   /// Applies the plan and recounts the whole window on the live indices
-  /// (startup, full window turnover, or a store-off static-edge flip).
+  /// (startup, full window turnover, or a store-off static-edge flip), and
+  /// bumps `reason` (if non-null) besides `full_recounts`.
   void ApplyAndRecount(const IngestPlan& plan, const std::vector<Event>& batch,
-                       bool is_static_fallback);
+                       std::uint64_t IngestStats::*reason);
   /// Recounts the already-updated window in place (store rebuild included
   /// when active). The store-off DFS recount is the one streaming path
   /// split over `StreamConfig::num_threads`.
   void RecountWindow();
-  /// Adds instances of the live window whose first event lies in
-  /// [begin, num_events) and whose last event is flagged in `is_new_`.
-  void AddNewInstances(EventIndex begin);
+  /// Adds the instances of the live window that contain an event flagged
+  /// in `is_new_`; the entered events' times lie in [t_min, t_max].
+  void AddNewInstances(Timestamp t_min, Timestamp t_max,
+                       const std::optional<Timestamp>& span);
 
   /// Marks the lazy TemporalGraph snapshot stale (under snapshot_mutex_).
   void InvalidateSnapshot();
@@ -369,7 +375,10 @@ class StreamingMotifCounter {
   struct DeltaScratch;
 
   StreamConfig config_;
-  bool has_nonlocal_ = false;
+  /// Consecutive events, CDG or temporal-window inducedness: a predicate
+  /// that reads the events inside an instance's time span, so evicted and
+  /// entered events there can flip a surviving instance.
+  bool has_order_predicate_ = false;
   /// Static inducedness: batches that flip a static edge need the store or
   /// a recount.
   bool uses_static_inducedness_ = false;
@@ -399,8 +408,8 @@ class StreamingMotifCounter {
   LiveInstanceStore store_;
   /// Monotone id of the event at window position 0 — mirrors the
   /// WindowGraph id scheme so store anchor ids can be derived from
-  /// positions (advances with evictions; splices renumber the tail without
-  /// moving it).
+  /// positions (advances with evictions; entered events renumber the
+  /// residents after them without moving it).
   std::uint64_t id_offset_ = 0;
   MotifCounts counts_;
   IngestStats stats_;
@@ -418,12 +427,10 @@ class StreamingMotifCounter {
   /// Largest event duration ever ingested; feeds the duration-aware span
   /// bound (conservative: never shrinks as events expire).
   Duration max_duration_seen_ = 0;
-  /// Scratch: window position -> entered with the current batch.
+  /// Scratch: window position -> entered with the current batch, and the
+  /// entered positions (ascending) StreamWindow::Apply reports.
   std::vector<char> is_new_;
   std::vector<std::size_t> new_positions_;
-  /// Scratch: window position -> spliced in by the current late batch.
-  std::vector<char> is_late_;
-  std::vector<std::size_t> spliced_positions_;
   /// Holds references to live_ and config_.options; they stay valid because
   /// the class is neither copyable nor movable (snapshot_mutex_).
   std::unique_ptr<DeltaScratch> scratch_;

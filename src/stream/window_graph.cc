@@ -210,9 +210,10 @@ void WindowGraph::BeginUpdate(const IngestPlan& plan,
     PopEdgeFront(e.src, e.dst, id);
   }
 
-  // Pop the trailing tie group the merge may interleave with (every event
-  // not strictly before the first entering batch event). Walking backwards
-  // keeps each popped id at the back of its lists.
+  // Pop every resident the merge renumbers (every event not strictly
+  // before the first entering batch event: the trailing tie group of an
+  // in-order batch). Walking backwards keeps each popped id at the back of
+  // its lists.
   std::size_t keep_end = old_size;
   if (plan.batch_begin < batch.size()) {
     const Event& first_new = batch[plan.batch_begin];
@@ -229,33 +230,6 @@ void WindowGraph::BeginUpdate(const IngestPlan& plan,
 
   offset_ += plan.num_evict;
   append_from_ = keep_end - plan.num_evict;
-  pending_ = true;
-}
-
-void WindowGraph::BeginSplice(std::size_t num_evict, std::size_t cut) {
-  TMOTIF_CHECK(!pending_);
-  const std::size_t old_size = window_->size();
-  TMOTIF_CHECK(num_evict <= cut && cut <= old_size);
-
-  for (std::size_t p = 0; p < num_evict; ++p) {
-    const Event& e = window_->event(p);
-    const std::uint64_t id = offset_ + p;
-    PopFrontEntry(&incident_[static_cast<std::size_t>(e.src)], id);
-    PopFrontEntry(&incident_[static_cast<std::size_t>(e.dst)], id);
-    PopEdgeFront(e.src, e.dst, id);
-  }
-
-  // Walking backwards keeps each popped id at the back of its lists.
-  for (std::size_t p = old_size; p > cut; --p) {
-    const Event& e = window_->event(p - 1);
-    const std::uint64_t id = offset_ + (p - 1);
-    PopBackEntry(&incident_[static_cast<std::size_t>(e.src)], id);
-    PopBackEntry(&incident_[static_cast<std::size_t>(e.dst)], id);
-    PopEdgeBack(e.src, e.dst, id);
-  }
-
-  offset_ += num_evict;
-  append_from_ = cut - num_evict;
   pending_ = true;
 }
 

@@ -31,13 +31,14 @@ namespace tmotif {
 /// always has id `offset_ + p`, where `offset_` advances by the number of
 /// evicted events. Evicting the canonical prefix therefore renumbers
 /// nothing (ids stay put, `offset_` moves), and appends assign fresh
-/// contiguous ids. The one wrinkle is the trailing tie group: a batch event
-/// can interleave *within* the window's final shared-timestamp run (the
-/// EventTimeLess tiebreak orders by endpoints), shifting those events'
-/// positions. `BeginUpdate` pops that tie group's entries (they are the
-/// tail of every list they appear in) and `FinishUpdate` re-appends the
-/// merged tail, so each batch costs O(evicted + tie group + entered) index
-/// operations — never O(window).
+/// contiguous ids. The one wrinkle is the merge: an entering event shifts
+/// the positions of every resident ordered after it — for an in-order
+/// batch only the window's final shared-timestamp run (the EventTimeLess
+/// tiebreak orders by endpoints), for a late one everything newer than it.
+/// `BeginUpdate` pops those residents' entries (they are the tail of every
+/// list they appear in) and `FinishUpdate` re-appends the merged tail, so
+/// each batch costs O(evicted + popped + entered) index operations — never
+/// O(window) for an in-order batch.
 class WindowGraph {
  public:
   using IdList = std::deque<std::uint64_t>;
@@ -297,22 +298,14 @@ class WindowGraph {
 
   /// Pre-Apply half of a batch update: must be called with the same plan
   /// and sorted batch that will be passed to StreamWindow::Apply, *before*
-  /// Apply mutates the window. Evicts the canonical prefix and pops the
-  /// trailing tie group the merge may interleave with.
+  /// Apply mutates the window. Evicts the canonical prefix and pops every
+  /// resident the merge renumbers (not ordered before the first entering
+  /// event).
   void BeginUpdate(const IngestPlan& plan, const std::vector<Event>& batch);
 
-  /// Post-Apply half: re-appends the merged tail (renumbered tie group +
+  /// Post-Apply half: re-appends the merged tail (renumbered residents +
   /// entered batch events) from the updated window.
   void FinishUpdate();
-
-  /// Pre-Splice half of a late-event splice (StreamWindow::Splice): evicts
-  /// the `num_evict`-event canonical prefix and pops every index entry for
-  /// pre-eviction positions >= `cut` (they are the tail of every list they
-  /// appear in, exactly like the trailing tie group — the splice merely
-  /// moves the pop point from the tie boundary to the insertion cut).
-  /// `FinishUpdate` then re-appends the merged, renumbered tail from the
-  /// spliced window. Cost: O(evicted + events at or after the cut).
-  void BeginSplice(std::size_t num_evict, std::size_t cut);
 
  private:
   void PopFrontEntry(IdList* list, std::uint64_t id);

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -506,6 +508,104 @@ TEST(Checkpoint, CraftedCountedOnlyStoreModeIsMalformed) {
   StreamingMotifCounter fresh(FixtureConfig());
   const CheckpointResult r = DecodeCheckpoint(bytes, &fresh);
   EXPECT_EQ(r.status, CheckpointStatus::kMalformed) << r.message;
+}
+
+// The window must be one the reader's policy can leave behind. Each file
+// is written under a wider policy and given the reader's fingerprint, so
+// only the policy checks can reject it: 8 events against a count-based
+// capacity of 4, and events at t = 10 and 60 under a 20 s horizon at
+// clock 100.
+TEST(Checkpoint, CraftedWindowOutsideThePolicyIsMalformed) {
+  struct Crafted {
+    const char* what;
+    WindowPolicy written;
+    WindowPolicy read;
+    std::vector<Event> events;
+  };
+  const Crafted kCrafted[] = {
+      {"count-based", WindowPolicy::CountBased(8), WindowPolicy::CountBased(4),
+       FixtureEvents()},
+      {"time-based", WindowPolicy::TimeBased(200), WindowPolicy::TimeBased(20),
+       {{0, 1, 10, 0, kNoLabel},
+        {1, 2, 60, 0, kNoLabel},
+        {2, 0, 100, 0, kNoLabel}}},
+  };
+  for (const Crafted& c : kCrafted) {
+    StreamConfig written = FixtureConfig();
+    written.window = c.written;
+    StreamConfig read = FixtureConfig();
+    read.window = c.read;
+    StreamingMotifCounter writer(written);
+    writer.Ingest(c.events);
+    ASSERT_EQ(writer.window_size(), c.events.size()) << c.what;
+    std::string bytes = EncodeCheckpoint(writer);
+    // The config fingerprint is the payload's first field.
+    PutU64At(&bytes, kHeaderBytes, StreamConfigFingerprint(read));
+    FixUpCrc(&bytes);
+    StreamingMotifCounter reader(read);
+    const CheckpointResult r = DecodeCheckpoint(bytes, &reader);
+    EXPECT_EQ(r.status, CheckpointStatus::kMalformed)
+        << c.what << ": " << r.message;
+  }
+}
+
+// max_duration_seen bounds every window event's duration: the
+// duration-aware span bound reads it, and a lower value cuts instances out
+// of the delta ranges, so a file that lowers it below a window event's
+// duration is malformed.
+TEST(Checkpoint, CraftedDurationBoundBelowAWindowEventIsMalformed) {
+  std::vector<Event> events = FixtureEvents();
+  events.back().duration = 15;
+  StreamingMotifCounter writer(FixtureConfig());
+  writer.Ingest(events);
+  std::string bytes = EncodeCheckpoint(writer);
+  // max_duration_seen follows the fingerprint, saw_any_event and
+  // max_time_seen.
+  PutU64At(&bytes, kHeaderBytes + 8 + 1 + 8, 14);
+  FixUpCrc(&bytes);
+  StreamingMotifCounter reader(FixtureConfig());
+  const CheckpointResult r = DecodeCheckpoint(bytes, &reader);
+  EXPECT_EQ(r.status, CheckpointStatus::kMalformed) << r.message;
+}
+
+// The store's budget state must be one the budget code can leave behind:
+// a promotion streak below the promotion batch count (it resets on
+// reaching it) and a finite, non-negative bytes-per-event estimate.
+TEST(Checkpoint, CraftedStoreBudgetStateIsMalformed) {
+  StreamConfig config;
+  config.options = Opts(3, 3, {}, false, false, Inducedness::kStatic);
+  config.window = WindowPolicy::CountBased(12);
+  config.store_budget_bytes = 1;  // Impossible budget: degrade immediately.
+  StreamingMotifCounter counter(config);
+  counter.Ingest(FixtureEvents());
+  ASSERT_EQ(counter.store_mode(), StoreMode::kRecount);
+  const std::string bytes = EncodeCheckpoint(counter);
+  // The f64 estimate precedes the CRC trailer; the u32 streak precedes it.
+  const std::size_t estimate_offset = bytes.size() - kCrcBytes - 8;
+  const std::size_t streak_offset = estimate_offset - 4;
+  const auto decode = [&](std::string crafted) {
+    FixUpCrc(&crafted);
+    StreamingMotifCounter fresh(config);
+    return DecodeCheckpoint(crafted, &fresh).status;
+  };
+  ASSERT_EQ(decode(bytes), CheckpointStatus::kOk);
+
+  const std::uint32_t promote = StreamingMotifCounter::kPromoteBatches;
+  for (const std::uint32_t streak : {promote - 1, promote, 0xFFFFFFFFu}) {
+    std::string crafted = bytes;
+    PutU32At(&crafted, streak_offset, streak);
+    EXPECT_EQ(decode(crafted), streak < promote ? CheckpointStatus::kOk
+                                                : CheckpointStatus::kMalformed)
+        << "promote_streak " << streak;
+  }
+  for (const double estimate : {std::nan(""), -1.0}) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &estimate, sizeof(bits));
+    std::string crafted = bytes;
+    PutU64At(&crafted, estimate_offset, bits);
+    EXPECT_EQ(decode(crafted), CheckpointStatus::kMalformed)
+        << "full_bytes_per_event " << estimate;
+  }
 }
 
 // Version-2 files (with the counted-only fields), version-3 files (with

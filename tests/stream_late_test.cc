@@ -4,8 +4,9 @@
 // every batch the maintained counts must exactly equal a from-scratch count
 // of the policy-selected window over the canonically sorted events seen so
 // far — i.e. any in-horizon permutation of a stream yields snapshot counts
-// identical to the sorted replay. Targeted tests pin the lateness-horizon
-// drop accounting and the splice plumbing.
+// identical to the sorted replay. Late events take the same delta path as
+// in-order ones. Targeted tests pin the lateness-horizon drop accounting,
+// a late eviction under an order predicate, and the window plumbing.
 
 #include <gtest/gtest.h>
 
@@ -192,7 +193,7 @@ TEST_P(StreamLateDifferentialTest, ShuffledReplayMatchesSortedReplay) {
       [&](std::uint64_t seed, const TemporalGraph& g) {
         for (const WindowPolicy& policy : policies) {
           for (const std::size_t batch_size :
-               {std::size_t{1}, std::size_t{3}}) {
+               {std::size_t{1}, std::size_t{3}, std::size_t{7}}) {
             for (const std::uint64_t shuffle_seed :
                  {seed * 3 + 1, seed * 7 + 2}) {
               ReplayShuffledAndCheck(
@@ -212,36 +213,49 @@ TEST_P(StreamLateDifferentialTest, ShuffledReplayMatchesSortedReplay) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, StreamLateDifferentialTest,
     ::testing::Values(
-        // Store-path presets (fully incremental late splices).
+        // Store-path presets: flips through the buckets, candidates that
+        // contain an entered event added.
         LateCase{"paranjape",
                  OptionsForModel(ModelId::kParanjape, 3, 3, 0, 8),
                  DenseSpec()},
         LateCase{"hulovatyy",
                  OptionsForModel(ModelId::kHulovatyy, 3, 3, 6, 0),
                  DenseSpec()},
-        // Non-local predicates without the store: the bounded subtract/add
-        // replacement pass around the splice.
+        // Order predicates: survivors whose time span reaches an entered
+        // or evicted event are re-evaluated.
         LateCase{"kovanen", OptionsForModel(ModelId::kKovanen, 3, 3, 6, 0),
                  DenseSpec()},
         LateCase{"window_induced",
                  Opts(3, 3, TimingConstraints::OnlyDeltaW(14), false, false,
                       Inducedness::kTemporalWindow),
                  DenseSpec()},
-        // Purely local predicates: the contains-a-spliced-event add pass.
+        LateCase{"cdg_only",
+                 Opts(3, 3, TimingConstraints::OnlyDeltaC(6), false, true),
+                 DenseSpec()},
+        // Purely local predicates: only instances that contain an entered
+        // event change (the per-gap dC fast path in vanilla_dc).
         LateCase{"song", OptionsForModel(ModelId::kSong, 3, 3, 0, 8),
                  DenseSpec()},
         LateCase{"vanilla_unbounded", Opts(2, 3), SmallSpec()},
-        // Static + consecutive + CDG keeps no store: a late splice that
-        // flips an edge or evicts takes the windowed recount, the rest the
-        // bounded replacement pass.
+        LateCase{"vanilla_dc", Opts(3, 3, TimingConstraints::OnlyDeltaC(6)),
+                 DenseSpec()},
+        // Static inducedness with an order predicate keeps no store: a late
+        // batch that flips an edge recounts, the rest take the delta path.
         LateCase{"kitchen_sink",
                  Opts(3, 3, TimingConstraints::Both(9, 14), true, true,
                       Inducedness::kStatic),
                  DenseSpec(), 4},
-        // Store off (1-byte budget): a late splice with a static flip
-        // takes the windowed recount.
+        LateCase{"static_consecutive",
+                 Opts(3, 3, {}, true, false, Inducedness::kStatic),
+                 DenseSpec(), 4},
+        // Store off (1-byte budget): a late batch with a static flip
+        // recounts; k = 4 recounts on the DFS.
         LateCase{"paranjape_degraded",
                  OptionsForModel(ModelId::kParanjape, 3, 3, 0, 8),
+                 DenseSpec(), 4, /*store_budget_bytes=*/1},
+        LateCase{"k4_static_degraded",
+                 Opts(4, 3, TimingConstraints::OnlyDeltaW(12), false, false,
+                      Inducedness::kStatic),
                  DenseSpec(), 4, /*store_budget_bytes=*/1}),
     [](const ::testing::TestParamInfo<LateCase>& info) {
       return std::string(info.param.name);
@@ -308,21 +322,62 @@ TEST(StreamingMotifCounter, LateEventExpiredByPolicyIsDropped) {
   EXPECT_EQ(count_counter.window_min_time(), 10);
 }
 
-// Splice plumbing: late events merge into canonical position (after
-// residents with identical keys), capacity evictions take the merged
-// prefix, and the reported positions are the entered events'.
+// A late event whose entry evicts under an order predicate takes the delta
+// path: the survivor 1->2 (t=12), 2->0 (t=14), 0->1 (t=16) has the late
+// t=13 event inside its time span and stops being valid under both
+// predicates, t=10 leaves, and nothing recounts after startup.
+TEST(StreamingMotifCounter, LateEvictionUnderAnOrderPredicateStaysIncremental) {
+  struct Case {
+    const char* name;
+    EnumerationOptions options;
+  };
+  const Case kCases[] = {
+      {"kovanen", OptionsForModel(ModelId::kKovanen, 3, 3, 6, 0)},
+      {"window_induced",
+       Opts(3, 3, TimingConstraints::OnlyDeltaW(8), false, false,
+            Inducedness::kTemporalWindow)},
+  };
+  for (const Case& c : kCases) {
+    StreamConfig config;
+    config.options = c.options;
+    config.window = WindowPolicy::CountBased(4);
+    config.lateness = 10;
+    StreamingMotifCounter counter(config);
+    counter.Ingest({{0, 1, 10}, {1, 2, 12}, {2, 0, 14}, {0, 1, 16}});
+    const MotifCounts before = CountMotifs(
+        GraphFromEvents({{1, 2, 12}, {2, 0, 14}, {0, 1, 16}}), c.options);
+    EXPECT_EQ(before.count("011220"), 1u) << c.name;
+    counter.Ingest({{1, 2, 13}});
+    const IngestStats& stats = counter.stats();
+    EXPECT_EQ(stats.late_events, 1u) << c.name;
+    EXPECT_EQ(stats.events_evicted, 1u) << c.name;
+    EXPECT_EQ(stats.late_splices, 1u) << c.name;
+    EXPECT_EQ(stats.late_recounts, 0u) << c.name;
+    EXPECT_EQ(stats.full_recounts, 1u) << c.name;  // Startup only.
+    const MotifCounts expected = CountMotifs(
+        GraphFromEvents({{1, 2, 12}, {1, 2, 13}, {2, 0, 14}, {0, 1, 16}}),
+        c.options);
+    EXPECT_EQ(counter.counts().SortedByCode(), expected.SortedByCode())
+        << c.name << ": streaming=" << DescribeCounts(counter.counts())
+        << " batch=" << DescribeCounts(expected);
+  }
+}
+
+// Late batches take the in-order plumbing: PlanIngest and Apply merge late
+// events into canonical position (after residents with identical keys),
+// capacity evictions take the merged prefix, and the reported positions
+// are the entered events'.
 TEST(StreamWindow, SpliceMergesIntoCanonicalPosition) {
   StreamWindow window(WindowPolicy::CountBased(5));
   std::vector<Event> first = {{0, 1, 10}, {1, 2, 20}, {2, 3, 30}};
   window.Apply(window.PlanIngest(first), first);
 
   std::vector<Event> late = {{3, 4, 15}, {4, 5, 25}};
-  const IngestPlan plan = window.PlanSplice(late);
+  const IngestPlan plan = window.PlanIngest(late);
   EXPECT_EQ(plan.num_evict, 0u);
   EXPECT_EQ(plan.batch_begin, 0u);
-  EXPECT_EQ(window.SpliceCut(plan, late), 1u);
   std::vector<std::size_t> positions;
-  window.Splice(plan, late, &positions);
+  window.Apply(plan, late, &positions);
   ASSERT_EQ(window.size(), 5u);
   ASSERT_EQ(positions.size(), 2u);
   EXPECT_EQ(positions[0], 1u);
@@ -334,9 +389,9 @@ TEST(StreamWindow, SpliceMergesIntoCanonicalPosition) {
   // At capacity: the merged canonical prefix is evicted, late events
   // falling inside it are dropped.
   std::vector<Event> more = {{5, 6, 12}, {6, 7, 28}};
-  const IngestPlan plan2 = window.PlanSplice(more);
+  const IngestPlan plan2 = window.PlanIngest(more);
   EXPECT_EQ(plan2.num_evict + (2 - plan2.batch_begin), 2u);
-  window.Splice(plan2, more, &positions);
+  window.Apply(plan2, more, &positions);
   EXPECT_EQ(window.size(), 5u);
   for (std::size_t i = 1; i < window.size(); ++i) {
     EXPECT_FALSE(EventTimeLess(window.event(i), window.event(i - 1)));
@@ -351,7 +406,7 @@ class LateCoverageEnvironment : public ::testing::Environment {
       return;
     }
     // The shuffled grid's agreement is only meaningful if late events
-    // actually flowed through both the delta-splice and the recount paths.
+    // actually flowed through both the delta path and the recount.
     EXPECT_GT(g_grid_late_events, 0u);
     EXPECT_GT(g_grid_late_splices, 0u);
     EXPECT_GT(g_grid_late_recounts, 0u);

@@ -518,12 +518,13 @@ TEST(StreamingMotifCounter, StoreOffFlipBatchesRecount) {
   EXPECT_EQ(stats.static_fallbacks, 4u);
 }
 
-// Store off: the boundary-tie corrections run on the survivors alone, so a
-// batch whose eviction removes an edge must not evaluate them there — even
-// when the batch re-adds the edge and nothing flips. Here (0,1) leaves with
-// the evicted prefix and re-enters with the batch; the survivor instance
-// 0->2, 2->1 is not induced before or after the batch, but would be on the
-// survivors alone.
+// Store off: under an order predicate the boundary passes run on the
+// survivors alone, so a batch whose eviction removes an edge must not run
+// them there — even when the batch re-adds the edge and nothing flips.
+// Here (0,1) leaves with the evicted prefix and re-enters with the batch;
+// the survivor instance 0->2, 2->1 is not induced before or after the
+// batch, but would be on the survivors alone. Pure static inducedness runs
+// no boundary pass, so it needs no recount here.
 TEST(StreamingMotifCounter, StoreOffTieCorrectionsNeverSeeAnEvictedEdgeGone) {
   struct Scenario {
     const char* tie;
@@ -533,26 +534,42 @@ TEST(StreamingMotifCounter, StoreOffTieCorrectionsNeverSeeAnEvictedEdgeGone) {
       {"evict tie", {{0, 1, 5}, {0, 2, 5}, {2, 1, 6}, {0, 1, 100}}},
       {"append tie", {{0, 1, 5}, {0, 2, 6}, {2, 1, 7}, {0, 1, 7}}},
   };
-  for (const Scenario& scenario : kScenarios) {
-    StreamConfig config;
-    config.options.num_events = 2;
-    config.options.max_nodes = 3;
-    config.options.timing = TimingConstraints::OnlyDeltaW(1000);
-    config.options.inducedness = Inducedness::kStatic;
-    config.window = WindowPolicy::CountBased(3);
-    config.store_budget_bytes = 1;
-    StreamingMotifCounter counter(config);
-    const std::vector<Event>& events = scenario.events;
-    counter.Ingest({events.begin(), events.end() - 1});
-    ASSERT_EQ(counter.store_mode(), StoreMode::kRecount) << scenario.tie;
-    counter.Ingest({events.back()});
-    const MotifCounts expected = CountMotifs(
-        GraphFromEvents(ExpectedWindow(
-            GraphFromEvents(events).events(), events.size(), config.window)),
-        config.options);
-    EXPECT_EQ(counter.counts().SortedByCode(), expected.SortedByCode())
-        << scenario.tie << ": streaming=" << DescribeCounts(counter.counts())
-        << " batch=" << DescribeCounts(expected);
+  struct Variant {
+    const char* name;
+    bool consecutive;
+    bool cdg;
+  };
+  const Variant kVariants[] = {
+      {"static", false, false},
+      {"static + consecutive", true, false},
+      {"static + CDG", false, true},
+  };
+  for (const Variant& variant : kVariants) {
+    for (const Scenario& scenario : kScenarios) {
+      const std::string label =
+          std::string(variant.name) + ", " + scenario.tie;
+      StreamConfig config;
+      config.options.num_events = 2;
+      config.options.max_nodes = 3;
+      config.options.timing = TimingConstraints::OnlyDeltaW(1000);
+      config.options.inducedness = Inducedness::kStatic;
+      config.options.consecutive_events_restriction = variant.consecutive;
+      config.options.cdg_restriction = variant.cdg;
+      config.window = WindowPolicy::CountBased(3);
+      config.store_budget_bytes = 1;
+      StreamingMotifCounter counter(config);
+      const std::vector<Event>& events = scenario.events;
+      counter.Ingest({events.begin(), events.end() - 1});
+      ASSERT_FALSE(counter.store_active()) << label;
+      counter.Ingest({events.back()});
+      const MotifCounts expected = CountMotifs(
+          GraphFromEvents(ExpectedWindow(GraphFromEvents(events).events(),
+                                         events.size(), config.window)),
+          config.options);
+      EXPECT_EQ(counter.counts().SortedByCode(), expected.SortedByCode())
+          << label << ": streaming=" << DescribeCounts(counter.counts())
+          << " batch=" << DescribeCounts(expected);
+    }
   }
 }
 
