@@ -418,15 +418,29 @@ class WindowCounter {
     }
   }
 
-  /// Adds `sign` times the per-code counts of Count(lo, hi, include) into
-  /// `deltas` — the building block of the range differences below and of
-  /// the streaming delta path.
-  template <typename Include>
-  void Accumulate(EventIndex lo, EventIndex hi, const Include& include,
-                  std::int64_t sign, CodeDeltas* deltas) {
-    Count(lo, hi, include, [&](std::uint64_t code, std::uint64_t count) {
-      deltas->Add(code, sign * static_cast<std::int64_t>(count));
-    });
+  /// Adds to `table` the per-code window difference: instances in
+  /// [lo, hi) over every event minus instances in [lo_minus, hi) over the
+  /// events `include_minus` accepts — the one difference CountRangeInto
+  /// and the streaming delta path take. The subtracted instances must be a
+  /// subset of the counted ones, so every per-code difference is
+  /// non-negative (checked).
+  template <typename IncludeMinus>
+  void CountDifferenceInto(EventIndex lo, EventIndex lo_minus, EventIndex hi,
+                           const IncludeMinus& include_minus,
+                           PackedMotifTable* table) {
+    deltas_.Clear();
+    Count(lo, hi, [](EventIndex) { return true; },
+          [&](std::uint64_t code, std::uint64_t count) {
+            deltas_.Add(code, static_cast<std::int64_t>(count));
+          });
+    Count(lo_minus, hi, include_minus,
+          [&](std::uint64_t code, std::uint64_t count) {
+            deltas_.Add(code, -static_cast<std::int64_t>(count));
+          });
+    for (const auto& [code, delta] : deltas_) {
+      TMOTIF_CHECK(delta >= 0);
+      if (delta > 0) table->Add(code, static_cast<std::uint64_t>(delta));
+    }
   }
 
  private:
@@ -1308,6 +1322,8 @@ class WindowCounter {
   std::vector<TieGroup> star_groups_;
   std::vector<CenterBounds> star_bounds_;
   std::vector<std::pair<NodeId, std::uint32_t>> adjacency_;
+  /// CountDifferenceInto's per-code accumulator.
+  CodeDeltas deltas_;
 };
 
 /// Adds counts of instances with first event in [first_begin, first_end)
@@ -1330,13 +1346,7 @@ void CountRangeInto(const Graph& graph, const EnumerationOptions& options,
                   });
     return;
   }
-  CodeDeltas deltas;
-  counter.Accumulate(first_begin, n, all, +1, &deltas);
-  counter.Accumulate(first_end, n, all, -1, &deltas);
-  for (const auto& [code, delta] : deltas) {
-    TMOTIF_CHECK(delta >= 0);
-    if (delta > 0) table->Add(code, static_cast<std::uint64_t>(delta));
-  }
+  counter.CountDifferenceInto(first_begin, first_end, n, all, table);
 }
 
 }  // namespace fast_paths

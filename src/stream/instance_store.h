@@ -36,7 +36,7 @@ namespace tmotif {
 /// exactly the affected instances, O(affected), no recount.
 ///
 /// Identity scheme: entries are anchored by their first event's monotone id
-/// (the stream/window_graph.h `id = offset + position` numbering) via a
+/// (the stream/window_graph.h `id = first_id() + position` numbering) via a
 /// deque of per-id slots. Eviction pops slots from the front; an event
 /// entering before residents (stream/streaming_counter.h) inserts an empty
 /// slot, which shifts every later slot exactly in lockstep with the id

@@ -142,9 +142,8 @@ struct StreamingMotifCounter::DeltaScratch {
   }
 
   /// The fast-path counter over the live window (engaged iff the options
-  /// dispatch to the fast paths) and its window-difference accumulator.
+  /// dispatch to the fast paths).
   std::optional<internal::fast_paths::WindowCounter<WindowGraph>> fast;
-  internal::fast_paths::CodeDeltas deltas;
   /// (directed node-pair key, +1 entering / -1 leaving) per event of a
   /// batch's edge delta, and the resulting flip list.
   std::vector<std::pair<std::uint64_t, int>> edge_deltas;
@@ -152,7 +151,7 @@ struct StreamingMotifCounter::DeltaScratch {
 };
 
 StreamingMotifCounter::StreamingMotifCounter(const StreamConfig& config)
-    : config_(config), window_(config.window), live_(&window_) {
+    : config_(config), live_(config.window) {
   TMOTIF_CHECK_MSG(config_.options.max_instances == 0,
                    "max_instances is not supported in streaming counting");
   TMOTIF_CHECK(config_.num_threads >= 1);
@@ -189,22 +188,12 @@ TimespanProfile StreamingMotifCounter::WindowTimespans(
                           unbounded_hi);
 }
 
-void StreamingMotifCounter::InvalidateSnapshot() {
-  const std::lock_guard<std::mutex> lock(snapshot_mutex_);
-  snapshot_valid_ = false;
-}
-
-const TemporalGraph& StreamingMotifCounter::window_graph() const {
-  const std::lock_guard<std::mutex> lock(snapshot_mutex_);
-  if (!snapshot_valid_) {
-    TemporalGraphBuilder builder;
-    for (const Event& e : window_.events()) builder.AddEvent(e);
-    // The window is canonically sorted, so builder.Build()'s stable sort is
-    // the identity and graph indices equal window positions.
-    snapshot_ = builder.Build();
-    snapshot_valid_ = true;
-  }
-  return snapshot_;
+TemporalGraph StreamingMotifCounter::window_graph() const {
+  TemporalGraphBuilder builder;
+  for (const Event& e : live_.events()) builder.AddEvent(e);
+  // The window is canonically sorted, so builder.Build()'s stable sort is
+  // the identity and graph indices equal window positions.
+  return builder.Build();
 }
 
 std::optional<Timestamp> StreamingMotifCounter::SpanBound() const {
@@ -236,7 +225,7 @@ StreamingMotifCounter::CollectStaticEdgeFlips(std::size_t num_evict,
   if (evicts_edge != nullptr) *evicts_edge = false;
   if (!uses_static_inducedness_) return flips;
   for (std::size_t i = 0; i < num_evict; ++i) {
-    const Event& e = window_.event(i);
+    const Event& e = live_.events()[i];
     records.emplace_back(NodePairKey(e.src, e.dst), -1);
   }
   for (std::size_t i = added_begin; i < added.size(); ++i) {
@@ -268,8 +257,6 @@ StreamingMotifCounter::CollectStaticEdgeFlips(std::size_t num_evict,
 
 void StreamingMotifCounter::RecountWindow() {
   obs::PhaseTimer span(StreamMetrics::Get().recount, "stream.recount");
-  live_.Reset();
-  id_offset_ = 0;
   counts_ = MotifCounts();
   ++stats_.full_recounts;
   if (store_active()) {
@@ -291,8 +278,7 @@ void StreamingMotifCounter::RecountWindow() {
 void StreamingMotifCounter::ApplyAndRecount(
     const IngestPlan& plan, const std::vector<Event>& batch,
     std::uint64_t IngestStats::*reason) {
-  window_.Apply(plan, batch);
-  InvalidateSnapshot();
+  live_.Apply(plan, batch);
   RecountWindow();
   if (reason != nullptr) ++(stats_.*reason);
 }
@@ -312,18 +298,12 @@ void StreamingMotifCounter::AddNewInstances(
     const EventIndex hi = span.has_value()
                               ? live_.UpperBoundTime(SatAdd(t_max, *span))
                               : live_.num_events();
-    const auto all = [](EventIndex) { return true; };
-    const auto old_only = [this](EventIndex i) {
-      return is_new_[static_cast<std::size_t>(i)] == 0;
-    };
-    internal::fast_paths::CodeDeltas& deltas = scratch_->deltas;
-    deltas.Clear();
-    scratch_->fast->Accumulate(lo, hi, all, +1, &deltas);
-    scratch_->fast->Accumulate(lo, hi, old_only, -1, &deltas);
-    for (const auto& [code, delta] : deltas) {
-      TMOTIF_CHECK(delta >= 0);
-      if (delta > 0) added.Add(code, static_cast<std::uint64_t>(delta));
-    }
+    scratch_->fast->CountDifferenceInto(
+        lo, lo, hi,
+        [this](EventIndex i) {
+          return is_new_[static_cast<std::size_t>(i)] == 0;
+        },
+        &added);
   } else {
     internal::fast_paths::NoteDispatch(false);
     // Such an instance also starts at or before t_max.
@@ -341,9 +321,8 @@ void StreamingMotifCounter::AddNewInstances(
 // --- Live-instance store path. ---
 
 void StreamingMotifCounter::RebuildStore() {
-  // Anchors restart at the current id base (zero on the recount path; the
-  // live offset on promotion/restore rebuilds, where the window survives).
-  store_.Reset(id_offset_);
+  // Anchors restart at the window's current id base.
+  store_.Reset(live_.first_id());
   // A rebuild is a recount, not delta churn: instances_added stays
   // untouched, matching the non-store recount path.
   StoreAddCandidates(0, live_.num_events(),
@@ -362,8 +341,8 @@ void StreamingMotifCounter::StoreAddCandidates(EventIndex lo, EventIndex hi,
     const int distinct = internal::PackedDistinctPairCount(packed, k);
     const bool covered =
         distinct == ScopeStaticEdges(live_, nodes, num_nodes);
-    store_.Insert(id_offset_ + static_cast<std::uint64_t>(chosen[0]), packed,
-                  nodes, num_nodes, distinct, covered);
+    store_.Insert(live_.first_id() + static_cast<std::uint64_t>(chosen[0]),
+                  packed, nodes, num_nodes, distinct, covered);
     if (covered) added.Add(packed);
   });
   internal::EnumerateCore(live_, candidate_options_, lo, hi, sink);
@@ -414,8 +393,10 @@ void StreamingMotifCounter::Ingest(std::vector<Event> batch) {
   obs::PhaseTimer ingest_span(metrics.ingest_latency, "stream.ingest");
   std::stable_sort(batch.begin(), batch.end(), EventTimeLess);
   for (const Event& e : batch) {
+    TMOTIF_CHECK_MSG(e.src >= 0 && e.dst >= 0, "negative node id");
     TMOTIF_CHECK_MSG(e.src != e.dst,
                      "self-loop events must be filtered before ingestion");
+    TMOTIF_CHECK_MSG(e.duration >= 0, "negative duration");
   }
   ++stats_.batches;
   stats_.events_ingested += batch.size();
@@ -424,8 +405,8 @@ void StreamingMotifCounter::Ingest(std::vector<Event> batch) {
   // beyond the lateness horizon they are dropped; the in-horizon ones take
   // the same delta path as the in-order suffix, ahead of it.
   std::size_t ordered_begin = 0;
-  if (window_.saw_any_event()) {
-    const Timestamp clock = window_.max_time_seen();
+  if (live_.saw_any_event()) {
+    const Timestamp clock = live_.max_time_seen();
     while (ordered_begin < batch.size() &&
            batch[ordered_begin].time < clock) {
       ++ordered_begin;
@@ -470,7 +451,7 @@ void StreamingMotifCounter::PublishTelemetry() {
   metrics.store_compactions->Add(store_.compactions() -
                                  published_store_compactions_);
   published_store_compactions_ = store_.compactions();
-  metrics.window_events->Set(static_cast<std::int64_t>(window_.size()));
+  metrics.window_events->Set(static_cast<std::int64_t>(live_.size()));
   metrics.store_entries->Set(static_cast<std::int64_t>(store_.size()));
   metrics.store_bytes->Set(
       static_cast<std::int64_t>(store_active() ? store_.ApproxBytes() : 0));
@@ -481,13 +462,13 @@ void StreamingMotifCounter::PublishTelemetry() {
 void StreamingMotifCounter::IngestSorted(const std::vector<Event>& batch,
                                          bool late) {
   StreamMetrics& metrics = StreamMetrics::Get();
-  const IngestPlan plan = window_.PlanIngest(batch);
-  const std::size_t old_size = window_.size();
+  const IngestPlan plan = live_.PlanIngest(batch);
+  const std::size_t old_size = live_.size();
   const std::size_t num_new = batch.size() - plan.batch_begin;
   stats_.events_dropped += plan.batch_begin;
   if (num_new == 0 && plan.num_evict == 0) {
-    window_.Apply(plan, batch);  // Still advances the stream clock; the
-    return;                      // window content (and indices) is unchanged.
+    live_.Apply(plan, batch);  // Still advances the stream clock; the
+    return;                    // window content (and indices) is unchanged.
   }
   stats_.events_evicted += plan.num_evict;
   if (late) stats_.late_events += num_new;
@@ -521,20 +502,16 @@ void StreamingMotifCounter::IngestSorted(const std::vector<Event>& batch,
     if (n_evict > 0) StoreEvict(plan.num_evict);
     {
       obs::PhaseTimer phase_span(metrics.phase4_apply, "stream.phase4_apply");
-      live_.BeginUpdate(plan, batch);
-      window_.Apply(plan, batch, &new_positions_);
-      live_.FinishUpdate();
+      live_.Apply(plan, batch, &new_positions_);
     }
-    id_offset_ += plan.num_evict;
     // Each entered event renumbers the residents ordered after it (for an
     // in-order batch, only the trailing tie group); opening store slots at
     // the entered ids (ascending, so each insertion accounts for the
     // previous) shifts the entries anchored there in lockstep.
     for (const std::size_t p : new_positions_) {
-      store_.SpliceSlot(id_offset_ + p);
+      store_.SpliceSlot(live_.first_id() + p);
     }
-    InvalidateSnapshot();
-    is_new_.assign(window_.size(), 0);
+    is_new_.assign(live_.size(), 0);
     for (const std::size_t p : new_positions_) is_new_[p] = 1;
     {
       obs::PhaseTimer phase_span(metrics.store_flips, "stream.store_flips");
@@ -613,17 +590,8 @@ void StreamingMotifCounter::IngestSorted(const std::vector<Event>& batch,
               ? live_.UpperBoundTime(
                     SatAdd(live_.event_time(n_evict - 1), *span))
               : live_.num_events();
-      const auto all = [](EventIndex) { return true; };
-      internal::fast_paths::CodeDeltas& deltas = scratch_->deltas;
-      deltas.Clear();
-      scratch_->fast->Accumulate(0, hi1, all, +1, &deltas);
-      scratch_->fast->Accumulate(n_evict, hi1, all, -1, &deltas);
-      for (const auto& [code, delta] : deltas) {
-        TMOTIF_CHECK(delta >= 0);
-        if (delta > 0) {
-          retracted.Add(code, static_cast<std::uint64_t>(delta));
-        }
-      }
+      scratch_->fast->CountDifferenceInto(
+          0, n_evict, hi1, [](EventIndex) { return true; }, &retracted);
     } else {
       internal::PackedTableSink sink{&retracted};
       internal::EnumerateCore(live_, config_.options, 0, n_evict, sink);
@@ -637,11 +605,7 @@ void StreamingMotifCounter::IngestSorted(const std::vector<Event>& batch,
                               live_.UpperBoundTime(t_ev), sink);
       counts_.SubtractTable(table);
     }
-    const IngestPlan evict{plan.num_evict, 0};
-    live_.BeginUpdate(evict, {});
-    window_.Apply(evict, {});
-    live_.FinishUpdate();
-    id_offset_ += plan.num_evict;
+    live_.Apply(IngestPlan{plan.num_evict, 0}, {});
   }
 
   // Phase 2 — evict-side boundary correction, add-back half: the
@@ -690,13 +654,9 @@ void StreamingMotifCounter::IngestSorted(const std::vector<Event>& batch,
   // entered event + entered); no window-graph rebuild).
   {
     obs::PhaseTimer phase_span(metrics.phase4_apply, "stream.phase4_apply");
-    const IngestPlan enter{0, plan.batch_begin};
-    live_.BeginUpdate(enter, batch);
-    window_.Apply(enter, batch, &new_positions_);
-    live_.FinishUpdate();
+    live_.Apply(IngestPlan{0, plan.batch_begin}, batch, &new_positions_);
   }
-  InvalidateSnapshot();
-  is_new_.assign(window_.size(), 0);
+  is_new_.assign(live_.size(), 0);
   for (const std::size_t p : new_positions_) is_new_[p] = 1;
 
   if (entry_correction) {
@@ -733,7 +693,7 @@ void StreamingMotifCounter::EnforceStoreBudget() {
   }
   const std::size_t budget = config_.store_budget_bytes;
   const double window_events =
-      static_cast<double>(std::max<std::size_t>(window_.size(), 1));
+      static_cast<double>(std::max<std::size_t>(live_.size(), 1));
 
   // Demotion is immediate: a batch must never end over budget. It first
   // records the store's bytes per window event, so re-promotion can
@@ -742,7 +702,7 @@ void StreamingMotifCounter::EnforceStoreBudget() {
     if (store_.ApproxBytes() + pressure <= budget) return;
     full_bytes_per_event_ =
         static_cast<double>(store_.ApproxBytes()) / window_events;
-    store_.Reset(id_offset_);
+    store_.Reset(live_.first_id());
     store_mode_ = StoreMode::kRecount;
     promote_streak_ = 0;
     ++stats_.store_demotions_recount;
@@ -784,10 +744,9 @@ void StreamingMotifCounter::PromoteStore() {
 
 StreamCheckpointState StreamingMotifCounter::CaptureCheckpointState() const {
   StreamCheckpointState state;
-  state.window_events.assign(window_.events().begin(),
-                             window_.events().end());
-  state.max_time_seen = window_.max_time_seen();
-  state.saw_any_event = window_.saw_any_event();
+  state.window_events.assign(live_.events().begin(), live_.events().end());
+  state.max_time_seen = live_.max_time_seen();
+  state.saw_any_event = live_.saw_any_event();
   state.max_duration_seen = max_duration_seen_;
   state.stats = stats_;
   state.counts.assign(counts_.raw().begin(), counts_.raw().end());
@@ -800,10 +759,8 @@ StreamCheckpointState StreamingMotifCounter::CaptureCheckpointState() const {
 
 bool StreamingMotifCounter::RestoreCheckpointState(
     const StreamCheckpointState& state, std::string* error) {
-  window_.Restore(state.window_events, state.max_time_seen,
-                  state.saw_any_event);
-  live_.Reset();
-  id_offset_ = 0;
+  live_.Restore(state.window_events, state.max_time_seen,
+                state.saw_any_event);
   max_duration_seen_ = state.max_duration_seen;
   stats_ = state.stats;
   // Exported metrics are deltas against published_stats_; after a restore
@@ -818,7 +775,7 @@ bool StreamingMotifCounter::RestoreCheckpointState(
   full_bytes_per_event_ = state.full_bytes_per_event;
   MotifCounts restored;
   for (const auto& [packed, n] : state.counts) restored.AddPacked(packed, n);
-  store_.Reset(0);
+  store_.Reset(live_.first_id());
   if (!store_active()) {
     counts_ = std::move(restored);
   } else {
@@ -835,7 +792,6 @@ bool StreamingMotifCounter::RestoreCheckpointState(
       return false;
     }
   }
-  InvalidateSnapshot();
   return true;
 }
 

@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -16,7 +15,6 @@
 #include "core/enumerator.h"
 #include "graph/temporal_graph.h"
 #include "stream/instance_store.h"
-#include "stream/stream_window.h"
 #include "stream/window_graph.h"
 
 namespace tmotif {
@@ -157,7 +155,7 @@ inline constexpr std::array<IngestStatField, 19> kIngestStatFields = {{
 /// monotone-id space restarts at zero then, which is unobservable — ids
 /// only ever relate store entries to window positions.
 struct StreamCheckpointState {
-  /// The window, in canonical order (StreamWindow::events()).
+  /// The window, in canonical order (WindowGraph::events()).
   std::vector<Event> window_events;
   Timestamp max_time_seen = 0;
   bool saw_any_event = false;
@@ -189,14 +187,19 @@ struct StreamCheckpointState {
 /// every batch, `counts()` equals
 /// `CountMotifs(GraphFromEvents(window events), options)` exactly.
 ///
-/// All delta-path enumeration runs on the devirtualized core
-/// (core/enumerate_core.h) directly over incrementally maintained
-/// per-node / per-edge window indices (stream/window_graph.h) — no
-/// per-batch window-graph rebuild. Every delta reaches `counts()` as a
-/// packed-code table through MotifCounts::AddTable / SubtractTable; no code
-/// is spelled on the ingest path. A TemporalGraph snapshot of the window
-/// is materialized lazily, only when `window_graph()` / `WindowTimespans()`
-/// are called.
+/// The window is one `WindowGraph` (stream/window_graph.h): its events,
+/// clock and incrementally maintained per-node / per-edge indices. Every
+/// count — deltas and whole-window recounts alike — runs on the
+/// devirtualized core (core/enumerate_core.h) or the fast paths directly
+/// over those indices; no batch builds a graph or rebuilds the indices.
+/// Every delta reaches `counts()` as a packed-code table through
+/// MotifCounts::AddTable / SubtractTable; no code is spelled on the ingest
+/// path. Only `window_graph()` / `WindowTimespans()` build a
+/// TemporalGraph of the window, on every call, with no cache.
+///
+/// One writer: `Ingest` and `RestoreCheckpointState` must not overlap any
+/// other call. Between batches, any number of threads may call the const
+/// accessors concurrently.
 ///
 /// Streams should be time-ordered: each batch's earliest timestamp at or
 /// above the largest timestamp already ingested (equal is fine;
@@ -205,8 +208,9 @@ struct StreamCheckpointState {
 /// `StreamConfig::lateness`: each batch's late part enters the window at
 /// its canonical position through the same delta path, ahead of the
 /// in-order part; beyond the horizon they are dropped (`late_dropped`).
-/// Self-loop events must be filtered by the caller (graph_io's loader does
-/// this).
+/// Events are checked like `TemporalGraphBuilder::AddEvent` checks them: a
+/// negative node id or duration aborts, and so does a self-loop, which the
+/// caller must filter (graph_io's loader does this).
 class StreamingMotifCounter {
  public:
   /// Store promotion hysteresis (docs/RESILIENCE.md): a store turned off by
@@ -217,6 +221,10 @@ class StreamingMotifCounter {
 
   explicit StreamingMotifCounter(const StreamConfig& config);
   ~StreamingMotifCounter();
+  // The delta scratch refers to the window and the options, so a counter
+  // never moves.
+  StreamingMotifCounter(const StreamingMotifCounter&) = delete;
+  StreamingMotifCounter& operator=(const StreamingMotifCounter&) = delete;
 
   /// Ingests one batch (any internal order; it is sorted canonically).
   void Ingest(std::vector<Event> batch);
@@ -236,17 +244,18 @@ class StreamingMotifCounter {
                                   Timestamp unbounded_hi = 3600) const;
 
   /// The window as a graph (canonical event order, identical to a
-  /// from-scratch build of the same events). Materialized lazily: the hot
-  /// ingest path never builds it.
-  const TemporalGraph& window_graph() const;
-  std::size_t window_size() const { return window_.size(); }
+  /// from-scratch build of the same events), built from the window's
+  /// events on every call, with no cache; the ingest path never builds it.
+  /// Safe for concurrent const readers.
+  TemporalGraph window_graph() const;
+  std::size_t window_size() const { return live_.size(); }
   Timestamp window_min_time() const {
-    return window_.empty() ? 0 : window_.event(0).time;
+    return live_.empty() ? 0 : live_.events().front().time;
   }
   Timestamp window_max_time() const {
-    return window_.empty() ? 0 : window_.event(window_.size() - 1).time;
+    return live_.empty() ? 0 : live_.events().back().time;
   }
-  Timestamp max_time_seen() const { return window_.max_time_seen(); }
+  Timestamp max_time_seen() const { return live_.max_time_seen(); }
 
   const StreamConfig& config() const { return config_; }
   const IngestStats& stats() const { return stats_; }
@@ -349,17 +358,14 @@ class StreamingMotifCounter {
   /// bumps `reason` (if non-null) besides `full_recounts`.
   void ApplyAndRecount(const IngestPlan& plan, const std::vector<Event>& batch,
                        std::uint64_t IngestStats::*reason);
-  /// Recounts the already-updated window in place (store rebuild included
-  /// when active). The store-off DFS recount is the one streaming path
-  /// split over `StreamConfig::num_threads`.
+  /// Recounts the window on the indices Apply already updated (store
+  /// rebuild included when active). The store-off DFS recount is the one
+  /// streaming path split over `StreamConfig::num_threads`.
   void RecountWindow();
   /// Adds the instances of the live window that contain an event flagged
   /// in `is_new_`; the entered events' times lie in [t_min, t_max].
   void AddNewInstances(Timestamp t_min, Timestamp t_max,
                        const std::optional<Timestamp>& span);
-
-  /// Marks the lazy TemporalGraph snapshot stale (under snapshot_mutex_).
-  void InvalidateSnapshot();
 
   /// Mirrors the IngestStats deltas since the last publish into the
   /// process-wide metrics registry (stream.* counters) and refreshes the
@@ -401,38 +407,23 @@ class StreamingMotifCounter {
   /// coverage verdict is cached per entry).
   EnumerationOptions candidate_options_;
 
-  StreamWindow window_;
-  /// Incremental per-node / per-edge indices over window_ (declared after
-  /// it: construction order matters).
+  /// The window: events, clock and indices. Store anchors are its monotone
+  /// ids (`live_.first_id() + position`).
   WindowGraph live_;
   LiveInstanceStore store_;
-  /// Monotone id of the event at window position 0 — mirrors the
-  /// WindowGraph id scheme so store anchor ids can be derived from
-  /// positions (advances with evictions; entered events renumber the
-  /// residents after them without moving it).
-  std::uint64_t id_offset_ = 0;
   MotifCounts counts_;
   IngestStats stats_;
   /// Value of stats_ at the last PublishTelemetry (delta mirroring).
   IngestStats published_stats_;
-  /// Lazily materialized TemporalGraph of the window for snapshot APIs.
-  /// The mutex makes concurrent const readers safe with each other and
-  /// covers the validity flag; it does NOT make readers safe against a
-  /// concurrent Ingest — like every other accessor of this class
-  /// (counts(), window_size(), ...), snapshot reads must not overlap a
-  /// write. Single-writer, read-between-batches is the supported model.
-  mutable std::mutex snapshot_mutex_;
-  mutable TemporalGraph snapshot_;
-  mutable bool snapshot_valid_ = false;
   /// Largest event duration ever ingested; feeds the duration-aware span
   /// bound (conservative: never shrinks as events expire).
   Duration max_duration_seen_ = 0;
   /// Scratch: window position -> entered with the current batch, and the
-  /// entered positions (ascending) StreamWindow::Apply reports.
+  /// entered positions (ascending) WindowGraph::Apply reports.
   std::vector<char> is_new_;
   std::vector<std::size_t> new_positions_;
   /// Holds references to live_ and config_.options; they stay valid because
-  /// the class is neither copyable nor movable (snapshot_mutex_).
+  /// the class is neither copyable nor movable.
   std::unique_ptr<DeltaScratch> scratch_;
 };
 

@@ -2,22 +2,69 @@
 #define TMOTIF_STREAM_WINDOW_GRAPH_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <iterator>
+#include <string>
 #include <vector>
 
 #include "common/types.h"
 #include "graph/event.h"
-#include "stream/stream_window.h"
 
 namespace tmotif {
 
-/// Incrementally maintained per-node / per-edge indices over a
-/// `StreamWindow` — the streaming counterpart of `TemporalGraph`'s CSR
-/// indices, exposing the accessor subset the devirtualized enumeration core
-/// (core/enumerate_core.h) needs, so the delta path counts directly on the
-/// live window without rebuilding a graph per batch.
+/// Eviction policy of a sliding event window.
+enum class WindowPolicyKind {
+  /// Keep the most recent `max_events` events.
+  kCountBased,
+  /// Keep events with time > t_latest - horizon, where t_latest is the
+  /// largest timestamp seen so far (the window is the half-open time range
+  /// (t_latest - horizon, t_latest]).
+  kTimeBased,
+};
+
+struct WindowPolicy {
+  WindowPolicyKind kind = WindowPolicyKind::kCountBased;
+  /// Capacity for kCountBased (>= 1).
+  std::int64_t max_events = 0;
+  /// Lookback for kTimeBased (>= 1 second).
+  Timestamp horizon = 0;
+
+  static WindowPolicy CountBased(std::int64_t max_events);
+  static WindowPolicy TimeBased(Timestamp horizon);
+
+  /// "last 4096 events" / "last 3600s" style description.
+  std::string ToString() const;
+};
+
+/// How one sorted batch changes the window: which prefix of the current
+/// window expires and which suffix of the batch actually enters (batch
+/// events that the policy would expire immediately are dropped up front,
+/// which is equivalent to inserting and evicting them in the same step).
+struct IngestPlan {
+  /// Number of events to evict from the front of the window.
+  std::size_t num_evict = 0;
+  /// First batch index that enters the window (earlier ones are dropped).
+  std::size_t batch_begin = 0;
+};
+
+/// The one live sliding window of an event stream: its events, its policy
+/// and stream clock, and the per-node / per-edge indices over them — the
+/// streaming counterpart of `TemporalGraph`'s CSR indices, exposing the
+/// accessor subset the devirtualized enumeration core
+/// (core/enumerate_core.h) needs, so every streaming count runs directly on
+/// the live window without building a graph.
+///
+/// The events are kept in the same canonical order as
+/// `TemporalGraphBuilder::Build` (EventTimeLess with stable ties, older
+/// arrivals first). Every batch merges into canonical position (an
+/// in-order batch behind the trailing tie group, a late one wherever its
+/// times fall) and eviction always removes a canonical prefix, so the
+/// window is at every point exactly the policy-selected suffix of the
+/// canonically sorted stream history — a graph built from `events()`
+/// equals the graph built from scratch on the same event set (the
+/// invariant the streaming counter's differential tests assert).
 ///
 /// The static projection mirrors `TemporalGraph`'s per-node neighbor CSR
 /// incrementally: each source node owns a small array of `EdgeCell`s (one
@@ -28,17 +75,18 @@ namespace tmotif {
 /// searches over the flat timestamp deque.
 ///
 /// Index entries are monotone *ids*: the event at window position `p`
-/// always has id `offset_ + p`, where `offset_` advances by the number of
-/// evicted events. Evicting the canonical prefix therefore renumbers
-/// nothing (ids stay put, `offset_` moves), and appends assign fresh
-/// contiguous ids. The one wrinkle is the merge: an entering event shifts
-/// the positions of every resident ordered after it — for an in-order
-/// batch only the window's final shared-timestamp run (the EventTimeLess
-/// tiebreak orders by endpoints), for a late one everything newer than it.
-/// `BeginUpdate` pops those residents' entries (they are the tail of every
-/// list they appear in) and `FinishUpdate` re-appends the merged tail, so
-/// each batch costs O(evicted + popped + entered) index operations — never
-/// O(window) for an in-order batch.
+/// always has id `first_id() + p`, where `first_id()` advances by the
+/// number of evicted events. Evicting the canonical prefix therefore
+/// renumbers nothing (ids stay put, `first_id()` moves), and appends assign
+/// fresh contiguous ids. The one wrinkle is the merge: an entering event
+/// shifts the positions of every resident ordered after it — for an
+/// in-order batch only the window's final shared-timestamp run (the
+/// EventTimeLess tiebreak orders by endpoints), for a late one everything
+/// newer than it. `Apply` pops those residents (they are the tail of every
+/// list they appear in) and re-appends the merged tail in the same walk,
+/// so each batch costs O(evicted + popped + entered) index operations —
+/// never O(window) for an in-order batch. `Apply` and `Restore` are the
+/// only mutators.
 class WindowGraph {
  public:
   using IdList = std::deque<std::uint64_t>;
@@ -53,9 +101,8 @@ class WindowGraph {
   };
 
   /// Resolved edge: pointer to the live cell. Valid only until the next
-  /// mutation (Reset / BeginUpdate / FinishUpdate) — the enumeration core
-  /// resolves and uses handles strictly within one enumeration pass over a
-  /// quiescent graph.
+  /// mutation (Apply / Restore) — the enumeration core resolves and uses
+  /// handles strictly within one enumeration pass over a quiescent graph.
   using EdgeHandle = const EdgeCell*;
   static constexpr EdgeHandle kNoEdgeHandle = nullptr;
 
@@ -72,8 +119,8 @@ class WindowGraph {
 
     IndexIterator() = default;
     IndexIterator(IdList::const_iterator it, std::uint64_t offset,
-                  const StreamWindow* window)
-        : it_(it), offset_(offset), window_(window) {}
+                  const std::deque<Event>* events)
+        : it_(it), offset_(offset), events_(events) {}
 
     EventIndex operator*() const {
       return static_cast<EventIndex>(*it_ - offset_);
@@ -82,8 +129,8 @@ class WindowGraph {
       return static_cast<EventIndex>(it_[n] - offset_);
     }
     /// Hot fields of the fronted event (same surface as
-    /// TemporalGraph::IncidentIterator; resolved through the backing window
-    /// — the streaming side has no inlined mirror).
+    /// TemporalGraph::IncidentIterator; resolved through the window's event
+    /// deque — the streaming side has no inlined mirror).
     Timestamp time() const { return Fronted().time; }
     NodeId src() const { return Fronted().src; }
     NodeId dst() const { return Fronted().dst; }
@@ -120,12 +167,12 @@ class WindowGraph {
 
    private:
     const Event& Fronted() const {
-      return window_->event(static_cast<std::size_t>(*it_ - offset_));
+      return (*events_)[static_cast<std::size_t>(*it_ - offset_)];
     }
 
     IdList::const_iterator it_{};
     std::uint64_t offset_ = 0;
-    const StreamWindow* window_ = nullptr;
+    const std::deque<Event>* events_ = nullptr;
   };
 
   class IndexRange {
@@ -144,16 +191,30 @@ class WindowGraph {
     IndexIterator end_;
   };
 
-  /// `window` must outlive this graph; the graph mirrors it via
-  /// Reset / BeginUpdate / FinishUpdate.
-  explicit WindowGraph(const StreamWindow* window);
+  /// An empty window under `policy`.
+  explicit WindowGraph(const WindowPolicy& policy);
+
+  // --- The window and its stream clock. ---
+  std::size_t size() const { return events_.size(); }
+  bool empty() const { return events_.empty(); }
+  /// The window's events in canonical order (position p = events()[p]).
+  const std::deque<Event>& events() const { return events_; }
+  /// Largest timestamp ever ingested (not just in the current window);
+  /// 0 before the first event. Time-based eviction measures from here.
+  Timestamp max_time_seen() const { return max_time_seen_; }
+  /// Whether max_time_seen() is meaningful (streams may live in negative
+  /// time, so the zero default cannot distinguish "no events yet").
+  bool saw_any_event() const { return saw_any_event_; }
+  /// Monotone id of the event at window position 0 (the total evictions
+  /// since construction or the last Restore).
+  std::uint64_t first_id() const { return offset_; }
 
   // --- TemporalGraph-compatible accessor subset (enumeration core). ---
   EventIndex num_events() const {
-    return static_cast<EventIndex>(window_->size());
+    return static_cast<EventIndex>(events_.size());
   }
   const Event& event(EventIndex i) const {
-    return window_->event(static_cast<std::size_t>(i));
+    return events_[static_cast<std::size_t>(i)];
   }
   Timestamp event_time(EventIndex i) const { return event(i).time; }
   NodeId event_src(EventIndex i) const { return event(i).src; }
@@ -290,22 +351,37 @@ class WindowGraph {
   EventIndex LowerBoundTime(Timestamp t) const;
   EventIndex UpperBoundTime(Timestamp t) const;
 
-  // --- Incremental maintenance. ---
+  // --- Mutation. ---
 
-  /// Rebuilds every index from the backing window in O(window). Used at
-  /// construction and by the full-recount fallbacks.
-  void Reset();
+  /// Computes the policy's response to `batch` (sorted by EventTimeLess)
+  /// without applying it. Count-based windows evict the merged canonical
+  /// prefix — batch events falling inside it are dropped via
+  /// `batch_begin`, exactly as if they had arrived and already expired.
+  /// Time-based windows measure from the clock the batch leaves
+  /// (max_time_seen() or its newest time); a late batch (every time below
+  /// max_time_seen()) moves no clock, so it evicts nothing and only drops
+  /// its events at or below the horizon threshold.
+  IngestPlan PlanIngest(const std::vector<Event>& batch) const;
 
-  /// Pre-Apply half of a batch update: must be called with the same plan
-  /// and sorted batch that will be passed to StreamWindow::Apply, *before*
-  /// Apply mutates the window. Evicts the canonical prefix and pops every
-  /// resident the merge renumbers (not ordered before the first entering
-  /// event).
-  void BeginUpdate(const IngestPlan& plan, const std::vector<Event>& batch);
+  /// Applies a plan to the events and the indices in one walk: evicts
+  /// `plan.num_evict` events from the front, pops every resident not
+  /// ordered before the first entering event — the trailing tie group for
+  /// an in-order batch — and re-appends it merged with
+  /// batch[plan.batch_begin:] (within a shared key, EventTimeLess ties are
+  /// broken with older arrivals first, matching a stable sort of the whole
+  /// history). The clock never moves back. When `new_positions` is
+  /// non-null it receives the final window positions of the entered batch
+  /// events, ascending.
+  void Apply(const IngestPlan& plan, const std::vector<Event>& batch,
+             std::vector<std::size_t>* new_positions = nullptr);
 
-  /// Post-Apply half: re-appends the merged tail (renumbered residents +
-  /// entered batch events) from the updated window.
-  void FinishUpdate();
+  /// Replaces the window wholesale and builds the indices once, with ids
+  /// restarting at zero — the checkpoint-restore path (stream/checkpoint.h).
+  /// `events` must be canonically ordered and policy-consistent, and
+  /// `max_time_seen`/`saw_any_event` must describe the stream they were
+  /// captured from; the decoder validates all of this before calling.
+  void Restore(const std::vector<Event>& events, Timestamp max_time_seen,
+               bool saw_any_event);
 
  private:
   void PopFrontEntry(IdList* list, std::uint64_t id);
@@ -314,10 +390,12 @@ class WindowGraph {
   void EraseEdgeIfEmpty(NodeId src, EdgeCell* cell);
   void PopEdgeFront(NodeId src, NodeId dst, std::uint64_t id);
   void PopEdgeBack(NodeId src, NodeId dst, std::uint64_t id);
-  void AppendEntry(const Event& e, std::uint64_t id);
+  /// Appends `e` at the back of the window and of every index.
+  void Append(const Event& e);
 
-  const StreamWindow* window_;
-  /// Id of the event at window position 0 (total evictions so far).
+  // The indices and the events, which every enumeration step reads, come
+  // first; the policy and the clock, read once per batch, last.
+  /// Id of the event at window position 0 (see first_id()).
   std::uint64_t offset_ = 0;
   /// Per-node incident id lists (grown on demand; nodes whose events all
   /// expired keep an empty list).
@@ -326,10 +404,12 @@ class WindowGraph {
   /// demand; cells are erased when their occurrence list drains so
   /// HasStaticEdge stays exact). Cell order within a source is arbitrary.
   std::vector<std::vector<EdgeCell>> adjacency_;
-  /// Between BeginUpdate and FinishUpdate: first post-Apply position whose
-  /// index entries must be (re-)appended.
-  std::size_t append_from_ = 0;
-  bool pending_ = false;
+  std::deque<Event> events_;
+  WindowPolicy policy_;
+  Timestamp max_time_seen_ = 0;
+  bool saw_any_event_ = false;
+  /// Apply's scratch: the popped residents, in canonical order.
+  std::vector<Event> tail_;
 };
 
 }  // namespace tmotif

@@ -5,7 +5,7 @@
 // CountEdgeEventsInTimeRange, CountEdgeEventsInIndexRange, and the
 // rank/occurrence surface identically on every window state. The window is
 // slid over the oracle-grid graphs exactly like the streaming counter does
-// (BeginUpdate / Apply / FinishUpdate), so the incremental maintenance is
+// (PlanIngest, then the one Apply), so the incremental maintenance is
 // cross-checked against a from-scratch build at every batch. On top of the
 // predicates, the whole counting stack (DFS engine plus packed table) must
 // emit the identical instance stream over both graph types across the
@@ -23,7 +23,6 @@
 #include "core/enumerate_core.h"
 #include "core/packed_table.h"
 #include "graph/temporal_graph.h"
-#include "stream/stream_window.h"
 #include "stream/window_graph.h"
 #include "testing/random_graphs.h"
 
@@ -139,63 +138,80 @@ TEST(GraphPredicateDiff, WindowAndBatchGraphsAgreeAcrossWindowStates) {
           for (const WindowPolicy& policy : policies) {
             for (const std::size_t batch_size :
                  {std::size_t{1}, std::size_t{3}}) {
-              Rng rng(seed * 31 + batch_size);
-              StreamWindow window(policy);
-              WindowGraph live(&window);
-              const std::vector<Event>& all = g.events();
-              for (std::size_t begin = 0; begin < all.size();
-                   begin += batch_size) {
-                const std::size_t end =
-                    std::min(all.size(), begin + batch_size);
-                std::vector<Event> batch(
-                    all.begin() + static_cast<std::ptrdiff_t>(begin),
-                    all.begin() + static_cast<std::ptrdiff_t>(end));
-                // Incremental update exactly like the streaming counter's
-                // phase 4.
-                const IngestPlan plan = window.PlanIngest(batch);
-                live.BeginUpdate(plan, batch);
-                window.Apply(plan, batch);
-                live.FinishUpdate();
+              // Arrivals in canonical order, and with random neighbours
+              // swapped: late events and tied arrivals then merge in
+              // front of residents, which Apply pops and re-appends.
+              for (const bool swapped : {false, true}) {
+                Rng rng(seed * 31 + batch_size);
+                std::vector<Event> arrivals = g.events();
+                if (swapped) {
+                  Rng order(seed);
+                  for (std::size_t i = 0; i + 1 < arrivals.size(); i += 2) {
+                    if (order.UniformU64(2) != 0) {
+                      std::swap(arrivals[i], arrivals[i + 1]);
+                    }
+                  }
+                }
+                WindowGraph live(policy);
+                for (std::size_t begin = 0; begin < arrivals.size();
+                     begin += batch_size) {
+                  const std::size_t end =
+                      std::min(arrivals.size(), begin + batch_size);
+                  std::vector<Event> batch(
+                      arrivals.begin() + static_cast<std::ptrdiff_t>(begin),
+                      arrivals.begin() + static_cast<std::ptrdiff_t>(end));
+                  std::stable_sort(batch.begin(), batch.end(),
+                                   EventTimeLess);
+                  // Incremental update exactly like the streaming
+                  // counter's phase 4.
+                  live.Apply(live.PlanIngest(batch), batch);
 
-                TemporalGraphBuilder builder;
-                for (const Event& e : window.events()) builder.AddEvent(e);
-                const TemporalGraph ref = builder.Build();
-                ExpectPredicatesAgree(
-                    live, ref, &rng,
-                    "seed=" + std::to_string(seed) +
-                        " window=" + policy.ToString() +
-                        " batch=" + std::to_string(batch_size) + " after " +
-                        std::to_string(end) + " events");
-                if (::testing::Test::HasFatalFailure()) return;
-                ++states_checked;
+                  const std::string label =
+                      "seed=" + std::to_string(seed) +
+                      " window=" + policy.ToString() +
+                      " batch=" + std::to_string(batch_size) +
+                      (swapped ? " swapped" : "") + " after " +
+                      std::to_string(end) + " events";
+                  ASSERT_TRUE(std::is_sorted(live.events().begin(),
+                                             live.events().end(),
+                                             EventTimeLess))
+                      << label;
+                  TemporalGraphBuilder builder;
+                  for (const Event& e : live.events()) builder.AddEvent(e);
+                  ExpectPredicatesAgree(live, builder.Build(), &rng, label);
+                  if (::testing::Test::HasFatalFailure()) return;
+                  ++states_checked;
+                }
               }
             }
           }
         });
   }
-  EXPECT_GT(states_checked, 100);
+  EXPECT_GT(states_checked, 200);
 }
 
-// The incremental indices must also survive Reset (used by the streaming
-// full-recount fallbacks) mid-stream.
-TEST(GraphPredicateDiff, ResetMidStreamMatchesFromScratch) {
+// The indices must also survive Restore (the checkpoint path, which
+// rebuilds them once with ids restarting at zero) mid-stream, and keep
+// sliding incrementally afterwards.
+TEST(GraphPredicateDiff, RestoreMidStreamMatchesFromScratch) {
   ForEachRandomGraph(
       0x4e5e7, 4, SmallSpec(), [&](std::uint64_t seed, const TemporalGraph& g) {
-        StreamWindow window(WindowPolicy::CountBased(8));
-        WindowGraph live(&window);
+        WindowGraph live(WindowPolicy::CountBased(8));
         Rng rng(seed);
         const std::vector<Event>& all = g.events();
         for (std::size_t i = 0; i < all.size(); ++i) {
           std::vector<Event> batch = {all[i]};
-          const IngestPlan plan = window.PlanIngest(batch);
-          live.BeginUpdate(plan, batch);
-          window.Apply(plan, batch);
-          live.FinishUpdate();
-          if (i % 3 == 2) live.Reset();  // Must be a no-op semantically.
+          live.Apply(live.PlanIngest(batch), batch);
+          if (i % 3 == 2) {  // Must be a no-op semantically.
+            const std::vector<Event> events(live.events().begin(),
+                                            live.events().end());
+            live.Restore(events, live.max_time_seen(), live.saw_any_event());
+            ASSERT_EQ(live.first_id(), 0u);
+          }
           TemporalGraphBuilder builder;
-          for (const Event& e : window.events()) builder.AddEvent(e);
+          for (const Event& e : live.events()) builder.AddEvent(e);
           ExpectPredicatesAgree(live, builder.Build(), &rng,
-                                "reset seed=" + std::to_string(seed) +
+                                "restore seed=" + std::to_string(seed) +
                                     " after " + std::to_string(i + 1));
           if (::testing::Test::HasFatalFailure()) return;
         }
@@ -274,22 +290,18 @@ TEST(GraphPredicateDiff, CountingStackIdenticalOnBothGraphTypes) {
     SCOPED_TRACE(name);
     ForEachRandomGraph(
         0x51d, 10, spec, [&](std::uint64_t seed, const TemporalGraph& g) {
-          StreamWindow window(WindowPolicy::CountBased(g.num_events() + 1));
-          WindowGraph live(&window);
+          WindowGraph live(WindowPolicy::CountBased(g.num_events() + 1));
           const std::vector<Event>& all = g.events();
           for (std::size_t begin = 0; begin < all.size(); begin += 3) {
             const std::size_t end = std::min(all.size(), begin + 3);
             const std::vector<Event> batch(
                 all.begin() + static_cast<std::ptrdiff_t>(begin),
                 all.begin() + static_cast<std::ptrdiff_t>(end));
-            const IngestPlan plan = window.PlanIngest(batch);
-            live.BeginUpdate(plan, batch);
-            window.Apply(plan, batch);
-            live.FinishUpdate();
+            live.Apply(live.PlanIngest(batch), batch);
           }
           ASSERT_TRUE(std::equal(all.begin(), all.end(),
-                                 window.events().begin(),
-                                 window.events().end()))
+                                 live.events().begin(),
+                                 live.events().end()))
               << "seed=" << seed;
           const StackTrace want = RunStack(g, options);
           const StackTrace got = RunStack(live, options);

@@ -1,9 +1,11 @@
-// Allocation guard of the streaming delta path: in steady state a Song
+// Allocation guards of the streaming paths: in steady state a Song
 // counter (k = 3, dW = 1800, 2048-event count window, fast-path deltas)
-// must stay under a fixed number of heap allocations per 64-event batch.
-// A timing gate cannot see a 30% loss on a shared CI runner; an exact
-// allocation count can, and it moves as soon as a per-call rebuild of the
-// fast-path scratch (indexes, timelines, accumulators) comes back.
+// must stay under a fixed number of heap allocations per 64-event batch,
+// and so must a store-off Paranjape counter that recounts the window on
+// every batch. A timing gate cannot see a 30% loss on a shared CI runner;
+// an exact allocation count can, and it moves as soon as a per-call
+// rebuild of the fast-path scratch (indexes, timelines, accumulators) or
+// of the window indices comes back.
 //
 // The binary replaces every replaceable global operator new and delete
 // (sanitizer runtimes define the forms a program leaves out, and mixing
@@ -110,8 +112,14 @@ constexpr std::size_t kWarmupBatches = 128;
 // ceiling leaves headroom for standard-library differences. Rebuilding the
 // fast-path scratch on every call costs about 2,800 per batch.
 constexpr double kMaxAllocationsPerBatch = 250;
+// A store-off recount batch measures about 177 allocations in Debug and
+// Release builds (the window update, the batch's stable sort, the
+// fast-path count into a fresh counts table); rebuilding the window
+// indices on every recount costs about 4,300.
+constexpr double kMaxRecountAllocationsPerBatch = 300;
 
-TEST(StreamAlloc, SongDeltaBatchesStayUnderAllocationCeiling) {
+/// CollegeMsg (seed 1) cut into 64-event batches.
+std::vector<std::vector<Event>> CollegeMsgBatches() {
   const std::vector<Event> events =
       GenerateDataset(DatasetId::kCollegeMsg, 1.0, /*seed=*/1).events();
   std::vector<std::vector<Event>> batches;
@@ -120,6 +128,11 @@ TEST(StreamAlloc, SongDeltaBatchesStayUnderAllocationCeiling) {
     batches.emplace_back(events.begin() + static_cast<std::ptrdiff_t>(begin),
                          events.begin() + static_cast<std::ptrdiff_t>(end));
   }
+  return batches;
+}
+
+TEST(StreamAlloc, SongDeltaBatchesStayUnderAllocationCeiling) {
+  std::vector<std::vector<Event>> batches = CollegeMsgBatches();
   ASSERT_GT(batches.size(), 4 * kWarmupBatches);
 
   StreamConfig config;
@@ -147,6 +160,44 @@ TEST(StreamAlloc, SongDeltaBatchesStayUnderAllocationCeiling) {
   RecordProperty("allocations_per_batch", static_cast<int>(per_batch));
   EXPECT_LE(per_batch, kMaxAllocationsPerBatch)
       << allocations << " allocations over " << measured << " batches";
+}
+
+// Store off (a 1-byte budget), every batch flips a static edge and
+// recounts the whole window on the fast path. The recount counts on the
+// indices the batch's update already maintains; it must not rebuild them.
+TEST(StreamAlloc, StoreOffFlipRecountsStayUnderAllocationCeiling) {
+  std::vector<std::vector<Event>> batches = CollegeMsgBatches();
+  ASSERT_GT(batches.size(), 4 * kWarmupBatches);
+
+  StreamConfig config;
+  config.options = OptionsForModel(ModelId::kParanjape, 3, 3, /*delta_c=*/0,
+                                   /*delta_w=*/1800);
+  config.window = WindowPolicy::CountBased(2048);
+  config.store_budget_bytes = 1;
+  StreamingMotifCounter counter(config);
+
+  for (std::size_t b = 0; b < kWarmupBatches; ++b) {
+    counter.Ingest(std::move(batches[b]));
+  }
+  ASSERT_EQ(counter.store_mode(), StoreMode::kRecount);
+  const std::uint64_t fallbacks_before = counter.stats().static_fallbacks;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (std::size_t b = kWarmupBatches; b < batches.size(); ++b) {
+    counter.Ingest(std::move(batches[b]));
+  }
+  const std::uint64_t allocations =
+      g_allocations.load(std::memory_order_relaxed) - before;
+
+  // Every measured batch must have taken the flip recount.
+  const std::size_t measured_batches = batches.size() - kWarmupBatches;
+  EXPECT_EQ(counter.stats().static_fallbacks - fallbacks_before,
+            measured_batches);
+  const double per_batch =
+      static_cast<double>(allocations) / static_cast<double>(measured_batches);
+  RecordProperty("allocations_per_batch", static_cast<int>(per_batch));
+  EXPECT_LE(per_batch, kMaxRecountAllocationsPerBatch)
+      << allocations << " allocations over " << measured_batches
+      << " batches";
 }
 
 }  // namespace

@@ -367,8 +367,8 @@ TEST(StreamingMotifCounter, LateEvictionUnderAnOrderPredicateStaysIncremental) {
 // events into canonical position (after residents with identical keys),
 // capacity evictions take the merged prefix, and the reported positions
 // are the entered events'.
-TEST(StreamWindow, SpliceMergesIntoCanonicalPosition) {
-  StreamWindow window(WindowPolicy::CountBased(5));
+TEST(WindowGraph, SpliceMergesIntoCanonicalPosition) {
+  WindowGraph window(WindowPolicy::CountBased(5));
   std::vector<Event> first = {{0, 1, 10}, {1, 2, 20}, {2, 3, 30}};
   window.Apply(window.PlanIngest(first), first);
 

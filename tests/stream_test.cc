@@ -932,8 +932,8 @@ TEST(StreamingMotifCounter, StatsAccumulate) {
   EXPECT_GT(stats.instances_retracted, 0u);
 }
 
-TEST(StreamWindow, CountPlanAndMerge) {
-  StreamWindow window(WindowPolicy::CountBased(4));
+TEST(WindowGraph, CountPlanAndMerge) {
+  WindowGraph window(WindowPolicy::CountBased(4));
   std::vector<Event> first = {{0, 1, 5}, {1, 2, 5}};
   window.Apply(window.PlanIngest(first), first);
   ASSERT_EQ(window.size(), 2u);
@@ -950,7 +950,7 @@ TEST(StreamWindow, CountPlanAndMerge) {
   EXPECT_EQ(positions[0], 1u);  // After (0,1,5), before (1,2,5).
   EXPECT_EQ(window.event(1).dst, 2);
 
-  // Capacity overflow evicts the canonical front. (StreamWindow takes
+  // Capacity overflow evicts the canonical front. (WindowGraph takes
   // batches already in canonical order; the counter sorts before planning.)
   std::vector<Event> third = {{0, 1, 9}, {3, 0, 9}};
   const IngestPlan plan3 = window.PlanIngest(third);
@@ -993,8 +993,8 @@ TEST(StreamingMotifCounter, NegativeTimestampsWork) {
 // A tied event that arrives in a later batch but canonically precedes
 // resident events must lose the capacity fight: the window is the suffix
 // of the canonically sorted history, not of the arrival order.
-TEST(StreamWindow, CountEvictionKeepsCanonicalSuffixUnderTies) {
-  StreamWindow window(WindowPolicy::CountBased(2));
+TEST(WindowGraph, CountEvictionKeepsCanonicalSuffixUnderTies) {
+  WindowGraph window(WindowPolicy::CountBased(2));
   std::vector<Event> first = {{1, 2, 5}, {2, 3, 5}};
   window.Apply(window.PlanIngest(first), first);
 
@@ -1018,8 +1018,8 @@ TEST(StreamWindow, CountEvictionKeepsCanonicalSuffixUnderTies) {
   EXPECT_EQ(window.event(1).time, 6);
 }
 
-TEST(StreamWindow, TimePlanDropsStaleBatchEvents) {
-  StreamWindow window(WindowPolicy::TimeBased(5));
+TEST(WindowGraph, TimePlanDropsStaleBatchEvents) {
+  WindowGraph window(WindowPolicy::TimeBased(5));
   std::vector<Event> first = {{0, 1, 10}, {1, 2, 12}};
   window.Apply(window.PlanIngest(first), first);
   // Batch spans more than the horizon: its own oldest event is already
@@ -1093,6 +1093,14 @@ TEST(StreamingMotifCounterDeathTest, RejectsSelfLoops) {
   config.window = WindowPolicy::CountBased(8);
   StreamingMotifCounter counter(config);
   EXPECT_DEATH(counter.Ingest({{1, 1, 5}}), "self-loop");
+  // The rest of what TemporalGraphBuilder::AddEvent rejects is rejected on
+  // ingest, before a negative id can index the window's per-node lists or
+  // a negative duration can reach window_graph().
+  EXPECT_DEATH(counter.Ingest({{-1, 2, 10}, {2, 3, 11}}), "negative node id");
+  EXPECT_DEATH(counter.Ingest({{2, -1, 10}}), "negative node id");
+  Event negative_duration{0, 1, 10};
+  negative_duration.duration = -1;
+  EXPECT_DEATH(counter.Ingest({negative_duration}), "negative duration");
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Doc-drift check: keeps the markdown tree honest as the code moves.
 
-Six classes of rot are caught:
+Seven classes of rot are caught:
 
   1. Broken intra-repo links — every relative markdown link (and image)
      in the repo's *.md files must resolve to an existing file.
@@ -25,17 +25,23 @@ Six classes of rot are caught:
      --metrics-out=- dumps of the bundled sample (a fast-path config and a
      DFS config). The dumps are Prometheus text: a name matches as
      `tmotif_` + the name with `.` → `_`, a histogram on its `_count` line.
+  7. Dangling source paths — every backticked repo path with a directory
+     part in docs/*.md and README.md (`stream/window_graph.h`,
+     `tests/stream_test.cc`, `src/core/`; a `*` matches as a glob) must
+     exist, resolved from the repo root or from src/. Only a span that
+     is wholly a path counts: directories, and files with an extension.
 
 Usage:
   tools/check_docs.py [--repo-root DIR] [--bin-dir BUILDDIR]
 
-Without --bin-dir only the link, section and checkpoint-version checks
-run (useful before building); CI passes the build directory so the flag
-and metric-name checks run against the real binaries. Exit status is
-nonzero on any finding.
+Without --bin-dir only the link, section, checkpoint-version and path
+checks run (useful before building); CI passes the build directory so
+the flag and metric-name checks run against the real binaries. Exit
+status is nonzero on any finding.
 """
 
 import argparse
+import glob
 import json
 import os
 import re
@@ -105,6 +111,9 @@ INLINE_CODE_RE = re.compile(r"`([^`]+)`")
 CHECKPOINT_VERSION_RE = re.compile(
     r"kCheckpointFormatVersion\s*=\s*(\d+)\s*;")
 HEADING_RE = re.compile(r"^#{1,6} ")
+# A code span that is wholly a repo path: one or more directory parts,
+# then nothing (a directory) or a file name with an extension.
+REPO_PATH_RE = re.compile(r"^(?:[\w.-]+/)+(?:[\w*.-]*\.\w+)?$")
 STREAM_CATALOG_HEADING = "### `stream.*`"
 STREAM_METRIC_RE = re.compile(r"`(stream\.[a-z0-9_]+)`")
 COUNTING_CATALOG_HEADING = "### `counting.*`"
@@ -224,6 +233,21 @@ def check_required_sections(root, errors):
                     f"{marker!r}")
 
 
+def check_source_paths(root, errors):
+    docs = sorted(glob.glob(os.path.join(root, "docs", "*.md")))
+    for path in docs + [os.path.join(root, "README.md")]:
+        rel_path = os.path.relpath(path, root)
+        for lineno, snippet in iter_code_snippets(path):
+            # Fenced-block lines keep their newline and never fullmatch, so
+            # only inline code spans are checked.
+            if not REPO_PATH_RE.fullmatch(snippet):
+                continue
+            if not (glob.glob(os.path.join(root, snippet)) or
+                    glob.glob(os.path.join(root, "src", snippet))):
+                errors.append(f"{rel_path}:{lineno}: `{snippet}` names no "
+                              f"file under the repo root or src/")
+
+
 def check_checkpoint_version(root, errors):
     header = os.path.join(root, "src", "stream", "checkpoint.h")
     with open(header, encoding="utf-8") as f:
@@ -338,6 +362,7 @@ def main():
     check_links(md_files, args.repo_root, errors)
     check_required_sections(args.repo_root, errors)
     check_checkpoint_version(args.repo_root, errors)
+    check_source_paths(args.repo_root, errors)
     if args.bin_dir is not None:
         check_flags(md_files, args.repo_root, args.bin_dir, errors)
         check_stream_metrics(args.repo_root, args.bin_dir, errors)
@@ -348,8 +373,8 @@ def main():
         print(f"check_docs: {len(errors)} finding(s) across "
               f"{len(md_files)} markdown files", file=sys.stderr)
         return 1
-    scope = ("links + sections + CLI flags + stream and counting metrics"
-             if args.bin_dir else "links + sections")
+    scope = ("links + sections + paths + CLI flags + stream and counting "
+             "metrics" if args.bin_dir else "links + sections + paths")
     print(f"check_docs: OK ({scope}; {len(md_files)} markdown files)")
     return 0
 
