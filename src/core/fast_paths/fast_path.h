@@ -5,12 +5,12 @@
 // al. ("Motifs in Temporal Networks"): instead of enumerating instances one
 // DFS leaf at a time, events are grouped per node pair / per node and
 // counted with sliding-window sequence DP (2-node motifs), per-center
-// window counts (wedges), doubleton + rank queries (stars) and static
-// neighbor intersection + rank queries (triangles). No instance is ever
-// materialized — the counters produce (packed code, count) totals directly,
-// which is why they beat the generic DfsEngine by integer multiples on the
-// predicate-free presets (Song / vanilla counting) where the DFS has
-// nothing to prune.
+// window counts (wedges), one sweep per center with per-neighbour window
+// sums (stars) and static neighbor intersection + rank queries (triangles).
+// No instance is ever materialized — the counters produce (packed code,
+// count) totals directly, which is why they beat the generic DfsEngine by
+// integer multiples on the predicate-free presets (Song / vanilla
+// counting) where the DFS has nothing to prune.
 //
 // Static inducedness (Paranjape et al.'s own model) reduces to facts about
 // node pairs of the full graph. A pair with both directed static edges is
@@ -20,17 +20,19 @@
 // covers one direction). A star is void when its third pair — the one it
 // leaves unused — has a static edge, i.e. when its three nodes form a
 // static triangle; every static triangle therefore subtracts the stars on
-// its nodes, and range or filtered counts add the full-graph pairs the
-// window left without events so those triangles are still found.
+// its nodes (the star sweep again, at each corner), and range or filtered
+// counts add the full-graph pairs the window left without events so those
+// triangles are still found.
 //
 // Timing (the Section 4.5 case analysis, core/timing.h): when only dW
 // binds, every counter bounds the timespan t_last - t_first; at k == 2 the
 // one gap is the timespan, bounded by min(dC, dW). When only dC binds at
 // k == 3 (dC <= dW / 2, or no dW), the counters bound each of the two gaps
-// instead: the sequence DP pairs in-dC predecessors with in-dC successors
-// of each middle event, and a star's or triangle's third event lies within
-// dC of its neighbour in time order — before or after the enumerated two
-// only when their own gap fits dC, so the enumeration stops at 2 * dC.
+// instead: the sequence DP and the star sweep pair in-dC predecessors with
+// in-dC successors of each middle event, and a triangle's third event lies
+// within dC of its neighbour in time order — before or after the
+// enumerated two only when their own gap fits dC, so the enumeration stops
+// at 2 * dC.
 //
 // Dispatch contract: callers must consult FastPathSupported(options) first;
 // the counters handle exactly the combinations it accepts and
@@ -198,20 +200,6 @@ inline std::uint64_t WedgeCode(int d1, int d2) {
   return 0x01ULL | (byte1 << 8);
 }
 
-/// Splits the events of timeline index range [i0, i1), given the
-/// timeline's dir-1 prefix sums, by direction: out[1] = those whose dir is
-/// `dir`, out[0] = the rest.
-inline void SplitRangeByDir(const std::uint32_t* prefix, std::size_t i0,
-                            std::size_t i1, int dir, std::uint64_t out[2]) {
-  if (i1 <= i0) {
-    out[0] = out[1] = 0;
-    return;
-  }
-  const std::uint64_t ones = prefix[i1] - prefix[i0];
-  out[1] = dir == 1 ? ones : (i1 - i0) - ones;
-  out[0] = (i1 - i0) - out[1];
-}
-
 /// prefix[i] = number of dir-1 entries among dirs[0, i).
 inline void BuildDirPrefix(const std::vector<std::uint8_t>& dirs,
                            std::vector<std::uint32_t>* prefix) {
@@ -357,9 +345,7 @@ class WindowCounter {
     // FastPathSupported admits 3-node shapes only where these counters
     // honour the inducedness (kNone, or kStatic at k == 3).
     const bool shapes3 = opt_.max_nodes >= 3;
-    const bool whole_graph =
-        BuildTimelines(lo, hi, include, /*need_nodes=*/shapes3,
-                       /*need_node_pairs=*/shapes3 && k == 2);
+    const bool whole_graph = BuildTimelines(lo, hi, include, shapes3);
 
     std::uint64_t g2[2][2] = {};
     std::uint64_t g3[2][2][2] = {};
@@ -393,19 +379,24 @@ class WindowCounter {
     }
     // k == 3, max_nodes == 3: stars (two distinct pairs) and triangles
     // (three distinct pairs) complete the partition of instances by their
-    // distinct-pair count; rank queries need the prefix sums. Both count
-    // into one flat array of raw symbol sequences, merged per canonical
-    // code at the end. Under static inducedness CountTriangles also
-    // subtracts the stars each static triangle voids from `stars`, which
-    // therefore reach `raw` only after it.
+    // distinct-pair count. Both count into one flat array of raw symbol
+    // sequences, merged per canonical code at the end. Under static
+    // inducedness CountTriangles also sweeps the stars each static triangle
+    // voids into `voided`, which AddStars subtracts.
     detail::BuildDirPrefix(pair_dirs_, &pair_prefix_);
-    detail::BuildDirPrefix(node_dirs_, &node_prefix_);
     std::array<std::uint64_t, detail::kRawSequences> raw{};
-    StarCounts stars{};
-    CountStars(&stars);
+    StarSums stars = {};
+    StarSums voided = {};
+    for (const Node& node : nodes_) {
+      if (node.partners < 2) continue;
+      SweepStars(node_times_.data() + node.begin,
+                 node_dirs_.data() + node.begin,
+                 node_slots_.data() + node.begin, node.end - node.begin,
+                 node.partners, stars);
+    }
     if (static_induced_ && !whole_graph) AddUncountedStaticPairs();
-    CountTriangles(&stars, raw.data());
-    AddStarsTo(stars, raw.data());
+    CountTriangles(voided, raw.data());
+    AddStars(stars, voided, raw.data());
     CodeDeltas merged;
     for (std::size_t r = 0; r < raw.size(); ++r) {
       if (raw[r]) {
@@ -449,60 +440,57 @@ class WindowCounter {
   /// One undirected node pair of the filtered window (dir 0 = lo -> hi,
   /// lo < hi). Its timeline is pair_times_ / pair_dirs_ [begin, end),
   /// ascending in time; lo_node / hi_node are the endpoints' node slots
-  /// (set only when node timelines are built). `bidirectional`: under
-  /// static inducedness, the full graph has both directed edges.
+  /// and lo_slot / hi_slot the pair's partner slot at each of them (set
+  /// only when node timelines are built). `bidirectional`: under static
+  /// inducedness, the full graph has both directed edges.
   struct Pair {
     NodeId lo;
     NodeId hi;
     std::uint32_t lo_node;
     std::uint32_t hi_node;
+    std::uint32_t lo_slot;
+    std::uint32_t hi_slot;
     std::uint32_t begin;
     std::uint32_t end;
     bool bidirectional;
   };
 
   /// One node's incident filtered events: node_times_ / node_dirs_ /
-  /// node_pairs_ [begin, end) (dir 1 = the node is the src; under static
-  /// inducedness only events of unidirectional pairs), plus its row
-  /// [adj_begin, adj_end) of the triangle adjacency.
+  /// node_slots_ [begin, end), where a node dir is NodeDir's and a slot
+  /// numbers the event's pair among the node's `partners` pairs, plus its
+  /// row [adj_begin, adj_end) of the triangle adjacency.
   struct Node {
     NodeId id;
     std::uint32_t begin;
     std::uint32_t end;
+    std::uint32_t partners;
     std::uint32_t adj_begin;
     std::uint32_t adj_end;
   };
 
-  /// A timestamp tie group of one pair timeline (CountStars).
-  struct TieGroup {
-    std::size_t begin;
-    std::size_t end;
-    Timestamp t;
-    std::uint64_t ndir[2];
-    /// Pair-timeline bounds: first index with time >= t - reach_, first
-    /// index with time > t + reach_.
-    std::size_t lo_tm;
-    std::size_t hi_tp;
+  /// Star totals per [pos][s1][s2][s3]: pos is the one-event leg's place in
+  /// time order, s1..s3 the events' directions seen from the center in
+  /// time order (1 = the center is the src). The canonical code depends on
+  /// nothing else (AddStars).
+  using StarSums = std::uint64_t[3][2][2][2];
+
+  /// A neighbour's state in SpanStars, over its events in the window
+  /// [t - reach_, t): their number by direction, their ordered pairs from
+  /// distinct tie groups by [earlier][later] direction, and the sums over
+  /// them of the center's prefix P at the start (rs) and end (re) of their
+  /// tie group, by [own direction][P's direction].
+  struct SpanSide {
+    std::uint64_t cnt[2];
+    std::uint64_t sp[2][2];
+    std::uint64_t rs[2][2];
+    std::uint64_t re[2][2];
   };
 
-  /// A star's one-event leg g, seen from one center: the times and dir-1
-  /// prefix sums of the timeline g is drawn from (the center's node
-  /// timeline, or one pair's), and the dir of its events that have the
-  /// center as src. n == 0 means no leg at this center.
-  struct Leg {
-    const Timestamp* T;
-    const std::uint32_t* prefix;
-    std::size_t n;
-    int src_dir;
-  };
-
-  /// Leg-timeline bounds of one (group, center): first index with time
-  /// >= t - reach_ / >= t / > t / > t + reach_.
-  struct CenterBounds {
-    std::size_t lo_m;
-    std::size_t lo_t;
-    std::size_t up_t;
-    std::size_t up_p;
+  /// A neighbour's state in GapStars: its events within reach_ before and
+  /// after the middle tie group, by direction.
+  struct GapSide {
+    std::uint64_t before[2];
+    std::uint64_t after[2];
   };
 
   static constexpr std::uint32_t kExcluded =
@@ -530,12 +518,6 @@ class WindowCounter {
     const Timestamp begin = SatSub(t, reach_);
     return per_gap_ ? SatSub(begin, reach_) : begin;
   }
-
-  /// Star totals per [d1][d2][center][pos][gdir]: the canonical code
-  /// depends on nothing else (AddStarsTo).
-  struct StarCounts {
-    std::uint64_t n[2][2][2][3][2];
-  };
 
   template <typename Include, typename Emit>
   void CountSingles(EventIndex lo, EventIndex hi, const Include& include,
@@ -580,12 +562,12 @@ class WindowCounter {
   /// pair and node slots and counts timeline lengths; pass 2 scatters the
   /// events in index order, so every timeline is ascending in time. Under
   /// static inducedness each new pair reads its reverse static edge from
-  /// the full graph (the event's own direction exists by definition), and
-  /// bidirectional pairs stay off the node timelines. Returns whether the
-  /// timelines hold every event of the graph.
+  /// the full graph (the event's own direction exists by definition), which
+  /// the node dirs of its events carry. Returns whether the timelines hold
+  /// every event of the graph.
   template <typename Include>
   bool BuildTimelines(EventIndex lo, EventIndex hi, const Include& include,
-                      bool need_nodes, bool need_node_pairs) {
+                      bool need_nodes) {
     pair_index_.Reset();
     node_index_.Reset();
     pairs_.clear();
@@ -606,19 +588,21 @@ class WindowCounter {
       bool inserted = false;
       slot = pair_index_.Insert(NodePairKey(a, b), &inserted);
       if (inserted) {
-        Pair pair{a, b, 0, 0, 0, 0, false};
+        Pair pair{a, b, 0, 0, 0, 0, 0, 0, false};
         if (static_induced_) {
           pair.bidirectional = graph_.FindEdge(d, s) != Graph::kNoEdgeHandle;
         }
         if (need_nodes) {
           pair.lo_node = NodeSlot(a);
           pair.hi_node = NodeSlot(b);
+          pair.lo_slot = nodes_[pair.lo_node].partners++;
+          pair.hi_slot = nodes_[pair.hi_node].partners++;
         }
         pairs_.push_back(pair);
       }
       Pair& pair = pairs_[slot];
       ++pair.end;  // A length until the offsets below.
-      if (need_nodes && !pair.bidirectional) {
+      if (need_nodes) {
         ++nodes_[pair.lo_node].end;
         ++nodes_[pair.hi_node].end;
       }
@@ -643,7 +627,7 @@ class WindowCounter {
       }
       node_times_.resize(total);
       node_dirs_.resize(total);
-      if (need_node_pairs) node_pairs_.resize(total);
+      node_slots_.resize(total);
     }
     for (EventIndex i = lo; i < hi; ++i) {
       const std::uint32_t p = event_pair_[static_cast<std::size_t>(i - lo)];
@@ -654,32 +638,37 @@ class WindowCounter {
       pair_times_[pair.end] = t;
       pair_dirs_[pair.end] = dir;
       ++pair.end;
-      if (need_nodes && !pair.bidirectional) {
-        const std::uint32_t src = dir == 0 ? pair.lo_node : pair.hi_node;
-        const std::uint32_t dst = dir == 0 ? pair.hi_node : pair.lo_node;
-        AppendNodeEvent(src, t, 1, p, need_node_pairs);
-        AppendNodeEvent(dst, t, 0, p, need_node_pairs);
+      if (need_nodes) {
+        AppendNodeEvent(pair.lo_node, t, NodeDir(pair, dir == 0), pair.lo_slot);
+        AppendNodeEvent(pair.hi_node, t, NodeDir(pair, dir == 1), pair.hi_slot);
       }
     }
     return lo == 0 && excluded == 0 &&
            hi == static_cast<EventIndex>(graph_.num_events());
   }
 
+  /// A node-timeline event's dir: bit 0 set when the node is the src, bit
+  /// 1 when the pair is bidirectional (static inducedness), which only a
+  /// star's two-event leg may use.
+  static std::uint8_t NodeDir(const Pair& pair, bool is_src) {
+    return static_cast<std::uint8_t>((is_src ? 1 : 0) |
+                                     (pair.bidirectional ? 2 : 0));
+  }
+
   std::uint32_t NodeSlot(NodeId node) {
     bool inserted = false;
     const std::uint32_t slot =
         node_index_.Insert(static_cast<std::uint32_t>(node), &inserted);
-    if (inserted) nodes_.push_back(Node{node, 0, 0, 0, 0});
+    if (inserted) nodes_.push_back(Node{node, 0, 0, 0, 0, 0});
     return slot;
   }
 
-  void AppendNodeEvent(std::uint32_t node_slot, Timestamp t,
-                       std::uint8_t is_src, std::uint32_t pair_slot,
-                       bool need_node_pairs) {
+  void AppendNodeEvent(std::uint32_t node_slot, Timestamp t, std::uint8_t dir,
+                       std::uint32_t partner_slot) {
     Node& node = nodes_[node_slot];
     node_times_[node.end] = t;
-    node_dirs_[node.end] = is_src;
-    if (need_node_pairs) node_pairs_[node.end] = pair_slot;
+    node_dirs_[node.end] = dir;
+    node_slots_[node.end] = partner_slot;
     ++node.end;
   }
 
@@ -825,13 +814,12 @@ class WindowCounter {
   /// predecessors (2-node instances) are excluded by per-pair window
   /// counts. Each wedge has exactly one shared node, so no double count.
   void CountWedges(std::uint64_t w[2][2]) {
-    // In-window events per (pair slot, dir) of the current center; each
-    // center zeroes the entries it touched before the next one starts.
-    wedge_pair_counts_.assign(pairs_.size(), {0, 0});
     for (const Node& node : nodes_) {
+      // In-window events per (partner slot, dir) of this center.
+      wedge_pair_counts_.assign(node.partners, {0, 0});
       const Timestamp* T = node_times_.data() + node.begin;
       const std::uint8_t* D = node_dirs_.data() + node.begin;
-      const std::uint32_t* P = node_pairs_.data() + node.begin;
+      const std::uint32_t* P = node_slots_.data() + node.begin;
       const std::size_t n = node.end - node.begin;
       std::uint64_t ctot[2] = {};
       std::size_t wbegin = 0;
@@ -860,212 +848,239 @@ class WindowCounter {
         }
         i = j;
       }
-      for (std::size_t x = 0; x < n; ++x) wedge_pair_counts_[P[x]] = {0, 0};
     }
   }
 
-  /// Stars (k == 3, three nodes, one pair used twice): enumerate the
-  /// doubleton — ordered same-pair event pairs (f1, f2) inside the window —
-  /// then rank-count the singleton event g among each endpoint's incident
-  /// events (minus same-pair ones) in the three admissible time ranges
-  /// before / between / after the doubleton.
-  ///
-  /// Everything is evaluated per timestamp TIE GROUP, not per doubleton: the
-  /// rank ranges and the singleton counts depend only on (t1, t2), so a
-  /// (p-group, q-group) pair contributes the same singleton count to every
-  /// one of its |p-group| x |q-group| doubletons, weighted by the groups'
-  /// per-direction sizes. All node- and pair-timeline search bounds depend
-  /// on one group's own timestamp, so they are precomputed once per group
-  /// (one pass of binary searches) and the double loop over group pairs is
-  /// pure prefix-sum arithmetic. Counts accumulate into the flat
-  /// 48-entry `stars` — no hashing on the hot path.
-  void CountStars(StarCounts* stars) {
-    for (const Pair& pair : pairs_) {
-      if (pair.end - pair.begin < 2) continue;
-      // The singleton leg comes from each endpoint's node timeline, which
-      // holds the pair's own events unless the pair is bidirectional.
-      Leg legs[2];
-      const std::uint32_t center_nodes[2] = {pair.lo_node, pair.hi_node};
-      for (int c = 0; c < 2; ++c) {
-        const Node& node = nodes_[center_nodes[c]];
-        legs[c] = Leg{node_times_.data() + node.begin,
-                      node_prefix_.data() + node.begin,
-                      static_cast<std::size_t>(node.end - node.begin), 1};
-      }
-      if (legs[0].n == 0 && legs[1].n == 0) continue;
-      BuildStarGroups(pair);
-      AccumulateStars(pair, legs, /*minus_pair=*/!pair.bidirectional,
-                      /*subtract=*/false, stars);
+  /// Stars (k == 3, three nodes, one pair used twice) around one center,
+  /// after Paranjape et al.'s per-center counters: one sweep over the
+  /// center's timeline T / D / S (times, NodeDir dirs, partner slots; n
+  /// events on `partners` pairs), tie group by tie group, into `stars`.
+  void SweepStars(const Timestamp* T, const std::uint8_t* D,
+                  const std::uint32_t* S, std::size_t n,
+                  std::uint32_t partners, StarSums& stars) {
+    if (per_gap_) {
+      GapStars(T, D, S, n, partners, stars);
+    } else {
+      SpanStars(T, D, S, n, partners, stars);
     }
   }
 
-  /// Tie groups of `pair`'s timeline into star_groups_, with their
-  /// pair-timeline reach_ bounds.
-  void BuildStarGroups(const Pair& pair) {
-    using detail::LowerIdx;
-    using detail::UpperIdx;
-    const Timestamp* T = pair_times_.data() + pair.begin;
-    const std::uint8_t* D = pair_dirs_.data() + pair.begin;
-    const std::size_t n = pair.end - pair.begin;
-    star_groups_.clear();
+  /// SweepStars under a timespan bound: each tie group at t completes the
+  /// stars whose first two events lie in the window [t - reach_, t), then
+  /// joins the window. The prefix P counts by direction the center's
+  /// events that may be a one-event leg (unidirectional pairs). For a last
+  /// event on neighbour y, the first two are
+  ///   - both on one other neighbour: the window's same-neighbour pairs
+  ///     minus y's own, sp[y];
+  ///   - on another neighbour, then on y: rs[y] - cnt[y] * P(window start)
+  ///     minus sp[y], y's own events among those P counts;
+  ///   - on y, then on another neighbour: cnt[y] * P(group start) - re[y]
+  ///     minus sp[y] again.
+  /// A bidirectional y is never the one-event leg, P does not count it,
+  /// and its two events run in opposite directions. The sums are unsigned:
+  /// every total is non-negative, so a wrapped intermediate cancels.
+  void SpanStars(const Timestamp* T, const std::uint8_t* D,
+                 const std::uint32_t* S, std::size_t n,
+                 std::uint32_t partners, StarSums& stars) {
+    span_sides_.assign(partners, SpanSide{});
+    std::uint64_t sum_sp[2][2] = {};  // Bidirectional sides: mixed only.
+    std::uint64_t prefix[2] = {};     // P at the current group's start.
+    std::uint64_t first[2] = {};      // P at the window's start.
+    std::size_t wbegin = 0;
     for (std::size_t i = 0; i < n;) {
       std::size_t j = i + 1;
       while (j < n && T[j] == T[i]) ++j;
-      TieGroup g;
-      g.begin = i;
-      g.end = j;
-      g.t = T[i];
-      g.ndir[0] = 0;
-      g.ndir[1] = 0;
-      for (std::size_t x = i; x < j; ++x) ++g.ndir[D[x]];
-      g.lo_tm = bounded_ ? LowerIdx(T, n, SatSub(g.t, reach_)) : 0;
-      g.hi_tp = bounded_ ? UpperIdx(T, n, SatAdd(g.t, reach_)) : n;
-      star_groups_.push_back(g);
+      const Timestamp from = SatSub(T[i], reach_);
+      while (bounded_ && wbegin < i && T[wbegin] < from) {
+        std::size_t ge = wbegin + 1;
+        while (T[ge] == T[wbegin]) ++ge;  // Stops by i: T[i] != T[wbegin].
+        MoveSpanGroup(D, S, wbegin, ge, /*join=*/false, first, sum_sp);
+        wbegin = ge;
+      }
+      for (std::size_t x = i; x < j; ++x) {
+        const SpanSide& y = span_sides_[S[x]];
+        const int d3 = D[x] & 1;
+        const bool leg = (D[x] & 2) == 0;
+        for (int a = 0; a < 2; ++a) {
+          for (int b = 0; b < 2; ++b) {  // a, b: the first two events.
+            const std::uint64_t own = leg ? y.sp[a][b] : 0;
+            if (leg) stars[2][a][b][d3] += sum_sp[a][b] - own;
+            if (leg || b != d3) {
+              stars[0][a][b][d3] += y.rs[b][a] - y.cnt[b] * first[a] - own;
+            }
+            if (leg || a != d3) {
+              stars[1][a][b][d3] += y.cnt[a] * prefix[b] - y.re[a][b] - own;
+            }
+          }
+        }
+      }
+      MoveSpanGroup(D, S, i, j, /*join=*/true, prefix, sum_sp);
       i = j;
     }
   }
 
-  /// The tie-group loop over star_groups_ (built from `pair`): adds to
-  /// `stars` — or, with `subtract`, removes from it — the stars whose
-  /// two-event leg is `pair`'s and whose one-event leg g around center c
-  /// (0 = pair.lo) is drawn from legs[c], minus the pair's own events when
-  /// `minus_pair` (they sit on the node timelines). A bidirectional pair's
-  /// two events must run in opposite directions to cover both of its
-  /// static edges.
-  void AccumulateStars(const Pair& pair, const Leg (&legs)[2],
-                       bool minus_pair, bool subtract, StarCounts* stars) {
-    using detail::LowerIdx;
-    using detail::UpperIdx;
-    const std::size_t num_groups = star_groups_.size();
-    star_bounds_.resize(num_groups * 2);  // Center-minor.
-    for (int c = 0; c < 2; ++c) {
-      const Leg leg = legs[c];
-      if (leg.n == 0) continue;
-      for (std::size_t g = 0; g < num_groups; ++g) {
-        const Timestamp t = star_groups_[g].t;
-        CenterBounds b;
-        b.lo_m = bounded_ ? LowerIdx(leg.T, leg.n, SatSub(t, reach_)) : 0;
-        b.lo_t = LowerIdx(leg.T, leg.n, t);
-        b.up_t = UpperIdx(leg.T, leg.n, t);
-        b.up_p =
-            bounded_ ? UpperIdx(leg.T, leg.n, SatAdd(t, reach_)) : leg.n;
-        star_bounds_[g * 2 + static_cast<std::size_t>(c)] = b;
+  /// Moves the tie group [b, e) into (`join`) or out of SpanStars' window,
+  /// with `p` holding P at the group's start; `p` leaves holding P at its
+  /// end. A group joins after every window event and leaves before every
+  /// other one, so either way it pairs with the window minus itself.
+  void MoveSpanGroup(const std::uint8_t* D, const std::uint32_t* S,
+                     std::size_t b, std::size_t e, bool join,
+                     std::uint64_t (&p)[2], std::uint64_t (&sum_sp)[2][2]) {
+    const std::uint64_t sign = join ? 1 : ~std::uint64_t{0};
+    std::uint64_t p_end[2] = {p[0], p[1]};
+    for (std::size_t x = b; x < e; ++x) {
+      if ((D[x] & 2) == 0) ++p_end[D[x] & 1];
+      if (!join) --span_sides_[S[x]].cnt[D[x] & 1];
+    }
+    for (std::size_t x = b; x < e; ++x) {
+      SpanSide& side = span_sides_[S[x]];
+      const int d = D[x] & 1;
+      for (int o = 0; o < 2; ++o) {
+        const std::uint64_t pairs = sign * side.cnt[o];
+        (join ? side.sp[o][d] : side.sp[d][o]) += pairs;
+        if ((D[x] & 2) == 0 || o != d) {
+          (join ? sum_sp[o][d] : sum_sp[d][o]) += pairs;
+        }
+        side.rs[d][o] += sign * p[o];
+        side.re[d][o] += sign * p_end[o];
       }
     }
-    if (per_gap_) {
-      StarGroupPairs<true>(pair, legs, minus_pair, subtract, stars);
-    } else {
-      StarGroupPairs<false>(pair, legs, minus_pair, subtract, stars);
+    for (std::size_t x = b; x < e && join; ++x) {
+      ++span_sides_[S[x]].cnt[D[x] & 1];
     }
+    p[0] = p_end[0];
+    p[1] = p_end[1];
   }
 
-  /// AccumulateStars' double loop over group pairs (P, Q) = (f1, f2), with
-  /// the one-event leg g's three ranges per timing regime: a timespan
-  /// bound reaches g before f1 (after f2) from f2 (f1); a per-gap bound
-  /// reaches it from f1 (f2), only when f1 -> f2 fits one gap itself, and
-  /// keeps g between them within reach_ of both.
-  template <bool kPerGap>
-  void StarGroupPairs(const Pair& pair, const Leg (&legs)[2],
-                      bool minus_pair, bool subtract, StarCounts* stars) {
-    using detail::SplitRangeByDir;
-    const std::size_t num_groups = star_groups_.size();
-    const std::uint32_t* pair_prefix = pair_prefix_.data() + pair.begin;
-    const bool mixed_only = pair.bidirectional;
-    // Unsigned weights: subtracting is adding the two's complement, and
-    // CountStars has added every star a subtraction removes.
-    const std::uint64_t sign = subtract ? ~std::uint64_t{0} : 1;
-    for (std::size_t gp = 0; gp + 1 < num_groups; ++gp) {
-      const TieGroup& P = star_groups_[gp];
-      const Timestamp last = SpanEnd(P.t);
-      for (std::size_t gq = gp + 1; gq < num_groups; ++gq) {
-        const TieGroup& Q = star_groups_[gq];
-        if (bounded_ && Q.t > last) break;
-        const bool outer = !kPerGap || Q.t <= SatAdd(P.t, reach_);
-        const TieGroup& B = kPerGap ? P : Q;
-        const TieGroup& A = kPerGap ? Q : P;
-        const std::uint64_t m[2][2] = {
-            {mixed_only ? 0 : sign * P.ndir[0] * Q.ndir[0],
-             sign * P.ndir[0] * Q.ndir[1]},
-            {sign * P.ndir[1] * Q.ndir[0],
-             mixed_only ? 0 : sign * P.ndir[1] * Q.ndir[1]}};
-        for (int c = 0; c < 2; ++c) {
-          const Leg leg = legs[c];
-          if (leg.n == 0) continue;
-          const CenterBounds& bp = star_bounds_[gp * 2 + c];
-          const CenterBounds& bq = star_bounds_[gq * 2 + c];
-          const CenterBounds& bb = kPerGap ? bp : bq;
-          const CenterBounds& ba = kPerGap ? bq : bp;
-          // g strictly before f1 / strictly between / strictly after f2.
-          const std::size_t ni[3][2] = {
-              {bb.lo_m, bp.lo_t},
-              {kPerGap ? std::max(bp.up_t, bq.lo_m) : bp.up_t,
-               kPerGap ? std::min(bq.lo_t, bp.up_p) : bq.lo_t},
-              {bq.up_t, ba.up_p}};
-          const std::size_t pi[3][2] = {
-              {B.lo_tm, P.begin},
-              {kPerGap ? std::max(P.end, Q.lo_tm) : P.end,
-               kPerGap ? std::min(Q.begin, P.hi_tp) : Q.begin},
-              {Q.end, A.hi_tp}};
-          for (int pos = 0; pos < 3; ++pos) {
-            if (pos != 1 && !outer) continue;
-            // cnt[gdir]: leg events in the range with the center as src
-            // (gdir 1) or as dst (gdir 0).
-            std::uint64_t cnt[2];
-            SplitRangeByDir(leg.prefix, ni[pos][0], ni[pos][1], leg.src_dir,
-                            cnt);
-            if (minus_pair) {
-              // A pair event has the center as src iff its dir == c.
-              std::uint64_t own[2];
-              SplitRangeByDir(pair_prefix, pi[pos][0], pi[pos][1], c, own);
-              cnt[0] -= own[0];
-              cnt[1] -= own[1];
+  /// SweepStars under the per-gap bound: each middle tie group at t pairs
+  /// per-neighbour counts of its events in [t - reach_, t) (`before`) and
+  /// in (t, t + reach_] (`after`). For a middle event on neighbour y, the
+  /// first and last events lie
+  ///   - on y, then on another neighbour: before[y] * (after_all - after[y]);
+  ///   - on another neighbour, then on y: (before_all - before[y]) * after[y];
+  ///   - both on one other neighbour x: the sum over x of before[x] *
+  ///     after[x], kept in `cross` as the counts move, minus y's term;
+  /// the `_all` totals count the possible one-event legs, as in SpanStars.
+  void GapStars(const Timestamp* T, const std::uint8_t* D,
+                const std::uint32_t* S, std::size_t n,
+                std::uint32_t partners, StarSums& stars) {
+    gap_sides_.assign(partners, GapSide{});
+    std::uint64_t before_all[2] = {};
+    std::uint64_t after_all[2] = {};
+    std::uint64_t cross[2][2] = {};  // Bidirectional sides: mixed only.
+    const auto move = [&](std::size_t x, bool after, std::uint64_t step) {
+      GapSide& side = gap_sides_[S[x]];
+      const int d = D[x] & 1;
+      const bool leg = (D[x] & 2) == 0;
+      (after ? side.after : side.before)[d] += step;
+      if (leg) (after ? after_all : before_all)[d] += step;
+      for (int o = 0; o < 2; ++o) {
+        if (leg || o != d) {
+          (after ? cross[o][d] : cross[d][o]) +=
+              step * (after ? side.before : side.after)[o];
+        }
+      }
+    };
+    constexpr std::uint64_t kIn = 1;
+    constexpr std::uint64_t kOut = ~std::uint64_t{0};
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+    for (std::size_t i = 0; i < n;) {
+      std::size_t j = i + 1;
+      while (j < n && T[j] == T[i]) ++j;
+      const Timestamp from = SatSub(T[i], reach_);
+      while (T[lo] < from) move(lo++, false, kOut);  // Stops at i.
+      const Timestamp to = SatAdd(T[i], reach_);
+      while (hi < n && T[hi] <= to) move(hi++, true, kIn);
+      for (std::size_t x = i; x < j; ++x) move(x, true, kOut);
+      for (std::size_t x = i; x < j; ++x) {
+        const GapSide& y = gap_sides_[S[x]];
+        const int d2 = D[x] & 1;
+        const bool leg = (D[x] & 2) == 0;
+        for (int a = 0; a < 2; ++a) {
+          for (int c = 0; c < 2; ++c) {  // a, c: the first and last events.
+            if (leg || a != d2) {
+              stars[2][a][d2][c] +=
+                  y.before[a] * (after_all[c] - (leg ? y.after[c] : 0));
             }
-            for (int gdir = 0; gdir < 2; ++gdir) {
-              if (!cnt[gdir]) continue;
-              for (int d1 = 0; d1 < 2; ++d1) {
-                for (int d2 = 0; d2 < 2; ++d2) {
-                  stars->n[d1][d2][c][pos][gdir] += cnt[gdir] * m[d1][d2];
-                }
-              }
+            if (leg || c != d2) {
+              stars[0][a][d2][c] +=
+                  (before_all[a] - (leg ? y.before[a] : 0)) * y.after[c];
+            }
+            if (leg) {
+              stars[1][a][d2][c] += cross[a][c] - y.before[a] * y.after[c];
             }
           }
         }
       }
+      for (std::size_t x = i; x < j; ++x) move(x, false, kIn);
+      i = j;
     }
   }
 
-  /// Adds `stars` into `raw` (RawSequence slots).
-  static void AddStarsTo(const StarCounts& stars, std::uint64_t* raw) {
-    for (int d1 = 0; d1 < 2; ++d1) {
-      for (int d2 = 0; d2 < 2; ++d2) {
-        for (int c = 0; c < 2; ++c) {
-          for (int pos = 0; pos < 3; ++pos) {
-            for (int gdir = 0; gdir < 2; ++gdir) {
-              const std::uint64_t cnt = stars.n[d1][d2][c][pos][gdir];
-              if (!cnt) continue;
-              // Symbols: pair.lo = 0, pair.hi = 1, new far endpoint = 2.
-              const int fs1 = d1, fd1 = 1 - d1;
-              const int fs2 = d2, fd2 = 1 - d2;
-              const int gs = gdir ? c : 2;
-              const int gd = gdir ? 2 : c;
-              int srcs[3], dsts[3];
-              int fi = 0;
-              for (int slot = 0; slot < 3; ++slot) {
-                if (slot == pos) {  // g's slot in time order.
-                  srcs[slot] = gs;
-                  dsts[slot] = gd;
-                } else if (fi++ == 0) {
-                  srcs[slot] = fs1;
-                  dsts[slot] = fd1;
-                } else {
-                  srcs[slot] = fs2;
-                  dsts[slot] = fd2;
-                }
-              }
-              raw[detail::RawSequence(srcs, dsts)] += cnt;
-            }
-          }
+  /// Under static inducedness the stars on a static triangle's nodes are
+  /// void: SweepStars again at its corner `center`, over the merge of the
+  /// timelines of its two sides p0 and p1, into `voided`. A star spans at
+  /// most two gaps (per gap) or one timespan of reach_, so the merge keeps
+  /// only events with an event of the other side that near.
+  void SweepCorner(NodeId center, std::uint32_t p0, std::uint32_t p1,
+                   StarSums& voided) {
+    const Pair* sides[2] = {&pairs_[p0], &pairs_[p1]};
+    std::size_t at[2] = {sides[0]->begin, sides[1]->begin};
+    const std::size_t end[2] = {sides[0]->end, sides[1]->end};
+    const std::size_t total = (end[0] - at[0]) + (end[1] - at[1]);
+    if (at[0] == end[0] || at[1] == end[1] || total < 3) return;
+    if (corner_times_.size() < total) {
+      corner_times_.resize(total);
+      corner_dirs_.resize(total);
+      corner_slots_.resize(total);
+    }
+    const Timestamp* T = pair_times_.data();
+    const Timestamp span = per_gap_ ? SatAdd(reach_, reach_) : reach_;
+    // Each side's latest merged event; the initial minimum may keep an
+    // event too many, which costs only time.
+    Timestamp last[2] = {std::numeric_limits<Timestamp>::min(),
+                         std::numeric_limits<Timestamp>::min()};
+    std::size_t n = 0;
+    while (at[0] < end[0] || at[1] < end[1]) {
+      const int s =
+          at[0] < end[0] && (at[1] == end[1] || T[at[0]] <= T[at[1]]) ? 0 : 1;
+      const std::size_t e = at[s]++;
+      const Timestamp t = T[e];
+      last[s] = t;
+      const int o = 1 - s;
+      if (last[o] < SatSub(t, span) &&
+          !(at[o] < end[o] && T[at[o]] <= SatAdd(t, span))) {
+        continue;
+      }
+      corner_times_[n] = t;
+      const bool is_src = (pair_dirs_[e] == 0) == (center == sides[s]->lo);
+      corner_dirs_[n] = NodeDir(*sides[s], is_src);
+      corner_slots_[n++] = static_cast<std::uint32_t>(s);
+    }
+    if (n < 3) return;
+    SweepStars(corner_times_.data(), corner_dirs_.data(), corner_slots_.data(),
+               n, 2, voided);
+  }
+
+  /// Adds `stars` minus `voided` into `raw` (RawSequence slots).
+  static void AddStars(const StarSums& stars, const StarSums& voided,
+                       std::uint64_t* raw) {
+    for (int pos = 0; pos < 3; ++pos) {
+      for (int s = 0; s < 8; ++s) {
+        const int dirs[3] = {s >> 2, (s >> 1) & 1, s & 1};
+        const std::uint64_t cnt = stars[pos][dirs[0]][dirs[1]][dirs[2]] -
+                                  voided[pos][dirs[0]][dirs[1]][dirs[2]];
+        if (!cnt) continue;
+        // Symbols: the center = 0, the two-event leg's neighbour = 1, the
+        // one-event leg's = 2.
+        int srcs[3], dsts[3];
+        for (int slot = 0; slot < 3; ++slot) {
+          const int far = slot == pos ? 2 : 1;
+          srcs[slot] = dirs[slot] ? 0 : far;
+          dsts[slot] = dirs[slot] ? far : 0;
         }
+        raw[detail::RawSequence(srcs, dsts)] += cnt;
       }
     }
   }
@@ -1087,7 +1102,9 @@ class WindowCounter {
         if (v == detail::FlatIndex::kAbsent) continue;
         bool inserted = false;
         pair_index_.Insert(NodePairKey(id, other), &inserted);
-        if (inserted) pairs_.push_back(Pair{id, other, u, v, 0, 0, false});
+        if (inserted) {
+          pairs_.push_back(Pair{id, other, u, v, 0, 0, 0, 0, false});
+        }
       }
     }
   }
@@ -1099,11 +1116,10 @@ class WindowCounter {
   /// largest of the three timelines takes the rank-query role.
   ///
   /// Under static inducedness a triangle counts only when all three pairs
-  /// are unidirectional, and each pair visits every triangle it lies on
-  /// to remove from `stars` the stars whose two-event leg it is: the
-  /// triangle's third pair is the static edge such a star leaves
-  /// uncovered.
-  void CountTriangles(StarCounts* stars, std::uint64_t* raw) {
+  /// are unidirectional, and every static triangle sweeps the stars on its
+  /// nodes into `voided`: its third pair is the static edge each of them
+  /// leaves uncovered.
+  void CountTriangles(StarSums& voided, std::uint64_t* raw) {
     // Undirected adjacency over the filtered pairs: a CSR over node slots
     // (each node's row of (neighbor, pair slot)), rows sorted by neighbor.
     for (const Pair& pair : pairs_) {
@@ -1135,8 +1151,6 @@ class WindowCounter {
       const Pair& ab = pairs_[pab];
       const Node& na = nodes_[ab.lo_node];
       const Node& nb = nodes_[ab.hi_node];
-      const bool remove_stars = static_induced_ && ab.end - ab.begin >= 2;
-      bool groups_built = false;
       std::uint32_t ia = na.adj_begin;
       std::uint32_t ib = nb.adj_begin;
       while (ia < na.adj_end && ib < nb.adj_end) {
@@ -1157,29 +1171,10 @@ class WindowCounter {
               CountOneTriangle<false>(pab, paw, pbw, raw);
             }
           }
-          if (remove_stars) {
-            if (!groups_built) {
-              BuildStarGroups(ab);
-              groups_built = true;
-            }
-            // Center a's one-event leg is (a, w), center b's is (b, w);
-            // bidirectional or empty legs were never counted.
-            Leg legs[2];
-            const std::uint32_t leg_pairs[2] = {paw, pbw};
-            const NodeId centers[2] = {ab.lo, ab.hi};
-            for (int c = 0; c < 2; ++c) {
-              const Pair& leg = pairs_[leg_pairs[c]];
-              legs[c] = Leg{pair_times_.data() + leg.begin,
-                            pair_prefix_.data() + leg.begin,
-                            countable(leg_pairs[c])
-                                ? static_cast<std::size_t>(leg.end - leg.begin)
-                                : 0,
-                            centers[c] == leg.lo ? 0 : 1};
-            }
-            if (legs[0].n > 0 || legs[1].n > 0) {
-              AccumulateStars(ab, legs, /*minus_pair=*/false,
-                              /*subtract=*/true, stars);
-            }
+          if (w > ab.hi && static_induced_) {
+            SweepCorner(ab.lo, pab, paw, voided);
+            SweepCorner(ab.hi, pab, pbw, voided);
+            SweepCorner(w, paw, pbw, voided);
           }
           ++ia;
           ++ib;
@@ -1188,13 +1183,14 @@ class WindowCounter {
     }
   }
 
-  /// One static triangle's instances. Ranges of z per timing regime as in
-  /// StarGroupPairs, with x and y in the roles of f1 and f2.
+  /// One static triangle's instances. A timespan bound reaches z before
+  /// (after) the enumerated x and y from the later (earlier) of them; a
+  /// per-gap bound reaches it from the nearer one, only when x and y fit
+  /// one gap themselves, and keeps z between them within reach_ of both.
   template <bool kPerGap>
   void CountOneTriangle(std::uint32_t pab, std::uint32_t pac,
                         std::uint32_t pbc, std::uint64_t* raw) {
     using detail::LowerIdx;
-    using detail::SplitRangeByDir;
     using detail::UpperIdx;
     // Symbols: a = 0, b = 1, c = 2 (the raw sequences are canonicalized
     // when merged).
@@ -1260,7 +1256,8 @@ class WindowCounter {
           }
           if (z1 <= z0) continue;
           std::uint64_t by_dir[2];  // z events per dir.
-          SplitRangeByDir(PZ, z0, z1, 1, by_dir);
+          by_dir[1] = PZ[z1] - PZ[z0];
+          by_dir[0] = (z1 - z0) - by_dir[1];
           for (int zd = 0; zd < 2; ++zd) {
             const std::uint64_t cnt = by_dir[zd];
             if (!cnt) continue;
@@ -1300,7 +1297,6 @@ class WindowCounter {
   const Timestamp reach_;
   const bool static_induced_;
 
-
   // Per-call scratch, reset by each Count (see the class comment).
   detail::FlatIndex pair_index_;
   detail::FlatIndex node_index_;
@@ -1310,17 +1306,20 @@ class WindowCounter {
   std::vector<std::uint32_t> event_pair_;
   std::vector<Timestamp> pair_times_;
   std::vector<std::uint8_t> pair_dirs_;
-  /// Dir-1 prefix sums over the whole pair (node) CSR array: a timeline's
-  /// sums are the slice starting at its `begin` (k == 3 shapes only).
+  /// Dir-1 prefix sums over the whole pair CSR array: a timeline's sums
+  /// are the slice starting at its `begin` (k == 3 shapes only).
   std::vector<std::uint32_t> pair_prefix_;
   std::vector<Timestamp> node_times_;
   std::vector<std::uint8_t> node_dirs_;
-  std::vector<std::uint32_t> node_prefix_;
-  /// Pair slot of each node-timeline event (wedges only).
-  std::vector<std::uint32_t> node_pairs_;
+  std::vector<std::uint32_t> node_slots_;
+  /// Per-partner state of the current center, sized by its partners.
   std::vector<std::array<std::uint64_t, 2>> wedge_pair_counts_;
-  std::vector<TieGroup> star_groups_;
-  std::vector<CenterBounds> star_bounds_;
+  std::vector<SpanSide> span_sides_;
+  std::vector<GapSide> gap_sides_;
+  /// One static triangle corner's merged timeline (SweepCorner).
+  std::vector<Timestamp> corner_times_;
+  std::vector<std::uint8_t> corner_dirs_;
+  std::vector<std::uint32_t> corner_slots_;
   std::vector<std::pair<NodeId, std::uint32_t>> adjacency_;
   /// CountDifferenceInto's per-code accumulator.
   CodeDeltas deltas_;

@@ -10,14 +10,14 @@
 namespace tmotif {
 namespace {
 
-/// Parses up to 5 whitespace-separated integer fields from `line`.
-/// Returns the number of fields parsed, or -1 with `*why` set on any
-/// malformed token (non-numeric, out of long-long range, or trailing
-/// garbage after the fifth field). A trailing '\r' (CRLF files) is
-/// tolerated.
-int ParseFields(const std::string& line, long long out[5], const char** why) {
+/// Parses up to 5 whitespace-separated integer fields from the
+/// NUL-terminated `line`. Returns the number of fields parsed, or -1 with
+/// `*why` set on any malformed token (non-numeric, out of long-long range,
+/// or trailing garbage after the fifth field). A trailing '\r' (CRLF files)
+/// is tolerated.
+int ParseFields(const char* line, long long out[5], const char** why) {
   int count = 0;
-  const char* p = line.c_str();
+  const char* p = line;
   while (*p != '\0' && count < 5) {
     while (*p == ' ' || *p == '\t' || *p == '\r') ++p;
     if (*p == '\0') break;
@@ -66,8 +66,6 @@ std::optional<EdgeListResult> LoadEdgeList(const std::string& path,
     return it->second;
   };
 
-  std::string line;
-  int ch;
   std::size_t physical_line = 0;
   const auto record_error = [&](const char* message) {
     ++result.num_bad_lines;
@@ -75,9 +73,10 @@ std::optional<EdgeListResult> LoadEdgeList(const std::string& path,
       result.errors.push_back(EdgeListError{physical_line, message});
     }
   };
-  const auto process_line = [&]() {
+  // `line` holds `size` bytes and a NUL after them.
+  const auto process_line = [&](const char* line, std::size_t size) {
     ++physical_line;
-    if (line.empty() || line == "\r") return;
+    if (size == 0 || (size == 1 && line[0] == '\r')) return;
     ++result.num_lines;
     if (line[0] == '#' || line[0] == '%') return;
     long long fields[5] = {0, 0, 0, 0, 0};
@@ -136,15 +135,32 @@ std::optional<EdgeListResult> LoadEdgeList(const std::string& path,
     ++result.num_events;
   };
 
-  while ((ch = std::fgetc(file)) != EOF) {
-    if (ch == '\n') {
-      process_line();
-      line.clear();
-    } else {
-      line.push_back(static_cast<char>(ch));
+  // Reads 64 KiB blocks and parses each line in place, its newline
+  // overwritten by the NUL; a line that spans blocks collects in `carry`.
+  constexpr std::size_t kBlockBytes = 64 * 1024;
+  std::vector<char> block(kBlockBytes);
+  std::string carry;
+  std::size_t got;
+  while ((got = std::fread(block.data(), 1, kBlockBytes, file)) > 0) {
+    char* p = block.data();
+    char* const end = p + got;
+    char* newline;
+    while ((newline = static_cast<char*>(
+                std::memchr(p, '\n', static_cast<std::size_t>(end - p)))) !=
+           nullptr) {
+      *newline = '\0';
+      if (carry.empty()) {
+        process_line(p, static_cast<std::size_t>(newline - p));
+      } else {
+        carry.append(p, newline);
+        process_line(carry.c_str(), carry.size());
+        carry.clear();
+      }
+      p = newline + 1;
     }
+    carry.append(p, end);
   }
-  process_line();
+  process_line(carry.c_str(), carry.size());
   std::fclose(file);
 
   result.graph = builder.Build();

@@ -194,7 +194,11 @@ TemporalGraphBuilder& TemporalGraphBuilder::SetMinNumNodes(NodeId num_nodes) {
 
 TemporalGraph TemporalGraphBuilder::Build() {
   TemporalGraph graph;
-  std::stable_sort(events_.begin(), events_.end(), EventTimeLess);
+  // Time-ordered input (every SaveEdgeList file) is already what the
+  // stable sort would leave.
+  if (!std::is_sorted(events_.begin(), events_.end(), EventTimeLess)) {
+    std::stable_sort(events_.begin(), events_.end(), EventTimeLess);
+  }
   graph.events_ = std::move(events_);
   events_.clear();
 

@@ -52,6 +52,17 @@ RandomGraphSpec WideSpec() {
   return spec;
 }
 
+/// Few nodes, many events and heavy ties: every node is a hub whose star
+/// sweep sees long timelines over a handful of partners.
+RandomGraphSpec HubSpec() {
+  RandomGraphSpec spec;
+  spec.num_nodes = 4;
+  spec.num_events = 28;
+  spec.max_time = 30;
+  spec.prob_duplicate_time = 0.5;
+  return spec;
+}
+
 EnumerationOptions Opts(int k, int max_nodes, TimingConstraints timing = {},
                         Inducedness inducedness = Inducedness::kNone) {
   EnumerationOptions o;
@@ -145,12 +156,12 @@ class FastPathDifferentialTest
     : public ::testing::TestWithParam<FastPathCase> {};
 
 // Three-way differential on full graphs: fast path == generic DFS ==
-// brute-force oracle, code for code, over both graph shapes.
+// brute-force oracle, code for code, over the three graph shapes.
 TEST_P(FastPathDifferentialTest, MatchesOracleAndGenericEngine) {
   const FastPathCase& c = GetParam();
   ASSERT_TRUE(internal::fast_paths::FastPathSupported(c.options)) << c.name;
   int nonzero = 0;
-  for (const RandomGraphSpec& spec : {TinySpec(), WideSpec()}) {
+  for (const RandomGraphSpec& spec : {TinySpec(), WideSpec(), HubSpec()}) {
     ForEachRandomGraph(
         0xfa57 + static_cast<std::uint64_t>(spec.num_nodes), 8, spec,
         [&](std::uint64_t seed, const TemporalGraph& g) {

@@ -194,6 +194,26 @@ TEST(LoadEdgeList, ToleratesCrlfLineEndings) {
   std::remove(path.c_str());
 }
 
+// Lines longer than the loader's 64 KiB read block: a comment, an event
+// whose whitespace spans three blocks, and a CRLF line without a final
+// newline after a bad line, whose physical number must survive the splits.
+TEST(LoadEdgeList, LinesLongerThanAReadBlock) {
+  const std::string path = TempPath("long_lines.txt");
+  const std::string comment = "#" + std::string(100000, 'x') + "\n";
+  const std::string spaced = "0 1" + std::string(150000, ' ') + "7\n";
+  WriteFile(path, comment + spaced + "not numbers\n1 2 9\r");
+  const auto result = LoadEdgeList(path);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->num_lines, 4u);
+  EXPECT_EQ(result->num_events, 2u);
+  EXPECT_EQ(result->graph.event(0).time, 7);
+  EXPECT_EQ(result->graph.event(1).src, 1);
+  ASSERT_EQ(result->errors.size(), 1u);
+  EXPECT_EQ(result->errors[0].line, 3u);
+  EXPECT_EQ(result->errors[0].message, "non-numeric field");
+  std::remove(path.c_str());
+}
+
 TEST(SaveEdgeList, RoundTripsThroughLoad) {
   TemporalGraphBuilder builder;
   builder.AddEvent(0, 1, 10, 3, 7).AddEvent(1, 2, 20);

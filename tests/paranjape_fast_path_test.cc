@@ -1,7 +1,8 @@
-// Preset-shaped differential for the static-inducedness and per-gap fast
-// paths: Paranjape et al.'s preset, Hulovatyy et al.'s (static + dC) and
-// the vanilla dC = dW / 2 config on the CollegeMsg-shaped graph that the
-// pipeline benchmark counts (gen/presets.h), dispatched through
+// Preset-shaped differential for the k == 3 fast paths: Song et al.'s
+// preset (the plain timespan star sweep), Paranjape et al.'s (static
+// inducedness), Hulovatyy et al.'s (static + dC) and the vanilla
+// dC = dW / 2 config on the CollegeMsg-shaped graph that the pipeline
+// benchmark counts (gen/presets.h), dispatched through
 // CountMotifs / CountMotifsInRange against the DFS forced through
 // internal::EnumerateCore. The benchmark's own reference tables come from
 // the same fast path, so this is the check that sees a bug in it on
@@ -49,6 +50,11 @@ TemporalGraph Slice(const TemporalGraph& graph, EventIndex begin,
 EnumerationOptions Paranjape(Timestamp delta_w) {
   return OptionsForModel(ModelId::kParanjape, /*num_events=*/3,
                          /*max_nodes=*/3, /*delta_c=*/0, delta_w);
+}
+
+EnumerationOptions Song(Timestamp delta_w) {
+  return OptionsForModel(ModelId::kSong, /*num_events=*/3, /*max_nodes=*/3,
+                         /*delta_c=*/0, delta_w);
 }
 
 EnumerationOptions Hulovatyy(Timestamp delta_c) {
@@ -111,6 +117,19 @@ TEST(ParanjapeFastPath, MatchesDfsOnCollegeMsgPreset) {
   for (const PresetCase& c :
        {PresetCase{"graph_dw3000", &graph, Paranjape(3000)},
         PresetCase{"window_dw1800", &window, Paranjape(1800)}}) {
+    ExpectFastPathMatchesDfs(c);
+  }
+}
+
+// Song et al.'s preset, whose hub centres' stars dominate its count: the
+// batch benchmark's dW on the whole graph, the streaming one on the slice.
+TEST(SongFastPath, MatchesDfsOnCollegeMsgPreset) {
+  const TemporalGraph graph = CollegeMsg();
+  ASSERT_GT(graph.num_events(), kWindow);
+  const TemporalGraph window = WindowSlice(graph);
+  for (const PresetCase& c :
+       {PresetCase{"graph_dw3000", &graph, Song(3000)},
+        PresetCase{"window_dw1800", &window, Song(1800)}}) {
     ExpectFastPathMatchesDfs(c);
   }
 }

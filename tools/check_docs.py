@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Doc-drift check: keeps the markdown tree honest as the code moves.
 
-Seven classes of rot are caught:
+Eight classes of rot are caught:
 
   1. Broken intra-repo links — every relative markdown link (and image)
      in the repo's *.md files must resolve to an existing file.
@@ -30,14 +30,19 @@ Seven classes of rot are caught:
      `tests/stream_test.cc`, `src/core/`; a `*` matches as a glob) must
      exist, resolved from the repo root or from src/. Only a span that
      is wholly a path counts: directories, and files with an extension.
+  8. Deleted code symbols — every backticked C++ symbol in docs/*.md and
+     README.md (a CamelCase name such as `WindowCounter`, optionally
+     followed by `::Member` or `()`) must occur as an identifier in src/,
+     tools/, tests/, pipebench/ or CMakeLists.txt; for `Name::Member`
+     both names must.
 
 Usage:
   tools/check_docs.py [--repo-root DIR] [--bin-dir BUILDDIR]
 
-Without --bin-dir only the link, section, checkpoint-version and path
-checks run (useful before building); CI passes the build directory so
-the flag and metric-name checks run against the real binaries. Exit
-status is nonzero on any finding.
+Without --bin-dir only the link, section, checkpoint-version, path and
+symbol checks run (useful before building); CI passes the build
+directory so the flag and metric-name checks run against the real
+binaries. Exit status is nonzero on any finding.
 """
 
 import argparse
@@ -114,6 +119,13 @@ HEADING_RE = re.compile(r"^#{1,6} ")
 # A code span that is wholly a repo path: one or more directory parts,
 # then nothing (a directory) or a file name with an extension.
 REPO_PATH_RE = re.compile(r"^(?:[\w.-]+/)+(?:[\w*.-]*\.\w+)?$")
+# A code span that is wholly a C++ symbol: a CamelCase name (two or more
+# capitalised words), optionally `::Member`, optionally `()`.
+CODE_SYMBOL_RE = re.compile(
+    r"^([A-Z][a-z0-9]+(?:[A-Z][A-Za-z0-9]*)+)(?:::([A-Za-z_]\w*))?(?:\(\))?$")
+IDENTIFIER_RE = re.compile(r"[A-Za-z_]\w*")
+# Where a documented symbol must still occur (markdown there is prose).
+CODE_DIRS = ("src", "tools", "tests", "pipebench")
 STREAM_CATALOG_HEADING = "### `stream.*`"
 STREAM_METRIC_RE = re.compile(r"`(stream\.[a-z0-9_]+)`")
 COUNTING_CATALOG_HEADING = "### `counting.*`"
@@ -248,6 +260,36 @@ def check_source_paths(root, errors):
                               f"file under the repo root or src/")
 
 
+def code_identifiers(root):
+    files = [os.path.join(root, "CMakeLists.txt")]
+    for code_dir in CODE_DIRS:
+        for dirpath, _, filenames in os.walk(os.path.join(root, code_dir)):
+            files += [os.path.join(dirpath, name) for name in filenames
+                      if not name.endswith(".md")]
+    identifiers = set()
+    for path in files:
+        with open(path, encoding="utf-8", errors="replace") as f:
+            identifiers.update(IDENTIFIER_RE.findall(f.read()))
+    return identifiers
+
+
+def check_code_symbols(root, errors):
+    identifiers = code_identifiers(root)
+    docs = sorted(glob.glob(os.path.join(root, "docs", "*.md")))
+    for path in docs + [os.path.join(root, "README.md")]:
+        rel_path = os.path.relpath(path, root)
+        for lineno, snippet in iter_code_snippets(path):
+            match = CODE_SYMBOL_RE.fullmatch(snippet)
+            if match is None:
+                continue
+            missing = [name for name in match.groups()
+                       if name is not None and name not in identifiers]
+            if missing:
+                errors.append(f"{rel_path}:{lineno}: `{snippet}` names "
+                              f"{', '.join(missing)}, which no source, "
+                              f"tool, test or pipebench file has")
+
+
 def check_checkpoint_version(root, errors):
     header = os.path.join(root, "src", "stream", "checkpoint.h")
     with open(header, encoding="utf-8") as f:
@@ -363,6 +405,7 @@ def main():
     check_required_sections(args.repo_root, errors)
     check_checkpoint_version(args.repo_root, errors)
     check_source_paths(args.repo_root, errors)
+    check_code_symbols(args.repo_root, errors)
     if args.bin_dir is not None:
         check_flags(md_files, args.repo_root, args.bin_dir, errors)
         check_stream_metrics(args.repo_root, args.bin_dir, errors)
@@ -373,8 +416,9 @@ def main():
         print(f"check_docs: {len(errors)} finding(s) across "
               f"{len(md_files)} markdown files", file=sys.stderr)
         return 1
-    scope = ("links + sections + paths + CLI flags + stream and counting "
-             "metrics" if args.bin_dir else "links + sections + paths")
+    scope = ("links + sections + paths + symbols + CLI flags + stream and "
+             "counting metrics" if args.bin_dir
+             else "links + sections + paths + symbols")
     print(f"check_docs: OK ({scope}; {len(md_files)} markdown files)")
     return 0
 
