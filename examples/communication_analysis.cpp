@@ -8,7 +8,7 @@
 #include "analysis/event_pair_analysis.h"
 #include "analysis/inducedness_analysis.h"
 #include "analysis/report.h"
-#include "core/models/kovanen.h"
+#include "core/models/model_info.h"
 #include "gen/presets.h"
 
 using namespace tmotif;
@@ -63,8 +63,8 @@ int main() {
               report.rank_changes.at("012110"));
 
   // 4. Kovanen counting surfaces the dominant conversation motifs.
-  KovanenConfig kovanen{3, 3, 1500};
-  const MotifCounts conversations = CountKovanenMotifs(sms, kovanen);
+  const MotifCounts conversations = CountMotifs(
+      sms, OptionsForModel(ModelId::kKovanen, 3, 3, /*delta_c=*/1500, 0));
   std::printf("\nTop conversation motifs (Kovanen model):\n%s",
               RenderMotifCounts(conversations, 8).c_str());
   return 0;

@@ -3,19 +3,15 @@
 //
 //   $ ./quickstart
 //
-// Walks through the core API: TemporalGraphBuilder -> model configs ->
-// MotifCounts -> event pairs.
+// Walks through the core API: TemporalGraphBuilder -> EnumerationOptions
+// and the model presets -> MotifCounts -> event pairs.
 
 #include <cstdio>
 
 #include "analysis/event_pair_analysis.h"
 #include "analysis/report.h"
-#include "core/models/hulovatyy.h"
-#include "core/models/kovanen.h"
+#include "core/counter.h"
 #include "core/models/model_info.h"
-#include "core/models/paranjape.h"
-#include "core/models/song.h"
-#include "core/models/vanilla.h"
 
 using namespace tmotif;
 
@@ -38,11 +34,11 @@ int main() {
               graph.num_static_edges());
 
   // 1. Vanilla counting: all 3-event, <=3-node motifs within a 60s window.
-  VanillaConfig vanilla;
+  EnumerationOptions vanilla;
   vanilla.num_events = 3;
   vanilla.max_nodes = 3;
   vanilla.timing = TimingConstraints::OnlyDeltaW(60);
-  const MotifCounts counts = CountVanillaMotifs(graph, vanilla);
+  const MotifCounts counts = CountMotifs(graph, vanilla);
   std::printf("Vanilla 3-event motifs (dW=60s): %llu instances\n%s\n",
               static_cast<unsigned long long>(counts.total()),
               RenderMotifCounts(counts).c_str());
@@ -58,17 +54,8 @@ int main() {
 
   // 3. The event-pair lens: what kinds of consecutive interactions make up
   // the motifs?
-  EnumerationOptions options = VanillaOptions(vanilla);
-  const EventPairStats pairs = CollectEventPairStats(graph, options);
+  const EventPairStats pairs = CollectEventPairStats(graph, vanilla);
   std::printf("\nEvent pairs inside motifs: %s\n",
               RenderPairRatios(pairs).c_str());
-
-  // 4. Streaming pattern matching (Song et al.): watch for the convey
-  // chain x->y->z live.
-  EventPatternMatcher matcher(EventPattern::FromMotifCode("0112", 60));
-  std::uint64_t live_matches = 0;
-  for (const Event& e : graph.events()) live_matches += matcher.AddEvent(e);
-  std::printf("Streaming convey (x->y->z) matches within 60s: %llu\n",
-              static_cast<unsigned long long>(live_matches));
   return 0;
 }

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "common/stats.h"
-#include "core/models/vanilla.h"
 
 namespace tmotif {
 

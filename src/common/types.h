@@ -35,7 +35,8 @@ using Duration = std::int64_t;
 /// Index of an event in a `TemporalGraph`'s time-ordered event list.
 using EventIndex = std::int32_t;
 
-/// Categorical label attached to a node or an event (Song et al. patterns).
+/// Categorical label attached to an event (`Event::label`): it orders ties
+/// and round-trips through I/O and checkpoints; no model reads it.
 /// `kNoLabel` means "unlabeled".
 using Label = std::int32_t;
 

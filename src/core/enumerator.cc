@@ -10,15 +10,6 @@
 
 namespace tmotif {
 
-const char* InducednessName(Inducedness inducedness) {
-  switch (inducedness) {
-    case Inducedness::kNone: return "none";
-    case Inducedness::kStatic: return "static";
-    case Inducedness::kTemporalWindow: return "temporal-window";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Sink bridging the devirtualized core to the public std::function-based

@@ -25,10 +25,9 @@ enum class Inducedness {
   kTemporalWindow,
 };
 
-const char* InducednessName(Inducedness inducedness);
-
 /// Configuration of the unified motif-instance enumerator. The four
-/// published models are presets over these knobs (see core/models/).
+/// published models are presets over these knobs (OptionsForModel in
+/// core/models/model_info.h).
 struct EnumerationOptions {
   /// Number of events per instance (the paper uses 3 and 4; the library
   /// supports up to 8 — motif codes are carried as one packed byte per

@@ -20,7 +20,8 @@ inline std::uint64_t NodePairKey(NodeId src, NodeId dst) {
 /// starting at `time`. Matches the paper's 4-tuple (u_i, v_i, t_i, dt_i);
 /// most models ignore `duration` (the paper's simplifying convention), the
 /// Hulovatyy model can honor it. `label` is an optional categorical edge
-/// label used by the Song et al. pattern matcher.
+/// label: it orders ties (`EventTimeLess`) and round-trips through the edge
+/// list's fifth column and through checkpoints; no model reads it.
 struct Event {
   NodeId src = kInvalidNode;
   NodeId dst = kInvalidNode;

@@ -11,11 +11,13 @@ namespace tmotif {
 namespace {
 
 /// Parses up to 5 whitespace-separated integer fields from the
-/// NUL-terminated `line`. Returns the number of fields parsed, or -1 with
-/// `*why` set on any malformed token (non-numeric, out of long-long range,
-/// or trailing garbage after the fifth field). A trailing '\r' (CRLF files)
+/// NUL-terminated `line`, whose NUL sits at `end`. Returns the number of
+/// fields parsed, or -1 with `*why` set on any malformed token
+/// (non-numeric, out of long-long range, trailing garbage after the fifth
+/// field) or on a NUL byte inside the line. A trailing '\r' (CRLF files)
 /// is tolerated.
-int ParseFields(const char* line, long long out[5], const char** why) {
+int ParseFields(const char* line, const char* end, long long out[5],
+                const char** why) {
   int count = 0;
   const char* p = line;
   while (*p != '\0' && count < 5) {
@@ -39,6 +41,11 @@ int ParseFields(const char* line, long long out[5], const char** why) {
   while (*p == ' ' || *p == '\t' || *p == '\r') ++p;
   if (*p != '\0' && count == 5) {
     *why = "trailing garbage after 5 fields";
+    return -1;
+  }
+  // The scan stops at the first NUL; one before `end` is part of the line.
+  if (*p == '\0' && p != end) {
+    *why = "NUL byte in line";
     return -1;
   }
   return count;
@@ -81,7 +88,7 @@ std::optional<EdgeListResult> LoadEdgeList(const std::string& path,
     if (line[0] == '#' || line[0] == '%') return;
     long long fields[5] = {0, 0, 0, 0, 0};
     const char* why = "";
-    const int n = ParseFields(line, fields, &why);
+    const int n = ParseFields(line, line + size, fields, &why);
     if (n < 0) {
       record_error(why);
       return;
@@ -160,6 +167,14 @@ std::optional<EdgeListResult> LoadEdgeList(const std::string& path,
     }
     carry.append(p, end);
   }
+  // fread returns 0 at end of file and on a read error (a directory, an
+  // I/O fault); only the stream's error flag tells them apart.
+  if (std::ferror(file)) {
+    const int read_errno = errno;
+    std::fclose(file);
+    if (error != nullptr) *error = path + ": " + std::strerror(read_errno);
+    return std::nullopt;
+  }
   process_line(carry.c_str(), carry.size());
   std::fclose(file);
 
@@ -171,12 +186,15 @@ bool SaveEdgeList(const TemporalGraph& graph, const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) return false;
   for (const Event& e : graph.events()) {
-    std::fprintf(file, "%d %d %lld %lld %d\n", e.src, e.dst,
-                 static_cast<long long>(e.time),
-                 static_cast<long long>(e.duration), e.label);
+    if (std::fprintf(file, "%d %d %lld %lld %d\n", e.src, e.dst,
+                     static_cast<long long>(e.time),
+                     static_cast<long long>(e.duration), e.label) < 0) {
+      break;
+    }
   }
-  std::fclose(file);
-  return true;
+  // A failed write sets the error flag; fclose flushes what is buffered.
+  const bool written = !std::ferror(file);
+  return std::fclose(file) == 0 && written;
 }
 
 }  // namespace tmotif

@@ -50,16 +50,17 @@ struct EdgeListResult {
   std::vector<EdgeListError> errors;
 };
 
-/// Loads a temporal edge list; returns nullopt when the file cannot be read
-/// (when `error` is non-null it receives "path: strerror" detail).
-/// Malformed lines are counted, described in `errors`, and skipped — never
-/// fatal.
+/// Loads a temporal edge list; returns nullopt when the file cannot be
+/// opened or a read fails, a directory included (when `error` is non-null
+/// it receives "path: strerror" detail). Malformed lines, a line holding a
+/// NUL byte among them, are counted, described in `errors`, and skipped —
+/// never fatal.
 std::optional<EdgeListResult> LoadEdgeList(const std::string& path,
                                            const EdgeListOptions& options = {},
                                            std::string* error = nullptr);
 
-/// Writes `graph` as "src dst time duration label" lines. Returns false on
-/// I/O failure.
+/// Writes `graph` as "src dst time duration label" lines. Returns false
+/// when the file cannot be opened or a write or the final flush fails.
 bool SaveEdgeList(const TemporalGraph& graph, const std::string& path);
 
 }  // namespace tmotif

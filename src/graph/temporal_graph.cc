@@ -38,18 +38,6 @@ TemporalGraph::EdgeHandle TemporalGraph::FindEdge(NodeId src,
   return static_cast<EdgeHandle>(it - base);
 }
 
-TemporalGraph::EdgeHandle TemporalGraph::edges_begin(NodeId src) const {
-  TMOTIF_CHECK(src >= 0 && src < num_nodes_);
-  return static_cast<EdgeHandle>(
-      neighbor_offsets_[static_cast<std::size_t>(src)]);
-}
-
-TemporalGraph::EdgeHandle TemporalGraph::edges_end(NodeId src) const {
-  TMOTIF_CHECK(src >= 0 && src < num_nodes_);
-  return static_cast<EdgeHandle>(
-      neighbor_offsets_[static_cast<std::size_t>(src) + 1]);
-}
-
 EventIndexSpan TemporalGraph::edge_events(EdgeHandle edge) const {
   const std::size_t s = static_cast<std::size_t>(edge);
   const EventIndex* base = edge_occurrences_.data();
@@ -152,12 +140,6 @@ EventIndex TemporalGraph::UpperBoundTime(Timestamp t) const {
   return static_cast<EventIndex>(it - events_.begin());
 }
 
-Label TemporalGraph::node_label(NodeId node) const {
-  TMOTIF_CHECK(node >= 0 && node < num_nodes_);
-  if (node_labels_.empty()) return kNoLabel;
-  return node_labels_[static_cast<std::size_t>(node)];
-}
-
 TemporalGraphBuilder& TemporalGraphBuilder::AddEvent(NodeId src, NodeId dst,
                                                      Timestamp time,
                                                      Duration duration,
@@ -176,13 +158,6 @@ TemporalGraphBuilder& TemporalGraphBuilder::AddEvent(const Event& event) {
   TMOTIF_CHECK_MSG(event.src != event.dst, "self-loop events are not allowed");
   TMOTIF_CHECK_MSG(event.duration >= 0, "negative duration");
   events_.push_back(event);
-  return *this;
-}
-
-TemporalGraphBuilder& TemporalGraphBuilder::SetNodeLabel(NodeId node,
-                                                         Label label) {
-  TMOTIF_CHECK(node >= 0);
-  labels_.emplace_back(node, label);
   return *this;
 }
 
@@ -205,10 +180,6 @@ TemporalGraph TemporalGraphBuilder::Build() {
   NodeId max_node = min_num_nodes_ - 1;
   for (const Event& e : graph.events_) {
     max_node = std::max(max_node, std::max(e.src, e.dst));
-  }
-  for (const auto& [node, label] : labels_) {
-    (void)label;
-    max_node = std::max(max_node, node);
   }
   graph.num_nodes_ = max_node + 1;
 
@@ -288,13 +259,6 @@ TemporalGraph TemporalGraphBuilder::Build() {
     }
   }
 
-  if (!labels_.empty()) {
-    graph.node_labels_.assign(num_nodes, kNoLabel);
-    for (const auto& [node, label] : labels_) {
-      graph.node_labels_[static_cast<std::size_t>(node)] = label;
-    }
-  }
-  labels_.clear();
   min_num_nodes_ = 0;
   return graph;
 }

@@ -289,16 +289,6 @@ class TemporalGraph {
   /// Out-of-range node ids resolve to `kNoEdgeHandle`.
   EdgeHandle FindEdge(NodeId src, NodeId dst) const;
 
-  /// Handles of the distinct static edges leaving `src` are exactly the
-  /// contiguous range [edges_begin(src), edges_end(src)); `edge_dst` gives
-  /// each one's target (ascending within the run). This is the iteration
-  /// API for callers walking the static projection (graph/measures.cc).
-  EdgeHandle edges_begin(NodeId src) const;
-  EdgeHandle edges_end(NodeId src) const;
-  NodeId edge_dst(EdgeHandle edge) const {
-    return neighbor_dsts_[static_cast<std::size_t>(edge)];
-  }
-
   /// Indices of events on the resolved edge, ascending. `edge` must be a
   /// valid handle.
   EventIndexSpan edge_events(EdgeHandle edge) const;
@@ -381,10 +371,6 @@ class TemporalGraph {
   /// First event index with time > t (num_events() when none).
   EventIndex UpperBoundTime(Timestamp t) const;
 
-  /// Optional node labels; empty when the graph is unlabeled.
-  const std::vector<Label>& node_labels() const { return node_labels_; }
-  Label node_label(NodeId node) const;
-
  private:
   friend class TemporalGraphBuilder;
 
@@ -428,7 +414,6 @@ class TemporalGraph {
   /// the lookup and the binary searches.
   std::vector<EdgeHandle> event_edge_slot_;
   std::vector<std::uint32_t> event_edge_rank_;
-  std::vector<Label> node_labels_;
 };
 
 /// Accumulates events and produces an immutable `TemporalGraph`. Events may
@@ -443,9 +428,6 @@ class TemporalGraphBuilder {
                                  Duration duration = 0, Label label = kNoLabel);
   TemporalGraphBuilder& AddEvent(const Event& event);
 
-  /// Assigns a label to a node; implies the graph has >= node + 1 nodes.
-  TemporalGraphBuilder& SetNodeLabel(NodeId node, Label label);
-
   /// Forces the node-count lower bound (ids seen in events also count).
   TemporalGraphBuilder& SetMinNumNodes(NodeId num_nodes);
 
@@ -456,7 +438,6 @@ class TemporalGraphBuilder {
 
  private:
   std::vector<Event> events_;
-  std::vector<std::pair<NodeId, Label>> labels_;
   NodeId min_num_nodes_ = 0;
 };
 

@@ -182,12 +182,6 @@ StreamingMotifCounter::TopMotifs(std::size_t limit) const {
   return sorted;
 }
 
-TimespanProfile StreamingMotifCounter::WindowTimespans(
-    const MotifCode& code, int num_bins, Timestamp unbounded_hi) const {
-  return CollectTimespans(window_graph(), config_.options, code, num_bins,
-                          unbounded_hi);
-}
-
 TemporalGraph StreamingMotifCounter::window_graph() const {
   TemporalGraphBuilder builder;
   for (const Event& e : live_.events()) builder.AddEvent(e);

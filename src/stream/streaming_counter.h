@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/timespan_analysis.h"
 #include "core/counter.h"
 #include "core/enumerator.h"
 #include "graph/temporal_graph.h"
@@ -194,8 +193,8 @@ struct StreamCheckpointState {
 /// over those indices; no batch builds a graph or rebuilds the indices.
 /// Every delta reaches `counts()` as a packed-code table through
 /// MotifCounts::AddTable / SubtractTable; no code is spelled on the ingest
-/// path. Only `window_graph()` / `WindowTimespans()` build a
-/// TemporalGraph of the window, on every call, with no cache.
+/// path. Only `window_graph()` builds a TemporalGraph of the window, on
+/// every call, with no cache.
 ///
 /// One writer: `Ingest` and `RestoreCheckpointState` must not overlap any
 /// other call. Between batches, any number of threads may call the const
@@ -237,11 +236,6 @@ class StreamingMotifCounter {
   /// limit 0 = all.
   std::vector<std::pair<MotifCode, std::uint64_t>> TopMotifs(
       std::size_t limit) const;
-
-  /// Timespan distribution of one motif code over the current window
-  /// (snapshot-time enumeration via analysis/timespan_analysis.h).
-  TimespanProfile WindowTimespans(const MotifCode& code, int num_bins = 30,
-                                  Timestamp unbounded_hi = 3600) const;
 
   /// The window as a graph (canonical event order, identical to a
   /// from-scratch build of the same events), built from the window's

@@ -11,10 +11,10 @@ namespace testing {
 
 std::string RandomGraphSpec::ToString() const {
   char buf[112];
-  std::snprintf(buf, sizeof(buf), "n%d e%d t%lld dup%.2f d%lld l%d nl%d",
+  std::snprintf(buf, sizeof(buf), "n%d e%d t%lld dup%.2f d%lld l%d",
                 num_nodes, num_events, static_cast<long long>(max_time),
                 prob_duplicate_time, static_cast<long long>(max_duration),
-                num_labels, num_node_labels);
+                num_labels);
   return buf;
 }
 
@@ -53,13 +53,6 @@ TemporalGraph RandomGraph(std::uint64_t seed, const RandomGraphSpec& spec) {
                   static_cast<std::uint64_t>(spec.num_labels)))
             : kNoLabel;
     builder.AddEvent(src, dst, time, duration, label);
-  }
-  if (spec.num_node_labels > 0) {
-    for (NodeId n = 0; n < spec.num_nodes; ++n) {
-      builder.SetNodeLabel(
-          n, static_cast<Label>(rng.UniformU64(
-                 static_cast<std::uint64_t>(spec.num_node_labels))));
-    }
   }
   return builder.Build();
 }

@@ -29,11 +29,8 @@ struct RandomGraphSpec {
   Duration max_duration = 0;
   /// When positive, events get labels uniform in [0, num_labels).
   int num_labels = 0;
-  /// When positive, every node gets a label uniform in [0, num_node_labels)
-  /// (Song et al. patterns constrain node labels).
-  int num_node_labels = 0;
 
-  /// "n6 e16 t48 dup0.25 d0 l0 nl0" style description for failure messages.
+  /// "n6 e16 t48 dup0.25 d0 l0" style description for failure messages.
   std::string ToString() const;
 };
 

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/models/vanilla.h"
 #include "core/packed_table.h"
 #include "graph/temporal_graph.h"
 
@@ -116,13 +115,15 @@ TEST(CountMotifs, TotalsMatchCountInstances) {
   EXPECT_EQ(counts.total(), CountInstances(g, o));
 }
 
-TEST(CountVanillaMotifs, KnownTriangle) {
+TEST(CountMotifs, VanillaKnownTriangle) {
+  // Vanilla counting (no inducedness, no order restriction) is the default
+  // EnumerationOptions under a timing bound.
   const TemporalGraph g = GraphFromEvents({{0, 1, 1}, {1, 2, 2}, {0, 2, 3}});
-  VanillaConfig config;
-  config.num_events = 3;
-  config.max_nodes = 3;
-  config.timing = TimingConstraints::OnlyDeltaW(10);
-  const MotifCounts counts = CountVanillaMotifs(g, config);
+  EnumerationOptions o;
+  o.num_events = 3;
+  o.max_nodes = 3;
+  o.timing = TimingConstraints::OnlyDeltaW(10);
+  const MotifCounts counts = CountMotifs(g, o);
   EXPECT_EQ(counts.total(), 1u);
   EXPECT_EQ(counts.count("011202"), 1u);
 }

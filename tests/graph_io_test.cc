@@ -95,6 +95,33 @@ TEST(LoadEdgeList, MissingFileFillsErrorString) {
   EXPECT_NE(error.find("No such file"), std::string::npos);
 }
 
+TEST(LoadEdgeList, ReadErrorIsAnError) {
+  // A directory opens for reading, but every read fails (EISDIR): that is
+  // an error like a missing file, not an empty edge list.
+  const std::string dir = ::testing::TempDir();
+  std::string error;
+  EXPECT_FALSE(LoadEdgeList(dir, {}, &error).has_value());
+  EXPECT_EQ(error.find(dir + ": "), 0u);
+  EXPECT_NE(error.find("Is a directory"), std::string::npos);
+}
+
+TEST(LoadEdgeList, LineWithANulByteIsMalformed) {
+  // The field scan stops at a NUL, but the bytes after it are still part of
+  // the line: "0 1 5\0junk" is as malformed as "0 1 5 junk".
+  const std::string path = TempPath("nul.txt");
+  const char content[] = "0 1 5\0junk\n1 2 9\n";
+  WriteFile(path, std::string(content, sizeof(content) - 1));
+  const auto result = LoadEdgeList(path);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->num_events, 1u);
+  EXPECT_EQ(result->graph.event(0).src, 1);
+  EXPECT_EQ(result->num_bad_lines, 1u);
+  ASSERT_EQ(result->errors.size(), 1u);
+  EXPECT_EQ(result->errors[0].line, 1u);
+  EXPECT_EQ(result->errors[0].message, "NUL byte in line");
+  std::remove(path.c_str());
+}
+
 TEST(LoadEdgeList, ReportsStructuredErrorsWithPhysicalLineNumbers) {
   const std::string path = TempPath("structured.txt");
   // Blank and comment lines still advance the physical line counter, so
@@ -233,6 +260,19 @@ TEST(SaveEdgeList, RoundTripsThroughLoad) {
 TEST(SaveEdgeList, FailsOnUnwritablePath) {
   const TemporalGraph g = GraphFromEvents({{0, 1, 1}});
   EXPECT_FALSE(SaveEdgeList(g, "/nonexistent-dir/out.txt"));
+}
+
+TEST(SaveEdgeList, FailsWhenAWriteFails) {
+  // Every write to /dev/full fails with ENOSPC, though it opens: one event
+  // fails at the final flush, 10,000 events (more than one stdio buffer)
+  // in a write.
+  std::FILE* probe = std::fopen("/dev/full", "w");
+  if (probe == nullptr) GTEST_SKIP() << "no /dev/full on this system";
+  std::fclose(probe);
+  TemporalGraphBuilder builder;
+  for (int i = 0; i < 10000; ++i) builder.AddEvent(0, 1, i);
+  EXPECT_FALSE(SaveEdgeList(GraphFromEvents({{0, 1, 1}}), "/dev/full"));
+  EXPECT_FALSE(SaveEdgeList(builder.Build(), "/dev/full"));
 }
 
 }  // namespace

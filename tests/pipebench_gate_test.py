@@ -93,7 +93,8 @@ class VerdictTest(unittest.TestCase):
     def test_result_missing_a_gated_metric_fails(self):
         for missing in ("peak_heap_mb", "restore_s"):
             partial = {k: v for k, v in BASE.items() if k != missing}
-            self.assertEqual(len(gate.verdict(runs(partial), GATES)), 2 * 3)
+            self.assertEqual(len(gate.verdict(runs(partial), GATES)),
+                             2 * gate.PAIRS)
 
     def test_declared_bounds_gate_the_other_metrics(self):
         for name, bound in (("ingest_p50_ms", 0.2), ("ingest_tail_ms", 0.2),
@@ -133,6 +134,22 @@ class VerdictTest(unittest.TestCase):
     def test_pairs_alternate_which_side_runs_first(self):
         self.assertEqual(gate.run_order(1), ("base", "head"))
         self.assertEqual(gate.run_order(2), ("head", "base"))
+
+    def test_each_side_runs_first_in_half_the_pairs(self):
+        firsts = [gate.run_order(pair)[0]
+                  for pair in range(1, gate.PAIRS + 1)]
+        self.assertEqual(firsts.count("base"), firsts.count("head"))
+
+    def test_first_run_bias_cancels_in_the_median(self):
+        # A host on which the first run of a pair reads faster: head reads
+        # +8% in the pairs base runs first and -2% in the others.
+        biased = runs()
+        for run in biased:
+            if run["side"] == "head":
+                first = gate.run_order(run["pair"])[0]
+                run["result"] = result(scaled(
+                    "result_s", 1.08 if first == "base" else 0.98))
+        self.assertEqual(gate.verdict(biased, GATES), [])
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/timespan_analysis.h"
 #include "core/models/model_info.h"
 #include "core/parallel.h"
 #include "obs/metrics.h"
@@ -910,7 +911,8 @@ TEST(StreamingMotifCounter, TopMotifsAndTimespansSnapshot) {
   ASSERT_EQ(top.size(), 1u);
   EXPECT_EQ(top[0].first, "011202");
   EXPECT_EQ(top[0].second, 1u);
-  const TimespanProfile profile = counter.WindowTimespans("011202");
+  const TimespanProfile profile =
+      CollectTimespans(counter.window_graph(), config.options, "011202");
   EXPECT_EQ(profile.num_instances, 1u);
   EXPECT_DOUBLE_EQ(profile.mean_span, 2.0);
 }

@@ -113,13 +113,15 @@ TEST(TemporalGraph, FindEdgeResolvesSlotsInNeighborCsrOrder) {
   EXPECT_EQ(times[1], 5);
 }
 
-TEST(TemporalGraph, EdgeIterationCoversTheStaticProjection) {
+TEST(TemporalGraph, FindEdgeCoversTheStaticProjection) {
   const TemporalGraph g = GraphFromEvents(
       {{0, 1, 1}, {0, 2, 2}, {2, 1, 3}, {0, 1, 4}});
   std::vector<std::pair<NodeId, NodeId>> edges;
   for (NodeId src = 0; src < g.num_nodes(); ++src) {
-    for (auto e = g.edges_begin(src); e != g.edges_end(src); ++e) {
-      edges.emplace_back(src, g.edge_dst(e));
+    for (NodeId dst = 0; dst < g.num_nodes(); ++dst) {
+      if (g.FindEdge(src, dst) != TemporalGraph::kNoEdgeHandle) {
+        edges.emplace_back(src, dst);
+      }
     }
   }
   EXPECT_EQ(edges, (std::vector<std::pair<NodeId, NodeId>>{
@@ -197,22 +199,6 @@ TEST(TemporalGraph, MinMaxTime) {
   const TemporalGraph g = GraphFromEvents({{0, 1, 7}, {1, 2, 42}});
   EXPECT_EQ(g.min_time(), 7);
   EXPECT_EQ(g.max_time(), 42);
-}
-
-TEST(TemporalGraph, NodeLabels) {
-  TemporalGraphBuilder builder;
-  builder.AddEvent(0, 1, 1);
-  builder.SetNodeLabel(0, 5).SetNodeLabel(2, 9);
-  const TemporalGraph g = builder.Build();
-  EXPECT_EQ(g.node_label(0), 5);
-  EXPECT_EQ(g.node_label(1), kNoLabel);
-  EXPECT_EQ(g.node_label(2), 9);
-}
-
-TEST(TemporalGraph, UnlabeledGraphReturnsNoLabel) {
-  const TemporalGraph g = GraphFromEvents({{0, 1, 1}});
-  EXPECT_EQ(g.node_label(0), kNoLabel);
-  EXPECT_TRUE(g.node_labels().empty());
 }
 
 TEST(TemporalGraph, EventDurationsAndLabelsPreserved) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Doc-drift check: keeps the markdown tree honest as the code moves.
 
-Eight classes of rot are caught:
+Nine classes of rot are caught:
 
   1. Broken intra-repo links — every relative markdown link (and image)
      in the repo's *.md files must resolve to an existing file.
@@ -35,12 +35,17 @@ Eight classes of rot are caught:
      followed by `::Member` or `()`) must occur as an identifier in src/,
      tools/, tests/, pipebench/ or CMakeLists.txt; for `Name::Member`
      both names must.
+  9. Unreached modules — every file under src/ outside src/testing/ must
+     be reached through `#include "..."` from a file under tools/, bench/
+     or pipebench/, directly or through other reached files; a reached
+     header brings in its same-stem .cc. Examples and tests do not count,
+     so a module only they include is code no product runs.
 
 Usage:
   tools/check_docs.py [--repo-root DIR] [--bin-dir BUILDDIR]
 
-Without --bin-dir only the link, section, checkpoint-version, path and
-symbol checks run (useful before building); CI passes the build
+Without --bin-dir only the link, section, checkpoint-version, path,
+symbol and module checks run (useful before building); CI passes the build
 directory so the flag and metric-name checks run against the real
 binaries. Exit status is nonzero on any finding.
 """
@@ -140,6 +145,11 @@ STREAM_METRICS_ARGS = ("--model=paranjape", "--k=3", "--dw=600",
 # (consecutive events, an order predicate) the DFS engine.
 COUNTING_METRICS_RUNS = (("--model=paranjape", "--k=3", "--dw=600"),
                          ("--model=kovanen", "--k=3", "--dc=300"))
+# The product: every module under src/ (outside src/testing/) must be
+# reached by #include from these, not only from examples/ or tests/.
+PRODUCT_DIRS = ("tools", "bench", "pipebench")
+CPP_EXTENSIONS = (".h", ".cc", ".cpp")
+INCLUDE_RE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*"([^"]+)"', re.M)
 
 
 def find_markdown_files(root):
@@ -290,6 +300,45 @@ def check_code_symbols(root, errors):
                               f"tool, test or pipebench file has")
 
 
+def cpp_files(top):
+    out = []
+    for dirpath, _, filenames in os.walk(top):
+        out += [os.path.join(dirpath, name) for name in filenames
+                if name.endswith(CPP_EXTENSIONS)]
+    return sorted(out)
+
+
+def check_reached_modules(root, errors):
+    src = os.path.join(root, "src")
+    pending = []
+    for product_dir in PRODUCT_DIRS:
+        pending += cpp_files(os.path.join(root, product_dir))
+    reached = set()
+    while pending:
+        path = os.path.normpath(pending.pop())
+        if path in reached:
+            continue
+        reached.add(path)
+        with open(path, encoding="utf-8", errors="replace") as f:
+            names = INCLUDE_RE.findall(f.read())
+        for name in names:
+            # The includer's directory first, then the src/ include root.
+            for base in (os.path.dirname(path), src):
+                candidate = os.path.join(base, name)
+                if os.path.isfile(candidate):
+                    pending.append(candidate)
+                    break
+        stem, ext = os.path.splitext(path)
+        if ext == ".h" and os.path.isfile(stem + ".cc"):
+            pending.append(stem + ".cc")
+    testing = os.path.join(src, "testing") + os.sep
+    for path in cpp_files(src):
+        if not path.startswith(testing) and os.path.normpath(path) \
+                not in reached:
+            errors.append(f"{os.path.relpath(path, root)}: no tool, bench "
+                          f"or pipebench file reaches it through #include")
+
+
 def check_checkpoint_version(root, errors):
     header = os.path.join(root, "src", "stream", "checkpoint.h")
     with open(header, encoding="utf-8") as f:
@@ -406,6 +455,7 @@ def main():
     check_checkpoint_version(args.repo_root, errors)
     check_source_paths(args.repo_root, errors)
     check_code_symbols(args.repo_root, errors)
+    check_reached_modules(args.repo_root, errors)
     if args.bin_dir is not None:
         check_flags(md_files, args.repo_root, args.bin_dir, errors)
         check_stream_metrics(args.repo_root, args.bin_dir, errors)
@@ -416,9 +466,9 @@ def main():
         print(f"check_docs: {len(errors)} finding(s) across "
               f"{len(md_files)} markdown files", file=sys.stderr)
         return 1
-    scope = ("links + sections + paths + symbols + CLI flags + stream and "
-             "counting metrics" if args.bin_dir
-             else "links + sections + paths + symbols")
+    scope = ("links + sections + paths + symbols + modules + CLI flags + "
+             "stream and counting metrics" if args.bin_dir
+             else "links + sections + paths + symbols + modules")
     print(f"check_docs: OK ({scope}; {len(md_files)} markdown files)")
     return 0
 

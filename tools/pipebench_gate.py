@@ -5,9 +5,13 @@
 
 Builds pipebench in both checkouts, then runs the benchmark command that
 HEAD's BENCHMARK.json declares on every workload it lists, in PAIRS
-alternating base/head pairs of RUN_SECONDS each. Every pair gets a fresh
+alternating base/head pairs of RUN_SECONDS each. PAIRS is even, so each
+side runs first in half of the pairs: on a host where the first run of a
+pair reads faster, an odd count would put the median pair on one side's
+first runs (PAIRS = 3 failed an A/A run that way). Every pair gets a fresh
 seed (never 7177) and both sides of a pair run with it. Every run is
-printed as it finishes. The gate fails when, on any workload,
+printed as it finishes; one gate run takes about 7 minutes on a 4-core
+host, both builds included. The gate fails when, on any workload,
 
   * the median over the pairs of head's change against base is worse than
     its threshold on one of the end-to-end metrics that BENCHMARK.json
@@ -27,7 +31,7 @@ import sys
 import time
 from pathlib import Path
 
-PAIRS = 3
+PAIRS = 4
 RUN_SECONDS = 10
 THRESHOLD = 0.07
 # Gated at THRESHOLD, tighter than their declared bounds; every other
