@@ -82,8 +82,6 @@ MotifCounts CountMotifsInRange(const TemporalGraph& graph,
                                const EnumerationOptions& options,
                                EventIndex first_begin, EventIndex first_end,
                                int num_threads) {
-  TMOTIF_CHECK_MSG(num_threads <= 1 || options.max_instances == 0,
-                   "max_instances is not supported in parallel counting");
   internal::ValidateEnumerationOptions(options);
   first_begin = std::max<EventIndex>(first_begin, 0);
   first_end = std::min<EventIndex>(first_end, graph.num_events());

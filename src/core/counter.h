@@ -68,9 +68,7 @@ class MotifCounts {
 /// (core/fast_paths/), always serially; every other config runs the DFS,
 /// split over `num_threads` event ranges (internal::CountPackedSharded in
 /// core/parallel.h). Both branches accumulate a packed table that is
-/// folded into the result once (MotifCounts::AddTable). `num_threads > 1`
-/// rejects `options.max_instances` (a cap would make the result depend on
-/// scheduling).
+/// folded into the result once (MotifCounts::AddTable).
 MotifCounts CountMotifs(const TemporalGraph& graph,
                         const EnumerationOptions& options,
                         int num_threads = 1);

@@ -167,14 +167,13 @@ class DfsEngine {
         window_induced_(opt.inducedness == Inducedness::kTemporalWindow),
         saturated_final_(opt.inducedness != Inducedness::kNone),
         batch_saturated_(!opt.cdg_restriction &&
-                         !opt.consecutive_events_restriction &&
-                         opt.max_instances == 0),
+                         !opt.consecutive_events_restriction),
         dc_(use_dc_ ? *opt.timing.delta_c : 0),
         dw_(use_dw_ ? *opt.timing.delta_w : 0) {}
 
   std::uint64_t Run(EventIndex first_begin, EventIndex first_end) {
     const int k = opt_.num_events;
-    for (EventIndex i = first_begin; i < first_end && !stopped_; ++i) {
+    for (EventIndex i = first_begin; i < first_end; ++i) {
       chosen_[0] = i;
       nodes_[0] = graph_.event_src(i);
       nodes_[1] = graph_.event_dst(i);
@@ -327,9 +326,6 @@ class DfsEngine {
     ++count_;
     sink_.Emit(chosen_.data(), opt_.num_events, packed, nodes_.data(),
                num_nodes);
-    if (opt_.max_instances != 0 && count_ >= opt_.max_instances) {
-      stopped_ = true;
-    }
   }
 
   // Both extension loops share the cursor-inheritance contract: the first
@@ -410,10 +406,10 @@ class DfsEngine {
     }
 
     // Batch short-circuit (static only): with no per-candidate order
-    // predicates (CDG / consecutive) and no instance cap, every
-    // occurrence of an accepted edge in (t_prev, upper] is an instance
-    // with the run's code — two rank queries per scope edge replace the
-    // whole min-merge, and the sink absorbs each run as one EmitBatch.
+    // predicates (CDG / consecutive), every occurrence of an accepted edge
+    // in (t_prev, upper] is an instance with the run's code — two rank
+    // queries per scope edge replace the whole min-merge, and the sink
+    // absorbs each run as one EmitBatch.
     // Only batch-capable sinks take this branch; identity sinks still get
     // per-instance Emit calls in deterministic order below.
     if constexpr (SinkHasEmitBatch<Sink>::value) {
@@ -509,7 +505,6 @@ class DfsEngine {
       chosen_[static_cast<std::size_t>(depth)] = c;
       // The run-level pre-filter / window tie rule already passed.
       EmitUnchecked(run.code, num_nodes_);
-      if (stopped_) return;
     }
   }
 
@@ -519,7 +514,6 @@ class DfsEngine {
   /// registers). This is the hottest loop of the engine: with a 3-event
   /// motif, most merge rounds happen here.
   void ExtendFinal(int depth, int inherited) {
-    if (stopped_) return;
     const EventIndex prev_idx = chosen_[static_cast<std::size_t>(depth - 1)];
     const NodeId prev_src = graph_.event_src(prev_idx);
     const NodeId prev_dst = graph_.event_dst(prev_idx);
@@ -658,7 +652,6 @@ class DfsEngine {
         }
         chosen_[static_cast<std::size_t>(depth)] = c;
         EmitUnchecked(code, num_nodes_ + new_nodes);
-        if (stopped_) return;
         continue;
       }
 
@@ -679,7 +672,6 @@ class DfsEngine {
       }
       chosen_[static_cast<std::size_t>(depth)] = c;
       Emit(packed_ | PackPair(src_digit, dst_digit, depth), effective_nodes);
-      if (stopped_) return;
     }
   }
 
@@ -689,7 +681,6 @@ class DfsEngine {
       ExtendFinal(depth, inherited);
       return;
     }
-    if (stopped_) return;
     const EventIndex prev_idx = chosen_[static_cast<std::size_t>(depth - 1)];
     const NodeId prev_src = graph_.event_src(prev_idx);
     const NodeId prev_dst = graph_.event_dst(prev_idx);
@@ -742,7 +733,6 @@ class DfsEngine {
       for (int d = 0; match != 0; ++d, match >>= 1) {
         if (match & 1u) ++cur[static_cast<std::size_t>(d)];
       }
-      if (stopped_) return;
 
       const Timestamp tc = best.time();
       if (tc <= t_prev) {
@@ -870,12 +860,11 @@ class DfsEngine {
   /// path (SaturatedFinal).
   const bool saturated_final_;
   /// Saturated-final runs may be absorbed whole (see SaturatedFinal): no
-  /// per-candidate order predicate and no instance cap to respect.
+  /// per-candidate order predicate to respect.
   const bool batch_saturated_;
   const Timestamp dc_;
   const Timestamp dw_;
   std::uint64_t count_ = 0;
-  bool stopped_ = false;
   /// Under static inducedness: number of static edges (both orientations)
   /// among the current scope nodes — maintained incrementally as nodes join
   /// and leave, so the per-emit check is a pure packed-code byte scan.

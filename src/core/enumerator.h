@@ -51,8 +51,6 @@ struct EnumerationOptions {
   /// (start + duration) to the start of the next (Hulovatyy's
   /// duration-aware dynamic graphlets, Section 4.2).
   bool duration_aware_gaps = false;
-  /// Safety valve: stop after this many instances (0 = unlimited).
-  std::uint64_t max_instances = 0;
 };
 
 /// A single motif instance passed to the visitor. The pointers stay valid

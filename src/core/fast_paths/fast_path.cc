@@ -8,7 +8,6 @@ namespace internal {
 namespace fast_paths {
 
 bool FastPathSupported(const EnumerationOptions& options) {
-  if (options.max_instances != 0) return false;
   const int k = options.num_events;
   if (k > 3) return false;
   if (k == 1) return true;  // Every predicate is trivial or one lookup.

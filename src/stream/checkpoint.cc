@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <utility>
@@ -71,13 +70,6 @@ void PutI64(std::string* out, std::int64_t v) {
   PutU64(out, static_cast<std::uint64_t>(v));
 }
 
-void PutF64(std::string* out, double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
 /// Bounds-checked cursor over the payload. Every read reports overrun via
 /// ok() instead of touching out-of-range bytes; callers check once per
 /// logical section.
@@ -119,13 +111,6 @@ class Reader {
 
   std::int32_t I32() { return static_cast<std::int32_t>(U32()); }
   std::int64_t I64() { return static_cast<std::int64_t>(U64()); }
-
-  double F64() {
-    const std::uint64_t bits = U64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
 
   std::size_t remaining() const { return ok_ ? size_ - pos_ : 0; }
 
@@ -251,8 +236,6 @@ std::string EncodeCheckpoint(const StreamingMotifCounter& counter) {
     PutU64(&payload, n);
   }
   PutU8(&payload, static_cast<std::uint8_t>(state.store_mode));
-  PutU32(&payload, state.promote_streak);
-  PutF64(&payload, state.full_bytes_per_event);
 
   std::string out;
   out.reserve(kHeaderSize + payload.size() + kTrailerSize);
@@ -409,23 +392,10 @@ CheckpointResult DecodeCheckpoint(const std::string& bytes,
     return Fail(CheckpointStatus::kMalformed, "invalid store mode");
   }
   state.store_mode = static_cast<StoreMode>(mode);
-  state.promote_streak = r.U32();
-  state.full_bytes_per_event = r.F64();
   if (!r.AtEnd()) {
     return Fail(CheckpointStatus::kMalformed,
                 r.ok() ? "trailing bytes inside the payload"
                        : "payload ends mid-field");
-  }
-  // The budget code resets the streak when it reaches the promotion count,
-  // and records a finite, non-negative bytes-per-event estimate.
-  if (state.promote_streak >= StreamingMotifCounter::kPromoteBatches) {
-    return Fail(CheckpointStatus::kMalformed,
-                "promotion streak at or above the promotion batch count");
-  }
-  if (!std::isfinite(state.full_bytes_per_event) ||
-      state.full_bytes_per_event < 0.0) {
-    return Fail(CheckpointStatus::kMalformed,
-                "invalid store bytes-per-event estimate");
   }
 
   std::string error;

@@ -6,14 +6,11 @@
 namespace tmotif {
 
 void LiveInstanceStore::Reset(std::uint64_t first_id_base) {
-  pool_.clear();
-  free_list_.clear();
-  slots_.clear();
-  buckets_.clear();
+  // clear() would keep every container's storage; a fresh store holds none.
+  const std::uint64_t compactions = compactions_;
+  *this = LiveInstanceStore();
   base_ = first_id_base;
-  live_ = 0;
-  live_pair_refs_ = 0;
-  dead_bucket_slots_ = 0;
+  compactions_ = compactions;
 }
 
 LiveInstanceStore::Entry& LiveInstanceStore::Insert(
@@ -80,7 +77,7 @@ void LiveInstanceStore::Free(Entry* entry, std::uint32_t index) {
 }
 
 void LiveInstanceStore::CompactIfNeeded() {
-  if (dead_bucket_slots_ <= live_ + compaction_slack_) return;
+  if (dead_bucket_slots_ <= live_ + kCompactionSlack) return;
   ++compactions_;
   // Filters every bucket in place and erases the ones left empty, so the
   // surviving buckets keep their storage; the bucket set afterwards is

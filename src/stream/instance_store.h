@@ -67,17 +67,18 @@ class LiveInstanceStore {
   // ApproxBytes and the docs' memory model charge this size per candidate.
   static_assert(sizeof(Entry) <= 64, "a store entry fits one cache line");
 
+  /// Dead-bucket-slot debt tolerated beyond the live population before a
+  /// compaction pass runs.
+  static constexpr std::size_t kCompactionSlack = 64;
+
   LiveInstanceStore() = default;
 
-  /// Dead-bucket-slot debt tolerated beyond the live population before a
-  /// compaction pass runs (default 64). The knob survives Reset; it
-  /// is a test seam for forcing compaction deterministically.
-  void SetCompactionSlack(std::size_t slack) { compaction_slack_ = slack; }
   /// Compaction passes performed so far (stream.store_compactions).
   std::uint64_t compactions() const { return compactions_; }
 
-  /// Drops everything and restarts the anchor id space at `first_id_base`
-  /// (the full-recount path re-populates via Insert).
+  /// Drops everything, returns the containers' storage to the allocator
+  /// and restarts the anchor id space at `first_id_base` (the full-recount
+  /// path re-populates via Insert). compactions() keeps counting.
   void Reset(std::uint64_t first_id_base);
 
   /// Registers a candidate anchored at its first event's monotone id
@@ -188,8 +189,6 @@ class LiveInstanceStore {
   std::size_t live_pair_refs_ = 0;
   /// Bucket slots pointing at freed entries, not yet lazily removed.
   std::size_t dead_bucket_slots_ = 0;
-  /// See SetCompactionSlack.
-  std::size_t compaction_slack_ = 64;
   /// Monotone count of compaction passes (survives Reset).
   std::uint64_t compactions_ = 0;
   std::uint64_t visit_counter_ = 0;

@@ -152,8 +152,6 @@ struct StreamingMotifCounter::DeltaScratch {
 
 StreamingMotifCounter::StreamingMotifCounter(const StreamConfig& config)
     : config_(config), live_(config.window) {
-  TMOTIF_CHECK_MSG(config_.options.max_instances == 0,
-                   "max_instances is not supported in streaming counting");
   TMOTIF_CHECK(config_.num_threads >= 1);
   TMOTIF_CHECK_MSG(config_.lateness >= 0, "lateness must be >= 0");
   internal::ValidateEnumerationOptions(config_.options);
@@ -680,58 +678,18 @@ void StreamingMotifCounter::IngestSorted(const std::vector<Event>& batch,
 // --- Memory-budget degradation. ---
 
 void StreamingMotifCounter::EnforceStoreBudget() {
-  if (!uses_store_ || config_.store_budget_bytes == 0) return;
+  if (!store_active() || config_.store_budget_bytes == 0) return;
   std::size_t pressure = 0;
   if (const auto injected = fault::Consume("stream.budget_pressure")) {
     if (*injected > 0) pressure = static_cast<std::size_t>(*injected);
   }
-  const std::size_t budget = config_.store_budget_bytes;
-  const double window_events =
-      static_cast<double>(std::max<std::size_t>(live_.size(), 1));
-
-  // Demotion is immediate: a batch must never end over budget. It first
-  // records the store's bytes per window event, so re-promotion can
-  // estimate its cost without turning the store back on.
-  const auto demote_if_over_budget = [&] {
-    if (store_.ApproxBytes() + pressure <= budget) return;
-    full_bytes_per_event_ =
-        static_cast<double>(store_.ApproxBytes()) / window_events;
-    store_.Reset(live_.first_id());
-    store_mode_ = StoreMode::kRecount;
-    promote_streak_ = 0;
-    ++stats_.store_demotions_recount;
-  };
-  if (store_mode_ == StoreMode::kFull) {
-    demote_if_over_budget();
-    return;
-  }
-
-  const double estimate =
-      full_bytes_per_event_ * window_events + static_cast<double>(pressure);
-  if (estimate > kPromoteFraction * static_cast<double>(budget)) {
-    promote_streak_ = 0;
-    return;
-  }
-  if (++promote_streak_ < kPromoteBatches) return;
-  promote_streak_ = 0;
-  PromoteStore();
-  ++stats_.store_promotions_full;
-  // The per-event estimate can be stale (denser window than when it was
-  // recorded); the invariant that a batch never ends over budget wins, so
-  // re-check and turn the store off again if the promotion overshot.
-  demote_if_over_budget();
-}
-
-void StreamingMotifCounter::PromoteStore() {
-  store_mode_ = StoreMode::kFull;
-  // Rebuilding the store re-derives the counted set from scratch; the
-  // counts were exact before the promotion, so the rebuild must reproduce
-  // them bit-for-bit.
-  MotifCounts saved = std::move(counts_);
-  counts_ = MotifCounts();
-  RebuildStore();
-  TMOTIF_CHECK_MSG(counts_.raw() == saved.raw(),
-                   "store promotion derived different counts");
+  // A batch must never end over budget. The switch is one-way: the store
+  // stays off for the rest of the counter's life, and its memory goes back
+  // to the allocator.
+  if (store_.ApproxBytes() + pressure <= config_.store_budget_bytes) return;
+  store_.Reset(live_.first_id());
+  store_mode_ = StoreMode::kRecount;
+  ++stats_.store_demotions_recount;
 }
 
 // --- Checkpoint capture / restore. ---
@@ -746,8 +704,6 @@ StreamCheckpointState StreamingMotifCounter::CaptureCheckpointState() const {
   state.counts.assign(counts_.raw().begin(), counts_.raw().end());
   std::sort(state.counts.begin(), state.counts.end());
   state.store_mode = store_mode_;
-  state.promote_streak = promote_streak_;
-  state.full_bytes_per_event = full_bytes_per_event_;
   return state;
 }
 
@@ -760,13 +716,11 @@ bool StreamingMotifCounter::RestoreCheckpointState(
   // Exported metrics are deltas against published_stats_; after a restore
   // they must reflect post-restore activity only, not replay history.
   published_stats_ = stats_;
-  // Only a budget can turn the store back on (EnforceStoreBudget), so a
-  // store-off state restored without one comes back store-on.
+  // Only a budget turns the store off (EnforceStoreBudget), so a store-off
+  // state restored without one comes back store-on.
   store_mode_ = uses_store_ && config_.store_budget_bytes != 0
                     ? state.store_mode
                     : StoreMode::kFull;
-  promote_streak_ = state.promote_streak;
-  full_bytes_per_event_ = state.full_bytes_per_event;
   MotifCounts restored;
   for (const auto& [packed, n] : state.counts) restored.AddPacked(packed, n);
   store_.Reset(live_.first_id());

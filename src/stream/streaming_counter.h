@@ -20,9 +20,9 @@ namespace tmotif {
 
 /// State of the live-instance store (see docs/RESILIENCE.md). `kFull`: the
 /// store is on and absorbs every static-edge flip. `kRecount`: a memory
-/// budget turned the store off; every flip batch recounts the window until
-/// pressure clears. The numeric values are the `stream.store_mode` gauge
-/// and the checkpoint byte.
+/// budget turned the store off for the rest of the counter's life; every
+/// flip batch recounts the window. The numeric values are the
+/// `stream.store_mode` gauge and the checkpoint byte.
 enum class StoreMode : std::uint8_t {
   kFull = 0,
   kRecount = 2,
@@ -35,9 +35,8 @@ inline constexpr std::int64_t kNoStoreModeGauge = 1;
 
 /// Configuration of a streaming motif counter.
 struct StreamConfig {
-  /// Motif model of the maintained counts. Any option set the batch stack
-  /// supports is allowed except `max_instances` (truncated enumerations
-  /// cannot be maintained incrementally).
+  /// Motif model of the maintained counts: any option set the batch stack
+  /// supports.
   EnumerationOptions options;
   WindowPolicy window = WindowPolicy::CountBased(4096);
   /// Worker threads for store-off window recounts of configs without the
@@ -53,13 +52,12 @@ struct StreamConfig {
   Timestamp lateness = 0;
   /// Memory budget for the live-instance store, in approximate resident
   /// bytes (LiveInstanceStore::ApproxBytes). 0 (the default) = unlimited.
-  /// When a batch leaves the store over budget the counter turns the store
-  /// off (StoreMode::kRecount) instead of growing without bound, and turns
-  /// it back on once its estimated footprint fits under half the budget
-  /// for 4 consecutive batches. Counts are exact in both states. Not part
-  /// of the checkpoint config fingerprint (operational, restorable across
-  /// budget changes). Only configs that keep the store
-  /// (StreamingMotifCounter::UsesInstanceStore) read it.
+  /// The first batch that leaves the store over budget turns the store off
+  /// (StoreMode::kRecount) for the rest of the counter's life and frees
+  /// it, instead of letting it grow without bound. Counts are exact in
+  /// both states. Not part of the checkpoint config fingerprint
+  /// (operational, restorable across budget changes). Only configs that
+  /// keep the store (StreamingMotifCounter::UsesInstanceStore) read it.
   std::size_t store_budget_bytes = 0;
 };
 
@@ -97,10 +95,9 @@ struct IngestStats {
   std::uint64_t store_entries_touched = 0;
   std::uint64_t store_admitted = 0;
   std::uint64_t store_retired = 0;
-  /// Memory-budget transitions (see docs/RESILIENCE.md): the store turned
-  /// off, and turned back on.
+  /// Memory-budget demotions (see docs/RESILIENCE.md): the store turned
+  /// off.
   std::uint64_t store_demotions_recount = 0;
-  std::uint64_t store_promotions_full = 0;
   /// Always 0: there is no counted-only store state. Kept only because
   /// pipebench/pipebench.cc reports it; neither serialized nor exported.
   std::uint64_t store_demotions_counted = 0;
@@ -124,7 +121,7 @@ struct IngestStatField {
 /// The `IngestStats` counters PublishTelemetry mirrors into the metrics
 /// registry, in the order the checkpoint's stats block stores them
 /// (docs/RESILIENCE.md). The always-zero fields are in neither.
-inline constexpr std::array<IngestStatField, 19> kIngestStatFields = {{
+inline constexpr std::array<IngestStatField, 18> kIngestStatFields = {{
     {"stream.batches", &IngestStats::batches},
     {"stream.events_ingested", &IngestStats::events_ingested},
     {"stream.events_dropped", &IngestStats::events_dropped},
@@ -139,7 +136,6 @@ inline constexpr std::array<IngestStatField, 19> kIngestStatFields = {{
     {"stream.store_admitted", &IngestStats::store_admitted},
     {"stream.store_retired", &IngestStats::store_retired},
     {"stream.store_demotions_recount", &IngestStats::store_demotions_recount},
-    {"stream.store_promotions_full", &IngestStats::store_promotions_full},
     {"stream.late_events", &IngestStats::late_events},
     {"stream.late_dropped", &IngestStats::late_dropped},
     {"stream.late_splices", &IngestStats::late_splices},
@@ -162,11 +158,9 @@ struct StreamCheckpointState {
   IngestStats stats;
   /// counts() as (packed code, count) pairs, ascending by packed code.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> counts;
-  /// Store state and promotion hysteresis (meaningful only for configs
-  /// that keep the store; defaults otherwise).
+  /// Store state (meaningful only for configs that keep the store; kFull
+  /// otherwise).
   StoreMode store_mode = StoreMode::kFull;
-  std::uint32_t promote_streak = 0;
-  double full_bytes_per_event = 0.0;
 };
 
 /// Maintains exact per-motif counts over a sliding window of an event
@@ -212,12 +206,6 @@ struct StreamCheckpointState {
 /// caller must filter (graph_io's loader does this).
 class StreamingMotifCounter {
  public:
-  /// Store promotion hysteresis (docs/RESILIENCE.md): a store turned off by
-  /// the budget comes back on once its estimated footprint fits under this
-  /// fraction of the budget for this many consecutive batches.
-  static constexpr double kPromoteFraction = 0.5;
-  static constexpr std::uint32_t kPromoteBatches = 4;
-
   explicit StreamingMotifCounter(const StreamConfig& config);
   ~StreamingMotifCounter();
   // The delta scratch refers to the window and the options, so a counter
@@ -337,15 +325,10 @@ class StreamingMotifCounter {
 
   // --- Memory-budget degradation (docs/RESILIENCE.md). ---
 
-  /// End-of-batch budget enforcement: turns the store off when its
-  /// footprint exceeds `store_budget_bytes`, and back on (with hysteresis)
-  /// once its estimated footprint fits under half the budget for 4
-  /// consecutive batches. No-op without a budget.
+  /// End-of-batch budget enforcement: turns the store off for good, and
+  /// frees it, when its footprint exceeds `store_budget_bytes`. No-op
+  /// without a budget or with the store already off.
   void EnforceStoreBudget();
-  /// Turns the store back on by rebuilding it from the live indices on a
-  /// scratch counts table and cross-checking it against the maintained
-  /// counts (promotion must never change a count).
-  void PromoteStore();
 
   /// Applies the plan and recounts the whole window on the live indices
   /// (startup, full window turnover, or a store-off static-edge flip), and
@@ -388,12 +371,6 @@ class StreamingMotifCounter {
   /// Store state; only EnforceStoreBudget and checkpoint restore move it,
   /// so it is stable within a batch.
   StoreMode store_mode_ = StoreMode::kFull;
-  /// Consecutive batches the promotion estimate fit under the hysteresis
-  /// threshold.
-  std::uint32_t promote_streak_ = 0;
-  /// Store bytes per window event observed when the store was last turned
-  /// off — the re-promotion cost estimate.
-  double full_bytes_per_event_ = 0.0;
   /// store_.compactions() at the last PublishTelemetry (delta mirroring).
   std::uint64_t published_store_compactions_ = 0;
   /// `options` with the static coverage check stripped — the candidate

@@ -30,7 +30,6 @@ struct DifferentialReport {
 ///   * the enumerator's codes against `EncodeInstance` (motif_code.h);
 ///   * CountInstances against the oracle count;
 ///   * CountMotifs against ReferenceCountMotifs, code by code.
-/// `options.max_instances` must be 0 (truncated runs cannot be diffed).
 DifferentialReport DiffAgainstOracle(const TemporalGraph& graph,
                                      const EnumerationOptions& options);
 

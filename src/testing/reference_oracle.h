@@ -37,8 +37,7 @@ struct ReferenceInstance {
 /// serve as the oracle in differential tests. Cost is C(num_events, k)
 /// predicate evaluations; keep graphs small (see testing/random_graphs.h).
 ///
-/// `options.max_instances` is ignored (the oracle always enumerates
-/// exhaustively); instances are returned sorted by event-index tuple.
+/// Instances are returned sorted by event-index tuple.
 std::vector<ReferenceInstance> ReferenceEnumerate(
     const TemporalGraph& graph, const EnumerationOptions& options);
 

@@ -7,10 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -332,7 +330,7 @@ TEST(Checkpoint, OperationalKnobsDoNotChangeTheFingerprint) {
 
 // --- Crafted CRC-valid fixtures: structural checks behind the checksum. ---
 
-// Byte layout of a version-5 file (docs/RESILIENCE.md): a 16-byte header
+// Byte layout of a version-6 file (docs/RESILIENCE.md): a 16-byte header
 // (magic, u32 version, u64 payload size), the payload, a u32 CRC trailer.
 constexpr std::size_t kHeaderBytes = 16;
 constexpr std::size_t kCrcBytes = 4;
@@ -383,10 +381,10 @@ void FixUpCrc(std::string* bytes) {
 
 /// Offset of the u32 count-entry field: fingerprint, saw_any_event,
 /// max_time_seen, max_duration_seen, event count, 28-byte events, then the
-/// stats block (u32 field count + 19 u64 fields).
+/// stats block (u32 field count + 18 u64 fields).
 std::size_t CountsFieldOffset(std::size_t num_window_events) {
   return kHeaderBytes + 8 + 1 + 8 + 8 + 8 + 28 * num_window_events + 4 +
-         8 * 19;
+         8 * 18;
 }
 
 /// Offset of count entry `i` (u64 packed code, u64 count; 16 bytes each).
@@ -394,10 +392,10 @@ std::size_t CountEntryOffset(std::size_t num_window_events, std::size_t i) {
   return CountsFieldOffset(num_window_events) + 4 + 16 * i;
 }
 
-/// Offset of the store-mode byte: it precedes the u32 promote streak, the
-/// f64 bytes-per-event estimate and the CRC trailer.
+/// Offset of the store-mode byte: the last payload byte, before the CRC
+/// trailer.
 std::size_t StoreModeOffset(const std::string& bytes) {
-  return bytes.size() - kCrcBytes - 8 - 4 - 1;
+  return bytes.size() - kCrcBytes - 1;
 }
 
 /// An encoding whose layout the helpers above are checked against.
@@ -568,53 +566,14 @@ TEST(Checkpoint, CraftedDurationBoundBelowAWindowEventIsMalformed) {
   EXPECT_EQ(r.status, CheckpointStatus::kMalformed) << r.message;
 }
 
-// The store's budget state must be one the budget code can leave behind:
-// a promotion streak below the promotion batch count (it resets on
-// reaching it) and a finite, non-negative bytes-per-event estimate.
-TEST(Checkpoint, CraftedStoreBudgetStateIsMalformed) {
-  StreamConfig config;
-  config.options = Opts(3, 3, {}, false, false, Inducedness::kStatic);
-  config.window = WindowPolicy::CountBased(12);
-  config.store_budget_bytes = 1;  // Impossible budget: degrade immediately.
-  StreamingMotifCounter counter(config);
-  counter.Ingest(FixtureEvents());
-  ASSERT_EQ(counter.store_mode(), StoreMode::kRecount);
-  const std::string bytes = EncodeCheckpoint(counter);
-  // The f64 estimate precedes the CRC trailer; the u32 streak precedes it.
-  const std::size_t estimate_offset = bytes.size() - kCrcBytes - 8;
-  const std::size_t streak_offset = estimate_offset - 4;
-  const auto decode = [&](std::string crafted) {
-    FixUpCrc(&crafted);
-    StreamingMotifCounter fresh(config);
-    return DecodeCheckpoint(crafted, &fresh).status;
-  };
-  ASSERT_EQ(decode(bytes), CheckpointStatus::kOk);
-
-  const std::uint32_t promote = StreamingMotifCounter::kPromoteBatches;
-  for (const std::uint32_t streak : {promote - 1, promote, 0xFFFFFFFFu}) {
-    std::string crafted = bytes;
-    PutU32At(&crafted, streak_offset, streak);
-    EXPECT_EQ(decode(crafted), streak < promote ? CheckpointStatus::kOk
-                                                : CheckpointStatus::kMalformed)
-        << "promote_streak " << streak;
-  }
-  for (const double estimate : {std::nan(""), -1.0}) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &estimate, sizeof(bits));
-    std::string crafted = bytes;
-    PutU64At(&crafted, estimate_offset, bits);
-    EXPECT_EQ(decode(crafted), CheckpointStatus::kMalformed)
-        << "full_bytes_per_event " << estimate;
-  }
-}
-
 // Version-2 files (with the counted-only fields), version-3 files (with
-// string-keyed count entries) and version-4 files (with 22 stat fields)
+// string-keyed count entries), version-4 files (with 22 stat fields) and
+// version-5 files (with the store's re-promotion state and 19 stat fields)
 // are rejected outright, not migrated.
 TEST(Checkpoint, VersionTwoFilesAreBadVersion) {
   StreamingMotifCounter counter(FixtureConfig());
   const std::string bytes = CraftableEncoding(&counter);
-  for (const std::uint32_t version : {2u, 3u, 4u}) {
+  for (const std::uint32_t version : {2u, 3u, 4u, 5u}) {
     std::string crafted = bytes;
     PutU32At(&crafted, 4, version);  // The version field follows the magic.
     FixUpCrc(&crafted);
@@ -772,10 +731,10 @@ TEST(Checkpoint, DegradedStoreModeRoundTrips) {
             continuous.counts().SortedByCode());
 }
 
-// The budget is not part of the fingerprint, and only a budget can turn the
-// store back on: a store-off checkpoint restored without one comes back
-// with the store on and then streams like a counter that never had a
-// budget, absorbing flips in the store instead of recounting.
+// The budget is not part of the fingerprint, and only a budget turns the
+// store off: a store-off checkpoint restored without one comes back with
+// the store on and then streams like a counter that never had a budget,
+// absorbing flips in the store instead of recounting.
 TEST(Checkpoint, DegradedCheckpointRestoresStoreOnWithoutABudget) {
   StreamConfig budgeted;
   budgeted.options = Opts(3, 3, {}, false, false, Inducedness::kStatic);

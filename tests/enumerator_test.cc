@@ -270,14 +270,6 @@ TEST(DurationAwareGaps, MeasuresFromEventEnd) {
   EXPECT_EQ(CountInstances(g, o), 1u);  // End-to-start gap -2 <= 5.
 }
 
-TEST(Enumerator, MaxInstancesStopsEarly) {
-  const TemporalGraph g =
-      GraphFromEvents({{0, 1, 1}, {0, 1, 2}, {0, 1, 3}, {0, 1, 4}});
-  EnumerationOptions o = Opts(2, 2);
-  o.max_instances = 3;
-  EXPECT_EQ(CountInstances(g, o), 3u);
-}
-
 TEST(Enumerator, TimeBoundsSaturateNearMaxTimestamp) {
   // A temporal triangle plus a repeat, once at t = 1000..1003 and once
   // shifted to just below the largest Timestamp: t0 + dW, t_prev + dC and

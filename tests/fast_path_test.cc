@@ -493,11 +493,6 @@ TEST(FastPathDispatch, SupportedAndUnsupportedCombinations) {
       ModelId::kHulovatyy, 3, 3, /*delta_c=*/1500, /*delta_w=*/0)));
   EXPECT_TRUE(internal::fast_paths::FastPathSupported(
       Opts(3, 3, TimingConstraints::Both(1500, 3000))));
-  // Instance caps imply early termination, which totals-only counters
-  // cannot honor.
-  EnumerationOptions capped = Opts(3, 3);
-  capped.max_instances = 10;
-  EXPECT_FALSE(internal::fast_paths::FastPathSupported(capped));
 }
 
 }  // namespace

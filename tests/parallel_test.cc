@@ -111,15 +111,6 @@ TEST(ParallelCount, MoreThreadsThanEvents) {
   EXPECT_EQ(CountMotifs(g, o, 16).total(), 1u);
 }
 
-TEST(ParallelCountDeathTest, RejectsMaxInstances) {
-  const TemporalGraph g = GraphFromEvents({{0, 1, 1}, {1, 2, 2}});
-  EnumerationOptions o;
-  o.num_events = 2;
-  o.max_nodes = 3;
-  o.max_instances = 5;
-  EXPECT_DEATH(CountMotifs(g, o, 2), "max_instances");
-}
-
 // MakeEventShards on ranges shorter than the thread count (and around it):
 // every shard non-empty, the shards tile [begin, end) in order, and there
 // are at most min(threads, n) of them.

@@ -1,13 +1,14 @@
 // Memory-budget degradation tests: under StreamConfig::store_budget_bytes
 // the live-instance store must shed memory by turning itself off, never end
-// a batch over budget, come back on with hysteresis when pressure clears —
-// and through all of it the counts must stay bit-identical to from-scratch
-// counting.
+// a batch over budget, stay off once it is off — and through all of it the
+// counts must stay bit-identical to from-scratch counting.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -106,9 +107,9 @@ TEST(StreamBudget, DegradesUnderBudgetWithoutChangingCounts) {
 }
 
 // A pressure spike (the stream.budget_pressure fault point) must turn the
-// store off, and once it clears the default hysteresis (4 calm batches
-// under half the budget) must turn the store back on.
-TEST(StreamBudget, RepromotesWhenPressureClears) {
+// store off, and the store must stay off through the calm batches after
+// it: the budget is a one-way switch.
+TEST(StreamBudget, StoreStaysOffWhenPressureClears) {
   testing::FaultInjectionGuard guard;
   ForEachRandomGraph(
       0x9e0407e, 2, BudgetSpec(),
@@ -118,9 +119,9 @@ TEST(StreamBudget, RepromotesWhenPressureClears) {
         config.window = WindowPolicy::CountBased(14);
         config.store_budget_bytes = 1u << 20;  // Roomy; pressure drives it.
 
-        // The point is consulted once per batch: spike batches 1 and 2.
-        // 28 events / batch 4 = 7 batches, so four calm batches remain —
-        // exactly the hysteresis.
+        // Spike batches 1 and 2; 28 events / batch 4 = 7 batches, so four
+        // calm batches follow. The point is consulted only while the store
+        // is on, so the spike's second fire never comes.
         fault::FaultSpec spike;
         spike.skip_hits = 1;
         spike.max_fires = 2;
@@ -128,26 +129,29 @@ TEST(StreamBudget, RepromotesWhenPressureClears) {
         testing::ScopedFault pressure("stream.budget_pressure", spike);
 
         StreamingMotifCounter counter(config);
-        bool saw_degraded = false;
         std::size_t batch_index = 0;
         for (std::size_t b = 0; b < g.events().size(); b += 4) {
           const std::size_t e = std::min(g.events().size(), b + 4);
           counter.Ingest(std::vector<Event>(
               g.events().begin() + static_cast<std::ptrdiff_t>(b),
               g.events().begin() + static_cast<std::ptrdiff_t>(e)));
+          const std::string label =
+              "seed " + std::to_string(seed) + " batch " +
+              std::to_string(batch_index);
           const MotifCounts expected =
               CountMotifs(counter.window_graph(), config.options);
           ASSERT_EQ(counter.counts().SortedByCode(), expected.SortedByCode())
-              << "seed " << seed << " batch " << batch_index;
-          if (counter.store_mode() != StoreMode::kFull) saw_degraded = true;
+              << label;
+          const bool off = batch_index >= 1;
+          ASSERT_EQ(counter.store_mode(),
+                    off ? StoreMode::kRecount : StoreMode::kFull)
+              << label;
+          ASSERT_EQ(counter.stats().store_demotions_recount, off ? 1u : 0u)
+              << label;
           ++batch_index;
         }
-        EXPECT_EQ(pressure.fires(), 2u) << "seed " << seed;
-        const IngestStats& stats = counter.stats();
-        ASSERT_TRUE(saw_degraded) << "seed " << seed;
-        ASSERT_EQ(stats.store_demotions_recount, 1u) << "seed " << seed;
-        ASSERT_EQ(counter.store_mode(), StoreMode::kFull) << "seed " << seed;
-        ASSERT_EQ(stats.store_promotions_full, 1u) << "seed " << seed;
+        EXPECT_EQ(batch_index, 7u) << "seed " << seed;
+        EXPECT_EQ(pressure.fires(), 1u) << "seed " << seed;
       });
 }
 
@@ -168,7 +172,6 @@ TEST(StreamBudget, ImpossibleBudgetReachesRecountMode) {
         ReplayExactUnderBudget(g.events(), config, 4, label, &stats);
         if (::testing::Test::HasFatalFailure()) return;
         EXPECT_EQ(stats.store_demotions_recount, 1u) << label;
-        EXPECT_EQ(stats.store_promotions_full, 0u) << label;
 
         StreamingMotifCounter counter(config);
         counter.Ingest(g.events());
@@ -207,61 +210,66 @@ TEST(StreamBudget, TransitionsAreExportedAsMetrics) {
   EXPECT_EQ(registry.GetGauge("stream.store_mode")->Value(), 2);
 }
 
-// --- Compaction threshold (LiveInstanceStore::SetCompactionSlack). ---
+// --- Compaction threshold (LiveInstanceStore::kCompactionSlack). ---
 
-// Zero slack compacts as soon as dead bucket refs outnumber live entries;
-// a huge slack never compacts. Either way the buckets must surface exactly
-// the same live entries: compaction is invisible to flip processing.
+// The store compacts its buckets once the dead bucket refs outnumber the
+// live entries by more than kCompactionSlack. One eviction short of that,
+// it has never compacted; at it, it has compacted once. Either way the
+// buckets surface exactly the surviving entries: compaction is invisible
+// to flip processing.
 TEST(StreamBudget, CompactionSlackControlsBucketCompaction) {
   constexpr NodeId kNumNodes = 5;
-  const auto churn = [](LiveInstanceStore* store) {
-    // Insert anchors one by one and evict all but the newest four: every
-    // eviction strands a bucket ref (the classic compaction driver) while
-    // the survivors keep buckets populated. The store never reads
-    // `packed`, so each entry carries its anchor id there as a tag.
-    for (std::uint64_t id = 0; id < 64; ++id) {
-      const NodeId nodes[2] = {static_cast<NodeId>(id % kNumNodes),
-                               static_cast<NodeId>((id + 1) % kNumNodes)};
-      store->Insert(id, /*packed=*/id, nodes, 2, /*distinct=*/1,
-                    /*covered=*/true);
-      if (id >= 4) {
-        store->EvictFront(1, [](const LiveInstanceStore::Entry&) {});
+  constexpr std::uint64_t kSurvivors = 4;
+  // Each 2-node entry holds one bucket ref, and each eviction strands it
+  // while the survivors stay live, so this many evictions push the debt
+  // past the slack.
+  constexpr std::uint64_t kCompactingEvictions =
+      LiveInstanceStore::kCompactionSlack + kSurvivors + 1;
+  const auto pair_of = [](std::uint64_t id) {
+    return std::array<NodeId, 2>{static_cast<NodeId>(id % kNumNodes),
+                                 static_cast<NodeId>((id + 1) % kNumNodes)};
+  };
+  for (const std::uint64_t evictions :
+       {kCompactingEvictions - 1, kCompactingEvictions}) {
+    // Insert anchors one by one and evict all but the newest four. The
+    // store never reads `packed`, so each entry carries its anchor id
+    // there as a tag.
+    LiveInstanceStore store;
+    const std::uint64_t num_anchors = evictions + kSurvivors;
+    for (std::uint64_t id = 0; id < num_anchors; ++id) {
+      const std::array<NodeId, 2> nodes = pair_of(id);
+      store.Insert(id, /*packed=*/id, nodes.data(), 2, /*distinct=*/1,
+                   /*covered=*/true);
+      if (id >= kSurvivors) {
+        store.EvictFront(1, [](const LiveInstanceStore::Entry&) {});
       }
     }
-  };
-  // Tags (anchor ids) of the entries visited per node pair, in pair order.
-  const auto touched = [](LiveInstanceStore* store) {
-    std::vector<std::vector<std::uint64_t>> visits;
+    EXPECT_EQ(store.compactions(), evictions == kCompactingEvictions ? 1u : 0u)
+        << evictions << " evictions";
+    ASSERT_EQ(store.size(), kSurvivors);
+
+    // Tags (anchor ids) of the entries visited per node pair, against the
+    // survivors that span each pair.
     for (NodeId u = 0; u < kNumNodes; ++u) {
       for (NodeId v = u + 1; v < kNumNodes; ++v) {
-        std::vector<std::uint64_t> ids;
-        store->ForEachTouching(u, v, [&](LiveInstanceStore::Entry& entry) {
-          ids.push_back(entry.packed);
+        std::vector<std::uint64_t> visited;
+        store.ForEachTouching(u, v, [&](LiveInstanceStore::Entry& entry) {
+          visited.push_back(entry.packed);
         });
-        std::sort(ids.begin(), ids.end());
-        visits.push_back(ids);
+        std::sort(visited.begin(), visited.end());
+        std::vector<std::uint64_t> expected;
+        for (std::uint64_t id = evictions; id < num_anchors; ++id) {
+          const std::array<NodeId, 2> nodes = pair_of(id);
+          if (std::min(nodes[0], nodes[1]) == u &&
+              std::max(nodes[0], nodes[1]) == v) {
+            expected.push_back(id);
+          }
+        }
+        EXPECT_EQ(visited, expected)
+            << evictions << " evictions, pair " << u << "-" << v;
       }
     }
-    return visits;
-  };
-
-  LiveInstanceStore eager;
-  eager.SetCompactionSlack(0);
-  churn(&eager);
-  EXPECT_GT(eager.compactions(), 0u);
-
-  LiveInstanceStore lazy;
-  lazy.SetCompactionSlack(1u << 20);
-  churn(&lazy);
-  EXPECT_EQ(lazy.compactions(), 0u);
-
-  ASSERT_EQ(eager.size(), 4u);
-  ASSERT_EQ(lazy.size(), 4u);
-  const auto eager_visits = touched(&eager);
-  EXPECT_EQ(eager_visits, touched(&lazy));
-  std::size_t visited = 0;
-  for (const auto& ids : eager_visits) visited += ids.size();
-  EXPECT_EQ(visited, 4u);  // Each survivor spans exactly one pair.
+  }
 }
 
 }  // namespace

@@ -13,9 +13,11 @@ Nine classes of rot are caught:
      sink surface, which configs use the store) must keep existing; a refactor
      that drops one fails here instead of silently orphaning the
      references.
-  4. A stale checkpoint version — docs/RESILIENCE.md must say "The
+  4. A stale checkpoint layout — docs/RESILIENCE.md must say "The
      current version is N" for the kCheckpointFormatVersion N declared in
-     src/stream/checkpoint.h.
+     src/stream/checkpoint.h, and "u32 field count (M)" for the size M
+     declared by `std::array<IngestStatField, M> kIngestStatFields` in
+     src/stream/streaming_counter.h (the checkpoint's stats block).
   5. Stale metric names — every backticked `stream.*` name in the
      `stream.*` section of docs/OBSERVABILITY.md's metric catalog must
      appear in the metrics dump of a tmotif_stream replay of the bundled
@@ -96,7 +98,7 @@ REQUIRED_SECTIONS = {
     ),
     "docs/RESILIENCE.md": (
         "## Checkpoint format",
-        "Versions 2 to 4 are rejected",
+        "Versions 2 to 5 are rejected",
         "## Degradation state machine",
         "## Fault-point catalog",
         "stream.store_mode",
@@ -120,6 +122,8 @@ FENCE_RE = re.compile(r"^```")
 INLINE_CODE_RE = re.compile(r"`([^`]+)`")
 CHECKPOINT_VERSION_RE = re.compile(
     r"kCheckpointFormatVersion\s*=\s*(\d+)\s*;")
+STAT_FIELDS_RE = re.compile(
+    r"std::array<\s*IngestStatField\s*,\s*(\d+)\s*>\s*kIngestStatFields")
 HEADING_RE = re.compile(r"^#{1,6} ")
 # A code span that is wholly a repo path: one or more directory parts,
 # then nothing (a directory) or a file name with an extension.
@@ -340,20 +344,26 @@ def check_reached_modules(root, errors):
 
 
 def check_checkpoint_version(root, errors):
-    header = os.path.join(root, "src", "stream", "checkpoint.h")
-    with open(header, encoding="utf-8") as f:
-        match = CHECKPOINT_VERSION_RE.search(f.read())
-    if match is None:
-        errors.append("src/stream/checkpoint.h: kCheckpointFormatVersion "
-                      "not found")
-        return
-    marker = f"The current version is {match.group(1)}"
     with open(os.path.join(root, "docs", "RESILIENCE.md"),
               encoding="utf-8") as f:
-        if marker not in f.read():
+        doc = f.read()
+    # (header, declaration pattern, declared name, doc marker template)
+    declarations = (
+        ("src/stream/checkpoint.h", CHECKPOINT_VERSION_RE,
+         "kCheckpointFormatVersion", "The current version is {}"),
+        ("src/stream/streaming_counter.h", STAT_FIELDS_RE,
+         "kIngestStatFields", "u32 field count ({})"),
+    )
+    for header, pattern, name, template in declarations:
+        with open(os.path.join(root, header), encoding="utf-8") as f:
+            match = pattern.search(f.read())
+        if match is None:
+            errors.append(f"{header}: {name} not found")
+            continue
+        marker = template.format(match.group(1))
+        if marker not in doc:
             errors.append(f"docs/RESILIENCE.md: does not say {marker!r} "
-                          f"(kCheckpointFormatVersion in "
-                          f"src/stream/checkpoint.h)")
+                          f"({name} in {header})")
 
 
 def catalog_metrics(root, heading, name_re):

@@ -98,12 +98,13 @@ void Usage(const char* argv0, std::FILE* out = stderr) {
       "(0 = final only)\n"
       "  --restore=FILE      restore a checkpoint before replaying; the\n"
       "                      replay resumes after the checkpointed events\n"
-      "  --store-budget=BYTES  instance-store memory budget; over it the\n"
-      "                      store turns off until pressure clears\n"
-      "                      (0 = unlimited). Only configs with the store\n"
-      "                      take it: static inducedness (paranjape,\n"
-      "                      hulovatyy, --induced=static) without --cdg\n"
-      "                      or --consecutive\n",
+      "  --store-budget=BYTES  instance-store memory budget; the first\n"
+      "                      batch over it turns the store off for the\n"
+      "                      rest of the run (0 = unlimited). Only\n"
+      "                      configs with the store take it: static\n"
+      "                      inducedness (paranjape, hulovatyy,\n"
+      "                      --induced=static) without --cdg or\n"
+      "                      --consecutive\n",
       argv0);
 }
 
@@ -430,14 +431,12 @@ int Main(int argc, char** argv) {
         static_cast<unsigned long long>(stats.store_admitted),
         static_cast<unsigned long long>(stats.store_retired));
   }
-  if (stats.store_demotions_recount + stats.store_promotions_full > 0) {
+  if (stats.store_demotions_recount > 0) {
     std::printf(
-        "store budget: %llu-byte cap, store ended %s (demotions %llu, "
-        "promotions %llu)\n",
+        "store budget: %llu-byte cap, store ended %s (demotions %llu)\n",
         static_cast<unsigned long long>(config.store_budget_bytes),
         counter.store_mode() == StoreMode::kFull ? "on" : "off",
-        static_cast<unsigned long long>(stats.store_demotions_recount),
-        static_cast<unsigned long long>(stats.store_promotions_full));
+        static_cast<unsigned long long>(stats.store_demotions_recount));
   }
   if (stats.late_events + stats.late_dropped > 0) {
     std::printf(
