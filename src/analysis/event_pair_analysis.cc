@@ -7,12 +7,6 @@
 
 namespace tmotif {
 
-std::uint64_t EventPairStats::total_pairs() const {
-  std::uint64_t total = disjoint;
-  for (const std::uint64_t c : counts) total += c;
-  return total;
-}
-
 std::uint64_t EventPairStats::count(EventPairType type) const {
   if (type == EventPairType::kDisjoint) return disjoint;
   return counts[static_cast<std::size_t>(type)];

@@ -18,7 +18,6 @@ struct EventPairStats {
   std::uint64_t disjoint = 0;
   std::uint64_t num_instances = 0;
 
-  std::uint64_t total_pairs() const;
   std::uint64_t count(EventPairType type) const;
   /// Sum of the paper's R,P,I,O group (Table 5).
   std::uint64_t rpio() const;

@@ -35,15 +35,4 @@ std::map<MotifCode, int> RankChanges(const MotifCounts& before,
   return changes;
 }
 
-std::map<MotifCode, double> ProportionChanges(
-    const MotifCounts& before, const MotifCounts& after,
-    const std::vector<MotifCode>& universe) {
-  std::map<MotifCode, double> changes;
-  for (const MotifCode& code : universe) {
-    changes[code] =
-        100.0 * (after.Proportion(code) - before.Proportion(code));
-  }
-  return changes;
-}
-
 }  // namespace tmotif

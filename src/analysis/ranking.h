@@ -21,12 +21,6 @@ std::map<MotifCode, int> RankChanges(const MotifCounts& before,
                                      const MotifCounts& after,
                                      const std::vector<MotifCode>& universe);
 
-/// Per-code proportion changes in percentage points when going from
-/// `before` to `after` (the paper's Tables 4 and 7).
-std::map<MotifCode, double> ProportionChanges(
-    const MotifCounts& before, const MotifCounts& after,
-    const std::vector<MotifCode>& universe);
-
 }  // namespace tmotif
 
 #endif  // TMOTIF_ANALYSIS_RANKING_H_

@@ -73,11 +73,6 @@ std::string RenderPairSequenceHeatMap(const PairSequenceMatrix& matrix) {
   return out;
 }
 
-std::string RenderHistogram(const std::string& caption,
-                            const Histogram& histogram) {
-  return caption + "\n" + histogram.Render();
-}
-
 std::string BenchOutputPath(const std::string& dir, const std::string& name) {
   ::mkdir(dir.c_str(), 0755);  // Best effort; ignored when it exists.
   return dir + "/" + name;

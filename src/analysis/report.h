@@ -4,7 +4,6 @@
 #include <string>
 
 #include "analysis/event_pair_analysis.h"
-#include "common/histogram.h"
 #include "core/counter.h"
 
 namespace tmotif {
@@ -19,10 +18,6 @@ std::string RenderPairRatios(const EventPairStats& stats);
 /// Renders a Figure 6-style ASCII heat map of ordered pair sequences:
 /// rows = first pair, columns = second pair, shaded by log intensity.
 std::string RenderPairSequenceHeatMap(const PairSequenceMatrix& matrix);
-
-/// Renders a histogram with a caption.
-std::string RenderHistogram(const std::string& caption,
-                            const Histogram& histogram);
 
 /// Ensures the bench output directory exists and returns `dir + "/" + name`.
 std::string BenchOutputPath(const std::string& dir, const std::string& name);

@@ -9,16 +9,6 @@
 
 namespace tmotif {
 
-const char* ReferenceModelName(ReferenceModel model) {
-  switch (model) {
-    case ReferenceModel::kTimeShuffle: return "time-shuffle";
-    case ReferenceModel::kGapShuffle: return "gap-shuffle";
-    case ReferenceModel::kLinkShuffle: return "link-shuffle";
-    case ReferenceModel::kUniformTimes: return "uniform-times";
-  }
-  return "?";
-}
-
 namespace {
 
 TemporalGraph DrawReference(const TemporalGraph& graph, ReferenceModel model,

@@ -21,8 +21,6 @@ enum class ReferenceModel {
   kUniformTimes,      // I.i.d. uniform timestamps.
 };
 
-const char* ReferenceModelName(ReferenceModel model);
-
 struct SignificanceConfig {
   ReferenceModel reference = ReferenceModel::kTimeShuffle;
   /// Ensemble size (paper-style analyses use 10-1000; z-scores stabilize

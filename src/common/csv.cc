@@ -1,15 +1,17 @@
 #include "common/csv.h"
 
-#include <cstdio>
-
 namespace tmotif {
 
 CsvWriter::CsvWriter(const std::string& path) {
   file_ = std::fopen(path.c_str(), "w");
 }
 
-CsvWriter::~CsvWriter() {
-  if (file_ != nullptr) std::fclose(file_);
+bool CsvWriter::Close() {
+  if (file_ == nullptr) return false;
+  const bool written = !std::ferror(file_);
+  const bool closed = std::fclose(file_) == 0;
+  file_ = nullptr;
+  return written && closed;
 }
 
 void CsvWriter::WriteRow(const std::vector<std::string>& cells) {
@@ -38,56 +40,6 @@ std::string CsvEscape(const std::string& field) {
   }
   out.push_back('"');
   return out;
-}
-
-std::vector<std::string> CsvSplit(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string current;
-  bool in_quotes = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          current.push_back('"');
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        current.push_back(c);
-      }
-    } else if (c == '"') {
-      in_quotes = true;
-    } else if (c == ',') {
-      fields.push_back(std::move(current));
-      current.clear();
-    } else if (c != '\r') {
-      current.push_back(c);
-    }
-  }
-  fields.push_back(std::move(current));
-  return fields;
-}
-
-std::optional<std::vector<std::vector<std::string>>> CsvReadFile(
-    const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "r");
-  if (file == nullptr) return std::nullopt;
-  std::vector<std::vector<std::string>> rows;
-  std::string line;
-  int ch;
-  while ((ch = std::fgetc(file)) != EOF) {
-    if (ch == '\n') {
-      rows.push_back(CsvSplit(line));
-      line.clear();
-    } else {
-      line.push_back(static_cast<char>(ch));
-    }
-  }
-  if (!line.empty()) rows.push_back(CsvSplit(line));
-  std::fclose(file);
-  return rows;
 }
 
 }  // namespace tmotif

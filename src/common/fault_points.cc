@@ -89,8 +89,6 @@ void DisarmAll() {
   }
 }
 
-bool AnyArmed() { return g_num_armed.load(std::memory_order_relaxed) > 0; }
-
 namespace {
 std::uint64_t Count(const std::string& point, bool fires) {
   Registry& registry = GetRegistry();

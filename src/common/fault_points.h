@@ -49,8 +49,6 @@ bool ShouldFail(const char* point);
 void Arm(const std::string& point, const FaultSpec& spec);
 void Disarm(const std::string& point);
 void DisarmAll();
-/// True when at least one point is armed (the fast-path gate).
-bool AnyArmed();
 /// Consume() calls / fires seen by `point` since it was armed (0 when not
 /// armed; counters vanish on disarm).
 std::uint64_t HitCount(const std::string& point);

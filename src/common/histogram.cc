@@ -40,15 +40,6 @@ double Histogram::bin_lo(int bin) const {
   return lo_ + bin * width_;
 }
 
-std::vector<double> Histogram::Normalized() const {
-  std::vector<double> out(bins_.size(), 0.0);
-  if (total_ == 0) return out;
-  for (std::size_t i = 0; i < bins_.size(); ++i) {
-    out[i] = static_cast<double>(bins_[i]) / static_cast<double>(total_);
-  }
-  return out;
-}
-
 double Histogram::ApproxMean() const {
   if (total_ == 0) return 0.0;
   double weighted = 0.0;

@@ -29,9 +29,6 @@ class Histogram {
   double lo() const { return lo_; }
   double hi() const { return hi_; }
 
-  /// Fraction of mass in each bin (all zero when empty).
-  std::vector<double> Normalized() const;
-
   /// Mean of the recorded values approximated from bin centers.
   double ApproxMean() const;
 

@@ -91,24 +91,6 @@ double Rng::LogNormal(double mu, double sigma) {
   return std::exp(mu + sigma * Normal());
 }
 
-int Rng::Poisson(double mean) {
-  TMOTIF_CHECK(mean > 0.0);
-  if (mean > 60.0) {
-    // Normal approximation with continuity correction.
-    const double value = mean + std::sqrt(mean) * Normal() + 0.5;
-    return value < 0.0 ? 0 : static_cast<int>(value);
-  }
-  // Knuth inversion.
-  const double limit = std::exp(-mean);
-  double product = 1.0;
-  int count = -1;
-  do {
-    ++count;
-    product *= UniformReal();
-  } while (product > limit);
-  return count;
-}
-
 ZipfTable::ZipfTable(int n, double alpha) {
   TMOTIF_CHECK(n > 0);
   cdf_.resize(static_cast<std::size_t>(n));

@@ -38,12 +38,6 @@ class Rng {
   /// Standard normal variate (Box-Muller).
   double Normal();
 
-  /// Zipf-like index in `[0, n)`: P(i) proportional to 1 / (i+1)^alpha.
-  /// Uses an inverted-CDF table owned by the caller; see `ZipfTable`.
-  /// Poisson variate with the given mean (> 0); uses inversion for small
-  /// means and normal approximation for large ones.
-  int Poisson(double mean);
-
   /// Fisher-Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>* values) {

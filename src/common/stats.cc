@@ -90,16 +90,4 @@ double HistogramQuantile(const std::vector<std::uint64_t>& counts,
   return 0.0;
 }
 
-Summary Summarize(const std::vector<double>& values) {
-  Summary s;
-  s.count = values.size();
-  if (values.empty()) return s;
-  s.mean = Mean(values);
-  s.variance = Variance(values);
-  s.min = *std::min_element(values.begin(), values.end());
-  s.max = *std::max_element(values.begin(), values.end());
-  s.median = Median(values);
-  return s;
-}
-
 }  // namespace tmotif

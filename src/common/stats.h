@@ -31,18 +31,6 @@ double Quantile(std::vector<double> values, double q);
 double HistogramQuantile(const std::vector<std::uint64_t>& counts,
                          const std::vector<double>& edges, double q);
 
-/// Compact five-number-style summary.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double variance = 0.0;
-  double min = 0.0;
-  double median = 0.0;
-  double max = 0.0;
-};
-
-Summary Summarize(const std::vector<double>& values);
-
 }  // namespace tmotif
 
 #endif  // TMOTIF_COMMON_STATS_H_

@@ -35,12 +35,6 @@ using Duration = std::int64_t;
 /// Index of an event in a `TemporalGraph`'s time-ordered event list.
 using EventIndex = std::int32_t;
 
-/// Categorical label attached to an event (`Event::label`): it orders ties
-/// and round-trips through I/O and checkpoints; no model reads it.
-/// `kNoLabel` means "unlabeled".
-using Label = std::int32_t;
-
-inline constexpr Label kNoLabel = -1;
 inline constexpr NodeId kInvalidNode = -1;
 
 }  // namespace tmotif

@@ -22,7 +22,7 @@ class PackedMotifTable;
 class MotifCounts {
  public:
   /// Adds `count` occurrences of `code`, which must be a canonical code of
-  /// at most 8 events (aborts otherwise, like ParseCode). Adding 0 is a
+  /// at most 8 events (aborts otherwise). Adding 0 is a
   /// no-op. AddPacked takes the packed code (checkpoint restore).
   void Add(std::string_view code, std::uint64_t count = 1);
   void AddPacked(std::uint64_t packed, std::uint64_t count);

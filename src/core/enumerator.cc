@@ -49,19 +49,6 @@ std::uint64_t CountInstances(const TemporalGraph& graph,
   return CountInstancesInRange(graph, options, 0, graph.num_events());
 }
 
-std::uint64_t EnumerateInstancesInRange(const TemporalGraph& graph,
-                                        const EnumerationOptions& options,
-                                        EventIndex first_begin,
-                                        EventIndex first_end,
-                                        const InstanceVisitor& visit) {
-  internal::ValidateEnumerationOptions(options);
-  first_begin = std::max<EventIndex>(first_begin, 0);
-  first_end = std::min<EventIndex>(first_end, graph.num_events());
-  if (first_begin >= first_end) return 0;
-  VisitorSink sink(visit);
-  return internal::EnumerateCore(graph, options, first_begin, first_end, sink);
-}
-
 std::uint64_t CountInstancesInRange(const TemporalGraph& graph,
                                     const EnumerationOptions& options,
                                     EventIndex first_begin,

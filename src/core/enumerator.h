@@ -79,18 +79,11 @@ std::uint64_t EnumerateInstances(const TemporalGraph& graph,
 std::uint64_t CountInstances(const TemporalGraph& graph,
                              const EnumerationOptions& options);
 
-/// Enumerates only instances whose *first* event index lies in
-/// [first_begin, first_end). Since every instance has exactly one first
-/// event, disjoint ranges partition the instance set exactly — the basis of
-/// event-range parallelism (core/parallel.h).
-std::uint64_t EnumerateInstancesInRange(const TemporalGraph& graph,
-                                        const EnumerationOptions& options,
-                                        EventIndex first_begin,
-                                        EventIndex first_end,
-                                        const InstanceVisitor& visit);
-
-/// Total instance count over a first-event range, on the zero-callback fast
-/// path (the k <= 3 counters when FastPathSupported, else the DFS).
+/// Total instance count over the instances whose *first* event index lies
+/// in [first_begin, first_end), on the zero-callback fast path (the k <= 3
+/// counters when FastPathSupported, else the DFS). Since every instance has
+/// exactly one first event, disjoint ranges partition the instance set
+/// exactly — the basis of event-range parallelism (core/parallel.h).
 std::uint64_t CountInstancesInRange(const TemporalGraph& graph,
                                     const EnumerationOptions& options,
                                     EventIndex first_begin,

@@ -17,19 +17,6 @@ char EventPairLetter(EventPairType type) {
   return '?';
 }
 
-const char* EventPairName(EventPairType type) {
-  switch (type) {
-    case EventPairType::kRepetition: return "Repetition";
-    case EventPairType::kPingPong: return "Ping-pong";
-    case EventPairType::kInBurst: return "In-burst";
-    case EventPairType::kOutBurst: return "Out-burst";
-    case EventPairType::kConvey: return "Convey";
-    case EventPairType::kWeaklyConnected: return "Weakly-connected";
-    case EventPairType::kDisjoint: return "Disjoint";
-  }
-  return "?";
-}
-
 EventPairType ClassifyEventPair(NodeId u1, NodeId v1, NodeId u2, NodeId v2) {
   TMOTIF_CHECK(u1 != v1 && u2 != v2);
   if (u1 == u2 && v1 == v2) return EventPairType::kRepetition;
@@ -39,82 +26,6 @@ EventPairType ClassifyEventPair(NodeId u1, NodeId v1, NodeId u2, NodeId v2) {
   if (v1 == u2) return EventPairType::kConvey;    // u1 != v2 follows.
   if (u1 == v2) return EventPairType::kWeaklyConnected;
   return EventPairType::kDisjoint;
-}
-
-bool IsRpioType(EventPairType type) {
-  return type == EventPairType::kRepetition ||
-         type == EventPairType::kPingPong ||
-         type == EventPairType::kInBurst || type == EventPairType::kOutBurst;
-}
-
-std::vector<EventPairType> PairSequenceForCode(const MotifCode& code) {
-  const std::vector<CodePair> pairs = ParseCode(code);
-  std::vector<EventPairType> out;
-  out.reserve(pairs.size() - 1);
-  for (std::size_t i = 1; i < pairs.size(); ++i) {
-    out.push_back(ClassifyEventPair(pairs[i - 1].first, pairs[i - 1].second,
-                                    pairs[i].first, pairs[i].second));
-  }
-  return out;
-}
-
-std::optional<MotifCode> CodeForPairSequence(
-    const std::vector<EventPairType>& sequence) {
-  // Reconstructs the unique <=3-node motif realizing the sequence: each pair
-  // type determines the next event from the previous one, where any "free"
-  // endpoint must be the single node outside the previous event (introduced
-  // as a new node while fewer than 3 nodes exist).
-  std::vector<std::pair<NodeId, NodeId>> events = {{0, 1}};
-  int num_nodes = 2;
-  for (const EventPairType type : sequence) {
-    const auto [u, v] = events.back();
-    // The one node distinct from both u and v (0+1+2 == 3).
-    const auto other = [&]() -> std::optional<NodeId> {
-      if (num_nodes == 3) return 3 - u - v;
-      if (num_nodes < 3) return num_nodes;  // Introduce a fresh node.
-      return std::nullopt;
-    };
-    std::optional<NodeId> x;
-    switch (type) {
-      case EventPairType::kRepetition:
-        events.emplace_back(u, v);
-        continue;
-      case EventPairType::kPingPong:
-        events.emplace_back(v, u);
-        continue;
-      case EventPairType::kInBurst:
-        x = other();
-        if (!x.has_value()) return std::nullopt;
-        events.emplace_back(*x, v);
-        break;
-      case EventPairType::kOutBurst:
-        x = other();
-        if (!x.has_value()) return std::nullopt;
-        events.emplace_back(u, *x);
-        break;
-      case EventPairType::kConvey:
-        x = other();
-        if (!x.has_value()) return std::nullopt;
-        events.emplace_back(v, *x);
-        break;
-      case EventPairType::kWeaklyConnected:
-        x = other();
-        if (!x.has_value()) return std::nullopt;
-        events.emplace_back(*x, u);
-        break;
-      case EventPairType::kDisjoint:
-        return std::nullopt;
-    }
-    num_nodes = std::max(num_nodes, *x + 1);
-  }
-  return EncodeMotif(events);
-}
-
-std::string PairSequenceString(const std::vector<EventPairType>& sequence) {
-  std::string out;
-  out.reserve(sequence.size());
-  for (EventPairType t : sequence) out.push_back(EventPairLetter(t));
-  return out;
 }
 
 }  // namespace tmotif

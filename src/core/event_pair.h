@@ -1,13 +1,7 @@
 #ifndef TMOTIF_CORE_EVENT_PAIR_H_
 #define TMOTIF_CORE_EVENT_PAIR_H_
 
-#include <array>
-#include <optional>
-#include <string>
-#include <vector>
-
 #include "common/types.h"
-#include "core/motif_code.h"
 
 namespace tmotif {
 
@@ -32,28 +26,9 @@ inline constexpr int kNumEventPairTypes = 6;  // Excluding kDisjoint.
 /// disjoint).
 char EventPairLetter(EventPairType type);
 
-/// Full name ("Repetition", ...).
-const char* EventPairName(EventPairType type);
-
 /// Classifies the consecutive pair (first, second). Order matters: `first`
 /// must precede `second` in time.
 EventPairType ClassifyEventPair(NodeId u1, NodeId v1, NodeId u2, NodeId v2);
-
-/// True for the paper's R/P/I/O group (vs the C/W group) of Table 5.
-bool IsRpioType(EventPairType type);
-
-/// The sequence of m-1 event-pair types of a motif code.
-std::vector<EventPairType> PairSequenceForCode(const MotifCode& code);
-
-/// Inverse map restricted to motifs with at most 3 nodes: for 3-event motifs
-/// the paper's 36-code spectrum is in bijection with the 36 pair sequences;
-/// for longer sequences this returns the unique <=3-node motif when one
-/// exists. Returns nullopt if the sequence admits no <=3-node realization.
-std::optional<MotifCode> CodeForPairSequence(
-    const std::vector<EventPairType>& sequence);
-
-/// Renders a sequence like "RO" or "RCP".
-std::string PairSequenceString(const std::vector<EventPairType>& sequence);
 
 }  // namespace tmotif
 

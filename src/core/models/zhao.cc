@@ -24,30 +24,19 @@ bool PairwiseSharingWithin(const TemporalGraph& graph,
   return true;
 }
 
-template <typename Visitor>
-std::uint64_t Enumerate(const TemporalGraph& graph, const ZhaoConfig& config,
-                        Visitor&& visit) {
+}  // namespace
+
+std::unordered_map<StaticForm, std::uint64_t> CountCommunicationMotifs(
+    const TemporalGraph& graph, const ZhaoConfig& config) {
   TMOTIF_CHECK(config.delta_t >= 0);
   EnumerationOptions options;
   options.num_events = config.num_events;
   options.max_nodes = config.max_nodes;
   options.timing = TimingConstraints::OnlyDeltaW(
       LooseWindowBound(config.delta_t, config.num_events));
-  std::uint64_t total = 0;
+  std::unordered_map<StaticForm, std::uint64_t> counts;
   EnumerateInstances(graph, options, [&](const MotifInstance& instance) {
     if (!PairwiseSharingWithin(graph, instance, config.delta_t)) return;
-    ++total;
-    visit(instance);
-  });
-  return total;
-}
-
-}  // namespace
-
-std::unordered_map<StaticForm, std::uint64_t> CountCommunicationMotifs(
-    const TemporalGraph& graph, const ZhaoConfig& config) {
-  std::unordered_map<StaticForm, std::uint64_t> counts;
-  Enumerate(graph, config, [&](const MotifInstance& instance) {
     std::vector<std::pair<NodeId, NodeId>> edges;
     edges.reserve(static_cast<std::size_t>(instance.num_events));
     for (int i = 0; i < instance.num_events; ++i) {
@@ -57,11 +46,6 @@ std::unordered_map<StaticForm, std::uint64_t> CountCommunicationMotifs(
     ++counts[CanonicalStaticForm(edges)];
   });
   return counts;
-}
-
-std::uint64_t CountCommunicationInstances(const TemporalGraph& graph,
-                                          const ZhaoConfig& config) {
-  return Enumerate(graph, config, [](const MotifInstance&) {});
 }
 
 }  // namespace tmotif

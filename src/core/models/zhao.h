@@ -31,10 +31,6 @@ struct ZhaoConfig {
 std::unordered_map<StaticForm, std::uint64_t> CountCommunicationMotifs(
     const TemporalGraph& graph, const ZhaoConfig& config);
 
-/// Total communication-motif instances.
-std::uint64_t CountCommunicationInstances(const TemporalGraph& graph,
-                                          const ZhaoConfig& config);
-
 }  // namespace tmotif
 
 #endif  // TMOTIF_CORE_MODELS_ZHAO_H_

@@ -43,16 +43,6 @@ MotifCode EncodeInstance(const TemporalGraph& graph,
   return EncodeMotif(pairs);
 }
 
-std::vector<CodePair> ParseCode(const MotifCode& code) {
-  TMOTIF_CHECK_MSG(IsValidCode(code), code.c_str());
-  std::vector<CodePair> pairs;
-  pairs.reserve(code.size() / 2);
-  for (std::size_t i = 0; i + 1 < code.size(); i += 2) {
-    pairs.emplace_back(code[i] - '0', code[i + 1] - '0');
-  }
-  return pairs;
-}
-
 bool IsValidCode(std::string_view code) {
   if (code.empty() || code.size() % 2 != 0) return false;
   for (char c : code) {
@@ -128,14 +118,6 @@ std::vector<MotifCode> EnumerateCodes(int num_events, int max_nodes) {
   EnumerateRec(num_events, max_nodes, /*num_seen=*/2, &prefix, &out);
   std::sort(out.begin(), out.end());
   return out;
-}
-
-bool IsAskReply(const MotifCode& code) {
-  if (!IsValidCode(code)) return false;
-  const std::size_t n = code.size();
-  if (n < 4) return false;
-  // Last event reverses the first event (0->1 answered by 1->0).
-  return code[n - 2] == code[1] && code[n - 1] == code[0];
 }
 
 }  // namespace tmotif

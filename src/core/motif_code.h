@@ -19,9 +19,6 @@ namespace tmotif {
 /// 0->1, 1->2, 0->2.
 using MotifCode = std::string;
 
-/// One event of a motif template: (source digit, target digit).
-using CodePair = std::pair<int, int>;
-
 /// Encodes a chronologically ordered sequence of (src, dst) node pairs as a
 /// canonical motif code. Node ids can be arbitrary; they are relabeled by
 /// first appearance. Requires a non-empty sequence of non-self-loop pairs.
@@ -32,10 +29,6 @@ MotifCode EncodeMotif(const std::vector<std::pair<NodeId, NodeId>>& events);
 class TemporalGraph;
 MotifCode EncodeInstance(const TemporalGraph& graph,
                          const EventIndex* event_indices, int size);
-
-/// Parses a motif code back into digit pairs; aborts on malformed codes.
-/// Use `IsValidCode` first for untrusted input.
-std::vector<CodePair> ParseCode(const MotifCode& code);
 
 /// True when `code` is a well-formed canonical motif code: even length,
 /// digits only, no self-loops, first pair "01", new nodes introduced in
@@ -54,11 +47,6 @@ int CodeNumNodes(const MotifCode& code);
 /// lexicographically. The paper's spectra: (3, 3) -> 36 codes,
 /// (4, 4) -> 696 codes.
 std::vector<MotifCode> EnumerateCodes(int num_events, int max_nodes);
-
-/// True when the last event of the code reverses the first (the paper's
-/// "ask-reply" shape that the consecutive-events restriction amplifies,
-/// Section 5.1.1). E.g. 010210, 011210, 012010, 012110.
-bool IsAskReply(const MotifCode& code);
 
 }  // namespace tmotif
 

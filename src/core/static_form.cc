@@ -60,24 +60,4 @@ StaticForm CanonicalStaticForm(
   return best;
 }
 
-StaticForm StaticFormOfCode(const MotifCode& code) {
-  const std::vector<CodePair> pairs = ParseCode(code);
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  edges.reserve(pairs.size());
-  for (const auto& [a, b] : pairs) edges.emplace_back(a, b);
-  return CanonicalStaticForm(edges);
-}
-
-int StaticFormNumNodes(const StaticForm& form) {
-  TMOTIF_CHECK(!form.empty() && form.size() % 2 == 0);
-  int max_digit = 0;
-  for (const char c : form) max_digit = std::max(max_digit, c - '0');
-  return max_digit + 1;
-}
-
-int StaticFormNumEdges(const StaticForm& form) {
-  TMOTIF_CHECK(form.size() % 2 == 0);
-  return static_cast<int>(form.size() / 2);
-}
-
 }  // namespace tmotif

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "core/motif_code.h"
 
 namespace tmotif {
 
@@ -25,15 +24,6 @@ using StaticForm = std::string;
 /// duplicates are collapsed). Node ids are arbitrary. At most 8 nodes.
 StaticForm CanonicalStaticForm(
     const std::vector<std::pair<NodeId, NodeId>>& edges);
-
-/// Static form of a temporal motif code.
-StaticForm StaticFormOfCode(const MotifCode& code);
-
-/// Number of distinct nodes of a static form.
-int StaticFormNumNodes(const StaticForm& form);
-
-/// Number of distinct directed edges of a static form.
-int StaticFormNumEdges(const StaticForm& form);
 
 }  // namespace tmotif
 

@@ -21,7 +21,6 @@ struct TimingConstraints {
   static TimingConstraints OnlyDeltaC(Timestamp delta_c);
   static TimingConstraints OnlyDeltaW(Timestamp delta_w);
   static TimingConstraints Both(Timestamp delta_c, Timestamp delta_w);
-  static TimingConstraints Unbounded() { return {}; }
 
   /// "dC=1500s, dW=3000s" style description.
   std::string ToString() const;

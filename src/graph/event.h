@@ -19,27 +19,25 @@ inline std::uint64_t NodePairKey(NodeId src, NodeId dst) {
 /// A temporal edge ("event"): a directed interaction from `src` to `dst`
 /// starting at `time`. Matches the paper's 4-tuple (u_i, v_i, t_i, dt_i);
 /// most models ignore `duration` (the paper's simplifying convention), the
-/// Hulovatyy model can honor it. `label` is an optional categorical edge
-/// label: it orders ties (`EventTimeLess`) and round-trips through the edge
-/// list's fifth column and through checkpoints; no model reads it.
+/// Hulovatyy model can honor it.
 struct Event {
   NodeId src = kInvalidNode;
   NodeId dst = kInvalidNode;
   Timestamp time = 0;
   Duration duration = 0;
-  Label label = kNoLabel;
 
   friend bool operator==(const Event& a, const Event& b) {
     return a.src == b.src && a.dst == b.dst && a.time == b.time &&
-           a.duration == b.duration && a.label == b.label;
+           a.duration == b.duration;
   }
 };
+static_assert(sizeof(Event) == 24, "an event is two ids and two int64s");
 
-/// Orders events chronologically; ties broken by (src, dst, duration, label)
-/// so sorting is deterministic.
+/// Orders events chronologically; ties broken by (src, dst, duration) so
+/// sorting is deterministic.
 inline bool EventTimeLess(const Event& a, const Event& b) {
-  return std::tie(a.time, a.src, a.dst, a.duration, a.label) <
-         std::tie(b.time, b.src, b.dst, b.duration, b.label);
+  return std::tie(a.time, a.src, a.dst, a.duration) <
+         std::tie(b.time, b.src, b.dst, b.duration);
 }
 
 /// The static projection of an event: the directed edge (src, dst).

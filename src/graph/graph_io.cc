@@ -11,11 +11,11 @@ namespace tmotif {
 namespace {
 
 /// Parses up to 5 whitespace-separated integer fields from the
-/// NUL-terminated `line`, whose NUL sits at `end`. Returns the number of
-/// fields parsed, or -1 with `*why` set on any malformed token
-/// (non-numeric, out of long-long range, trailing garbage after the fifth
-/// field) or on a NUL byte inside the line. A trailing '\r' (CRLF files)
-/// is tolerated.
+/// NUL-terminated `line`, whose NUL sits at `end` (the fifth, a legacy
+/// column, is parsed and ignored). Returns the number of fields parsed, or
+/// -1 with `*why` set on any malformed token (non-numeric, out of
+/// long-long range, trailing garbage after the fifth field) or on a NUL
+/// byte inside the line. A trailing '\r' (CRLF files) is tolerated.
 int ParseFields(const char* line, const char* end, long long out[5],
                 const char** why) {
   int count = 0;
@@ -114,17 +114,8 @@ std::optional<EdgeListResult> LoadEdgeList(const std::string& path,
       record_error("negative duration");
       return;
     }
-    if (n >= 5 && (fields[4] < static_cast<long long>(INT32_MIN) ||
-                   fields[4] > static_cast<long long>(INT32_MAX))) {
-      record_error("label exceeds the 32-bit label space");
-      return;
-    }
     if (fields[0] == fields[1]) {
-      if (options.skip_self_loops) {
-        ++result.num_skipped_self_loops;
-      } else {
-        record_error("self-loop event");
-      }
+      ++result.num_skipped_self_loops;
       return;
     }
     // Built in place from named scalars: GCC 12 at -O2/-O3 flags a named
@@ -134,10 +125,9 @@ std::optional<EdgeListResult> LoadEdgeList(const std::string& path,
     const NodeId dst = map_node(fields[1]);
     const Timestamp time = static_cast<Timestamp>(fields[2]);
     const Duration duration = n >= 4 ? static_cast<Duration>(fields[3]) : 0;
-    const Label label = n >= 5 ? static_cast<Label>(fields[4]) : kNoLabel;
-    builder.AddEvent(Event{src, dst, time, duration, label});
+    builder.AddEvent(Event{src, dst, time, duration});
     if (options.keep_arrival_order) {
-      result.arrival_events.push_back(Event{src, dst, time, duration, label});
+      result.arrival_events.push_back(Event{src, dst, time, duration});
     }
     ++result.num_events;
   };
@@ -186,9 +176,9 @@ bool SaveEdgeList(const TemporalGraph& graph, const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) return false;
   for (const Event& e : graph.events()) {
-    if (std::fprintf(file, "%d %d %lld %lld %d\n", e.src, e.dst,
+    if (std::fprintf(file, "%d %d %lld %lld\n", e.src, e.dst,
                      static_cast<long long>(e.time),
-                     static_cast<long long>(e.duration), e.label) < 0) {
+                     static_cast<long long>(e.duration)) < 0) {
       break;
     }
   }

@@ -10,11 +10,11 @@
 namespace tmotif {
 
 /// Options for reading whitespace-separated edge lists
-/// (`src dst time [duration [label]]` per line; `#` / `%` start comments).
+/// (`src dst time [duration]` per line, an optional fifth integer column
+/// ignored; `#` / `%` start comments). A self-loop (src == dst; raw
+/// datasets such as the stack exchange networks contain self-answers) is
+/// skipped and counted in `num_skipped_self_loops`.
 struct EdgeListOptions {
-  /// Drop events whose src == dst instead of failing (raw datasets such as
-  /// the stack exchange networks contain self-answers).
-  bool skip_self_loops = true;
   /// Remap arbitrary non-negative ids onto a dense [0, n) range.
   bool compact_node_ids = false;
   /// Also return the accepted events in file (arrival) order — the graph
@@ -59,7 +59,7 @@ std::optional<EdgeListResult> LoadEdgeList(const std::string& path,
                                            const EdgeListOptions& options = {},
                                            std::string* error = nullptr);
 
-/// Writes `graph` as "src dst time duration label" lines. Returns false
+/// Writes `graph` as "src dst time duration" lines. Returns false
 /// when the file cannot be opened or a write or the final flush fails.
 bool SaveEdgeList(const TemporalGraph& graph, const std::string& path);
 

@@ -1,7 +1,5 @@
 #include "graph/resolution.h"
 
-#include <cmath>
-
 #include "common/check.h"
 
 namespace tmotif {
@@ -29,18 +27,6 @@ TemporalGraph SliceTimeRange(const TemporalGraph& graph, Timestamp t_lo,
   builder.SetMinNumNodes(graph.num_nodes());
   for (const Event& e : graph.events()) {
     if (e.time >= t_lo && e.time <= t_hi) builder.AddEvent(e);
-  }
-  return builder.Build();
-}
-
-TemporalGraph SliceFirstFraction(const TemporalGraph& graph, double fraction) {
-  TMOTIF_CHECK(fraction >= 0.0 && fraction <= 1.0);
-  const auto keep = static_cast<std::size_t>(
-      std::llround(fraction * static_cast<double>(graph.num_events())));
-  TemporalGraphBuilder builder;
-  builder.SetMinNumNodes(graph.num_nodes());
-  for (std::size_t i = 0; i < keep && i < graph.events().size(); ++i) {
-    builder.AddEvent(graph.events()[i]);
   }
   return builder.Build();
 }

@@ -17,10 +17,6 @@ TemporalGraph DegradeResolution(const TemporalGraph& graph,
 TemporalGraph SliceTimeRange(const TemporalGraph& graph, Timestamp t_lo,
                              Timestamp t_hi);
 
-/// Keeps only the earliest `fraction` of events (the paper slices the
-/// earliest 10% of StackOverflow). `fraction` in [0, 1].
-TemporalGraph SliceFirstFraction(const TemporalGraph& graph, double fraction);
-
 }  // namespace tmotif
 
 #endif  // TMOTIF_GRAPH_RESOLUTION_H_

@@ -38,12 +38,6 @@ TemporalGraph::EdgeHandle TemporalGraph::FindEdge(NodeId src,
   return static_cast<EdgeHandle>(it - base);
 }
 
-EventIndexSpan TemporalGraph::edge_events(EdgeHandle edge) const {
-  const std::size_t s = static_cast<std::size_t>(edge);
-  const EventIndex* base = edge_occurrences_.data();
-  return EventIndexSpan(base + edge_offsets_[s], base + edge_offsets_[s + 1]);
-}
-
 EdgeOccurrenceRange TemporalGraph::edge_occurrences(EdgeHandle edge) const {
   const std::size_t s = static_cast<std::size_t>(edge);
   const EventIndex* idx = edge_occurrences_.data();
@@ -54,22 +48,18 @@ EdgeOccurrenceRange TemporalGraph::edge_occurrences(EdgeHandle edge) const {
                              t + edge_offsets_[s + 1]));
 }
 
-TimestampSpan TemporalGraph::edge_event_times(EdgeHandle edge) const {
-  const std::size_t s = static_cast<std::size_t>(edge);
-  const Timestamp* base = edge_occurrence_times_.data();
-  return TimestampSpan(base + edge_offsets_[s], base + edge_offsets_[s + 1]);
-}
-
 std::size_t TemporalGraph::EdgeLowerRank(EdgeHandle edge, Timestamp t) const {
-  const TimestampSpan times = edge_event_times(edge);
-  return static_cast<std::size_t>(
-      std::lower_bound(times.begin(), times.end(), t) - times.begin());
+  const std::size_t s = static_cast<std::size_t>(edge);
+  const Timestamp* begin = edge_occurrence_times_.data() + edge_offsets_[s];
+  const Timestamp* end = edge_occurrence_times_.data() + edge_offsets_[s + 1];
+  return static_cast<std::size_t>(std::lower_bound(begin, end, t) - begin);
 }
 
 std::size_t TemporalGraph::EdgeUpperRank(EdgeHandle edge, Timestamp t) const {
-  const TimestampSpan times = edge_event_times(edge);
-  return static_cast<std::size_t>(
-      std::upper_bound(times.begin(), times.end(), t) - times.begin());
+  const std::size_t s = static_cast<std::size_t>(edge);
+  const Timestamp* begin = edge_occurrence_times_.data() + edge_offsets_[s];
+  const Timestamp* end = edge_occurrence_times_.data() + edge_offsets_[s + 1];
+  return static_cast<std::size_t>(std::upper_bound(begin, end, t) - begin);
 }
 
 int TemporalGraph::CountEdgeEventsInTimeRange(EdgeHandle edge, Timestamp t_lo,
@@ -77,12 +67,6 @@ int TemporalGraph::CountEdgeEventsInTimeRange(EdgeHandle edge, Timestamp t_lo,
   if (t_hi < t_lo) return 0;
   return static_cast<int>(EdgeUpperRank(edge, t_hi) -
                           EdgeLowerRank(edge, t_lo));
-}
-
-EventIndexSpan TemporalGraph::edge_events(NodeId src, NodeId dst) const {
-  const EdgeHandle edge = FindEdge(src, dst);
-  if (edge == kNoEdgeHandle) return EventIndexSpan();
-  return edge_events(edge);
 }
 
 int TemporalGraph::CountIncidentInIndexRange(NodeId node, EventIndex lo,
@@ -116,23 +100,6 @@ int TemporalGraph::CountEdgeEventsInTimeRange(NodeId src, NodeId dst,
   return CountEdgeEventsInTimeRange(edge, t_lo, t_hi);
 }
 
-int TemporalGraph::CountEdgeEventsInIndexRange(NodeId src, NodeId dst,
-                                               EventIndex lo,
-                                               EventIndex hi) const {
-  if (hi <= lo) return 0;
-  const EventIndexSpan list = edge_events(src, dst);
-  const auto first = std::upper_bound(list.begin(), list.end(), lo);
-  const auto last = std::lower_bound(list.begin(), list.end(), hi);
-  return static_cast<int>(last - first);
-}
-
-EventIndex TemporalGraph::LowerBoundTime(Timestamp t) const {
-  const auto it = std::lower_bound(
-      events_.begin(), events_.end(), t,
-      [](const Event& e, Timestamp value) { return e.time < value; });
-  return static_cast<EventIndex>(it - events_.begin());
-}
-
 EventIndex TemporalGraph::UpperBoundTime(Timestamp t) const {
   const auto it = std::upper_bound(
       events_.begin(), events_.end(), t,
@@ -142,15 +109,8 @@ EventIndex TemporalGraph::UpperBoundTime(Timestamp t) const {
 
 TemporalGraphBuilder& TemporalGraphBuilder::AddEvent(NodeId src, NodeId dst,
                                                      Timestamp time,
-                                                     Duration duration,
-                                                     Label label) {
-  Event e;
-  e.src = src;
-  e.dst = dst;
-  e.time = time;
-  e.duration = duration;
-  e.label = label;
-  return AddEvent(e);
+                                                     Duration duration) {
+  return AddEvent(Event{src, dst, time, duration});
 }
 
 TemporalGraphBuilder& TemporalGraphBuilder::AddEvent(const Event& event) {

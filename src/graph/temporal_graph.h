@@ -10,32 +10,6 @@
 
 namespace tmotif {
 
-/// Lightweight non-owning view of a sorted run of event indices inside one
-/// of `TemporalGraph`'s flattened (CSR) index arrays. Iteration, random
-/// access, and binary searches all touch one contiguous cache-friendly
-/// array; the view stays valid for the lifetime of the graph it came from.
-class EventIndexSpan {
- public:
-  using value_type = EventIndex;
-  using const_iterator = const EventIndex*;
-
-  EventIndexSpan() = default;
-  EventIndexSpan(const EventIndex* begin, const EventIndex* end)
-      : begin_(begin), end_(end) {}
-
-  const EventIndex* begin() const { return begin_; }
-  const EventIndex* end() const { return end_; }
-  std::size_t size() const { return static_cast<std::size_t>(end_ - begin_); }
-  bool empty() const { return begin_ == end_; }
-  EventIndex operator[](std::size_t i) const { return begin_[i]; }
-  EventIndex front() const { return *begin_; }
-  EventIndex back() const { return *(end_ - 1); }
-
- private:
-  const EventIndex* begin_ = nullptr;
-  const EventIndex* end_ = nullptr;
-};
-
 /// One record of the per-node incident CSR payload: the event's index plus
 /// its hot fields (timestamp, NodePairKey-packed endpoints) inlined, so the
 /// enumeration core's candidate merge reads everything it needs from the
@@ -195,30 +169,6 @@ class EdgeOccurrenceRange {
   EdgeOccurrenceIterator end_;
 };
 
-/// Non-owning view of a sorted run of timestamps (the per-edge occurrence
-/// SoA mirror); same contract as `EventIndexSpan`.
-class TimestampSpan {
- public:
-  using value_type = Timestamp;
-  using const_iterator = const Timestamp*;
-
-  TimestampSpan() = default;
-  TimestampSpan(const Timestamp* begin, const Timestamp* end)
-      : begin_(begin), end_(end) {}
-
-  const Timestamp* begin() const { return begin_; }
-  const Timestamp* end() const { return end_; }
-  std::size_t size() const { return static_cast<std::size_t>(end_ - begin_); }
-  bool empty() const { return begin_ == end_; }
-  Timestamp operator[](std::size_t i) const { return begin_[i]; }
-  Timestamp front() const { return *begin_; }
-  Timestamp back() const { return *(end_ - 1); }
-
- private:
-  const Timestamp* begin_ = nullptr;
-  const Timestamp* end_ = nullptr;
-};
-
 /// Immutable temporal network G(V, E): a time-ordered list of events plus
 /// the indices the motif models need:
 ///   * per-node incident-event lists (ascending event index),
@@ -289,16 +239,10 @@ class TemporalGraph {
   /// Out-of-range node ids resolve to `kNoEdgeHandle`.
   EdgeHandle FindEdge(NodeId src, NodeId dst) const;
 
-  /// Indices of events on the resolved edge, ascending. `edge` must be a
-  /// valid handle.
-  EventIndexSpan edge_events(EdgeHandle edge) const;
   /// Occurrence run of the resolved edge with timestamps in lockstep — the
   /// scope-saturated enumeration path iterates these instead of incident
-  /// runs.
+  /// runs. `edge` must be a valid handle.
   EdgeOccurrenceRange edge_occurrences(EdgeHandle edge) const;
-  /// Timestamps of events on the resolved edge (SoA mirror of
-  /// `edge_events`), ascending.
-  TimestampSpan edge_event_times(EdgeHandle edge) const;
 
   /// Number of the resolved edge's occurrences with time < t (lower rank)
   /// or time <= t (upper rank). `CountEdgeEventsInTimeRange(e, a, b)` ==
@@ -332,10 +276,6 @@ class TemporalGraph {
            (rank + 1 < size && times[rank + 1] <= t_hi);
   }
 
-  /// Indices of events on the directed static edge (src, dst), ascending.
-  /// Returns an empty span when the edge never occurs.
-  EventIndexSpan edge_events(NodeId src, NodeId dst) const;
-
   /// True when the directed static edge (src, dst) occurs at least once.
   bool HasStaticEdge(NodeId src, NodeId dst) const {
     return FindEdge(src, dst) != kNoEdgeHandle;
@@ -355,19 +295,10 @@ class TemporalGraph {
   int CountEdgeEventsInTimeRange(NodeId src, NodeId dst, Timestamp t_lo,
                                  Timestamp t_hi) const;
 
-  /// Number of events on edge (src, dst) with event index strictly inside
-  /// (`lo`, `hi`). Tie-robust variant of the range count above.
-  int CountEdgeEventsInIndexRange(NodeId src, NodeId dst, EventIndex lo,
-                                  EventIndex hi) const;
-
   /// Earliest / latest timestamps (0 when empty).
   Timestamp min_time() const { return events_.empty() ? 0 : events_.front().time; }
   Timestamp max_time() const { return events_.empty() ? 0 : events_.back().time; }
 
-  /// First event index with time >= t (num_events() when none). Events are
-  /// time-ordered, so [LowerBoundTime(a), UpperBoundTime(b)) is the index
-  /// range of events with time in [a, b].
-  EventIndex LowerBoundTime(Timestamp t) const;
   /// First event index with time > t (num_events() when none).
   EventIndex UpperBoundTime(Timestamp t) const;
 
@@ -425,7 +356,7 @@ class TemporalGraphBuilder {
   /// callers ingesting raw data should drop self-loops first (the edge-list
   /// loader does this).
   TemporalGraphBuilder& AddEvent(NodeId src, NodeId dst, Timestamp time,
-                                 Duration duration = 0, Label label = kNoLabel);
+                                 Duration duration = 0);
   TemporalGraphBuilder& AddEvent(const Event& event);
 
   /// Forces the node-count lower bound (ids seen in events also count).

@@ -227,7 +227,6 @@ std::string EncodeCheckpoint(const StreamingMotifCounter& counter) {
     PutI32(&payload, e.dst);
     PutI64(&payload, e.time);
     PutI64(&payload, e.duration);
-    PutI32(&payload, e.label);
   }
   SerializeStats(state.stats, &payload);
   PutU32(&payload, static_cast<std::uint32_t>(state.counts.size()));
@@ -308,8 +307,8 @@ CheckpointResult DecodeCheckpoint(const std::string& bytes,
     return Fail(CheckpointStatus::kMalformed, "negative max duration");
   }
   const std::uint64_t num_events = r.U64();
-  if (!r.ok() || num_events > r.remaining() / 28) {
-    // 28 = serialized event size; the bound rejects absurd counts before
+  if (!r.ok() || num_events > r.remaining() / 24) {
+    // 24 = serialized event size; the bound rejects absurd counts before
     // any allocation.
     return Fail(CheckpointStatus::kMalformed, "event count exceeds payload");
   }
@@ -333,7 +332,6 @@ CheckpointResult DecodeCheckpoint(const std::string& bytes,
     e.dst = r.I32();
     e.time = r.I64();
     e.duration = r.I64();
-    e.label = r.I32();
     if (!r.ok()) {
       return Fail(CheckpointStatus::kMalformed, "payload ends mid-event");
     }

@@ -62,7 +62,7 @@ struct CheckpointResult {
 
 /// Current checkpoint format version (bumped on layout changes; decoders
 /// reject other versions with kBadVersion).
-inline constexpr std::uint32_t kCheckpointFormatVersion = 6;
+inline constexpr std::uint32_t kCheckpointFormatVersion = 7;
 
 /// FNV-1a fingerprint of the parts of `config` that define *what* is being
 /// counted: enumeration options, window policy, and lateness horizon.

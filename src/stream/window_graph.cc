@@ -104,35 +104,6 @@ bool WindowGraph::HasIncidentInIndexRange(NodeId node, EventIndex lo,
   return first != range.end() && *first < hi;
 }
 
-int WindowGraph::CountEdgeEventsInTimeRange(NodeId src, NodeId dst,
-                                            Timestamp t_lo,
-                                            Timestamp t_hi) const {
-  const EdgeHandle edge = FindEdge(src, dst);
-  if (edge == kNoEdgeHandle) return 0;
-  return CountEdgeEventsInTimeRange(edge, t_lo, t_hi);
-}
-
-int WindowGraph::CountEdgeEventsInIndexRange(NodeId src, NodeId dst,
-                                             EventIndex lo,
-                                             EventIndex hi) const {
-  if (hi <= lo) return 0;
-  const EdgeHandle edge = FindEdge(src, dst);
-  if (edge == kNoEdgeHandle) return 0;
-  // Ids are monotone and position = id - offset, so position bounds map to
-  // id bounds directly (negative bounds clamp to the list front: every
-  // position is >= 0).
-  const IdList& ids = edge->ids;
-  const auto first =
-      lo < 0 ? ids.begin()
-             : std::upper_bound(ids.begin(), ids.end(),
-                                offset_ + static_cast<std::uint64_t>(lo));
-  const auto last =
-      hi < 0 ? ids.begin()
-             : std::lower_bound(ids.begin(), ids.end(),
-                                offset_ + static_cast<std::uint64_t>(hi));
-  return static_cast<int>(last - first);
-}
-
 EventIndex WindowGraph::LowerBoundTime(Timestamp t) const {
   const auto it = std::lower_bound(
       events_.begin(), events_.end(), t,

@@ -332,20 +332,11 @@ class WindowGraph {
   bool HasAdjacentEdgeEventInRange(EventIndex c, Timestamp t_lo,
                                    Timestamp t_hi) const;
 
-  bool HasStaticEdge(NodeId src, NodeId dst) const {
-    return FindEdge(src, dst) != kNoEdgeHandle;
-  }
   /// Occurrence count of the directed static edge in the current window.
   std::size_t NumEdgeEvents(NodeId src, NodeId dst) const;
 
   bool HasIncidentInIndexRange(NodeId node, EventIndex lo,
                                EventIndex hi) const;
-  int CountEdgeEventsInTimeRange(NodeId src, NodeId dst, Timestamp t_lo,
-                                 Timestamp t_hi) const;
-  /// Occurrence count of edge (src, dst) with window position strictly
-  /// inside (lo, hi) — the index-range sibling, mirroring TemporalGraph.
-  int CountEdgeEventsInIndexRange(NodeId src, NodeId dst, EventIndex lo,
-                                  EventIndex hi) const;
 
   /// First window position with time >= t / > t (num_events() when none).
   EventIndex LowerBoundTime(Timestamp t) const;
@@ -402,7 +393,7 @@ class WindowGraph {
   std::vector<IdList> incident_;
   /// Per-source adjacency cells of the live static projection (grown on
   /// demand; cells are erased when their occurrence list drains so
-  /// HasStaticEdge stays exact). Cell order within a source is arbitrary.
+  /// FindEdge stays exact). Cell order within a source is arbitrary.
   std::vector<std::vector<EdgeCell>> adjacency_;
   std::deque<Event> events_;
   WindowPolicy policy_;

@@ -11,10 +11,9 @@ namespace testing {
 
 std::string RandomGraphSpec::ToString() const {
   char buf[112];
-  std::snprintf(buf, sizeof(buf), "n%d e%d t%lld dup%.2f d%lld l%d",
-                num_nodes, num_events, static_cast<long long>(max_time),
-                prob_duplicate_time, static_cast<long long>(max_duration),
-                num_labels);
+  std::snprintf(buf, sizeof(buf), "n%d e%d t%lld dup%.2f d%lld", num_nodes,
+                num_events, static_cast<long long>(max_time),
+                prob_duplicate_time, static_cast<long long>(max_duration));
   return buf;
 }
 
@@ -47,12 +46,7 @@ TemporalGraph RandomGraph(std::uint64_t seed, const RandomGraphSpec& spec) {
         spec.max_duration > 0
             ? static_cast<Duration>(rng.UniformInt(0, spec.max_duration))
             : 0;
-    const Label label =
-        spec.num_labels > 0
-            ? static_cast<Label>(rng.UniformU64(
-                  static_cast<std::uint64_t>(spec.num_labels)))
-            : kNoLabel;
-    builder.AddEvent(src, dst, time, duration, label);
+    builder.AddEvent(src, dst, time, duration);
   }
   return builder.Build();
 }

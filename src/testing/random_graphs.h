@@ -27,10 +27,8 @@ struct RandomGraphSpec {
   /// Durations are drawn uniformly from [0, max_duration] (0 = instant
   /// events, the convention of most models).
   Duration max_duration = 0;
-  /// When positive, events get labels uniform in [0, num_labels).
-  int num_labels = 0;
 
-  /// "n6 e16 t48 dup0.25 d0 l0" style description for failure messages.
+  /// "n6 e16 t48 dup0.25 d0" style description for failure messages.
   std::string ToString() const;
 };
 

@@ -185,7 +185,7 @@ TEST(AnalysisOracle, EventPairStatsMatchBruteForce) {
             ASSERT_EQ(stats.counts[static_cast<std::size_t>(t)],
                       expected_counts[static_cast<std::size_t>(t)])
                 << case_name << " seed=" << seed << " type="
-                << EventPairName(static_cast<EventPairType>(t));
+                << EventPairLetter(static_cast<EventPairType>(t));
           }
           if (!instances.empty()) ++nonzero_cases;
         });

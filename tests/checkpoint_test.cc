@@ -197,10 +197,8 @@ INSTANTIATE_TEST_SUITE_P(
 /// A fixed little stream every byte-level test below shares.
 std::vector<Event> FixtureEvents() {
   return {
-      {0, 1, 10, 0, kNoLabel}, {1, 2, 12, 0, kNoLabel},
-      {2, 0, 15, 0, kNoLabel}, {0, 2, 18, 0, kNoLabel},
-      {2, 1, 20, 0, kNoLabel}, {1, 0, 24, 0, kNoLabel},
-      {0, 1, 27, 0, kNoLabel}, {1, 2, 30, 0, kNoLabel},
+      {0, 1, 10, 0}, {1, 2, 12, 0}, {2, 0, 15, 0}, {0, 2, 18, 0},
+      {2, 1, 20, 0}, {1, 0, 24, 0}, {0, 1, 27, 0}, {1, 2, 30, 0},
   };
 }
 
@@ -330,7 +328,7 @@ TEST(Checkpoint, OperationalKnobsDoNotChangeTheFingerprint) {
 
 // --- Crafted CRC-valid fixtures: structural checks behind the checksum. ---
 
-// Byte layout of a version-6 file (docs/RESILIENCE.md): a 16-byte header
+// Byte layout of a version-7 file (docs/RESILIENCE.md): a 16-byte header
 // (magic, u32 version, u64 payload size), the payload, a u32 CRC trailer.
 constexpr std::size_t kHeaderBytes = 16;
 constexpr std::size_t kCrcBytes = 4;
@@ -380,10 +378,10 @@ void FixUpCrc(std::string* bytes) {
 }
 
 /// Offset of the u32 count-entry field: fingerprint, saw_any_event,
-/// max_time_seen, max_duration_seen, event count, 28-byte events, then the
+/// max_time_seen, max_duration_seen, event count, 24-byte events, then the
 /// stats block (u32 field count + 18 u64 fields).
 std::size_t CountsFieldOffset(std::size_t num_window_events) {
-  return kHeaderBytes + 8 + 1 + 8 + 8 + 8 + 28 * num_window_events + 4 +
+  return kHeaderBytes + 8 + 1 + 8 + 8 + 8 + 24 * num_window_events + 4 +
          8 * 18;
 }
 
@@ -524,9 +522,7 @@ TEST(Checkpoint, CraftedWindowOutsideThePolicyIsMalformed) {
       {"count-based", WindowPolicy::CountBased(8), WindowPolicy::CountBased(4),
        FixtureEvents()},
       {"time-based", WindowPolicy::TimeBased(200), WindowPolicy::TimeBased(20),
-       {{0, 1, 10, 0, kNoLabel},
-        {1, 2, 60, 0, kNoLabel},
-        {2, 0, 100, 0, kNoLabel}}},
+       {{0, 1, 10, 0}, {1, 2, 60, 0}, {2, 0, 100, 0}}},
   };
   for (const Crafted& c : kCrafted) {
     StreamConfig written = FixtureConfig();
@@ -567,13 +563,14 @@ TEST(Checkpoint, CraftedDurationBoundBelowAWindowEventIsMalformed) {
 }
 
 // Version-2 files (with the counted-only fields), version-3 files (with
-// string-keyed count entries), version-4 files (with 22 stat fields) and
+// string-keyed count entries), version-4 files (with 22 stat fields),
 // version-5 files (with the store's re-promotion state and 19 stat fields)
-// are rejected outright, not migrated.
+// and version-6 files (with 28-byte labelled events) are rejected
+// outright, not migrated.
 TEST(Checkpoint, VersionTwoFilesAreBadVersion) {
   StreamingMotifCounter counter(FixtureConfig());
   const std::string bytes = CraftableEncoding(&counter);
-  for (const std::uint32_t version : {2u, 3u, 4u, 5u}) {
+  for (const std::uint32_t version : {2u, 3u, 4u, 5u, 6u}) {
     std::string crafted = bytes;
     PutU32At(&crafted, 4, version);  // The version field follows the magic.
     FixUpCrc(&crafted);

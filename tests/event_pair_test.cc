@@ -4,6 +4,9 @@
 
 #include <map>
 #include <set>
+#include <string>
+
+#include "core/motif_code.h"
 
 namespace tmotif {
 namespace {
@@ -37,40 +40,36 @@ TEST(EventPairLetter, MatchesPaperAlphabet) {
   EXPECT_EQ(EventPairLetter(EventPairType::kWeaklyConnected), 'W');
 }
 
-TEST(IsRpioType, GroupsMatchTable5) {
-  EXPECT_TRUE(IsRpioType(EventPairType::kRepetition));
-  EXPECT_TRUE(IsRpioType(EventPairType::kPingPong));
-  EXPECT_TRUE(IsRpioType(EventPairType::kInBurst));
-  EXPECT_TRUE(IsRpioType(EventPairType::kOutBurst));
-  EXPECT_FALSE(IsRpioType(EventPairType::kConvey));
-  EXPECT_FALSE(IsRpioType(EventPairType::kWeaklyConnected));
+// The letters of a code's consecutive event pairs, '-' for a disjoint one
+// ("RO" for 010102).
+std::string PairLetters(const MotifCode& code) {
+  std::string out;
+  for (std::size_t i = 2; i + 1 < code.size(); i += 2) {
+    out.push_back(EventPairLetter(ClassifyEventPair(
+        code[i - 2] - '0', code[i - 1] - '0', code[i] - '0',
+        code[i + 1] - '0')));
+  }
+  return out;
 }
 
-TEST(PairSequenceForCode, PaperFigure2Examples) {
+TEST(PairLetters, PaperFigure2Examples) {
   // Figure 2 bottom: 3n3e motif as (repetition, out-burst) and a 4-event
   // motif as (repetition, convey, ping-pong).
-  EXPECT_EQ(PairSequenceString(PairSequenceForCode("010102")), "RO");
-  EXPECT_EQ(PairSequenceString(PairSequenceForCode("01011221")), "RCP");
-  EXPECT_EQ(PairSequenceString(PairSequenceForCode("010112")), "RC");
-  EXPECT_EQ(PairSequenceString(PairSequenceForCode("011202")), "CI");
+  EXPECT_EQ(PairLetters("010102"), "RO");
+  EXPECT_EQ(PairLetters("01011221"), "RCP");
+  EXPECT_EQ(PairLetters("010112"), "RC");
+  EXPECT_EQ(PairLetters("011202"), "CI");
 }
 
 // The paper: the 6-letter alphabet "can exactly represent all 2n3e or 3n3e
-// motifs (36 in total, 6^2)". The pair-sequence map restricted to <= 3-node
-// motifs is a bijection.
+// motifs (36 in total, 6^2)": the 36 codes spell 36 distinct sequences.
 TEST(PairSequence, BijectionOnThreeEventSpectrum) {
   std::set<std::string> sequences;
   for (const MotifCode& code : EnumerateCodes(3, 3)) {
-    const auto seq = PairSequenceForCode(code);
+    const std::string seq = PairLetters(code);
     ASSERT_EQ(seq.size(), 2u);
-    for (const EventPairType t : seq) {
-      EXPECT_NE(t, EventPairType::kDisjoint) << code;
-    }
-    sequences.insert(PairSequenceString(seq));
-    // Inverse map must return the same code.
-    const auto back = CodeForPairSequence(seq);
-    ASSERT_TRUE(back.has_value()) << code;
-    EXPECT_EQ(*back, code);
+    EXPECT_EQ(seq.find('-'), std::string::npos) << code;
+    sequences.insert(seq);
   }
   EXPECT_EQ(sequences.size(), 36u);  // 6^2 distinct sequences.
 }
@@ -82,11 +81,9 @@ TEST(PairSequence, BijectionOnFourEventThreeNodeSpectrum) {
   int count = 0;
   for (const MotifCode& code : EnumerateCodes(4, 3)) {
     ++count;
-    const auto seq = PairSequenceForCode(code);
-    sequences.insert(PairSequenceString(seq));
-    const auto back = CodeForPairSequence(seq);
-    ASSERT_TRUE(back.has_value()) << code;
-    EXPECT_EQ(*back, code);
+    const std::string seq = PairLetters(code);
+    EXPECT_EQ(seq.find('-'), std::string::npos) << code;
+    sequences.insert(seq);
   }
   EXPECT_EQ(count, 216);
   EXPECT_EQ(sequences.size(), 216u);
@@ -99,15 +96,11 @@ TEST(PairSequence, FourNodeMotifsAreBroadDescriptions) {
   int with_disjoint = 0;
   for (const MotifCode& code : EnumerateCodes(4, 4)) {
     if (CodeNumNodes(code) != 4) continue;
-    const auto seq = PairSequenceForCode(code);
-    bool disjoint = false;
-    for (const EventPairType t : seq) {
-      if (t == EventPairType::kDisjoint) disjoint = true;
-    }
-    if (disjoint) {
+    const std::string seq = PairLetters(code);
+    if (seq.find('-') != std::string::npos) {
       ++with_disjoint;
     } else {
-      ++by_sequence[PairSequenceString(seq)];
+      ++by_sequence[seq];
     }
   }
   // Some sequences describe multiple 4n4e motifs (broad, not exact).
@@ -119,22 +112,6 @@ TEST(PairSequence, FourNodeMotifsAreBroadDescriptions) {
   // And some 4n4e motifs escape the alphabet entirely (e.g. 01021323's
   // middle pair 02/13 shares no node).
   EXPECT_GT(with_disjoint, 0);
-}
-
-TEST(CodeForPairSequence, RejectsDisjoint) {
-  EXPECT_FALSE(CodeForPairSequence({EventPairType::kDisjoint}).has_value());
-}
-
-TEST(CodeForPairSequence, KnownSequences) {
-  EXPECT_EQ(CodeForPairSequence({EventPairType::kRepetition,
-                                 EventPairType::kRepetition}),
-            MotifCode("010101"));
-  EXPECT_EQ(CodeForPairSequence({EventPairType::kOutBurst,
-                                 EventPairType::kOutBurst}),
-            MotifCode("010201"));
-  EXPECT_EQ(CodeForPairSequence({EventPairType::kConvey,
-                                 EventPairType::kConvey}),
-            MotifCode("011220"));
 }
 
 }  // namespace

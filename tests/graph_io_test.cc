@@ -31,14 +31,35 @@ TEST(LoadEdgeList, ParsesBasicTriples) {
   std::remove(path.c_str());
 }
 
-TEST(LoadEdgeList, ParsesDurationAndLabel) {
-  const std::string path = TempPath("full.txt");
-  WriteFile(path, "0 1 10 5 2\n");
+TEST(LoadEdgeList, ParsesDuration) {
+  const std::string path = TempPath("duration.txt");
+  WriteFile(path, "0 1 10 5\n");
   const auto result = LoadEdgeList(path);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->graph.event(0).duration, 5);
-  EXPECT_EQ(result->graph.event(0).label, 2);
   std::remove(path.c_str());
+}
+
+TEST(LoadEdgeList, FifthColumnIsParsedAndIgnored) {
+  // A five-column line loads the same event as its four-column prefix,
+  // whatever integer the fifth column holds; a non-numeric fifth token
+  // still rejects its line.
+  const std::string five = TempPath("five.txt");
+  const std::string four = TempPath("four.txt");
+  WriteFile(five, "0 1 10 5 2\n1 2 20 0 -9\n2 0 30 1 4000000000\n"
+                  "0 2 40 0 x\n");
+  WriteFile(four, "0 1 10 5\n1 2 20 0\n2 0 30 1\n");
+  const auto with_fifth = LoadEdgeList(five);
+  const auto prefix = LoadEdgeList(four);
+  ASSERT_TRUE(with_fifth.has_value());
+  ASSERT_TRUE(prefix.has_value());
+  EXPECT_EQ(with_fifth->graph.events(), prefix->graph.events());
+  EXPECT_EQ(with_fifth->num_events, 3u);
+  ASSERT_EQ(with_fifth->errors.size(), 1u);
+  EXPECT_EQ(with_fifth->errors[0].line, 4u);
+  EXPECT_EQ(with_fifth->errors[0].message, "non-numeric field");
+  std::remove(five.c_str());
+  std::remove(four.c_str());
 }
 
 TEST(LoadEdgeList, SkipsCommentsAndBlankLines) {
@@ -51,7 +72,7 @@ TEST(LoadEdgeList, SkipsCommentsAndBlankLines) {
   std::remove(path.c_str());
 }
 
-TEST(LoadEdgeList, SkipsSelfLoopsByDefault) {
+TEST(LoadEdgeList, SkipsAndCountsSelfLoops) {
   const std::string path = TempPath("selfloop.txt");
   WriteFile(path, "3 3 10\n0 1 20\n");
   const auto result = LoadEdgeList(path);
@@ -161,20 +182,6 @@ TEST(LoadEdgeList, ReportsStructuredErrorsWithPhysicalLineNumbers) {
   std::remove(path.c_str());
 }
 
-TEST(LoadEdgeList, SelfLoopIsAnErrorWhenNotSkipping) {
-  const std::string path = TempPath("selfloop_err.txt");
-  WriteFile(path, "3 3 10\n0 1 20\n");
-  EdgeListOptions options;
-  options.skip_self_loops = false;
-  const auto result = LoadEdgeList(path, options);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(result->num_events, 1u);
-  ASSERT_EQ(result->errors.size(), 1u);
-  EXPECT_EQ(result->errors[0].line, 1u);
-  EXPECT_NE(result->errors[0].message.find("self-loop"), std::string::npos);
-  std::remove(path.c_str());
-}
-
 TEST(LoadEdgeList, RejectsRawNodeIdsBeyondInt32WithoutCompaction) {
   const std::string path = TempPath("wide_ids.txt");
   // INT32_MAX itself is out: the dense node count max id + 1 would
@@ -242,18 +249,23 @@ TEST(LoadEdgeList, LinesLongerThanAReadBlock) {
 }
 
 TEST(SaveEdgeList, RoundTripsThroughLoad) {
+  // Durations, a timestamp tie, negative time and a node with no events
+  // below the largest id: the loaded graph holds the same events.
   TemporalGraphBuilder builder;
-  builder.AddEvent(0, 1, 10, 3, 7).AddEvent(1, 2, 20);
+  builder.AddEvent(0, 1, 10, 3)
+      .AddEvent(1, 2, 20)
+      .AddEvent(2, 0, 20, 7)
+      .AddEvent(4, 1, -5, 0)
+      .AddEvent(1, 0, 10, 1);
   const TemporalGraph g = builder.Build();
 
   const std::string path = TempPath("save.txt");
   ASSERT_TRUE(SaveEdgeList(g, path));
   const auto result = LoadEdgeList(path);
   ASSERT_TRUE(result.has_value());
-  ASSERT_EQ(result->graph.num_events(), 2);
-  EXPECT_EQ(result->graph.event(0).duration, 3);
-  EXPECT_EQ(result->graph.event(0).label, 7);
-  EXPECT_EQ(result->graph.event(1).dst, 2);
+  EXPECT_EQ(result->num_bad_lines, 0u);
+  EXPECT_EQ(result->graph.events(), g.events());
+  EXPECT_EQ(result->graph.num_nodes(), g.num_nodes());
   std::remove(path.c_str());
 }
 

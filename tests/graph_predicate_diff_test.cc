@@ -1,9 +1,9 @@
 // Differential tests of the two predicate-path implementations: the
 // immutable TemporalGraph (per-node neighbor CSR + per-slot occurrence
 // arrays) and the incrementally maintained WindowGraph (per-source edge
-// cells with id/timestamp deques) must answer HasStaticEdge,
-// CountEdgeEventsInTimeRange, CountEdgeEventsInIndexRange, and the
-// rank/occurrence surface identically on every window state. The window is
+// cells with id/timestamp deques) must answer every accessor both keep
+// (events, incident runs, edge lookup, occurrence runs, ranks and range
+// counts) identically on every window state. The window is
 // slid over the oracle-grid graphs exactly like the streaming counter does
 // (PlanIngest, then the one Apply), so the incremental maintenance is
 // cross-checked against a from-scratch build at every batch. On top of the
@@ -50,78 +50,115 @@ RandomGraphSpec DenseSpec() {
   return spec;
 }
 
-/// Compares every predicate on every node pair (including one out-of-range
-/// id on each side) between the live window indices and a from-scratch
-/// TemporalGraph of the same events.
+/// Draws a timestamp uniformly from [lo, hi].
+Timestamp DrawTime(Rng* rng, Timestamp lo, Timestamp hi) {
+  return lo + static_cast<Timestamp>(
+                  rng->UniformU64(static_cast<std::uint64_t>(hi - lo + 1)));
+}
+
+/// Compares every accessor both graph types keep (the engines' graph
+/// concept, core/enumerate_core.h) between the live window indices and a
+/// from-scratch TemporalGraph of the same events: per event, per node, per
+/// node pair (including ids past the range on each side) and per time.
 void ExpectPredicatesAgree(const WindowGraph& live, const TemporalGraph& ref,
                            Rng* rng, const std::string& label) {
   ASSERT_EQ(live.num_events(), ref.num_events()) << label;
-  const NodeId max_id = ref.num_nodes() + 1;  // Probe past the range too.
+  const EventIndex n = ref.num_events();
   const Timestamp t_min = ref.min_time() - 2;
   const Timestamp t_max = ref.max_time() + 2;
-  for (NodeId u = 0; u <= max_id; ++u) {
-    for (NodeId v = 0; v <= max_id; ++v) {
+  for (EventIndex c = 0; c < n; ++c) {
+    ASSERT_EQ(live.event(c), ref.event(c)) << label << " event " << c;
+    ASSERT_EQ(live.event_time(c), ref.event_time(c)) << label;
+    ASSERT_EQ(live.event_src(c), ref.event_src(c)) << label;
+    ASSERT_EQ(live.event_dst(c), ref.event_dst(c)) << label;
+    // Ranges around c's own timestamp, as the CDG check asks.
+    for (int probe = 0; probe < 3; ++probe) {
+      const Timestamp t = ref.event_time(c);
+      const Timestamp lo = DrawTime(rng, t_min, t);
+      const Timestamp hi = DrawTime(rng, t, t_max);
+      ASSERT_EQ(live.HasAdjacentEdgeEventInRange(c, lo, hi),
+                ref.HasAdjacentEdgeEventInRange(c, lo, hi))
+          << label << " HasAdjacentEdgeEventInRange(" << c << "," << lo
+          << "," << hi << ")";
+    }
+  }
+  for (Timestamp t = t_min; t <= t_max; ++t) {
+    ASSERT_EQ(live.UpperBoundTime(t), ref.UpperBoundTime(t))
+        << label << " UpperBoundTime(" << t << ")";
+  }
+  // TemporalGraph's node queries take only ids below num_nodes().
+  for (NodeId u = 0; u < ref.num_nodes(); ++u) {
+    std::vector<EventIndex> live_run;
+    for (auto it = live.incident(u).begin(); it != live.incident(u).end();
+         ++it) {
+      live_run.push_back(*it);
+      ASSERT_EQ(it.time(), live.event_time(*it)) << label;
+      ASSERT_EQ(it.src(), live.event_src(*it)) << label;
+      ASSERT_EQ(it.dst(), live.event_dst(*it)) << label;
+    }
+    const std::vector<EventIndex> ref_run(ref.incident(u).begin(),
+                                          ref.incident(u).end());
+    ASSERT_EQ(live_run, ref_run) << label << " incident(" << u << ")";
+    for (EventIndex after = -1; after <= n; ++after) {
+      ASSERT_EQ(live.IncidentUpperBound(u, after) - live.incident(u).begin(),
+                ref.IncidentUpperBound(u, after) - ref.incident(u).begin())
+          << label << " IncidentUpperBound(" << u << "," << after << ")";
+    }
+    for (int probe = 0; probe < 4; ++probe) {
+      const auto lo = static_cast<EventIndex>(
+          rng->UniformU64(static_cast<std::uint64_t>(n + 2))) - 1;
+      const auto hi = static_cast<EventIndex>(
+          rng->UniformU64(static_cast<std::uint64_t>(n + 2))) - 1;
+      ASSERT_EQ(live.HasIncidentInIndexRange(u, lo, hi),
+                ref.HasIncidentInIndexRange(u, lo, hi))
+          << label << " HasIncidentInIndexRange(" << u << "," << lo << ","
+          << hi << ")";
+    }
+  }
+  const NodeId max_id = ref.num_nodes() + 1;  // Probe past the range too.
+  for (NodeId u = -1; u <= max_id; ++u) {
+    for (NodeId v = -1; v <= max_id; ++v) {
       if (u == v) continue;
-      ASSERT_EQ(live.HasStaticEdge(u, v), ref.HasStaticEdge(u, v))
-          << label << " HasStaticEdge(" << u << "," << v << ")";
-      ASSERT_EQ(live.NumEdgeEvents(u, v), ref.edge_events(u, v).size())
-          << label << " NumEdgeEvents(" << u << "," << v << ")";
-
-      // Random and boundary time ranges (inclusive semantics, empty and
-      // inverted ranges included).
-      for (int probe = 0; probe < 4; ++probe) {
-        const Timestamp a =
-            t_min + static_cast<Timestamp>(
-                        rng->UniformU64(static_cast<std::uint64_t>(
-                            t_max - t_min + 1)));
-        const Timestamp b =
-            t_min + static_cast<Timestamp>(
-                        rng->UniformU64(static_cast<std::uint64_t>(
-                            t_max - t_min + 1)));
-        ASSERT_EQ(live.CountEdgeEventsInTimeRange(u, v, a, b),
-                  ref.CountEdgeEventsInTimeRange(u, v, a, b))
-            << label << " CountEdgeEventsInTimeRange(" << u << "," << v
-            << "," << a << "," << b << ")";
-      }
-      ASSERT_EQ(live.CountEdgeEventsInTimeRange(u, v, t_min, t_max),
-                ref.CountEdgeEventsInTimeRange(u, v, t_min, t_max))
-          << label;
-
-      // Index ranges, including negative and past-the-end bounds.
-      const EventIndex n = ref.num_events();
-      const std::pair<EventIndex, EventIndex> index_ranges[] = {
-          {-1, static_cast<EventIndex>(n + 1)},
-          {0, n},
-          {static_cast<EventIndex>(
-               rng->UniformU64(static_cast<std::uint64_t>(n + 1))),
-           static_cast<EventIndex>(
-               rng->UniformU64(static_cast<std::uint64_t>(n + 1)))},
-          {1, 1}};
-      for (const auto& [lo, hi] : index_ranges) {
-        ASSERT_EQ(live.CountEdgeEventsInIndexRange(u, v, lo, hi),
-                  ref.CountEdgeEventsInIndexRange(u, v, lo, hi))
-            << label << " CountEdgeEventsInIndexRange(" << u << "," << v
-            << "," << lo << "," << hi << ")";
-      }
-
-      // Rank surface behind a resolved handle.
       const auto live_edge = live.FindEdge(u, v);
       const auto ref_edge = ref.FindEdge(u, v);
       ASSERT_EQ(live_edge != WindowGraph::kNoEdgeHandle,
                 ref_edge != TemporalGraph::kNoEdgeHandle)
           << label << " FindEdge(" << u << "," << v << ")";
-      if (live_edge != WindowGraph::kNoEdgeHandle) {
-        for (const Timestamp t : {t_min, t_max, ref.min_time(),
-                                  ref.max_time()}) {
-          ASSERT_EQ(live.EdgeLowerRank(live_edge, t),
-                    ref.EdgeLowerRank(ref_edge, t))
-              << label << " EdgeLowerRank(" << u << "," << v << "," << t
-              << ")";
-          ASSERT_EQ(live.EdgeUpperRank(live_edge, t),
-                    ref.EdgeUpperRank(ref_edge, t))
-              << label << " EdgeUpperRank(" << u << "," << v << "," << t
-              << ")";
-        }
+      if (live_edge == WindowGraph::kNoEdgeHandle) continue;
+
+      // The occurrence run: positions with timestamps in lockstep.
+      std::vector<std::pair<EventIndex, Timestamp>> live_run, ref_run;
+      for (auto it = live.edge_occurrences(live_edge).begin();
+           it != live.edge_occurrences(live_edge).end(); ++it) {
+        live_run.emplace_back(*it, it.time());
+      }
+      for (auto it = ref.edge_occurrences(ref_edge).begin();
+           it != ref.edge_occurrences(ref_edge).end(); ++it) {
+        ref_run.emplace_back(*it, it.time());
+      }
+      ASSERT_EQ(live_run, ref_run)
+          << label << " edge_occurrences(" << u << "," << v << ")";
+
+      for (const Timestamp t : {t_min, t_max, ref.min_time(),
+                                ref.max_time()}) {
+        ASSERT_EQ(live.EdgeLowerRank(live_edge, t),
+                  ref.EdgeLowerRank(ref_edge, t))
+            << label << " EdgeLowerRank(" << u << "," << v << "," << t
+            << ")";
+        ASSERT_EQ(live.EdgeUpperRank(live_edge, t),
+                  ref.EdgeUpperRank(ref_edge, t))
+            << label << " EdgeUpperRank(" << u << "," << v << "," << t
+            << ")";
+      }
+      // Random and boundary time ranges (inclusive semantics, empty and
+      // inverted ranges included).
+      for (int probe = 0; probe < 5; ++probe) {
+        const Timestamp a = probe == 0 ? t_min : DrawTime(rng, t_min, t_max);
+        const Timestamp b = probe == 0 ? t_max : DrawTime(rng, t_min, t_max);
+        ASSERT_EQ(live.CountEdgeEventsInTimeRange(live_edge, a, b),
+                  ref.CountEdgeEventsInTimeRange(ref_edge, a, b))
+            << label << " CountEdgeEventsInTimeRange(" << u << "," << v
+            << "," << a << "," << b << ")";
       }
     }
   }

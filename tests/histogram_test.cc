@@ -42,23 +42,6 @@ TEST(Histogram, BinGeometry) {
   EXPECT_DOUBLE_EQ(h.bin_center(9), 95.0);
 }
 
-TEST(Histogram, NormalizedSumsToOne) {
-  Histogram h(0.0, 10.0, 4);
-  h.Add(1.0);
-  h.Add(1.0);
-  h.Add(9.0);
-  const auto norm = h.Normalized();
-  double total = 0;
-  for (double x : norm) total += x;
-  EXPECT_DOUBLE_EQ(total, 1.0);
-  EXPECT_DOUBLE_EQ(norm[0], 2.0 / 3.0);
-}
-
-TEST(Histogram, NormalizedOfEmptyIsZero) {
-  Histogram h(0.0, 1.0, 3);
-  for (double x : h.Normalized()) EXPECT_DOUBLE_EQ(x, 0.0);
-}
-
 TEST(Histogram, MassCentroidDetectsSkew) {
   // Skew towards the low end -> centroid < 0.5 (the paper's Figure 4
   // "skewed to the first event" reading).

@@ -63,11 +63,12 @@ TEST(IsValidCode, RejectsEventDisconnectedFromPrefix) {
   EXPECT_FALSE(IsValidCode("010234"));
 }
 
-TEST(ParseCode, RoundTripsThroughEncode) {
+TEST(EncodeMotif, ReencodesEveryCanonicalCode) {
   for (const MotifCode& code : EnumerateCodes(3, 3)) {
-    const std::vector<CodePair> pairs = ParseCode(code);
     std::vector<std::pair<NodeId, NodeId>> events;
-    for (const auto& [a, b] : pairs) events.emplace_back(a, b);
+    for (std::size_t i = 0; i + 1 < code.size(); i += 2) {
+      events.emplace_back(code[i] - '0', code[i + 1] - '0');
+    }
     EXPECT_EQ(EncodeMotif(events), code);
   }
 }
@@ -137,17 +138,6 @@ TEST(EnumerateCodes, MaxNodesCapRestrictsSpectrum) {
   // With only 2 nodes allowed, each extra event has 2 choices (01 or 10).
   EXPECT_EQ(EnumerateCodes(3, 2).size(), 4u);
   EXPECT_EQ(EnumerateCodes(4, 2).size(), 8u);
-}
-
-TEST(IsAskReply, PaperFocalMotifs) {
-  // Table 3: the four motifs amplified by the consecutive restriction all
-  // follow the ask-reply pattern (last event replies the first).
-  for (const char* code : {"010210", "011210", "012010", "012110"}) {
-    EXPECT_TRUE(IsAskReply(code)) << code;
-  }
-  EXPECT_FALSE(IsAskReply("010102"));
-  EXPECT_FALSE(IsAskReply("011202"));
-  EXPECT_FALSE(IsAskReply("01"));
 }
 
 }  // namespace

@@ -132,7 +132,7 @@ TEST(NullModelOracle, SignificanceMatchesIndependentEnsemble) {
   for (const ReferenceModel model :
        {ReferenceModel::kTimeShuffle, ReferenceModel::kGapShuffle,
         ReferenceModel::kLinkShuffle, ReferenceModel::kUniformTimes}) {
-    SCOPED_TRACE(ReferenceModelName(model));
+    SCOPED_TRACE(static_cast<int>(model));
     SignificanceConfig config;
     config.reference = model;
     config.num_samples = 6;

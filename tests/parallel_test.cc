@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "core/counter.h"
+#include "core/enumerate_core.h"
 #include "core/models/model_info.h"
 #include "gen/generator.h"
 #include "gen/presets.h"
@@ -249,6 +250,8 @@ TEST(ParallelDispatch, ThreadedGenericConfigDispatchesGenericOnce) {
   EXPECT_GT(threaded.total(), 0u);
 }
 
+// Event-range threads rely on this: the DFS over two disjoint first-event
+// ranges emits every instance exactly once between them.
 TEST(RangeEnumeration, DisjointRangesPartitionInstances) {
   const TemporalGraph g = TestGraph(21);
   EnumerationOptions o;
@@ -259,10 +262,13 @@ TEST(RangeEnumeration, DisjointRangesPartitionInstances) {
   const EventIndex mid = g.num_events() / 2;
   std::uint64_t left = 0;
   std::uint64_t right = 0;
-  EnumerateInstancesInRange(g, o, 0, mid,
-                            [&](const MotifInstance&) { ++left; });
-  EnumerateInstancesInRange(g, o, mid, g.num_events(),
-                            [&](const MotifInstance&) { ++right; });
+  auto left_sink = internal::MakeFnSink(
+      [&](const EventIndex*, int, std::uint64_t) { ++left; });
+  auto right_sink = internal::MakeFnSink(
+      [&](const EventIndex*, int, std::uint64_t) { ++right; });
+  EXPECT_EQ(internal::EnumerateCore(g, o, 0, mid, left_sink), left);
+  EXPECT_EQ(internal::EnumerateCore(g, o, mid, g.num_events(), right_sink),
+            right);
   EXPECT_EQ(left + right, whole);
   EXPECT_GT(left, 0u);
   EXPECT_GT(right, 0u);

@@ -108,22 +108,6 @@ TEST(Rng, LogNormalMedian) {
   EXPECT_NEAR(values[10000], 30.0, 2.0);
 }
 
-TEST(Rng, PoissonMean) {
-  Rng rng(29);
-  const int n = 20000;
-  std::int64_t total = 0;
-  for (int i = 0; i < n; ++i) total += rng.Poisson(7.5);
-  EXPECT_NEAR(static_cast<double>(total) / n, 7.5, 0.15);
-}
-
-TEST(Rng, PoissonLargeMeanUsesApproximation) {
-  Rng rng(31);
-  const int n = 5000;
-  std::int64_t total = 0;
-  for (int i = 0; i < n; ++i) total += rng.Poisson(200.0);
-  EXPECT_NEAR(static_cast<double>(total) / n, 200.0, 2.0);
-}
-
 TEST(Rng, ShufflePreservesMultiset) {
   Rng rng(37);
   std::vector<int> values(50);

@@ -58,23 +58,5 @@ TEST(RankChanges, NoChangeIsZero) {
   EXPECT_EQ(changes.at("0110"), 0);
 }
 
-TEST(ProportionChanges, PercentagePoints) {
-  MotifCounts before;
-  before.Add("0101", 50);
-  before.Add("0110", 50);
-  MotifCounts after;
-  after.Add("0101", 75);
-  after.Add("0110", 25);
-  const auto changes = ProportionChanges(before, after, {"0101", "0110"});
-  EXPECT_DOUBLE_EQ(changes.at("0101"), 25.0);
-  EXPECT_DOUBLE_EQ(changes.at("0110"), -25.0);
-}
-
-TEST(ProportionChanges, EmptyTablesYieldZero) {
-  MotifCounts empty;
-  const auto changes = ProportionChanges(empty, empty, {"0101"});
-  EXPECT_DOUBLE_EQ(changes.at("0101"), 0.0);
-}
-
 }  // namespace
 }  // namespace tmotif

@@ -53,14 +53,6 @@ TEST(RenderPairSequenceHeatMap, ContainsCountsAndShades) {
   EXPECT_NE(out.find('.'), std::string::npos);  // Zero cells.
 }
 
-TEST(RenderHistogram, CaptionPlusBars) {
-  Histogram h(0.0, 10.0, 2);
-  h.Add(1.0);
-  const std::string out = RenderHistogram("my caption", h);
-  EXPECT_EQ(out.rfind("my caption", 0), 0u);  // Starts with the caption.
-  EXPECT_NE(out.find('#'), std::string::npos);
-}
-
 TEST(BenchOutputPath, CreatesDirectoryAndJoins) {
   const std::string dir = std::string(::testing::TempDir()) + "/bo_test";
   const std::string path = BenchOutputPath(dir, "x.csv");

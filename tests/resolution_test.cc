@@ -64,20 +64,5 @@ TEST(SliceTimeRange, EmptyResultIsValid) {
   EXPECT_EQ(sliced.num_events(), 0);
 }
 
-TEST(SliceFirstFraction, KeepsEarliestEvents) {
-  TemporalGraphBuilder builder;
-  for (int i = 0; i < 10; ++i) builder.AddEvent(0, 1, i);
-  const TemporalGraph g = builder.Build();
-  const TemporalGraph sliced = SliceFirstFraction(g, 0.3);
-  ASSERT_EQ(sliced.num_events(), 3);
-  EXPECT_EQ(sliced.event(2).time, 2);
-}
-
-TEST(SliceFirstFraction, ZeroAndOne) {
-  const TemporalGraph g = GraphFromEvents({{0, 1, 1}, {1, 2, 2}});
-  EXPECT_EQ(SliceFirstFraction(g, 0.0).num_events(), 0);
-  EXPECT_EQ(SliceFirstFraction(g, 1.0).num_events(), 2);
-}
-
 }  // namespace
 }  // namespace tmotif

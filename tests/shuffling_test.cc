@@ -49,8 +49,8 @@ TEST(ShuffleTimestamps, DestroysTemporalOrderButNotStructure) {
   const TemporalGraph shuffled = ShuffleTimestamps(g, &rng);
   // Per-edge event counts identical.
   for (const Event& e : g.events()) {
-    EXPECT_EQ(shuffled.edge_events(e.src, e.dst).size(),
-              g.edge_events(e.src, e.dst).size());
+    EXPECT_EQ(shuffled.edge_occurrences(shuffled.FindEdge(e.src, e.dst)).size(),
+              g.edge_occurrences(g.FindEdge(e.src, e.dst)).size());
   }
   // But the (src,dst,time) joint distribution changed for most events.
   int moved = 0;

@@ -94,16 +94,5 @@ TEST(Significance, DegenerateEnsembleGivesZeroZScore) {
   }
 }
 
-TEST(Significance, ReferenceModelNames) {
-  EXPECT_STREQ(ReferenceModelName(ReferenceModel::kTimeShuffle),
-               "time-shuffle");
-  EXPECT_STREQ(ReferenceModelName(ReferenceModel::kGapShuffle),
-               "gap-shuffle");
-  EXPECT_STREQ(ReferenceModelName(ReferenceModel::kLinkShuffle),
-               "link-shuffle");
-  EXPECT_STREQ(ReferenceModelName(ReferenceModel::kUniformTimes),
-               "uniform-times");
-}
-
 }  // namespace
 }  // namespace tmotif

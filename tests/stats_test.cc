@@ -101,21 +101,5 @@ TEST(HistogramQuantile, SingleObservationReturnedForAnyQ) {
   EXPECT_DOUBLE_EQ(HistogramQuantile(counts, edges, 1.0), 4.0);
 }
 
-TEST(Summarize, AllFields) {
-  const Summary s = Summarize({1.0, 2.0, 3.0, 4.0});
-  EXPECT_EQ(s.count, 4u);
-  EXPECT_DOUBLE_EQ(s.mean, 2.5);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 4.0);
-  EXPECT_DOUBLE_EQ(s.median, 2.5);
-  EXPECT_DOUBLE_EQ(s.variance, 1.25);
-}
-
-TEST(Summarize, Empty) {
-  const Summary s = Summarize({});
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_DOUBLE_EQ(s.mean, 0.0);
-}
-
 }  // namespace
 }  // namespace tmotif

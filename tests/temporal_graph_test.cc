@@ -74,11 +74,13 @@ TEST(TemporalGraph, IncidentListsAreAscendingAndComplete) {
   EXPECT_EQ(ToVector(g.incident(2)), (std::vector<EventIndex>{1, 2, 3}));
 }
 
-TEST(TemporalGraph, EdgeEventsAreDirected) {
+TEST(TemporalGraph, EdgeOccurrencesAreDirected) {
   const TemporalGraph g = GraphFromEvents({{0, 1, 1}, {1, 0, 2}, {0, 1, 3}});
-  EXPECT_EQ(ToVector(g.edge_events(0, 1)), (std::vector<EventIndex>{0, 2}));
-  EXPECT_EQ(ToVector(g.edge_events(1, 0)), (std::vector<EventIndex>{1}));
-  EXPECT_TRUE(g.edge_events(1, 2).empty());
+  EXPECT_EQ(ToVector(g.edge_occurrences(g.FindEdge(0, 1))),
+            (std::vector<EventIndex>{0, 2}));
+  EXPECT_EQ(ToVector(g.edge_occurrences(g.FindEdge(1, 0))),
+            (std::vector<EventIndex>{1}));
+  EXPECT_EQ(g.FindEdge(1, 2), TemporalGraph::kNoEdgeHandle);
 }
 
 TEST(TemporalGraph, HasStaticEdgeIsDirected) {
@@ -105,12 +107,11 @@ TEST(TemporalGraph, FindEdgeResolvesSlotsInNeighborCsrOrder) {
   EXPECT_EQ(g.FindEdge(-1, 0), TemporalGraph::kNoEdgeHandle);
   EXPECT_EQ(g.FindEdge(7, 0), TemporalGraph::kNoEdgeHandle);
   // The slot's occurrence run and timestamp mirror line up.
-  EXPECT_EQ(ToVector(g.edge_events(g.FindEdge(0, 1))),
-            (std::vector<EventIndex>{2, 4}));
-  const TimestampSpan times = g.edge_event_times(g.FindEdge(0, 1));
-  ASSERT_EQ(times.size(), 2u);
-  EXPECT_EQ(times[0], 3);
-  EXPECT_EQ(times[1], 5);
+  const auto run = g.edge_occurrences(g.FindEdge(0, 1));
+  EXPECT_EQ(ToVector(run), (std::vector<EventIndex>{2, 4}));
+  ASSERT_EQ(run.size(), 2u);
+  EXPECT_EQ(run.begin().time(), 3);
+  EXPECT_EQ((run.begin() + 1).time(), 5);
 }
 
 TEST(TemporalGraph, FindEdgeCoversTheStaticProjection) {
@@ -188,25 +189,17 @@ TEST(TemporalGraph, CountEdgeEventsInTimeRangeInclusive) {
   EXPECT_EQ(g.CountEdgeEventsInTimeRange(0, 1, 31, 10), 0);  // Empty range.
 }
 
-TEST(TemporalGraph, CountEdgeEventsInIndexRange) {
-  const TemporalGraph g = GraphFromEvents(
-      {{0, 1, 10}, {0, 1, 20}, {0, 1, 30}});
-  EXPECT_EQ(g.CountEdgeEventsInIndexRange(0, 1, 0, 2), 1);
-  EXPECT_EQ(g.CountEdgeEventsInIndexRange(0, 1, -1, 3), 3);
-}
-
 TEST(TemporalGraph, MinMaxTime) {
   const TemporalGraph g = GraphFromEvents({{0, 1, 7}, {1, 2, 42}});
   EXPECT_EQ(g.min_time(), 7);
   EXPECT_EQ(g.max_time(), 42);
 }
 
-TEST(TemporalGraph, EventDurationsAndLabelsPreserved) {
+TEST(TemporalGraph, EventDurationsPreserved) {
   TemporalGraphBuilder builder;
-  builder.AddEvent(0, 1, 10, /*duration=*/55, /*label=*/3);
+  builder.AddEvent(0, 1, 10, /*duration=*/55);
   const TemporalGraph g = builder.Build();
   EXPECT_EQ(g.event(0).duration, 55);
-  EXPECT_EQ(g.event(0).label, 3);
 }
 
 }  // namespace

@@ -39,7 +39,6 @@ TEST(RandomGraphFixture, HonorsSpec) {
   spec.num_events = 40;
   spec.max_time = 30;
   spec.max_duration = 9;
-  spec.num_labels = 3;
   const TemporalGraph g = RandomGraph(123, spec);
   EXPECT_EQ(g.num_nodes(), 5);
   ASSERT_EQ(g.num_events(), 40);
@@ -53,8 +52,6 @@ TEST(RandomGraphFixture, HonorsSpec) {
     EXPECT_LE(e.time, 30);
     EXPECT_GE(e.duration, 0);
     EXPECT_LE(e.duration, 9);
-    EXPECT_GE(e.label, 0);
-    EXPECT_LT(e.label, 3);
   }
 }
 

@@ -20,7 +20,7 @@ TEST(TimingConstraints, Factories) {
   EXPECT_EQ(*both.delta_c, 2000);
   EXPECT_EQ(*both.delta_w, 3000);
 
-  const TimingConstraints none = TimingConstraints::Unbounded();
+  const TimingConstraints none;
   EXPECT_FALSE(none.delta_c.has_value());
   EXPECT_FALSE(none.delta_w.has_value());
 }
@@ -30,7 +30,7 @@ TEST(TimingConstraints, ToString) {
             "dC=2000s, dW=3000s");
   EXPECT_EQ(TimingConstraints::OnlyDeltaC(1500).ToString(), "dC=1500s");
   EXPECT_EQ(TimingConstraints::OnlyDeltaW(3000).ToString(), "dW=3000s");
-  EXPECT_EQ(TimingConstraints::Unbounded().ToString(), "unbounded");
+  EXPECT_EQ(TimingConstraints{}.ToString(), "unbounded");
 }
 
 // The Section 4.5 case analysis for three-event motifs (m = 3, so the
@@ -66,7 +66,7 @@ TEST(ClassifyTiming, SingleConstraintRegimes) {
             TimingRegime::kOnlyDeltaC);
   EXPECT_EQ(ClassifyTiming(TimingConstraints::OnlyDeltaW(10), 3),
             TimingRegime::kOnlyDeltaW);
-  EXPECT_EQ(ClassifyTiming(TimingConstraints::Unbounded(), 3),
+  EXPECT_EQ(ClassifyTiming(TimingConstraints{}, 3),
             TimingRegime::kUnbounded);
 }
 

@@ -7,6 +7,15 @@
 namespace tmotif {
 namespace {
 
+/// Total communication-motif instances over every static form.
+std::uint64_t Total(const TemporalGraph& g, const ZhaoConfig& config) {
+  std::uint64_t total = 0;
+  for (const auto& [form, count] : CountCommunicationMotifs(g, config)) {
+    total += count;
+  }
+  return total;
+}
+
 TEST(CommunicationMotifs, OrderDoesNotSplitCounts) {
   // Two triangles with different temporal orders but the same static shape
   // land in one bucket (the defining property vs Kovanen-style models).
@@ -16,7 +25,7 @@ TEST(CommunicationMotifs, OrderDoesNotSplitCounts) {
   });
   ZhaoConfig config{3, 3, 20};
   const auto counts = CountCommunicationMotifs(g, config);
-  const StaticForm triangle = StaticFormOfCode("011202");
+  const StaticForm triangle = CanonicalStaticForm({{0, 1}, {1, 2}, {0, 2}});
   EXPECT_EQ(counts.at(triangle), 2u);
 }
 
@@ -25,7 +34,7 @@ TEST(CommunicationMotifs, PairwiseConstraintIsStricterThanChain) {
   // but the node-sharing pair {(0,1), (0,3)} spans 20 > 12 -> rejected.
   const TemporalGraph g = GraphFromEvents({{0, 1, 0}, {1, 2, 8}, {0, 3, 20}});
   ZhaoConfig config{3, 4, 12};
-  EXPECT_EQ(CountCommunicationInstances(g, config), 0u);
+  EXPECT_EQ(Total(g, config), 0u);
 }
 
 TEST(CommunicationMotifs, NonSharingPairsAreUnconstrained) {
@@ -33,15 +42,15 @@ TEST(CommunicationMotifs, NonSharingPairsAreUnconstrained) {
   // events share no node, so the 18s total span is fine.
   const TemporalGraph g = GraphFromEvents({{0, 1, 0}, {1, 2, 9}, {2, 3, 18}});
   ZhaoConfig config{3, 4, 10};
-  EXPECT_EQ(CountCommunicationInstances(g, config), 1u);
+  EXPECT_EQ(Total(g, config), 1u);
 }
 
 TEST(CommunicationMotifs, TimingRejectsSlowPairs) {
   const TemporalGraph g = GraphFromEvents({{0, 1, 0}, {1, 2, 50}});
   ZhaoConfig config{2, 3, 20};
-  EXPECT_EQ(CountCommunicationInstances(g, config), 0u);
+  EXPECT_EQ(Total(g, config), 0u);
   config.delta_t = 50;
-  EXPECT_EQ(CountCommunicationInstances(g, config), 1u);
+  EXPECT_EQ(Total(g, config), 1u);
 }
 
 TEST(CommunicationMotifs, RepetitionsCollapseStatically) {
@@ -54,17 +63,6 @@ TEST(CommunicationMotifs, RepetitionsCollapseStatically) {
   EXPECT_EQ(counts.size(), 1u);
 }
 
-TEST(CommunicationMotifs, InstanceTotalsMatchKeyedCounts) {
-  const TemporalGraph g = GraphFromEvents(
-      {{0, 1, 0}, {1, 0, 4}, {1, 2, 8}, {2, 0, 12}, {0, 1, 16}});
-  ZhaoConfig config{3, 3, 15};
-  const auto counts = CountCommunicationMotifs(g, config);
-  std::uint64_t keyed_total = 0;
-  for (const auto& [form, count] : counts) keyed_total += count;
-  EXPECT_EQ(keyed_total, CountCommunicationInstances(g, config));
-  EXPECT_GT(keyed_total, 0u);
-}
-
 TEST(CommunicationMotifs, SubsetOfVanillaWindowCounts) {
   const TemporalGraph g = GraphFromEvents(
       {{0, 1, 0}, {1, 2, 3}, {0, 2, 6}, {2, 1, 9}, {1, 0, 12}});
@@ -73,8 +71,7 @@ TEST(CommunicationMotifs, SubsetOfVanillaWindowCounts) {
   vanilla.num_events = 3;
   vanilla.max_nodes = 3;
   vanilla.timing = TimingConstraints::OnlyDeltaW(20);  // (k-1) * dt.
-  EXPECT_LE(CountCommunicationInstances(g, config),
-            CountInstances(g, vanilla));
+  EXPECT_LE(Total(g, config), CountInstances(g, vanilla));
 }
 
 }  // namespace

@@ -37,11 +37,17 @@ Nine classes of rot are caught:
      followed by `::Member` or `()`) must occur as an identifier in src/,
      tools/, tests/, pipebench/ or CMakeLists.txt; for `Name::Member`
      both names must.
-  9. Unreached modules — every file under src/ outside src/testing/ must
+  9. Unreached code — every file under src/ outside src/testing/ must
      be reached through `#include "..."` from a file under tools/, bench/
      or pipebench/, directly or through other reached files; a reached
      header brings in its same-stem .cc. Examples and tests do not count,
-     so a module only they include is code no product runs.
+     so a module only they include is code no product runs. And every
+     namespace-scope function declared in a header under src/ (outside
+     src/testing/) must be called from src/, tools/, bench/, examples/ or
+     pipebench/. That check is by name, with comments and string literals
+     stripped: any occurrence of the name other than a namespace-scope
+     declaration or definition counts as a call (one inside the
+     function's own .cc too), and tests/ does not count.
 
 Usage:
   tools/check_docs.py [--repo-root DIR] [--bin-dir BUILDDIR]
@@ -98,7 +104,7 @@ REQUIRED_SECTIONS = {
     ),
     "docs/RESILIENCE.md": (
         "## Checkpoint format",
-        "Versions 2 to 5 are rejected",
+        "Versions 2 to 6 are rejected",
         "## Degradation state machine",
         "## Fault-point catalog",
         "stream.store_mode",
@@ -154,6 +160,20 @@ COUNTING_METRICS_RUNS = (("--model=paranjape", "--k=3", "--dw=600"),
 PRODUCT_DIRS = ("tools", "bench", "pipebench")
 CPP_EXTENSIONS = (".h", ".cc", ".cpp")
 INCLUDE_RE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*"([^"]+)"', re.M)
+# Where a function declared in a src/ header must be called from.
+CALLER_DIRS = ("src", "tools", "bench", "examples", "pipebench")
+COMMENT_OR_LITERAL_RE = re.compile(
+    r'//[^\n]*|/\*.*?\*/|"(?:\\.|[^"\\\n])*"|\'(?:\\.|[^\'\\\n])*\'', re.S)
+PREPROCESSOR_RE = re.compile(r'^[ \t]*#(?:[^\n]*\\\n)*[^\n]*', re.M)
+# The name a `(` at namespace scope opens the parameter list of: the last
+# identifier before it, unqualified (a `Class::Member` definition is not a
+# namespace-scope function).
+DECLARATOR_RE = re.compile(r'(?<![\w:~.>])([A-Za-z_]\w*)\s*\($')
+NAMESPACE_HEAD_RE = re.compile(r'\s*(?:inline\s+)?namespace\b|\s*extern\s*""\s*$')
+NOT_FUNCTIONS = ("operator", "static_assert", "decltype", "sizeof", "alignof",
+                 "alignas", "noexcept")
+NOT_DECLARATIONS = ("using", "typedef", "class", "struct", "enum", "union",
+                    "friend", "return")
 
 
 def find_markdown_files(root):
@@ -343,6 +363,79 @@ def check_reached_modules(root, errors):
                           f"or pipebench file reaches it through #include")
 
 
+def strip_code(text):
+    """C++ source without comments, string and char literals (kept as
+    empty quotes) or preprocessor lines."""
+    def blank(match):
+        token = match.group(0)
+        if token.startswith(('"', "'")):
+            return '""'
+        return "\n" * token.count("\n")
+    return PREPROCESSOR_RE.sub("", COMMENT_OR_LITERAL_RE.sub(blank, text))
+
+
+def namespace_scope_functions(code):
+    """Names of the functions `code` (stripped) declares or defines at
+    namespace scope: a name right before a `(` that opens at brace depth
+    made only of namespace braces, in a statement with a type before the
+    name and no `=` (an initializer) ahead of it."""
+    names = []
+    scopes = []  # Per open brace: True while only namespaces enclose it.
+    parens = 0
+    start = 0  # Start of the current statement.
+    for i, ch in enumerate(code):
+        if ch == "(":
+            if parens == 0 and all(scopes):
+                head = code[start:i]
+                match = DECLARATOR_RE.search(code[start:i + 1])
+                first = IDENTIFIER_RE.match(head.lstrip())
+                if (match and match.group(1) not in NOT_FUNCTIONS
+                        and not match.group(1).isupper() and "=" not in head
+                        and IDENTIFIER_RE.search(head[:match.start()])
+                        and first.group(0) not in NOT_DECLARATIONS):
+                    names.append(match.group(1))
+            parens += 1
+        elif ch == ")":
+            parens -= 1
+        elif ch == "{" and parens == 0:
+            scopes.append(all(scopes) and
+                          NAMESPACE_HEAD_RE.match(code[start:i]) is not None)
+            start = i + 1
+        elif ch in "};" and parens == 0:
+            if ch == "}":
+                scopes.pop()
+            start = i + 1
+    return names
+
+
+def check_called_functions(root, errors):
+    src = os.path.join(root, "src")
+    testing = os.path.join(src, "testing") + os.sep
+    declared = {}  # Name -> the header declaring it.
+    for path in cpp_files(src):
+        if path.endswith(".h") and not path.startswith(testing):
+            with open(path, encoding="utf-8", errors="replace") as f:
+                for name in namespace_scope_functions(strip_code(f.read())):
+                    declared.setdefault(name, path)
+    calls = dict.fromkeys(declared, 0)
+    for caller_dir in CALLER_DIRS:
+        for path in cpp_files(os.path.join(root, caller_dir)):
+            with open(path, encoding="utf-8", errors="replace") as f:
+                code = strip_code(f.read())
+            for name in IDENTIFIER_RE.findall(code):
+                if name in calls:
+                    calls[name] += 1
+            for name in namespace_scope_functions(code):
+                if name in calls:
+                    calls[name] -= 1
+    for name, header in sorted(declared.items(),
+                               key=lambda item: (item[1], item[0])):
+        if calls[name] <= 0:
+            errors.append(f"{os.path.relpath(header, root)}: {name}() is "
+                          f"called from no file under "
+                          f"{', '.join(d + '/' for d in CALLER_DIRS)}")
+
+
 def check_checkpoint_version(root, errors):
     with open(os.path.join(root, "docs", "RESILIENCE.md"),
               encoding="utf-8") as f:
@@ -466,6 +559,7 @@ def main():
     check_source_paths(args.repo_root, errors)
     check_code_symbols(args.repo_root, errors)
     check_reached_modules(args.repo_root, errors)
+    check_called_functions(args.repo_root, errors)
     if args.bin_dir is not None:
         check_flags(md_files, args.repo_root, args.bin_dir, errors)
         check_stream_metrics(args.repo_root, args.bin_dir, errors)
@@ -476,9 +570,9 @@ def main():
         print(f"check_docs: {len(errors)} finding(s) across "
               f"{len(md_files)} markdown files", file=sys.stderr)
         return 1
-    scope = ("links + sections + paths + symbols + modules + CLI flags + "
-             "stream and counting metrics" if args.bin_dir
-             else "links + sections + paths + symbols + modules")
+    scope = ("links + sections + paths + symbols + modules + functions + "
+             "CLI flags + stream and counting metrics" if args.bin_dir
+             else "links + sections + paths + symbols + modules + functions")
     print(f"check_docs: OK ({scope}; {len(md_files)} markdown files)")
     return 0
 

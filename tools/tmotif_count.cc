@@ -1,7 +1,7 @@
 // tmotif_count: command-line temporal motif counter.
 //
 // Counts k-event temporal motifs in a whitespace-separated edge list
-// ("src dst time [duration [label]]" per line) under any of the four
+// ("src dst time [duration]" per line) under any of the four
 // published models or a custom configuration.
 //
 //   tmotif_count --input=events.txt --model=paranjape --k=3 --dw=3600
@@ -176,13 +176,13 @@ int Main(int argc, char** argv) {
 
   if (!args.csv_out.empty()) {
     CsvWriter csv(args.csv_out);
-    if (!csv.ok()) {
-      std::fprintf(stderr, "cannot write %s\n", args.csv_out.c_str());
-      return 1;
-    }
     csv.WriteRow({"motif", "count"});
     for (const auto& [code, count] : counts.SortedByCount()) {
       csv.WriteRow({code, std::to_string(count)});
+    }
+    if (!csv.Close()) {
+      std::fprintf(stderr, "cannot write %s\n", args.csv_out.c_str());
+      return 1;
     }
     std::printf("\nfull counts written to %s\n", args.csv_out.c_str());
   }
@@ -197,8 +197,13 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", args.metrics_out.c_str());
       return 1;
     }
-    std::fwrite(text.data(), 1, text.size(), out);
-    if (out != stdout) std::fclose(out);
+    bool written = std::fwrite(text.data(), 1, text.size(), out) ==
+                   text.size();
+    if (out != stdout) written = std::fclose(out) == 0 && written;
+    if (!written) {
+      std::fprintf(stderr, "cannot write %s\n", args.metrics_out.c_str());
+      return 1;
+    }
   }
   return 0;
 }

@@ -450,7 +450,14 @@ int Main(int argc, char** argv) {
   }
   if (metrics_file != nullptr) {
     DumpMetrics(args, metrics_file);
-    if (metrics_file != stdout) std::fclose(metrics_file);
+    bool written = !std::ferror(metrics_file);
+    if (metrics_file != stdout) {
+      written = std::fclose(metrics_file) == 0 && written;
+    }
+    if (!written) {
+      std::fprintf(stderr, "cannot write %s\n", args.metrics_out.c_str());
+      return 1;
+    }
   }
   if (!args.trace_out.empty()) {
     if (args.trace_out == "-") {
@@ -458,12 +465,15 @@ int Main(int argc, char** argv) {
       obs::TraceRecorder::Global().WriteJson(trace_json);
       std::fputs(trace_json.str().c_str(), stdout);
     } else {
+      // Written through the stream's buffer: a failed open, write or
+      // flush all leave the stream failed after close().
       std::ofstream trace_file(args.trace_out);
+      obs::TraceRecorder::Global().WriteJson(trace_file);
+      trace_file.close();
       if (!trace_file) {
         std::fprintf(stderr, "cannot write %s\n", args.trace_out.c_str());
         return 1;
       }
-      obs::TraceRecorder::Global().WriteJson(trace_file);
     }
   }
   const double seconds =
